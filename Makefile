@@ -3,9 +3,11 @@ PYTEST = PYTHONPATH=src $(PY) -m pytest
 
 .PHONY: test robustness parallel obs obs-scrape-smoke runtime runtime-smoke bench bench-parallel bench-resilience bench-lifecycle bench-kernels serve-smoke trace-smoke chaos lifecycle kernels objective
 
-# Tier-1 suite (unit + property + integration), as CI runs it.
+# Tier-1 suite (unit + property + integration), as CI runs it, with
+# DeprecationWarnings promoted to errors: no code path may lean on a
+# deprecated API (the repo's or a dependency's).
 test:
-	$(PYTEST) -x -q
+	$(PYTEST) -x -q -W error::DeprecationWarning
 
 # Serving smoke: publish a model to a registry, push a JSONL batch
 # through the estimate-batch CLI, assert non-empty per-request output.
@@ -46,8 +48,7 @@ trace-smoke:
 
 # Runtime gate: the runtime-marked tests (config layering, context
 # lifecycle, ctx parity, CLI teardown) with DeprecationWarnings promoted
-# to errors — the ctx= paths must never trip a legacy shim, and shims
-# must warn exactly once where the tests expect them to.
+# to errors, as in the tier-1 run.
 runtime:
 	$(PYTEST) -x -q -W error::DeprecationWarning -m runtime
 
@@ -79,9 +80,9 @@ lifecycle:
 	$(PYTEST) -x -q -W error::RuntimeWarning -m lifecycle
 
 # Objective gate: the objective-marked tests (Objective grammar,
-# quality targeting, frontier queries, ratio bit-identity) with
-# DeprecationWarnings promoted to errors — the objective paths must
-# never trip a legacy shim.
+# quality targeting, frontier queries, ratio bit-identity, cross-path
+# differential) with DeprecationWarnings promoted to errors, as in the
+# tier-1 run.
 objective:
 	$(PYTEST) -x -q -W error::DeprecationWarning -m objective
 

@@ -35,7 +35,6 @@ import numpy as np
 from repro import obs
 from repro.compressors.base import Compressor
 from repro.errors import InvalidConfiguration, SearchError
-from repro.runtime.compat import UNSET, legacy
 
 
 @dataclass(frozen=True)
@@ -108,8 +107,6 @@ class FRaZ:
             searches/paths; hits are charged their recorded compressor
             time, exactly like the legacy ``cache`` dict, so FRaZ's
             cost accounting stays honest.
-        executor: deprecated — pass ``ctx=RuntimeContext(jobs=...)``.
-        memo: deprecated — contexts share their memo automatically.
     """
 
     def __init__(
@@ -118,8 +115,6 @@ class FRaZ:
         max_iterations: int = 15,
         n_bins: int = 3,
         search_scale: str = "linear",
-        executor=UNSET,
-        memo=UNSET,
         *,
         ctx=None,
     ) -> None:
@@ -134,16 +129,8 @@ class FRaZ:
         self.n_bins = n_bins
         self.search_scale = search_scale
         self.ctx = ctx
-        executor = legacy("FRaZ", "executor", executor)
-        memo = legacy("FRaZ", "memo", memo)
-        self.executor = (
-            executor
-            if executor is not None
-            else (ctx.executor if ctx is not None else None)
-        )
-        self.memo = (
-            memo if memo is not None else (ctx.memo if ctx is not None else None)
-        )
+        self.executor = ctx.executor if ctx is not None else None
+        self.memo = ctx.memo if ctx is not None else None
 
     def search(
         self,

@@ -21,7 +21,6 @@ import numpy as np
 from repro import obs
 from repro.compressors.base import Compressor
 from repro.errors import InvalidConfiguration
-from repro.runtime.compat import UNSET, legacy
 
 
 @dataclass(frozen=True)
@@ -179,8 +178,6 @@ def build_curve(
     domain: tuple[float, float] | None = None,
     *,
     ctx=None,
-    executor=UNSET,
-    memo=UNSET,
     fingerprint: str | None = None,
 ) -> CompressionCurve:
     """Run the compressor at the stationary configs and anchor a curve.
@@ -200,20 +197,13 @@ def build_curve(
       ``fingerprint`` optionally supplies the precomputed content hash
       of ``data``.
 
-    ``executor=``/``memo=`` are deprecated; pass ``ctx=`` instead.
-
     ``build_seconds`` totals the *compressor* time of the evaluations
     (memo hits charge their recorded time), which is the quantity
     Table VI accounts — under a parallel executor the wall clock is
     lower.
     """
-    executor = legacy("build_curve", "executor", executor)
-    memo = legacy("build_curve", "memo", memo)
-    if ctx is not None:
-        if executor is None:
-            executor = ctx.executor
-        if memo is None:
-            memo = ctx.memo
+    executor = ctx.executor if ctx is not None else None
+    memo = ctx.memo if ctx is not None else None
     configs = stationary_configs(compressor, data, n_points, domain)
     with obs.span(
         "augmentation.build_curve",

@@ -22,7 +22,6 @@ from repro.config import FXRZConfig
 from repro.core.inference import Estimate, InferenceEngine
 from repro.core.training import TrainingEngine, TrainingReport
 from repro.errors import InvalidConfiguration, NotFittedError
-from repro.runtime.compat import UNSET, legacy, legacy_context
 
 
 @dataclass(frozen=True)
@@ -70,8 +69,6 @@ class FXRZ:
             training-time executor, the shared compression memo and the
             forest worker count. Results are bit-identical at any
             worker count.
-        n_jobs: deprecated — pass ``ctx=RuntimeContext(jobs=...)``.
-        memo: deprecated — contexts share their memo automatically.
     """
 
     def __init__(
@@ -79,18 +76,11 @@ class FXRZ:
         compressor: Compressor,
         config: FXRZConfig | None = None,
         model_factory=None,
-        n_jobs=UNSET,
-        memo=UNSET,
         *,
         ctx=None,
     ) -> None:
         self.compressor = compressor
         self.config = config or FXRZConfig()
-        ctx = legacy_context(
-            ctx,
-            n_jobs=legacy("FXRZ", "n_jobs", n_jobs),
-            memo=legacy("FXRZ", "memo", memo),
-        )
         self.ctx = ctx
         self.memo = ctx.memo if ctx is not None else None
         self.n_jobs = ctx.config.jobs if ctx is not None else None

@@ -29,7 +29,6 @@ import numpy as np
 from repro.analysis.distortion import psnr
 from repro.compressors.base import Compressor
 from repro.errors import InvalidConfiguration
-from repro.runtime.compat import UNSET, legacy
 
 _SQRT3 = float(np.sqrt(3.0))
 
@@ -60,7 +59,6 @@ def calibrated_bound_for_psnr(
     data: np.ndarray,
     target_psnr: float,
     probes: int = 2,
-    memo=UNSET,
     *,
     ctx=None,
 ) -> float:
@@ -74,17 +72,16 @@ def calibrated_bound_for_psnr(
         data: the dataset.
         target_psnr: desired reconstruction quality in dB.
         probes: refinement compressions to spend (0 = pure analytic).
-        memo: deprecated — pass ``ctx`` instead; the context's shared
+        ctx: a :class:`~repro.runtime.RuntimeContext` whose shared
             compression memo answers probes an earlier caller already
             measured and records fresh probes for everyone downstream.
-        ctx: a :class:`~repro.runtime.RuntimeContext` whose shared memo
-            is used for probe caching.
     """
-    memo = legacy("calibrated_bound_for_psnr", "memo", memo)
-    if memo is None and ctx is not None:
-        memo = ctx.memo
     bound, _achieved, _spent = _calibrated_search(
-        compressor, data, target_psnr, probes, memo
+        compressor,
+        data,
+        target_psnr,
+        probes,
+        ctx.memo if ctx is not None else None,
     )
     return bound
 

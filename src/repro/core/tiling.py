@@ -22,7 +22,6 @@ from repro.compressors.base import CompressedBlob
 from repro.core.adjustment import nonconstant_fraction
 from repro.core.pipeline import FXRZ
 from repro.errors import InvalidConfiguration, NotFittedError
-from repro.runtime.compat import UNSET, executor_for_jobs, legacy
 
 
 @dataclass(frozen=True)
@@ -141,16 +140,12 @@ class TiledFixedRatio:
             context. Tiles are independent by construction, so results
             are identical at any worker count; the full field ships to
             process workers once via shared memory.
-        n_jobs: deprecated — pass ``ctx=RuntimeContext(jobs=...)``.
-        executor: deprecated — pass a context whose config builds one.
     """
 
     def __init__(
         self,
         pipeline: FXRZ,
         tile_shape: tuple[int, ...],
-        n_jobs=UNSET,
-        executor=UNSET,
         *,
         ctx=None,
     ) -> None:
@@ -160,14 +155,8 @@ class TiledFixedRatio:
         self.tile_shape = tuple(int(t) for t in tile_shape)
         if ctx is None:
             ctx = getattr(pipeline, "ctx", None)
-        n_jobs = legacy("TiledFixedRatio", "n_jobs", n_jobs)
-        executor = legacy("TiledFixedRatio", "executor", executor)
-        if executor is None and n_jobs is not None:
-            executor = executor_for_jobs(n_jobs)
-        if executor is None and ctx is not None:
-            executor = ctx.executor
         self.ctx = ctx
-        self.executor = executor
+        self.executor = ctx.executor if ctx is not None else None
 
     def compress(self, data: np.ndarray, target_ratio: float) -> TiledResult:
         """Fixed-ratio compress every tile independently."""

@@ -28,7 +28,6 @@ from repro.core.augmentation import CompressionCurve, build_curve
 from repro.core.features import extract_features
 from repro.errors import InvalidConfiguration, NotFittedError
 from repro.ml.forest import RandomForestRegressor
-from repro.runtime.compat import UNSET, legacy, legacy_context
 
 
 @dataclass
@@ -76,9 +75,6 @@ class TrainingEngine:
         ctx: a :class:`~repro.runtime.RuntimeContext`; supplies the
             sweep executor, the shared compression memo and the forest
             worker count.
-        n_jobs: deprecated — pass ``ctx=RuntimeContext(jobs=...)``.
-        executor: deprecated — pass a context whose config builds one.
-        memo: deprecated — contexts share their memo automatically.
     """
 
     def __init__(
@@ -86,21 +82,12 @@ class TrainingEngine:
         compressor: Compressor,
         config: FXRZConfig | None = None,
         model_factory=None,
-        n_jobs=UNSET,
-        executor=UNSET,
-        memo=UNSET,
         *,
         ctx=None,
     ) -> None:
         self.compressor = compressor
         self.config = config or FXRZConfig()
         self.model_factory = model_factory or default_model_factory
-        ctx = legacy_context(
-            ctx,
-            n_jobs=legacy("TrainingEngine", "n_jobs", n_jobs),
-            executor=legacy("TrainingEngine", "executor", executor),
-            memo=legacy("TrainingEngine", "memo", memo),
-        )
         self.ctx = ctx
         self.executor = ctx.executor if ctx is not None else None
         self.memo = ctx.memo if ctx is not None else None

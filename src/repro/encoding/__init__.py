@@ -2,8 +2,8 @@
 
 This package provides the entropy/dictionary coding stages that the
 paper's compressors (SZ, ZFP, FPZIP, MGARD+) rely on: bit-level I/O,
-canonical Huffman coding, run-length coding, an LZ77-style dictionary
-coder, and varint header serialization.
+canonical Huffman coding, run-length coding, range coding, and varint
+header serialization.
 """
 
 from repro.encoding.bitio import (
@@ -23,7 +23,6 @@ from repro.encoding.varint import (
 )
 from repro.encoding.huffman import ChunkedHuffmanCodec, HuffmanCodec, symbol_table
 from repro.encoding.rle import rle_encode, rle_decode, zero_rle_encode, zero_rle_decode
-from repro.encoding.lz import LZCodec
 from repro.encoding.range_coder import RangeCoder
 
 __all__ = [
@@ -45,6 +44,5 @@ __all__ = [
     "rle_decode",
     "zero_rle_encode",
     "zero_rle_decode",
-    "LZCodec",
     "RangeCoder",
 ]

@@ -24,7 +24,10 @@ from dataclasses import dataclass, field
 
 from repro.errors import InvalidConfiguration, RetryExhausted
 from repro.robustness.faults import FaultSpec, RetryPolicy, backoff_schedule
-from repro.runtime.compat import UNSET
+
+#: Default of ``simulate_faulty_dump(retry=)``: tells "not passed" apart
+#: from an explicit ``None`` (which disables retries).
+_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -154,7 +157,7 @@ class FaultyDumpReport:
 def simulate_faulty_dump(
     scenario: DumpScenario,
     faults: FaultSpec,
-    retry: RetryPolicy | None | object = UNSET,
+    retry: RetryPolicy | None | object = _UNSET,
     *,
     ctx=None,
 ) -> FaultyDumpReport:
@@ -194,7 +197,7 @@ def simulate_faulty_dump(
             faulted on every attempt in its budget; carries ``attempts``
             and ``last_cause``.
     """
-    if retry is UNSET:
+    if retry is _UNSET:
         retry = ctx.retry_policy if ctx is not None else None
     policy = retry if retry is not None else RetryPolicy(
         max_attempts=1, base_delay=0.0, jitter=0.0

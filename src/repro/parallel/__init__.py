@@ -7,8 +7,9 @@ fields those tasks read to process workers once instead of per task,
 and :class:`CompressionMemoCache` makes sure no execution path in the
 library ever pays for the same compression twice. Every hot loop
 (augmentation sweeps, FRaZ probes, forest fit/predict, tiled
-estimation) accepts these through ``executor=`` / ``memo=`` /
-``n_jobs=`` seams; the CLI exposes them as ``--jobs``.
+estimation) reaches them through a
+:class:`~repro.runtime.RuntimeContext` (the forest also takes
+``n_jobs=``); the CLI exposes them as ``--jobs``.
 """
 
 from repro.parallel.executor import (

@@ -45,7 +45,6 @@ from repro.errors import (
 )
 from repro.robustness.confidence import FeatureEnvelope, score_confidence
 from repro.robustness.validation import validate_field
-from repro.runtime.compat import UNSET, legacy
 
 #: Ladder tiers each ``fallback`` setting may use, in order.
 _LADDERS = {
@@ -113,8 +112,6 @@ class GuardedInferenceEngine:
             an explicit log is used — never the context's — so layered
             callers (services, shards) that record at their own level
             do not double-log.
-        memo: deprecated — contexts share their memo automatically.
-        executor: deprecated — pass ``ctx=RuntimeContext(jobs=...)``.
         quality_model: the :class:`~repro.core.objective.QualityModel`
             answering PSNR/SSIM objectives; an uncalibrated analytic
             prior when not given.
@@ -128,8 +125,6 @@ class GuardedInferenceEngine:
         min_confidence: float | None = None,
         envelope_margin: float = 0.05,
         fraz_iterations: int = 6,
-        memo=UNSET,
-        executor=UNSET,
         *,
         ctx=None,
         outcome_log=None,
@@ -158,14 +153,10 @@ class GuardedInferenceEngine:
         self.fraz_iterations = fraz_iterations
         self.quality = quality_model or QualityModel()
         self.quality_probes = int(quality_probes)
-        memo = legacy("GuardedInferenceEngine", "memo", memo)
-        executor = legacy("GuardedInferenceEngine", "executor", executor)
-        if memo is None:
-            memo = ctx.memo if ctx is not None else getattr(pipeline, "memo", None)
-        if executor is None and ctx is not None:
-            executor = ctx.executor
-        self.memo = memo
-        self.executor = executor
+        self.memo = (
+            ctx.memo if ctx is not None else getattr(pipeline, "memo", None)
+        )
+        self.executor = ctx.executor if ctx is not None else None
         self.compressor = pipeline.compressor
         self.config = pipeline.config
         self.model = pipeline.model

@@ -25,34 +25,18 @@ session object:
   reconstructs from the driver's pickled spec (spans re-parent and
   seeds derive exactly as the parity tests pin).
 
-Every consumer accepts ``ctx: RuntimeContext | None``; the legacy
-``executor=``/``memo=``/``n_jobs=`` keywords keep working through the
-deprecation shims in :mod:`repro.runtime.compat`. See
-``docs/RUNTIME.md`` for the precedence table and migration notes.
+Every consumer accepts ``ctx: RuntimeContext | None`` as its only
+runtime seam. See ``docs/RUNTIME.md`` for the precedence table.
 """
 
 from repro.runtime.args import add_runtime_args, runtime_parent_parser
-from repro.runtime.compat import (
-    UNSET,
-    executor_for_jobs,
-    legacy,
-    legacy_context,
-    reset_deprecation_warnings,
-    warn_deprecated,
-)
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.context import RuntimeContext, current_context
 
 __all__ = [
     "RuntimeConfig",
     "RuntimeContext",
-    "UNSET",
     "add_runtime_args",
     "current_context",
-    "executor_for_jobs",
-    "legacy",
-    "legacy_context",
-    "reset_deprecation_warnings",
     "runtime_parent_parser",
-    "warn_deprecated",
 ]

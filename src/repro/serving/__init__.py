@@ -10,6 +10,10 @@ request lifecycle:
 * :class:`FeatureCache` / :func:`dataset_fingerprint` — content-hash a
   dataset's sampled view once, reuse its extracted features and
   non-constant block fraction across all subsequent targets;
+* :mod:`~repro.serving.frontend` — the request lifecycle both
+  front-ends and the shard worker share: one engine builder, one
+  answer call (cached analysis plus ``engine.estimate``), and one
+  admission/completion core;
 * :class:`EstimationService` — submit :class:`EstimateRequest`\\ s
   individually, a worker pool coalesces same-dataset requests so the
   analysis runs once per batch, results come back as futures;
@@ -33,12 +37,12 @@ from repro.serving.registry import (
     ModelVersion,
     QualityVersion,
 )
-from repro.serving.service import (
+from repro.serving.frontend import (
     EstimateRequest,
-    EstimationService,
     ServedEstimate,
     resolved_objective,
 )
+from repro.serving.service import EstimationService
 from repro.serving.supervisor import (
     CircuitBreaker,
     ShardedEstimationService,

@@ -4,7 +4,7 @@ The serving layer records every request's outcome into a thread-safe
 :class:`MetricsRecorder`; :meth:`MetricsRecorder.snapshot` freezes the
 current state into an immutable :class:`MetricsSnapshot` that the CLI
 ``--stats`` view and the throughput benchmark render. Latencies keep a
-bounded window (the most recent ``latency_window`` requests) so a
+bounded window (the most recent :data:`LATENCY_WINDOW` requests) so a
 long-lived service never grows without bound.
 
 Two representation rules worth spelling out:
@@ -40,6 +40,9 @@ from repro import obs
 
 #: Ladder tiers a request can be answered from (plus "error").
 TIERS = ("model", "curve", "fraz")
+
+#: Successful-request latencies retained for the percentile view.
+LATENCY_WINDOW = 4096
 
 
 def _ms(value: "float | None") -> str:
@@ -118,16 +121,12 @@ class MetricsRecorder:
     """Thread-safe accumulator behind a service's ``metrics`` property.
 
     Args:
-        latency_window: successful-request latencies retained for the
-            percentile view.
         registry: a :class:`repro.obs.MetricsRegistry` to mirror events
             into; defaults to the process-wide installed registry (or
             no mirroring when none is installed).
     """
 
-    def __init__(
-        self, latency_window: int = 4096, registry=None
-    ) -> None:
+    def __init__(self, registry=None) -> None:
         self._lock = threading.Lock()
         self._start = time.perf_counter()
         self._requests_total = 0
@@ -136,7 +135,7 @@ class MetricsRecorder:
         self._batched_requests = 0
         self._tier_counts: Counter[str] = Counter()
         self._fallbacks = 0
-        self._latencies: deque[float] = deque(maxlen=int(latency_window))
+        self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._analysis_seconds = 0.0
         if registry is None:
             registry = obs.get_registry()

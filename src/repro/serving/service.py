@@ -19,121 +19,37 @@ degradation ladder into the service so every curve/FRaZ fallback is
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from collections import OrderedDict, deque
-from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import dataclass
-
-import numpy as np
 
 from repro import obs
-from repro.core.inference import Estimate, InferenceEngine
-from repro.core.objective import Objective, RatioTarget, as_objective
 from repro.core.pipeline import FXRZ
 from repro.errors import (
     DeadlineExceededError,
     InvalidConfiguration,
     NotFittedError,
-    ReproError,
     ServiceClosedError,
 )
-from repro.runtime.compat import UNSET, legacy, legacy_context
-from repro.serving.cache import FeatureCache, dataset_fingerprint
-from repro.serving.metrics import MetricsRecorder, MetricsSnapshot
+from repro.obs.trace import SpanContext
+from repro.serving.cache import FeatureCache
+from repro.serving.frontend import Admitted, Frontend, answer, build_engine
+from repro.serving.metrics import MetricsSnapshot
+
+#: LRU capacity of the per-dataset analysis cache.
+FEATURE_CACHE_ENTRIES = 128
 
 
-@dataclass
-class EstimateRequest:
-    """One estimation query.
-
-    Attributes:
-        data: the dataset to answer for.
-        target_ratio: the requested TCR — the pre-objective calling
-            convention; leave at ``0.0`` when ``objective`` is given.
-        request_id: caller-chosen identifier echoed in the result
-            (auto-assigned ``req-N`` when empty).
-        dataset_id: optional explicit dataset key; requests sharing it
-            are coalesced without content-hashing the array. Leave empty
-            to let the service fingerprint the sampled view.
-        deadline_seconds: per-request deadline relative to submission;
-            a request still unserved past it fails with
-            :class:`~repro.errors.DeadlineExceededError` instead of
-            waiting forever. ``None`` falls back to the service's
-            ``default_deadline``.
-        trace: an explicit :class:`~repro.obs.SpanContext` to serve the
-            request under — the sharded supervisor parents its request
-            span (and every shard-side span) there. ``None`` lets the
-            service mint a fresh trace when tracing is on.
-        objective: the estimation target — an
-            :class:`~repro.core.objective.Objective`, canonical string
-            (``"psnr:60"``) or bare ratio. Mutually exclusive with a
-            non-zero ``target_ratio``.
-    """
-
-    data: np.ndarray
-    target_ratio: float = 0.0
-    request_id: str = ""
-    dataset_id: str = ""
-    deadline_seconds: float | None = None
-    trace: "obs.SpanContext | None" = None
-    objective: "Objective | float | str | None" = None
-
-
-def resolved_objective(request: EstimateRequest) -> Objective:
-    """The request's :class:`Objective`, from whichever field carried it."""
-    if request.objective is not None:
-        if request.target_ratio:
-            raise InvalidConfiguration(
-                "request carries both target_ratio and objective"
-            )
-        return as_objective(request.objective)
-    return RatioTarget(float(request.target_ratio))
-
-
-@dataclass(frozen=True)
-class ServedEstimate:
-    """A completed request: the estimate plus serving bookkeeping.
-
-    ``trace_id`` is the distributed-trace id the request was served
-    under (0 when tracing was off), matching ``estimate.trace_id``.
-    """
-
-    request_id: str
-    dataset_key: str
-    estimate: Estimate
-    latency_seconds: float
-    cache_hit: bool
-    batch_size: int
-    trace_id: int = 0
-
-
-@dataclass
-class _Pending:
-    request: EstimateRequest
-    future: Future
-    submitted: float
-    request_id: str
-    deadline: float | None = None  # absolute, on the ``submitted`` clock
-    objective: Objective | None = None
-    dataset_key: str = ""
-
-
-class EstimationService:
+class EstimationService(Frontend):
     """Batched concurrent front-end over one inference engine.
 
     Args:
         engine: anything exposing ``analyze(data)`` and
-            ``estimate(data, ratio, analysis=...)`` — the plain or the
-            guarded engine.
+            ``estimate(data, analysis=..., objective=...)`` — the plain
+            or the guarded engine.
         workers: worker threads draining the queue.
         max_batch: cap on how many same-dataset requests one worker
             coalesces into a single batch.
-        cache_entries: LRU capacity of the per-dataset analysis cache.
-        latency_window: how many recent request latencies the metrics
-            retain for percentile reporting.
         default_deadline: deadline (seconds) applied to requests that do
             not carry their own ``deadline_seconds``. ``None`` resolves
             from the context's :attr:`RuntimeConfig.deadline` (0 there
@@ -154,8 +70,6 @@ class EstimationService:
         *,
         workers: int = 4,
         max_batch: int = 32,
-        cache_entries: int = 128,
-        latency_window: int = 4096,
         default_deadline: float | None = None,
         ctx=None,
         outcome_log=None,
@@ -164,30 +78,26 @@ class EstimationService:
             raise InvalidConfiguration("service needs at least one worker")
         if max_batch < 1:
             raise InvalidConfiguration("max_batch must be >= 1")
+        self._setup(
+            ctx=ctx,
+            outcome_log=outcome_log,
+            default_deadline=default_deadline,
+            stride=getattr(engine.config, "sampling_stride", 1),
+            compressor=getattr(
+                getattr(engine, "compressor", None), "name", ""
+            ),
+        )
         self.engine = engine
-        self.ctx = ctx
-        if outcome_log is None and ctx is not None:
-            outcome_log = ctx.lifecycle
-        self.outcome_log = outcome_log
-        if default_deadline is None and ctx is not None:
-            configured = float(getattr(ctx.config, "deadline", 0.0))
-            default_deadline = configured if configured > 0 else None
-        if default_deadline is not None and default_deadline <= 0:
-            raise InvalidConfiguration("default_deadline must be positive")
-        self.default_deadline = default_deadline
         self.max_batch = int(max_batch)
-        self.cache = FeatureCache(max_entries=cache_entries, ctx=ctx)
-        self._metrics = MetricsRecorder(latency_window=latency_window)
+        self.cache = FeatureCache(max_entries=FEATURE_CACHE_ENTRIES, ctx=ctx)
         if ctx is None:
             registry = obs.get_registry()
             if registry is not None:
                 obs.bind_cache_gauges(
                     registry, "serving_feature_cache", self.cache
                 )
-        self._pending: OrderedDict[str, deque[_Pending]] = OrderedDict()
+        self._pending: OrderedDict[str, deque[Admitted]] = OrderedDict()
         self._cond = threading.Condition()
-        self._closed = False
-        self._ids = itertools.count(1)
         self._workers = [
             threading.Thread(
                 target=self._worker, daemon=True, name=f"fxrz-serve-{i}"
@@ -197,15 +107,12 @@ class EstimationService:
         for thread in self._workers:
             thread.start()
 
-    # -- construction helpers --------------------------------------------------
-
     @classmethod
     def for_pipeline(
         cls,
         pipeline: FXRZ,
         guarded: bool = False,
         guard_options: dict | None = None,
-        memo=UNSET,
         *,
         ctx=None,
         **service_options,
@@ -219,79 +126,14 @@ class EstimationService:
         ``ctx`` (a :class:`~repro.runtime.RuntimeContext`, defaulting
         to the pipeline's own) supplies the shared memo of the guarded
         engine's FRaZ rung, so fallback searches across requests share
-        compressor runs. ``memo=`` is deprecated.
+        compressor runs.
         """
         if not pipeline.is_fitted:
             raise NotFittedError("serve needs a fitted pipeline")
         if ctx is None:
             ctx = getattr(pipeline, "ctx", None)
-        ctx = legacy_context(ctx, memo=legacy("for_pipeline", "memo", memo))
-        if guarded:
-            options = dict(guard_options or {})
-            options.setdefault("ctx", ctx)
-            engine = pipeline.guarded(**options)
-        else:
-            engine = InferenceEngine(
-                pipeline.model, pipeline.compressor, config=pipeline.config,
-                ctx=ctx,
-            )
+        engine = build_engine(pipeline, guarded, guard_options, ctx)
         return cls(engine, ctx=ctx, **service_options)
-
-    # -- client API ------------------------------------------------------------
-
-    def submit(self, request: EstimateRequest) -> Future:
-        """Queue one request; the future resolves to a :class:`ServedEstimate`."""
-        future = self._enqueue(request)
-        with self._cond:
-            self._cond.notify()
-        return future
-
-    def submit_many(self, requests: list[EstimateRequest]) -> list[Future]:
-        """Queue a whole batch before waking the workers.
-
-        Enqueueing everything under one lock maximizes same-dataset
-        coalescing: workers see the full groups, not a trickle.
-        """
-        futures = [self._enqueue(request) for request in requests]
-        with self._cond:
-            self._cond.notify_all()
-        return futures
-
-    def run_batch(
-        self, requests: list[EstimateRequest], timeout: float | None = None
-    ) -> list[ServedEstimate]:
-        """Submit ``requests`` and wait for every result, in order.
-
-        ``timeout`` bounds the wait for *each* future; a wait that runs
-        out raises :class:`~repro.errors.DeadlineExceededError` rather
-        than the bare :class:`concurrent.futures.TimeoutError`, keeping
-        every timeout surface of the service under one exception type.
-        """
-        results = []
-        for future in self.submit_many(requests):
-            try:
-                results.append(future.result(timeout=timeout))
-            except FuturesTimeoutError as exc:
-                raise DeadlineExceededError(
-                    f"no result within {timeout:.3f}s wait budget"
-                ) from exc
-        return results
-
-    def estimate(
-        self,
-        data: np.ndarray,
-        target_ratio: float | None = None,
-        *,
-        objective=None,
-    ) -> ServedEstimate:
-        """Synchronous single-request convenience."""
-        if objective is not None:
-            request = EstimateRequest(data=data, objective=objective)
-        else:
-            request = EstimateRequest(
-                data=data, target_ratio=float(target_ratio)
-            )
-        return self.submit(request).result()
 
     @property
     def metrics(self) -> MetricsSnapshot:
@@ -323,65 +165,32 @@ class EstimationService:
                 rejected = []
             self._cond.notify_all()
         for item in rejected:
-            self._metrics.record_request(
-                time.perf_counter() - item.submitted, failed=True
-            )
-            item.future.set_exception(
+            self._failed(
+                item,
                 ServiceClosedError(
                     f"estimation service closed before serving "
                     f"{item.request_id}"
-                )
+                ),
             )
         for thread in self._workers:
             thread.join(timeout=timeout)
 
-    def __enter__(self) -> "EstimationService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # -- internals -------------------------------------------------------------
 
-    def _dataset_key(self, request: EstimateRequest) -> str:
-        if request.dataset_id:
-            return f"id:{request.dataset_id}"
-        stride = getattr(self.engine.config, "sampling_stride", 1)
-        return dataset_fingerprint(request.data, stride=stride)
-
-    def _enqueue(self, request: EstimateRequest) -> Future:
-        objective = resolved_objective(request)  # validates at submit time
-        key = self._dataset_key(request)
-        future: Future = Future()
-        submitted = time.perf_counter()
-        relative = (
-            request.deadline_seconds
-            if request.deadline_seconds is not None
-            else self.default_deadline
-        )
-        if relative is not None and relative <= 0:
-            raise InvalidConfiguration("deadline_seconds must be positive")
-        item = _Pending(
-            request=request,
-            future=future,
-            submitted=submitted,
-            request_id=request.request_id or f"req-{next(self._ids)}",
-            deadline=None if relative is None else submitted + relative,
-            objective=objective,
-            dataset_key=key,
-        )
+    def _enqueue(self, item: Admitted):
         with self._cond:
-            if self._closed:
-                raise ServiceClosedError(
-                    "estimation service is closed; no new requests accepted"
-                )
+            self._check_open()
             # Coalesce by (objective kind, dataset): same-dataset batches
             # share one analysis either way, but quality batches run the
             # compressor and must not head-of-line-block ratio batches.
             self._pending.setdefault(
-                f"{objective.kind}|{key}", deque()
+                f"{item.objective.kind}|{item.dataset_key}", deque()
             ).append(item)
-        return future
+        return item.future
+
+    def _wake(self, n: int) -> None:
+        with self._cond:
+            self._cond.notify(n)
 
     def _worker(self) -> None:
         while True:
@@ -401,86 +210,50 @@ class EstimationService:
                     self._pending.move_to_end(key)
                 else:
                     del self._pending[key]
-            self._serve_batch(key, batch)
+            self._metrics.record_batch(len(batch))
+            with obs.span("serving.batch", batch_size=len(batch)):
+                for item in batch:
+                    self._serve_one(item, len(batch))
 
-    def _serve_batch(self, key: str, batch: list[_Pending]) -> None:
-        self._metrics.record_batch(len(batch))
-        with obs.span("serving.batch", batch_size=len(batch)):
-            for item in batch:
-                self._serve_one(item.dataset_key or key, item, len(batch))
-
-    def _serve_one(self, key: str, item: _Pending, batch_size: int) -> None:
-        if item.deadline is not None and time.perf_counter() > item.deadline:
+    def _serve_one(self, item: Admitted, batch_size: int) -> None:
+        if item.deadline is not None and time.monotonic() > item.deadline:
             # Serving an already-expired request wastes engine time the
             # caller will never see; fail fast instead.
-            self._metrics.record_request(
-                time.perf_counter() - item.submitted, failed=True
-            )
-            item.future.set_exception(
+            self._failed(
+                item,
                 DeadlineExceededError(
                     f"request {item.request_id} expired in queue "
                     f"(deadline {item.deadline - item.submitted:.3f}s)"
-                )
+                ),
             )
             return
-        objective = item.objective or resolved_objective(item.request)
-        with obs.span(
-            "serving.request",
-            target_ratio=(
-                objective.tcr if isinstance(objective, RatioTarget) else 0.0
-            ),
-            objective=objective.canonical,
-        ) as span:
+        tracer = obs.get_tracer()
+        if tracer is None:
+            span = obs.NULL_SPAN
+        else:
+            parent = item.request.trace
+            span = tracer.span(
+                "serving.request",
+                parent=parent if parent is not None else obs.current_context(),
+                objective=item.objective.canonical,
+            )
+        with span as sp:
+            if tracer is not None:
+                item.trace = SpanContext(sp.trace_id, sp.span_id)
             try:
-                analysis, hit = self.cache.get_or_compute(
-                    key, lambda: self.engine.analyze(item.request.data)
+                estimate, hit = answer(
+                    self.engine,
+                    self.cache,
+                    item.dataset_key,
+                    item.request.data,
+                    item.objective,
                 )
-                span.set_attribute("cache_hit", hit)
-                if isinstance(objective, RatioTarget):
-                    estimate = self.engine.estimate(
-                        item.request.data,
-                        objective.tcr,
-                        analysis=analysis,
-                    )
-                else:
-                    estimate = self.engine.estimate(
-                        item.request.data,
-                        analysis=analysis,
-                        objective=objective,
-                    )
             except Exception as exc:  # noqa: BLE001 — future carries it
-                latency = time.perf_counter() - item.submitted
-                self._metrics.record_request(latency, failed=True)
-                item.future.set_exception(exc)
+                self._failed(item, exc)
                 return
-            span.set_attribute("tier", estimate.tier)
-            latency = time.perf_counter() - item.submitted
-            self._metrics.record_request(
-                latency,
-                tier=estimate.tier,
-                analysis_seconds=estimate.analysis_seconds,
+            sp.set_attributes(cache_hit=hit, tier=estimate.tier)
+        item.future.set_result(
+            self._served(
+                item, estimate, hit, source="service", batch_size=batch_size
             )
-            if self.outcome_log is not None:
-                try:
-                    self.outcome_log.record_estimate(
-                        estimate,
-                        dataset_key=key,
-                        compressor=getattr(
-                            getattr(self.engine, "compressor", None),
-                            "name",
-                            "",
-                        ),
-                        source="service",
-                    )
-                except OSError:
-                    pass  # a full disk must not fail the request
-            item.future.set_result(
-                ServedEstimate(
-                    request_id=item.request_id,
-                    dataset_key=key,
-                    estimate=estimate,
-                    latency_seconds=latency,
-                    cache_hit=hit,
-                    batch_size=batch_size,
-                )
-            )
+        )

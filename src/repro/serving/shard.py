@@ -30,15 +30,16 @@ from __future__ import annotations
 import contextlib
 import os
 import time
-from collections import OrderedDict
 
 from repro import obs
-from repro.core.inference import InferenceEngine
 from repro.core.persistence import load_pipeline
 from repro.errors import ReproError
 from repro.obs.trace import SpanContext, attach, detach
 from repro.parallel.shm import SharedNDArray
+from repro.runtime.context import current_context
 from repro.runtime.worker import attach_worker_runtime
+from repro.serving.cache import FeatureCache
+from repro.serving.frontend import answer, build_engine
 
 #: Exit code used by injected crashes, so tests can tell a chaos kill
 #: from a genuine interpreter fault.
@@ -113,21 +114,12 @@ def shard_main(
     faults = spec.get("faults")
     rng = faults.serving_rng(shard, generation) if faults is not None else None
     try:
-        pipeline = load_pipeline(spec["model_path"])
-        from repro.runtime.context import current_context
-
-        ctx = current_context()
-        if spec.get("guarded", True):
-            options = dict(spec.get("guard_options") or {})
-            options.setdefault("ctx", ctx)
-            engine = pipeline.guarded(**options)
-        else:
-            engine = InferenceEngine(
-                pipeline.model,
-                pipeline.compressor,
-                config=pipeline.config,
-                ctx=ctx,
-            )
+        engine = build_engine(
+            load_pipeline(spec["model_path"]),
+            spec.get("guarded", True),
+            spec.get("guard_options"),
+            current_context(),
+        )
     except Exception as exc:  # noqa: BLE001 — reported, not raised
         _send(
             res_conn,
@@ -150,7 +142,7 @@ def shard_main(
         },
     )
 
-    analyses: OrderedDict[str, object] = OrderedDict()
+    analyses = FeatureCache(max_entries=ANALYSIS_CACHE_ENTRIES)
     segments: dict[str, SharedNDArray] = {}
     try:
         while True:
@@ -186,7 +178,7 @@ def _drained_spans(tracer) -> list | None:
 def _serve(
     message: dict,
     engine,
-    analyses: OrderedDict,
+    analyses: FeatureCache,
     segments: dict,
     res_conn,
     faults,
@@ -232,34 +224,18 @@ def _serve(
                 if handle is None:
                     handle = SharedNDArray.attach(descriptor)
                     segments[descriptor.name] = handle
-                data = handle.asarray()
-                key = message["dataset_key"]
-                analysis = analyses.get(key)
-                hit = analysis is not None
-                if hit:
-                    analyses.move_to_end(key)
-                else:
-                    analysis = engine.analyze(data)
-                    analyses[key] = analysis
-                    while len(analyses) > ANALYSIS_CACHE_ENTRIES:
-                        analyses.popitem(last=False)
-                objective = message.get("objective")
-                if objective and not objective.startswith("ratio:"):
-                    estimate = engine.estimate(
-                        data, analysis=analysis, objective=objective
-                    )
-                else:
-                    # Ratio requests (and messages from pre-objective
-                    # supervisors) take the legacy float path unchanged.
-                    estimate = engine.estimate(
-                        data,
-                        float(message["target_ratio"]),
-                        analysis=analysis,
-                    )
+                objective = message["objective"]
+                estimate, hit = answer(
+                    engine,
+                    analyses,
+                    message["dataset_key"],
+                    handle.asarray(),
+                    objective,
+                )
                 sp.set_attributes(
                     cache_hit=hit,
                     tier=estimate.tier,
-                    objective=objective or f"ratio:{message['target_ratio']:g}",
+                    objective=objective.canonical,
                 )
         except Exception as exc:  # noqa: BLE001 — shipped to the future
             reply = {

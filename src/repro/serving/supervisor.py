@@ -44,8 +44,7 @@ import tempfile
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from multiprocessing import connection, resource_tracker
 
@@ -65,14 +64,9 @@ from repro.errors import (
 )
 from repro.parallel.shm import SharedNDArray
 from repro.robustness.faults import RetryPolicy, backoff_schedule
-from repro.core.objective import Objective, RatioTarget
-from repro.serving.cache import dataset_fingerprint
-from repro.serving.metrics import MetricsRecorder, MetricsSnapshot
-from repro.serving.service import (
-    EstimateRequest,
-    ServedEstimate,
-    resolved_objective,
-)
+from repro.serving.cache import FeatureCache
+from repro.serving.frontend import Admitted, Frontend, answer, build_engine
+from repro.serving.metrics import MetricsSnapshot
 from repro.serving.shard import shard_main
 
 #: Shard lifecycle states.
@@ -81,6 +75,14 @@ READY = "ready"
 DEAD = "dead"      # awaiting respawn
 FAILED = "failed"  # respawn budget exhausted; permanently out
 STOPPED = "stopped"
+
+#: Extra seconds past a busy request's own deadline before the shard
+#: holding it is declared hung.
+HANG_GRACE = 0.5
+
+#: Datasets kept resident at once: shared-memory segments and the
+#: fallback ladder's analysis cache.
+MAX_DATASETS = 64
 
 
 class CircuitBreaker:
@@ -198,27 +200,18 @@ class SupervisorStats:
 
 
 @dataclass
-class _Inflight:
-    seq: int
-    request: EstimateRequest
-    future: Future
-    dataset_key: str
-    descriptor: object
-    submitted: float
-    deadline: float | None
-    request_id: str
+class _Inflight(Admitted):
+    seq: int = 0
+    descriptor: object = None
     shard: int = -1
     redeliveries: int = 0
-    # Distributed-tracing state: the request span's own coordinates
-    # (``trace``), the span it parents under (``parent_span``; None for
-    # a root trace), and the wall-clock admit instant the request span
-    # starts at. ``generation`` is the incarnation of the last shard
-    # this request was dispatched to.
-    trace: SpanContext | None = None
+    # Distributed-tracing state: the span the request span parents
+    # under (``parent_span``; None for a root trace) and the wall-clock
+    # admit instant the request span starts at. ``generation`` is the
+    # incarnation of the last shard this request was dispatched to.
     parent_span: int | None = None
     start_unix: float = 0.0
     generation: int = -1
-    objective: Objective | None = None
 
 
 class _ShardSlot:
@@ -241,7 +234,7 @@ class _ShardSlot:
         self.last_death_reason = ""
 
 
-class ShardedEstimationService:
+class ShardedEstimationService(Frontend):
     """Supervised multi-process estimation service.
 
     Args:
@@ -271,8 +264,6 @@ class ShardedEstimationService:
             this is presumed wedged and killed.
         hang_timeout: a *busy* shard serving one request for longer
             than this is killed (its requests redistribute).
-        hang_grace: extra seconds past a busy request's own deadline
-            before the shard holding it is declared hung.
         retry_policy: backoff schedule for shard respawns; defaults to
             the context's policy. ``max_attempts`` bounds *consecutive
             failed spawns* — a shard that keeps dying before reaching
@@ -311,6 +302,8 @@ class ShardedEstimationService:
             :attr:`RuntimeContext.lifecycle`.
     """
 
+    _Item = _Inflight
+
     def __init__(
         self,
         pipeline,
@@ -325,14 +318,11 @@ class ShardedEstimationService:
         max_redeliveries: int = 2,
         heartbeat_timeout: float = 5.0,
         hang_timeout: float = 10.0,
-        hang_grace: float = 0.5,
         retry_policy: RetryPolicy | None = None,
         faults=None,
         fallback: bool = True,
         breaker_options: dict | None = None,
         poll_interval: float = 0.02,
-        latency_window: int = 4096,
-        max_datasets: int = 64,
         trace_sample: float | None = None,
         scrape_port: int | None = None,
         ctx=None,
@@ -349,27 +339,14 @@ class ShardedEstimationService:
         if max_redeliveries < 0:
             raise InvalidConfiguration("max_redeliveries must be >= 0")
         self.pipeline = pipeline
-        self.ctx = ctx
-        if outcome_log is None and ctx is not None:
-            outcome_log = ctx.lifecycle
-        self.outcome_log = outcome_log
         self.n_shards = int(shards)
         self.queue_depth = int(queue_depth)
         self.max_inflight_per_shard = int(max_inflight_per_shard)
         self.max_redeliveries = int(max_redeliveries)
         self.heartbeat_timeout = float(heartbeat_timeout)
         self.hang_timeout = float(hang_timeout)
-        self.hang_grace = float(hang_grace)
         self.poll_interval = float(poll_interval)
-        self.max_datasets = int(max_datasets)
         self.faults = faults
-        self._fallback_enabled = bool(fallback)
-        if default_deadline is None and ctx is not None:
-            configured = float(getattr(ctx.config, "deadline", 0.0))
-            default_deadline = configured if configured > 0 else None
-        if default_deadline is not None and default_deadline <= 0:
-            raise InvalidConfiguration("default_deadline must be positive")
-        self.default_deadline = default_deadline
         if retry_policy is None:
             retry_policy = (
                 ctx.retry_policy if ctx is not None else RetryPolicy()
@@ -397,6 +374,21 @@ class ShardedEstimationService:
             raise InvalidConfiguration(
                 "scrape_port must be -1 (off), 0 (ephemeral) or a TCP port"
             )
+        registry = ctx.registry if ctx is not None else obs.get_registry()
+        if registry is None and int(scrape_port) >= 0:
+            # A scrape endpoint needs something behind /metrics: when
+            # neither the context nor the ambient install provides a
+            # registry, the service owns one.
+            registry = obs.MetricsRegistry()
+        self._registry = registry
+        self._setup(
+            ctx=ctx,
+            outcome_log=outcome_log,
+            default_deadline=default_deadline,
+            stride=getattr(pipeline.config, "sampling_stride", 1),
+            compressor=pipeline.compressor.name,
+            registry=registry,
+        )
 
         self._owns_model = model_path is None
         if model_path is None:
@@ -425,37 +417,27 @@ class ShardedEstimationService:
         # in FRaZ — it is the last line of defense, not a mirror of the
         # shard's (possibly weaker) ladder.
         self._fallback_engine = (
-            pipeline.guarded(ctx=ctx, **{**guard_opts, "fallback": "fraz"})
-            if self._fallback_enabled
+            build_engine(pipeline, True, guard_opts, ctx, fallback="fraz")
+            if fallback
             else None
         )
-        self._fallback_analyses: dict[str, object] = {}
+        self._fallback_cache = FeatureCache(max_entries=MAX_DATASETS)
         self._fallback_pool = ThreadPoolExecutor(
             max_workers=2, thread_name_prefix="fxrz-fallback"
         )
 
         self._mp = multiprocessing.get_context("fork")
-        registry = ctx.registry if ctx is not None else obs.get_registry()
-        if registry is None and int(scrape_port) >= 0:
-            # A scrape endpoint needs something behind /metrics: when
-            # neither the context nor the ambient install provides a
-            # registry, the service owns one.
-            registry = obs.MetricsRegistry()
-        self._registry = registry
-        self._metrics = MetricsRecorder(
-            latency_window=latency_window, registry=registry
-        )
         self._stats = SupervisorStats()
         self._ewma_latency = 0.05
         self._seq = itertools.count(1)
-        self._ids = itertools.count(1)
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
         self._live: dict[int, _Inflight] = {}
-        self._admit: queue.Queue[_Inflight] = queue.Queue(maxsize=queue_depth)
+        self._admission: queue.Queue[_Inflight] = queue.Queue(
+            maxsize=queue_depth
+        )
         self._redeliver: deque[_Inflight] = deque()
         self._segments: dict[str, SharedNDArray] = {}
-        self._closed = False
         self._stop = threading.Event()
         self._backoff_rng = np.random.default_rng(
             ctx.config.seed if ctx is not None else 0
@@ -494,73 +476,24 @@ class ShardedEstimationService:
             options["ctx"] = getattr(pipeline, "ctx", None)
         return cls(pipeline, **options)
 
-    @classmethod
-    def for_registry(
-        cls,
-        registry,
-        compressor: str,
-        fingerprint: str | None = None,
-        version="latest",
-        **options,
-    ) -> "ShardedEstimationService":
-        """A sharded service over a registry-published model.
-
-        The shards load the published artifact directly — no temp copy
-        — and the parent keeps the registry-warm pipeline for the
-        fallback ladder.
-        """
-        coordinate = registry.resolve(compressor, fingerprint, version)
-        pipeline = registry.load(
-            coordinate.compressor, coordinate.fingerprint, coordinate.version
-        )
-        return cls(pipeline, model_path=coordinate.path, **options)
-
     # -- client API ------------------------------------------------------------
 
-    def submit(self, request: EstimateRequest) -> Future:
-        """Admit one request; the future resolves to a :class:`ServedEstimate`.
+    def _enqueue(self, inf: _Inflight):
+        """Take custody of an admitted request.
 
         Raises:
             ServiceOverloadedError: the admission queue is full.
             ServiceClosedError: the service was closed.
         """
-        with self._lock:
-            if self._closed:
-                raise ServiceClosedError(
-                    "sharded estimation service is closed; "
-                    "no new requests accepted"
-                )
-        relative = (
-            request.deadline_seconds
-            if request.deadline_seconds is not None
-            else self.default_deadline
-        )
-        if relative is not None and relative <= 0:
-            raise InvalidConfiguration("deadline_seconds must be positive")
-        objective = resolved_objective(request)  # validates at admission
-        key = self._dataset_key(request)
-        descriptor = self._segment_for(key, request.data).descriptor
-        now = time.monotonic()
-        inf = _Inflight(
-            seq=next(self._seq),
-            request=request,
-            future=Future(),
-            dataset_key=key,
-            descriptor=descriptor,
-            submitted=now,
-            deadline=None if relative is None else now + relative,
-            request_id=request.request_id or f"req-{next(self._ids)}",
-            objective=objective,
-        )
+        inf.seq = next(self._seq)
+        inf.descriptor = self._segment_for(
+            inf.dataset_key, inf.request.data
+        ).descriptor
         if self._trace_sink() is not None and self._sampled(inf.seq):
             # Join the caller's trace (explicit on the request, or the
             # ambient context) or start a new root one; the request
             # span itself is closed at resolution time.
-            parent = (
-                request.trace
-                if request.trace is not None
-                else obs.current_context()
-            )
+            parent = inf.request.trace or obs.current_context()
             inf.trace = SpanContext(
                 parent.trace_id if parent is not None else _new_id(),
                 _new_id(),
@@ -571,64 +504,28 @@ class ShardedEstimationService:
             # Re-checked here atomically with the insertion: a close
             # racing this submit either sees the entry (and rejects it
             # in its leftover sweep) or we see the flag and refuse.
-            if self._closed:
-                raise ServiceClosedError(
-                    "sharded estimation service is closed; "
-                    "no new requests accepted"
-                )
+            self._check_open()
             self._live[inf.seq] = inf
         try:
-            self._admit.put_nowait(inf)
+            self._admission.put_nowait(inf)
         except queue.Full:
             with self._lock:
                 self._live.pop(inf.seq, None)
-                self._stats = replace(self._stats, shed=self._stats.shed + 1)
+            self._bump(shed=1)
             raise ServiceOverloadedError(
                 f"admission queue full ({self.queue_depth} deep); "
                 "request shed",
                 retry_after=self._retry_after_hint(),
             ) from None
-        with self._lock:
-            self._stats = replace(
-                self._stats, admitted=self._stats.admitted + 1
-            )
+        self._bump(admitted=1)
         if inf.trace is not None:
             self._trace_event(
                 "supervisor.admit",
                 trace=inf.trace,
                 request_id=inf.request_id,
-                queue_depth=self._admit.qsize(),
+                queue_depth=self._admission.qsize(),
             )
         return inf.future
-
-    def submit_many(self, requests: list[EstimateRequest]) -> list[Future]:
-        return [self.submit(request) for request in requests]
-
-    def run_batch(
-        self, requests: list[EstimateRequest], timeout: float | None = None
-    ) -> list[ServedEstimate]:
-        """Submit ``requests`` and wait for every result, in order."""
-        results = []
-        for future in self.submit_many(requests):
-            try:
-                results.append(future.result(timeout=timeout))
-            except FuturesTimeoutError as exc:
-                raise DeadlineExceededError(
-                    f"no result within {timeout:.3f}s wait budget"
-                ) from exc
-        return results
-
-    def estimate(
-        self, data, target_ratio: float | None = None, *, objective=None
-    ) -> ServedEstimate:
-        """Synchronous single-request convenience."""
-        if objective is not None:
-            request = EstimateRequest(data=data, objective=objective)
-        else:
-            request = EstimateRequest(
-                data=data, target_ratio=float(target_ratio)
-            )
-        return self.submit(request).result()
 
     @property
     def metrics(self) -> MetricsSnapshot:
@@ -825,11 +722,7 @@ class ShardedEstimationService:
                         "request_id": inf.request_id,
                         "dataset_key": inf.dataset_key,
                         "redeliveries": inf.redeliveries,
-                        "objective": (
-                            inf.objective.canonical
-                            if inf.objective is not None
-                            else ""
-                        ),
+                        "objective": inf.objective.canonical,
                         **attributes,
                     },
                 )
@@ -909,7 +802,7 @@ class ShardedEstimationService:
             self._redeliver.clear()
         while True:  # anything still sitting in the admission queue
             try:
-                leftovers.append(self._admit.get_nowait())
+                leftovers.append(self._admission.get_nowait())
             except queue.Empty:
                 break
         seen = set()
@@ -937,19 +830,7 @@ class ShardedEstimationService:
             except OSError:
                 pass
 
-    def __enter__(self) -> "ShardedEstimationService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # -- admission internals ---------------------------------------------------
-
-    def _dataset_key(self, request: EstimateRequest) -> str:
-        if request.dataset_id:
-            return f"id:{request.dataset_id}"
-        stride = getattr(self.pipeline.config, "sampling_stride", 1)
-        return dataset_fingerprint(request.data, stride=stride)
 
     def _segment_for(self, key: str, data) -> SharedNDArray:
         """The shared segment carrying ``key``'s dataset (LRU-bounded)."""
@@ -970,7 +851,7 @@ class ShardedEstimationService:
                 handle = raced
             else:
                 self._segments[key] = handle
-                while len(self._segments) > self.max_datasets:
+                while len(self._segments) > MAX_DATASETS:
                     # dict preserves insertion order; the oldest key is
                     # the least recently *created*, which is close
                     # enough for an overflow valve.
@@ -1021,30 +902,12 @@ class ShardedEstimationService:
     def _complete(
         self, inf: _Inflight, estimate, cache_hit: bool, source: str = "shard"
     ) -> None:
-        latency = time.monotonic() - inf.submitted
-        if inf.trace is not None:
-            estimate = replace(estimate, trace_id=inf.trace.trace_id)
+        served = self._served(inf, estimate, cache_hit, source=source)
         with self._lock:
-            self._ewma_latency = 0.8 * self._ewma_latency + 0.2 * latency
-        self._metrics.record_request(
-            latency,
-            tier=estimate.tier,
-            analysis_seconds=estimate.analysis_seconds,
-        )
+            self._ewma_latency = (
+                0.8 * self._ewma_latency + 0.2 * served.latency_seconds
+            )
         self._bump(completed=1)
-        if self.outcome_log is not None:
-            # Parent-side, single-writer: the estimate already crossed
-            # the reply pipe, so this append never interleaves with a
-            # forked worker's writes.
-            try:
-                self.outcome_log.record_estimate(
-                    estimate,
-                    dataset_key=inf.dataset_key,
-                    compressor=self.pipeline.compressor.name,
-                    source=source,
-                )
-            except OSError:
-                pass  # a full disk must not fail the request
         # Close the request span *before* resolving the future, so a
         # caller that inspects the tracer right after .result() sees a
         # complete tree.
@@ -1056,22 +919,9 @@ class ShardedEstimationService:
             tier=estimate.tier,
             shard=inf.shard,
         )
-        inf.future.set_result(
-            ServedEstimate(
-                request_id=inf.request_id,
-                dataset_key=inf.dataset_key,
-                estimate=estimate,
-                latency_seconds=latency,
-                cache_hit=cache_hit,
-                batch_size=1,
-                trace_id=inf.trace.trace_id if inf.trace is not None else 0,
-            )
-        )
+        inf.future.set_result(served)
 
     def _fail(self, inf: _Inflight, exc: Exception, *, expired=False) -> None:
-        self._metrics.record_request(
-            time.monotonic() - inf.submitted, failed=True
-        )
         self._bump(expired=1) if expired else self._bump(failed=1)
         self._finish_request_span(
             inf,
@@ -1079,7 +929,7 @@ class ShardedEstimationService:
             error=f"{type(exc).__name__}: {exc}",
             expired=bool(expired),
         )
-        inf.future.set_exception(exc)
+        self._failed(inf, exc)
 
     def _expire(self, inf: _Inflight) -> None:
         self._fail(
@@ -1098,7 +948,7 @@ class ShardedEstimationService:
             if self._redeliver:
                 return self._redeliver.popleft()
         try:
-            return self._admit.get(timeout=self.poll_interval)
+            return self._admission.get(timeout=self.poll_interval)
         except queue.Empty:
             return None
 
@@ -1160,22 +1010,15 @@ class ShardedEstimationService:
             item.shard = slot.index
             item.generation = slot.generation
             conn = slot.req_conn
-        objective = item.objective or resolved_objective(item.request)
         message = {
             "kind": "request",
             "seq": item.seq,
             "request_id": item.request_id,
             "descriptor": item.descriptor,
             "dataset_key": item.dataset_key,
-            # Both forms ride the message: ``objective`` is the source
-            # of truth; ``target_ratio`` keeps pre-objective shards (and
-            # message-level tooling) working for ratio requests.
-            "target_ratio": (
-                objective.tcr
-                if isinstance(objective, RatioTarget)
-                else 0.0
-            ),
-            "objective": objective.canonical,
+            # The frozen Objective itself, not its canonical string:
+            # the ``%g`` wire form would round quality targets.
+            "objective": item.objective,
             "deadline": item.deadline or 0.0,
         }
         if item.trace is not None:
@@ -1184,8 +1027,10 @@ class ShardedEstimationService:
             message["trace"] = (item.trace.trace_id, item.trace.span_id)
         try:
             conn.send(message)
-        except (BrokenPipeError, OSError):
-            # The shard died under us; the monitor will respawn it.
+        except (OSError, TypeError):
+            # The shard died under us; the monitor will respawn it. A
+            # conn the monitor closes mid-send raises TypeError (its
+            # handle is already None), not OSError.
             with self._lock:
                 slot.inflight.discard(item.seq)
                 item.shard = -1
@@ -1240,30 +1085,17 @@ class ShardedEstimationService:
         )
         try:
             with span as sp:
-                key = inf.dataset_key
-                analysis = self._fallback_analyses.get(key)
-                hit = analysis is not None
-                if not hit:
-                    analysis = self._fallback_engine.analyze(inf.request.data)
-                    if len(self._fallback_analyses) < self.max_datasets:
-                        self._fallback_analyses[key] = analysis
-                objective = inf.objective or resolved_objective(inf.request)
-                if isinstance(objective, RatioTarget):
-                    estimate = self._fallback_engine.estimate(
-                        inf.request.data,
-                        objective.tcr,
-                        analysis=analysis,
-                    )
-                else:
-                    estimate = self._fallback_engine.estimate(
-                        inf.request.data,
-                        analysis=analysis,
-                        objective=objective,
-                    )
+                estimate, hit = answer(
+                    self._fallback_engine,
+                    self._fallback_cache,
+                    inf.dataset_key,
+                    inf.request.data,
+                    inf.objective,
+                )
                 sp.set_attributes(
                     cache_hit=hit,
                     tier=estimate.tier,
-                    objective=objective.canonical,
+                    objective=inf.objective.canonical,
                 )
         except Exception as exc:  # noqa: BLE001 — future carries it
             self._fail(inf, exc)
@@ -1293,11 +1125,14 @@ class ShardedEstimationService:
                 slot = conns[conn]
                 try:
                     message = conn.recv()
-                except (EOFError, OSError):
+                except (EOFError, OSError, TypeError):
                     # Shard end closed: the process died (or is dying);
                     # the monitor's liveness check owns the respawn.
                     # The dead conn stays readable-at-EOF until then,
-                    # so pause instead of spinning on it.
+                    # so pause instead of spinning on it. TypeError is
+                    # a conn the monitor closed mid-recv (its handle is
+                    # already None); letting it escape would kill this
+                    # thread and strand every later reply.
                     time.sleep(self.poll_interval)
                     continue
                 self._handle_message(slot, message)
@@ -1394,9 +1229,9 @@ class ShardedEstimationService:
                     deadline = self._earliest_deadline(slot)
                     if deadline is not None:
                         allowed = min(
-                            allowed, (deadline - busy_since) + self.hang_grace
+                            allowed, (deadline - busy_since) + HANG_GRACE
                         )
-                    if now - busy_since > max(allowed, self.hang_grace):
+                    if now - busy_since > max(allowed, HANG_GRACE):
                         self._kill(slot, "hung mid-request")
                 elif now - slot.beat.value > self.heartbeat_timeout:
                     self._kill(slot, "heartbeat lost")

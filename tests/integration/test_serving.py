@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro import obs
 from repro.cli import main
 from repro.compressors import get_compressor
 from repro.core.inference import InferenceEngine
@@ -240,6 +241,34 @@ class TestGuardedServing:
         assert served.estimate.tier == "model"
         assert metrics.tier_counts == {"model": 1}
         assert metrics.fallback_count == 0
+
+
+class TestInProcessTracing:
+    def test_served_estimate_carries_request_trace_id(self, fitted):
+        pipeline, probes = fitted
+        tracer = obs.Tracer()
+        obs.install(tracer=tracer)
+        try:
+            with EstimationService.for_pipeline(pipeline, workers=1) as service:
+                served = service.estimate(probes[0], 6.0)
+                parent = obs.SpanContext(trace_id=987654321, span_id=12345)
+                joined = service.submit(
+                    EstimateRequest(
+                        data=probes[0], target_ratio=6.0, trace=parent
+                    )
+                ).result()
+            spans = tracer.drain()
+        finally:
+            obs.uninstall()
+        roots = [s for s in spans if s.name == "serving.request"]
+        assert len(roots) == 2
+        first, second = roots
+        assert served.trace_id == served.estimate.trace_id == first.trace_id
+        assert served.trace_id != 0
+        # An explicit request trace parents the request span.
+        assert joined.trace_id == joined.estimate.trace_id == parent.trace_id
+        assert second.trace_id == parent.trace_id
+        assert second.parent_id == parent.span_id
 
 
 class TestBatchCLI:

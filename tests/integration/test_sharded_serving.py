@@ -339,6 +339,55 @@ class TestChaosCrashStorm:
         assert all(f.result().estimate.config > 0 for f in done)
 
 
+class _ClosedUnderRecv:
+    """A reply conn whose first ``recv`` fails the way a conn closed by
+    another thread mid-read does (its handle already ``None``)."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self.raised = False
+
+    def fileno(self):
+        return self._conn.fileno()
+
+    def recv(self):
+        if not self.raised:
+            self.raised = True
+            raise TypeError(
+                "'NoneType' object cannot be interpreted as an integer"
+            )
+        return self._conn.recv()
+
+    def close(self):
+        self._conn.close()
+
+
+class TestCollectorSurvivesClosedConn:
+    def test_reply_after_conn_closed_mid_recv_still_resolves(
+        self, fitted, model_path
+    ):
+        pipeline, probes = fitted
+        with ShardedEstimationService(
+            pipeline, shards=1, model_path=model_path, **_FAST
+        ) as service:
+            _wait_ready(service)
+            slot = service.slots[0]
+            with service._lock:
+                flaky = slot.res_conn = _ClosedUnderRecv(slot.res_conn)
+            # Let the idle collector (0.1 s wait ticks) re-read the
+            # slot's conn before the reply arrives.
+            time.sleep(0.5)
+            served = service.submit(
+                EstimateRequest(data=probes[0], target_ratio=6.0)
+            ).result(timeout=30)
+            assert flaky.raised
+            assert served.estimate.config > 0
+            collector = next(
+                t for t in service._threads if t.name.endswith("collect")
+            )
+            assert collector.is_alive()
+
+
 class TestHangDetection:
     def test_hung_shard_is_killed_and_request_recovers(
         self, fitted, model_path

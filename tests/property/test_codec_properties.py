@@ -7,7 +7,6 @@ from hypothesis.extra import numpy as hnp
 
 from repro.encoding import (
     HuffmanCodec,
-    LZCodec,
     RangeCoder,
     pack_fixed_width,
     rle_decode,
@@ -75,16 +74,6 @@ class TestRLEProperties:
         tokens, literals = zero_rle_encode(symbols)
         assert np.array_equal(zero_rle_decode(tokens, literals), symbols)
         assert (literals != 0).all()
-
-
-class TestLZProperties:
-    @given(st.binary(max_size=2000))
-    @settings(max_examples=60, deadline=None)
-    def test_roundtrip_any_bytes(self, data):
-        codec = LZCodec()
-        blob = codec.compress(data)
-        assert codec.decompress(blob) == data
-        assert len(blob) <= len(data) + 6  # never expands meaningfully
 
 
 class TestBitPackingProperties:

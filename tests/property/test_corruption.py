@@ -12,7 +12,7 @@ import pytest
 
 from repro.compressors import get_compressor
 from repro.compressors.base import CompressedBlob
-from repro.encoding import HuffmanCodec, LZCodec
+from repro.encoding import HuffmanCodec
 from repro.errors import CorruptStreamError, InvalidConfiguration, ReproError
 
 _ACCEPTABLE = (ReproError,)
@@ -58,17 +58,6 @@ class TestRangeCoderCorruption:
         for mutated in _mutations(blob, np.random.default_rng(3), 40):
             try:
                 coder.decode(mutated)
-            except _ACCEPTABLE:
-                pass
-
-
-class TestLZCorruption:
-    def test_controlled_failures(self, rng):
-        codec = LZCodec()
-        blob = codec.compress(b"abcdabcdabcd" * 200)
-        for mutated in _mutations(blob, np.random.default_rng(2), 40):
-            try:
-                codec.decompress(mutated)
             except _ACCEPTABLE:
                 pass
 
@@ -159,7 +148,7 @@ class TestPersistenceCorruption:
 
 @pytest.mark.robustness
 class TestEncodedStreamCorruption:
-    """Typed-error guarantee for the byte-stream codecs (RLE, LZ)."""
+    """Typed-error guarantee for the byte-stream codecs (RLE)."""
 
     def test_rle_token_corruption(self, rng):
         from repro.encoding.rle import zero_rle_decode, zero_rle_encode
@@ -175,16 +164,6 @@ class TestEncodedStreamCorruption:
                 assert out.size <= 2**28
             except _ACCEPTABLE:
                 pass
-
-    def test_lz_declared_size_lies(self, rng):
-        from repro.encoding import LZCodec
-
-        codec = LZCodec()
-        blob = bytearray(codec.compress(b"xyzw" * 500))
-        # Forge an implausibly large declared size in the varint header.
-        blob[:2] = b"\xff\xff"
-        with pytest.raises(_ACCEPTABLE):
-            codec.decompress(bytes(blob))
 
 
 @pytest.mark.parametrize("name,config", [

@@ -21,6 +21,7 @@ from repro.core.pipeline import FXRZ
 from repro.core.tiling import TiledFixedRatio
 from repro.ml.forest import RandomForestRegressor
 from repro.parallel import CompressionMemoCache, ParallelExecutor
+from repro.runtime import RuntimeContext
 
 from tests.conftest import small_forest_factory
 
@@ -44,7 +45,8 @@ class TestSweepParity:
     def test_build_curve_identical_at_four_workers(self, field, executor4):
         sz = get_compressor("sz")
         serial = build_curve(sz, field, n_points=6)
-        parallel = build_curve(sz, field, n_points=6, executor=executor4)
+        with RuntimeContext(env={}, executor=executor4) as ctx:
+            parallel = build_curve(sz, field, n_points=6, ctx=ctx)
         np.testing.assert_array_equal(parallel.configs, serial.configs)
         np.testing.assert_array_equal(parallel.ratios, serial.ratios)
         assert parallel.log_config == serial.log_config
@@ -52,8 +54,10 @@ class TestSweepParity:
     def test_memo_warmed_curve_identical(self, field, executor4):
         sz = get_compressor("sz")
         memo = CompressionMemoCache()
-        cold = build_curve(sz, field, n_points=6, executor=executor4, memo=memo)
-        warm = build_curve(sz, field, n_points=6, memo=memo)
+        with RuntimeContext(env={}, executor=executor4, memo=memo) as ctx:
+            cold = build_curve(sz, field, n_points=6, ctx=ctx)
+        with RuntimeContext(env={}, memo=memo) as ctx:
+            warm = build_curve(sz, field, n_points=6, ctx=ctx)
         np.testing.assert_array_equal(warm.ratios, cold.ratios)
         assert memo.hits >= 6  # the second sweep never ran the compressor
         assert warm.build_seconds == cold.build_seconds  # recorded seconds
@@ -84,9 +88,8 @@ class TestFRaZParity:
     def test_search_trace_identical_with_executor(self, field, executor4):
         sz = get_compressor("sz")
         serial = FRaZ(sz, max_iterations=6).search(field, 20.0)
-        parallel = FRaZ(sz, max_iterations=6, executor=executor4).search(
-            field, 20.0
-        )
+        with RuntimeContext(env={}, executor=executor4) as ctx:
+            parallel = FRaZ(sz, max_iterations=6, ctx=ctx).search(field, 20.0)
         assert parallel.evaluations == serial.evaluations
         assert parallel.config == serial.config
         assert parallel.measured_ratio == serial.measured_ratio
@@ -106,9 +109,10 @@ class TestTiledParity:
 
     def test_tiles_identical_at_four_workers(self, pipeline, field):
         serial = TiledFixedRatio(pipeline, (10, 10, 10)).compress(field, 15.0)
-        parallel = TiledFixedRatio(pipeline, (10, 10, 10), n_jobs=4).compress(
-            field, 15.0
-        )
+        with RuntimeContext(env={}, jobs=4, backend="process") as ctx:
+            parallel = TiledFixedRatio(
+                pipeline, (10, 10, 10), ctx=ctx
+            ).compress(field, 15.0)
         assert len(parallel.tiles) == len(serial.tiles)
         for ser, par in zip(serial.tiles, parallel.tiles):
             assert par.index == ser.index
@@ -257,7 +261,8 @@ class TestSpanTreeParity:
         sz = get_compressor("sz")
         with obs.session() as (tracer, _registry):
             executor = ParallelExecutor(n_jobs=jobs, backend="process")
-            build_curve(sz, field, n_points=6, executor=executor)
+            with RuntimeContext(env={}, executor=executor) as ctx:
+                build_curve(sz, field, n_points=6, ctx=ctx)
             spans = tracer.spans
         return spans, obs.tree_shape(spans)
 

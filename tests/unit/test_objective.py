@@ -276,27 +276,12 @@ class TestFrontierPruning:
 
 
 class TestMemoShim:
-    def test_legacy_memo_kwarg_warns_once(self, smooth_field3d):
-        from repro.core.psnr_control import calibrated_bound_for_psnr
-        from repro.runtime import RuntimeContext
-        from repro.runtime.compat import reset_deprecation_warnings
-
-        reset_deprecation_warnings()
-        comp = get_compressor("sz")
-        with RuntimeContext() as ctx:
-            with pytest.warns(DeprecationWarning, match="memo"):
-                calibrated_bound_for_psnr(
-                    comp, smooth_field3d, 50.0, 1, ctx.memo
-                )
-
     def test_ctx_path_never_warns(self, smooth_field3d, recwarn):
         import warnings
 
         from repro.core.psnr_control import calibrated_bound_for_psnr
         from repro.runtime import RuntimeContext
-        from repro.runtime.compat import reset_deprecation_warnings
 
-        reset_deprecation_warnings()
         comp = get_compressor("sz")
         with RuntimeContext() as ctx:
             with warnings.catch_warnings():

@@ -3,8 +3,8 @@
 Pins the RuntimeConfig layering contract (defaults -> env -> TOML
 profile -> explicit overrides, with provenance naming the winning
 layer), the RuntimeContext lifecycle (lazy resources, deterministic
-teardown, ambient observability install/restore) and the deprecation
-shims bridging the legacy per-layer kwargs.
+teardown, ambient observability install/restore) and the ``ctx=``-only
+constructors.
 """
 
 from __future__ import annotations
@@ -16,14 +16,7 @@ import pytest
 from repro import obs
 from repro.config import DEFAULT_SEED
 from repro.errors import InvalidConfiguration
-from repro.runtime import (
-    RuntimeConfig,
-    RuntimeContext,
-    UNSET,
-    legacy,
-    legacy_context,
-    reset_deprecation_warnings,
-)
+from repro.runtime import RuntimeConfig, RuntimeContext
 
 pytestmark = pytest.mark.runtime
 
@@ -319,65 +312,8 @@ class TestContextLifecycle:
 
 
 class TestDeprecationShims:
-    @pytest.fixture(autouse=True)
-    def _fresh_warnings(self):
-        reset_deprecation_warnings()
-        yield
-        reset_deprecation_warnings()
-
-    def test_legacy_passthrough_warns_once_per_owner(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert legacy("Thing", "n_jobs", 4) == 4
-            assert legacy("Thing", "n_jobs", 8) == 8
-            assert legacy("Other", "n_jobs", 2) == 2
-        messages = [str(w.message) for w in caught]
-        assert len(messages) == 2  # one per (owner, kwarg) pair
-        assert any("Thing: the n_jobs=" in m for m in messages)
-        assert any("Other: the n_jobs=" in m for m in messages)
-
-    def test_unset_and_none_stay_silent(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert legacy("Thing", "memo", UNSET) is None
-            assert legacy("Thing", "memo", None) is None
-        assert caught == []
-
-    def test_legacy_context_without_legacy_values_is_identity(self):
-        with RuntimeContext(env={}) as ctx:
-            assert legacy_context(ctx) is ctx
-        assert legacy_context(None) is None
-
-    def test_legacy_context_wraps_jobs_without_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEED", "555")
-        bridged = legacy_context(None, n_jobs=2)
-        try:
-            assert bridged.config.jobs == 2
-            assert bridged.config.seed == DEFAULT_SEED  # env ignored
-        finally:
-            bridged.close()
-
-    def test_legacy_context_borrows_base_memo(self):
-        with RuntimeContext(env={}) as base:
-            memo = base.memo
-            bridged = legacy_context(base, n_jobs=2)
-            try:
-                assert bridged is not base
-                assert bridged.memo is memo
-                assert bridged.config.jobs == 2
-            finally:
-                bridged.close()
-
-    def test_consumer_kwargs_warn_once(self, smooth_field3d):
-        from repro.baselines.fraz import FRaZ
-        from repro.compressors import get_compressor
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            FRaZ(get_compressor("sz"), executor=None)  # None = not provided
-            assert caught == []
-            FRaZ(get_compressor("sz"), memo=None)
-            assert caught == []
+    """The per-layer ``executor=``/``memo=``/``n_jobs=`` kwargs are gone;
+    the ``ctx=`` constructors must not trip any DeprecationWarning."""
 
     def test_ctx_first_constructors_stay_silent(self, smooth_field3d):
         from repro.baselines.fraz import FRaZ

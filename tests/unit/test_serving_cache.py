@@ -139,13 +139,13 @@ class _CountingEngine:
         time.sleep(0.05)  # keep the analysis in flight while peers storm
         return {"mean": float(np.mean(data))}
 
-    def estimate(self, data, target_ratio, *, analysis=None):
+    def estimate(self, data, *, analysis=None, objective=None):
         from repro.core.inference import Estimate
 
         return Estimate(
             config=1e-3,
-            target_ratio=target_ratio,
-            adjusted_target=target_ratio,
+            target_ratio=objective.tcr,
+            adjusted_target=objective.tcr,
             nonconstant=1.0,
             features=np.zeros(5),
             analysis_seconds=0.0,
