@@ -1,7 +1,7 @@
 PY ?= python
 PYTEST = PYTHONPATH=src $(PY) -m pytest
 
-.PHONY: test robustness parallel obs obs-scrape-smoke runtime runtime-smoke bench bench-parallel bench-resilience bench-lifecycle bench-kernels serve-smoke trace-smoke chaos lifecycle kernels objective
+.PHONY: test robustness parallel obs obs-scrape-smoke runtime runtime-smoke bench bench-parallel bench-resilience bench-lifecycle bench-kernels serve-smoke serving trace-smoke chaos lifecycle kernels objective
 
 # Tier-1 suite (unit + property + integration), as CI runs it, with
 # DeprecationWarnings promoted to errors: no code path may lean on a
@@ -12,6 +12,13 @@ test:
 # Serving smoke: publish a model to a registry, push a JSONL batch
 # through the estimate-batch CLI, assert non-empty per-request output.
 serve-smoke:
+	PYTHONPATH=src $(PY) examples/serve_smoke.py
+
+# Serving gate: the serving-marked tests (in-process service, shard
+# lane, cache, registry, cross-path equivalence) with RuntimeWarnings
+# promoted to errors, then the estimate-batch CLI smoke.
+serving:
+	$(PYTEST) -x -q -W error::RuntimeWarning -m serving
 	PYTHONPATH=src $(PY) examples/serve_smoke.py
 
 # Robustness gate: the robustness-marked tests alone for fast signal,

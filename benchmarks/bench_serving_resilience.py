@@ -1,6 +1,6 @@
 """Serving resilience — backpressure shedding and chaos under load.
 
-Two phases against the sharded service, both guarding the supervisor's
+Two phases against the estimation service's shard lane, both guarding the supervisor's
 core invariant: **every admitted request's future resolves**, whatever
 dies.
 
@@ -31,19 +31,23 @@ from repro.errors import ServiceOverloadedError
 from repro.experiments.corpus import held_out_snapshots
 from repro.experiments.harness import get_trained_fxrz
 from repro.experiments.tables import render_table
-from repro.robustness.faults import FaultSpec, RetryPolicy
-from repro.serving import EstimateRequest, ShardedEstimationService
+from repro.robustness.faults import FaultSpec
+from repro.runtime import RuntimeContext
+from repro.serving import EstimateRequest, EstimationService
 
 _RESILIENCE_JSON = (
     pathlib.Path(__file__).resolve().parents[1]
     / "BENCH_serving_resilience.json"
 )
 
-#: Supervision knobs tight enough that recovery happens in bench time.
-_FAST = dict(
-    poll_interval=0.01,
-    retry_policy=RetryPolicy(max_attempts=6, base_delay=0.05, jitter=0.0),
-    breaker_options={"failure_threshold": 4, "reset_seconds": 0.3},
+#: Supervision knobs tight enough that recovery happens in bench time:
+#: the pool's tick, and the context's respawn backoff and breakers.
+_FAST = dict(poll_interval=0.01)
+_FAST_CTX = dict(
+    retry_attempts=6,
+    retry_base_delay=0.05,
+    breaker_failures=4,
+    breaker_reset=0.3,
 )
 
 
@@ -73,8 +77,12 @@ def test_overload_shedding(report):
     queue_depth = 8
     targets = _targets(pipeline, snapshot, burst)
 
-    with ShardedEstimationService.for_pipeline(
+    with RuntimeContext(
+        env={}, **_FAST_CTX
+    ) as ctx, EstimationService.for_pipeline(
         pipeline,
+        guarded=True,
+        ctx=ctx,
         shards=2,
         queue_depth=queue_depth,
         max_inflight_per_shard=2,
@@ -95,7 +103,8 @@ def test_overload_shedding(report):
             except ServiceOverloadedError as exc:
                 hints.append(exc.retry_after)
         done, not_done = wait(futures, timeout=300.0)
-        stats = service.stats
+        stats = service.pool.stats
+        metrics = service.metrics
 
     admitted = len(futures)
     shed = len(hints)
@@ -139,9 +148,10 @@ def test_overload_shedding(report):
                 "latency_p50_seconds": p50,
                 "latency_p99_seconds": p99,
                 "stats": {
-                    "completed": stats.completed,
+                    "completed": metrics.requests_total
+                    - metrics.requests_failed,
                     "shed": stats.shed,
-                    "failed": stats.failed,
+                    "failed": metrics.requests_failed,
                 },
                 "guard": "loss_rate == 0 and shed > 0 with retry_after > 0",
             }
@@ -152,7 +162,8 @@ def test_overload_shedding(report):
     assert shed > 0, "a burst 20x the queue depth must shed"
     assert all(hint > 0 for hint in hints)
     assert loss_rate == 0.0, "every admitted request must resolve"
-    assert stats.completed == admitted
+    assert metrics.requests_total == admitted
+    assert metrics.requests_failed == 0
 
 
 def test_chaos_kills_under_load(report):
@@ -162,8 +173,12 @@ def test_chaos_kills_under_load(report):
     faults = FaultSpec(seed=7, worker_crash_prob=0.08)
     targets = _targets(pipeline, snapshot, n_requests)
 
-    with ShardedEstimationService.for_pipeline(
+    with RuntimeContext(
+        env={}, **_FAST_CTX
+    ) as ctx, EstimationService.for_pipeline(
         pipeline,
+        guarded=True,
+        ctx=ctx,
         shards=3,
         queue_depth=n_requests,
         faults=faults,
@@ -183,12 +198,12 @@ def test_chaos_kills_under_load(report):
                 )
             )
             if i == n_requests // 4:
-                service.kill_shard(0)  # first mid-load kill
+                service.pool.kill_shard(0)  # first mid-load kill
             if i == n_requests // 2:
-                service.kill_shard(1)  # second mid-load kill
+                service.pool.kill_shard(1)  # second mid-load kill
         done, not_done = wait(futures, timeout=300.0)
         wall = time.perf_counter() - tick
-        stats = service.stats
+        stats = service.pool.stats
 
     lost = len(not_done) + sum(1 for f in done if f.exception() is not None)
     loss_rate = lost / max(1, len(futures))

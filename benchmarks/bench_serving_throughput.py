@@ -453,13 +453,13 @@ def test_sharded_tracing_overhead_guard(report, tmp_path):
     ride-along on every work message, the shard's local tracer, and the
     drained span payloads serialized into every reply. Same design as
     the in-process guard — two long-lived warm services (identical
-    except ``trace_sample`` 0.0 vs 1.0, built with the same installed
+    except ``RuntimeConfig.trace_sample`` 0.0 vs 1.0, built with the same installed
     tracer + registry so the only delta is per-request tracing),
     alternating one 16-request batch each per round, minimum trial
     overhead guarded at 5% (rps_traced >= 0.95 * rps_plain).
     """
     from repro.core.persistence import save_pipeline
-    from repro.serving import ShardedEstimationService
+    from repro.runtime import RuntimeContext
 
     pipeline = get_trained_fxrz("hurricane", "TC", "sz", config=BENCH_CONFIG)
     snapshot = held_out_snapshots("hurricane", "TC")[0]
@@ -479,27 +479,27 @@ def test_sharded_tracing_overhead_guard(report, tmp_path):
     def _wait_ready(service, timeout: float = 60.0) -> None:
         give_up = time.perf_counter() + timeout
         while time.perf_counter() < give_up:
-            states = service.shard_states()
+            states = service.pool.shard_states()
             if all(s["state"] == "ready" for s in states):
                 return
             time.sleep(0.02)
-        raise AssertionError(f"shards never ready: {service.shard_states()}")
+        raise AssertionError(
+            f"shards never ready: {service.pool.shard_states()}"
+        )
 
     tracer, registry = obs.Tracer(), obs.MetricsRegistry()
     obs.install(tracer, registry)
     spans_per_round = 0
     try:
-        service_plain = ShardedEstimationService(
-            pipeline,
-            shards=1,
-            model_path=model_path,
-            trace_sample=0.0,
-        )
-        service_traced = ShardedEstimationService(
-            pipeline,
-            shards=1,
-            model_path=model_path,
-            trace_sample=1.0,
+        service_plain, service_traced = (
+            EstimationService.for_pipeline(
+                pipeline,
+                guarded=True,
+                ctx=RuntimeContext(env={}, trace_sample=sample),
+                shards=1,
+                model_path=model_path,
+            )
+            for sample in (0.0, 1.0)
         )
 
         def run_plain() -> float:

@@ -4,8 +4,9 @@ embedded observability routes with the series the dashboards key on.
 
 The end-to-end path ``make obs-scrape-smoke`` exercises:
 
-1. train a small pipeline and stand up a ``ShardedEstimationService``
-   with ``scrape_port=0`` (ephemeral) and full trace sampling;
+1. train a small pipeline and stand up an ``EstimationService`` with a
+   one-shard lane under a context with ``scrape_port=0`` (ephemeral)
+   and full trace sampling;
 2. serve a handful of requests so every exported family has data;
 3. fetch ``/metrics``, ``/healthz``, ``/slo`` and ``/spans`` over HTTP
    and assert the required ``repro_*`` series, a healthy health
@@ -29,7 +30,8 @@ import repro
 from repro import obs
 from repro.compressors import get_compressor
 from repro.core.persistence import save_pipeline
-from repro.serving import ShardedEstimationService
+from repro.runtime import RuntimeContext
+from repro.serving import EstimationService
 
 #: Metric families the Grafana boards and the SLO tracker key on; any
 #: of these going missing breaks dashboards silently, so the smoke
@@ -67,17 +69,20 @@ def main(argv=None) -> int:
         model_path = pathlib.Path(tmp) / "model.fxrz"
         save_pipeline(pipeline, model_path)
         with obs.session() as (tracer, _registry):
-            with ShardedEstimationService(
+            with RuntimeContext(
+                env={}, scrape_port=0, trace_sample=1.0
+            ) as ctx, EstimationService.for_pipeline(
                 pipeline,
+                guarded=True,
+                ctx=ctx,
                 shards=1,
                 model_path=str(model_path),
-                scrape_port=0,
-                trace_sample=1.0,
             ) as service:
                 give_up = time.monotonic() + 30.0
                 while time.monotonic() < give_up:
                     if all(
-                        s["state"] == "ready" for s in service.shard_states()
+                        s["state"] == "ready"
+                        for s in service.pool.shard_states()
                     ):
                         break
                     time.sleep(0.02)
@@ -86,7 +91,7 @@ def main(argv=None) -> int:
                     for probe in fields[3:]
                     for ratio in (4.0, 6.0)
                 ]
-                base = service.scrape_url
+                base = service.pool.scrape_url
                 assert base, "scrape_port=0 must yield an ephemeral URL"
                 print(f"scraping {base}")
 
@@ -100,7 +105,7 @@ def main(argv=None) -> int:
                 status, health = _fetch(base + "/healthz")
                 payload = json.loads(health)
                 assert status == 200 and payload["healthy"], payload
-                assert payload["stats"]["completed"] == len(served)
+                assert payload["stats"]["admitted"] == len(served)
 
                 status, slo = _fetch(base + "/slo")
                 slos = {s["name"] for s in json.loads(slo)["slos"]}
@@ -113,7 +118,7 @@ def main(argv=None) -> int:
                     json.loads(line)["name"]
                     for line in spans.splitlines()
                 }
-                assert "serving.sharded.request" in names, names
+                assert "serving.request" in names, names
                 assert "shard.serve" in names, names
 
     print(

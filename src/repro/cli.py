@@ -11,8 +11,8 @@ whole fixed-ratio workflow on ``.npy`` files:
 * ``repro estimate-batch`` (alias ``serve``) — push a JSONL request
   batch through the estimation service (batched, cached, concurrent);
   ``--stats`` appends the service metrics snapshot. ``--shards N``
-  serves through the fault-tolerant multi-process supervisor instead
-  (``--queue-depth`` bounds admission, ``--deadline-ms`` sets the
+  adds the fault-tolerant shard lane of N supervised processes
+  (``--queue-depth`` bounds its admission; ``--deadline-ms`` sets the
   per-request deadline; see ``docs/ROBUSTNESS.md``).
 * ``repro compress``  — fixed-ratio compress one array to a blob file.
 * ``repro decompress``— reconstruct an array from a blob file.
@@ -68,12 +68,7 @@ from repro.errors import ReproError, ServiceOverloadedError
 from repro.hpc.iosim import DumpScenario, simulate_dump, simulate_faulty_dump
 from repro.robustness import FaultSpec, GuardedInferenceEngine, RetryPolicy
 from repro.runtime import RuntimeContext, runtime_parent_parser
-from repro.serving import (
-    EstimateRequest,
-    EstimationService,
-    ModelRegistry,
-    ShardedEstimationService,
-)
+from repro.serving import EstimateRequest, EstimationService, ModelRegistry
 
 _MAGIC = b"FXRZBLOB"
 
@@ -301,7 +296,7 @@ def _read_batch_requests(path: str) -> list[dict]:
 def _submit_with_backpressure(service, request: EstimateRequest):
     """Submit, honoring the service's shed/retry-after backpressure.
 
-    A CLI batch is a cooperative client: when the sharded service sheds
+    A CLI batch is a cooperative client: when the shard lane sheds
     a request it waits the suggested ``retry_after`` and resubmits
     instead of dropping work on the floor.
     """
@@ -321,26 +316,17 @@ def _cmd_estimate_batch(args: argparse.Namespace, ctx: RuntimeContext) -> int:
         if path not in arrays:
             arrays[path] = _load_array(path)
 
-    guarded = args.engine == "guarded"
     deadline = (args.deadline_ms / 1e3) if args.deadline_ms else None
-    if args.shards > 0:
-        service = ShardedEstimationService.for_pipeline(
-            pipeline,
-            guarded=guarded,
-            ctx=ctx,
-            shards=args.shards,
-            queue_depth=args.queue_depth,
-            default_deadline=deadline,
-        )
-    else:
-        service = EstimationService.for_pipeline(
-            pipeline,
-            guarded=guarded,
-            ctx=ctx,
-            workers=args.workers,
-            max_batch=args.max_batch,
-            default_deadline=deadline,
-        )
+    service = EstimationService.for_pipeline(
+        pipeline,
+        guarded=args.engine == "guarded",
+        ctx=ctx,
+        shards=args.shards,
+        workers=args.workers,
+        max_batch=args.max_batch,
+        default_deadline=deadline,
+        queue_depth=args.queue_depth,
+    )
     try:
         futures = [
             _submit_with_backpressure(
@@ -390,14 +376,13 @@ def _cmd_estimate_batch(args: argparse.Namespace, ctx: RuntimeContext) -> int:
                         "latency_ms": served.latency_seconds * 1e3,
                         "cache_hit": served.cache_hit,
                         "batch_size": served.batch_size,
-                        "trace_id": getattr(served, "trace_id", 0),
+                        "trace_id": served.trace_id,
                     }
                 )
-                if getattr(served, "trace_id", 0):
+                if served.trace_id:
                     trace_ids.append(served.trace_id)
             records.append(json.dumps(record))
         snapshot = service.metrics
-        supervision = getattr(service, "stats", None)
     finally:
         service.close()
 
@@ -414,14 +399,9 @@ def _cmd_estimate_batch(args: argparse.Namespace, ctx: RuntimeContext) -> int:
         print("-- service stats --")
         for line in snapshot.lines():
             print(line)
-        if supervision is not None:
-            print(
-                f"supervision     admitted {supervision.admitted}, "
-                f"shed {supervision.shed}, expired {supervision.expired}, "
-                f"redelivered {supervision.redelivered}, "
-                f"fallbacks {supervision.fallbacks}, "
-                f"respawns {supervision.respawns}, kills {supervision.kills}"
-            )
+        if args.shards > 0:
+            counts = vars(service.pool.stats).items()
+            print("supervision     " + ", ".join(f"{k} {v}" for k, v in counts))
         if trace_ids:
             shown = ", ".join(str(t) for t in trace_ids[:4])
             more = (
@@ -599,8 +579,8 @@ def _cmd_obs_top(args: argparse.Namespace, ctx: RuntimeContext) -> int:  # noqa:
             f"healthy={health.get('healthy')} "
             f"shards {ready}/{len(shards)} ready; "
             f"admitted {stats.get('admitted', 0)}, "
-            f"completed {stats.get('completed', 0)}, "
-            f"failed {stats.get('failed', 0)}, "
+            f"shed {stats.get('shed', 0)}, "
+            f"expired {stats.get('expired', 0)}, "
             f"fallbacks {stats.get('fallbacks', 0)}, "
             f"kills {stats.get('kills', 0)}"
         )
@@ -862,14 +842,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=0,
-        help="serve through N supervised worker-process shards "
-        "(0 = in-process thread service)",
+        help="add a lane of N supervised worker-process shards "
+        "(0 = in-process threads only)",
     )
     batch.add_argument(
         "--queue-depth",
         type=int,
         default=64,
-        help="sharded admission-queue bound; beyond it requests shed "
+        help="shard-lane admission-queue bound; beyond it requests shed "
         "with a retry-after hint",
     )
     batch.add_argument(

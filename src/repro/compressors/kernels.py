@@ -168,26 +168,34 @@ class NumpyKernelBackend(KernelBackend):
 
     def encode_block(self, target, pred, quantizer, codes_out, arena):
         bin_width = quantizer.bin_width
+        resid = arena.scratch("kernel.resid", target.shape, np.float64)
+        np.subtract(target, pred, out=resid)
         scaled = arena.scratch("kernel.scaled", target.shape, np.float64)
-        np.subtract(target, pred, out=scaled)
         # Overflow to inf is fine: it lands in the outlier path.
         with np.errstate(over="ignore"):
-            np.divide(scaled, bin_width, out=scaled)
+            np.divide(resid, bin_width, out=scaled)
         mask = arena.scratch("kernel.mask", target.shape, np.bool_)
         np.greater(np.abs(scaled), quantizer.max_code, out=mask)
-        has_outliers = bool(mask.any())
-        if has_outliers:
+        if mask.any():
             # Park a finite value so the int cast below cannot trip a
             # RuntimeWarning; the sentinel overwrites it anyway.
             scaled[mask] = 0.0
         np.rint(scaled, out=scaled)
         codes_out[...] = scaled  # float64 -> int64, exact for |c| <= 2**53
+        np.multiply(codes_out, bin_width, out=scaled)
+        # Same rounding guard as LinearQuantizer.quantize: a point whose
+        # dequantized residual lands past the bound is an outlier.
+        np.subtract(resid, scaled, out=resid)
+        np.abs(resid, out=resid)
+        beyond = arena.scratch("kernel.beyond", target.shape, np.bool_)
+        np.greater(resid, quantizer.error_bound, out=beyond)
+        np.logical_or(mask, beyond, out=mask)
+        has_outliers = bool(mask.any())
         if has_outliers:
             codes_out[mask] = quantizer.sentinel
             outlier_values = target[mask].astype(np.float64, copy=True)
         else:
             outlier_values = _EMPTY_F64
-        np.multiply(codes_out, bin_width, out=scaled)
         np.add(pred, scaled, out=pred)
         if has_outliers:
             pred[mask] = target[mask]

@@ -2,8 +2,9 @@
 
 This is SZ's "linear-scaling quantization": a residual ``r`` is coded as
 ``round(r / (2*eb))`` so that dequantizing back multiplies out to within
-``eb`` of the original residual. Residuals too large for the code range
-are treated as *unpredictable* (SZ's outlier path): their exact values
+``eb`` of the original residual. Residuals too large for the code range,
+or that floating-point rounding would reconstruct past the bound, are
+treated as *unpredictable* (SZ's outlier path): their exact values
 are stored losslessly on the side and their codes carry a sentinel.
 """
 
@@ -66,6 +67,9 @@ class LinearQuantizer:
         safe = ~outliers
         codes[safe] = np.rint(scaled[safe]).astype(np.int64)
         dequantized = codes.astype(np.float64) * self.bin_width
+        # Rounding in the divide and multiply can put a point a few ulps
+        # past the bound; such points take the outlier path too.
+        outliers |= np.abs(residuals - dequantized) > self.error_bound
         codes[outliers] = self.sentinel
         dequantized[outliers] = 0.0
         return QuantizedResiduals(

@@ -16,10 +16,10 @@ counts) unparseable lines instead of failing the whole replay.
 
 **Single-writer rule**: one :class:`OutcomeLog` instance owns its file
 within one process. Forked shard workers must NOT append — their lines
-would interleave mid-line with the parent's. The sharded supervisor
-records outcomes parent-side from the estimates its shards ship back
-over the reply pipe (see
-:class:`~repro.serving.supervisor.ShardedEstimationService`), and
+would interleave mid-line with the parent's. An
+:class:`~repro.serving.EstimationService` with a shard lane records
+outcomes parent-side from the estimates its shards ship back over the
+reply pipe, and
 :meth:`~repro.runtime.context.RuntimeContext.spec` deliberately drops
 ``outcome_log`` so shard child contexts never build a log of their own.
 """

@@ -78,13 +78,14 @@ class RuntimeConfig:
             held out for the canary replay, in (0, 1).
         canary_margin: fractional median-error improvement a candidate
             must show to be promoted, in [0, 1).
-        scrape_port: TCP port of the sharded service's embedded
-            observability endpoint (``/metrics``, ``/healthz``,
-            ``/slo``, ``/spans``); 0 picks an ephemeral port, -1
-            disables the server.
-        trace_sample: fraction of sharded requests that get a
-            distributed trace, in [0, 1] (1 = trace everything; only
-            meaningful when a tracer is installed at all).
+        scrape_port: TCP port of the observability endpoint
+            (``/metrics``, ``/healthz``, ``/slo``, ``/spans``) that an
+            estimation service with a shard lane embeds; 0 picks an
+            ephemeral port, -1 disables the server.
+        trace_sample: fraction of served requests (in-process or
+            sharded) that get a distributed trace, in [0, 1] (1 =
+            trace everything; only meaningful when a tracer is
+            installed at all).
         slo_availability: availability SLO objective (good-request
             fraction) in (0, 1].
         slo_p99_ms: p99 latency SLO threshold, milliseconds.

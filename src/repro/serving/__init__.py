@@ -1,4 +1,4 @@
-"""Estimation serving subsystem: registry, cache, batched service.
+"""Estimation serving subsystem: registry, cache, one estimation service.
 
 FXRZ inference is compressor-free and cheap — exactly the workload a
 request-serving layer amortizes further. This package owns the full
@@ -10,20 +10,19 @@ request lifecycle:
 * :class:`FeatureCache` / :func:`dataset_fingerprint` — content-hash a
   dataset's sampled view once, reuse its extracted features and
   non-constant block fraction across all subsequent targets;
-* :mod:`~repro.serving.frontend` — the request lifecycle both
-  front-ends and the shard worker share: one engine builder, one
-  answer call (cached analysis plus ``engine.estimate``), and one
-  admission/completion core;
 * :class:`EstimationService` — submit :class:`EstimateRequest`\\ s
-  individually, a worker pool coalesces same-dataset requests so the
-  analysis runs once per batch, results come back as futures;
+  individually; a worker pool coalesces same-dataset requests so the
+  analysis runs once per batch, and results come back as futures.
+  ``for_pipeline(..., shards=N)`` adds a shard lane
+  (:class:`~repro.serving.supervisor.ShardPool`): supervised worker
+  processes with circuit breakers, bounded admission (load shedding),
+  crash/hang detection with respawn, and the in-process workers as its
+  FRaZ-terminated fallback (see ``docs/ROBUSTNESS.md``). Admission,
+  deadlines, completion, ``close()`` and the ``serving.request`` span
+  are written once, whichever lane serves;
 * :class:`MetricsSnapshot` — per-request latency, cache hit/miss
   counters, and tier/fallback counts from the guarded engine;
-* :class:`ShardedEstimationService` — the fault-tolerant multi-process
-  front-end: supervised worker shards with circuit breakers, bounded
-  admission (load shedding), per-request deadlines, crash/hang
-  detection with respawn, and a degradation-ladder fallback (see
-  ``docs/ROBUSTNESS.md``).
+  :class:`SupervisorStats` — what the shard lane's supervision did.
 
 See ``docs/API.md`` ("Estimation serving") for the on-disk registry
 layout and cache keying semantics.
@@ -37,17 +36,13 @@ from repro.serving.registry import (
     ModelVersion,
     QualityVersion,
 )
-from repro.serving.frontend import (
+from repro.serving.service import (
     EstimateRequest,
+    EstimationService,
     ServedEstimate,
     resolved_objective,
 )
-from repro.serving.service import EstimationService
-from repro.serving.supervisor import (
-    CircuitBreaker,
-    ShardedEstimationService,
-    SupervisorStats,
-)
+from repro.serving.supervisor import CircuitBreaker, SupervisorStats
 
 __all__ = [
     "CircuitBreaker",
@@ -61,7 +56,6 @@ __all__ = [
     "ModelVersion",
     "QualityVersion",
     "ServedEstimate",
-    "ShardedEstimationService",
     "SupervisorStats",
     "dataset_fingerprint",
     "resolved_objective",

@@ -1,4 +1,4 @@
-"""Worker-process side of the sharded estimation service.
+"""Worker-process side of the estimation service's shard lane.
 
 One shard is one forked process owning a warm model replica and a
 serial child :class:`~repro.runtime.RuntimeContext` rebuilt from the
@@ -27,26 +27,27 @@ fires, keeping the stream aligned across fault-probability settings.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import time
+from collections import OrderedDict
 
 from repro import obs
 from repro.core.persistence import load_pipeline
-from repro.errors import ReproError
 from repro.obs.trace import SpanContext, attach, detach
 from repro.parallel.shm import SharedNDArray
 from repro.runtime.context import current_context
 from repro.runtime.worker import attach_worker_runtime
 from repro.serving.cache import FeatureCache
-from repro.serving.frontend import answer, build_engine
+from repro.serving.service import (
+    FEATURE_CACHE_ENTRIES,
+    MAX_DATASETS,
+    answer,
+    build_engine,
+)
 
 #: Exit code used by injected crashes, so tests can tell a chaos kill
 #: from a genuine interpreter fault.
 CRASH_EXIT_CODE = 3
-
-#: Per-shard LRU capacity of cached :class:`DatasetAnalysis` results.
-ANALYSIS_CACHE_ENTRIES = 32
 
 
 def _send(conn, message: dict) -> None:
@@ -103,6 +104,10 @@ def shard_main(
         beat / busy: shared doubles for liveness reporting (see module
             docstring).
     """
+    # A forked shard holds copies of its siblings' pipe ends, so a
+    # supervisor that dies without close() never shows up as EOF on the
+    # request pipe; being re-parented is the signal to exit instead.
+    supervisor = os.getppid()
     attach_worker_runtime({"runtime": spec.get("runtime")})
     if spec.get("trace"):
         # The shard runs its own tracer; spans ship home inside each
@@ -125,27 +130,18 @@ def shard_main(
             res_conn,
             {
                 "kind": "init_error",
-                "shard": shard,
                 "generation": generation,
                 "error": f"{type(exc).__name__}: {exc}",
             },
         )
         return
 
-    _send(
-        res_conn,
-        {
-            "kind": "ready",
-            "shard": shard,
-            "generation": generation,
-            "pid": os.getpid(),
-        },
-    )
+    _send(res_conn, {"kind": "ready", "generation": generation})
 
-    analyses = FeatureCache(max_entries=ANALYSIS_CACHE_ENTRIES)
-    segments: dict[str, SharedNDArray] = {}
+    analyses = FeatureCache(max_entries=FEATURE_CACHE_ENTRIES)
+    segments: OrderedDict[str, tuple[SharedNDArray, str]] = OrderedDict()
     try:
-        while True:
+        while os.getppid() == supervisor:
             beat.value = time.monotonic()
             if not req_conn.poll(0.2):
                 continue
@@ -164,22 +160,34 @@ def shard_main(
             finally:
                 busy.value = 0.0
     finally:
-        for handle in segments.values():
+        for handle, _ in segments.values():
             handle.close()
 
 
-def _drained_spans(tracer) -> list | None:
-    """The shard tracer's spans as picklable dicts (``None`` untraced)."""
-    if tracer is None:
-        return None
-    return [span.to_dict() for span in tracer.drain()]
+def _mapped(segments: OrderedDict, analyses: FeatureCache, descriptor,
+            key: str) -> SharedNDArray:
+    """The shard's mapping of ``descriptor`` (dataset ``key``), in an LRU
+    of :data:`MAX_DATASETS` mappings that unmaps what it evicts.
+
+    An evicted mapping's dataset also leaves the analysis cache: the
+    guarded engine's analysis keeps a view of the array it validated
+    (float64 input is not copied), which must not outlive the mapping.
+    """
+    entry = segments.pop(descriptor.name, None)
+    handle = entry[0] if entry else SharedNDArray.attach(descriptor)
+    segments[descriptor.name] = (handle, key)
+    while len(segments) > MAX_DATASETS:
+        old, old_key = segments.popitem(last=False)[1]
+        analyses.discard(old_key)
+        old.close()
+    return handle
 
 
 def _serve(
     message: dict,
     engine,
     analyses: FeatureCache,
-    segments: dict,
+    segments: OrderedDict,
     res_conn,
     faults,
     rng,
@@ -201,67 +209,64 @@ def _serve(
             # Expired in the pipe; answering would waste engine time
             # the caller already gave up on.
             reply = {"kind": "expired", "seq": seq}
-            spans = _drained_spans(tracer)
-            if spans is not None:
-                reply["spans"] = spans
-            _send(res_conn, reply)
-            return
-        _apply_chaos(faults, rng, message["request_id"])
-        span = (
-            tracer.span(
-                "shard.serve",
-                shard=shard,
-                generation=generation,
-                request_id=message["request_id"],
-            )
-            if tracer is not None
-            else contextlib.nullcontext(obs.NULL_SPAN)
-        )
+        else:
+            reply = _answer(message, engine, analyses, segments, faults,
+                            rng, shard, generation, tracer)
+        if tracer is not None:
+            reply["spans"] = [span.to_dict() for span in tracer.drain()]
         try:
-            with span as sp:
-                descriptor = message["descriptor"]
-                handle = segments.get(descriptor.name)
-                if handle is None:
-                    handle = SharedNDArray.attach(descriptor)
-                    segments[descriptor.name] = handle
-                objective = message["objective"]
-                estimate, hit = answer(
-                    engine,
-                    analyses,
-                    message["dataset_key"],
-                    handle.asarray(),
-                    objective,
-                )
-                sp.set_attributes(
-                    cache_hit=hit,
-                    tier=estimate.tier,
-                    objective=objective.canonical,
-                )
-        except Exception as exc:  # noqa: BLE001 — shipped to the future
-            reply = {
-                "kind": "error",
-                "seq": seq,
-                "error": f"{type(exc).__name__}: {exc}",
-                "retriable": not isinstance(exc, ReproError),
-            }
-            spans = _drained_spans(tracer)
-            if spans is not None:
-                reply["spans"] = spans
-            try:
-                res_conn.send({**reply, "exception": exc})
-            except Exception:  # noqa: BLE001 — unpicklable exception
-                _send(res_conn, reply)
-            return
-        reply = {
-            "kind": "result",
-            "seq": seq,
-            "estimate": estimate,
-            "cache_hit": hit,
-        }
-        spans = _drained_spans(tracer)
-        if spans is not None:
-            reply["spans"] = spans
-        _send(res_conn, reply)
+            res_conn.send(reply)
+        except Exception:  # noqa: BLE001 — an unpicklable exception
+            reply.pop("exception", None)
+            _send(res_conn, reply)
     finally:
         if token is not None:
             detach(token)
+
+
+def _answer(message, engine, analyses, segments, faults, rng, shard,
+            generation, tracer) -> dict:
+    """The reply to one request: its result, or the error it raised."""
+    _apply_chaos(faults, rng, message["request_id"])
+    span = (
+        tracer.span(
+            "shard.serve",
+            shard=shard,
+            generation=generation,
+            request_id=message["request_id"],
+        )
+        if tracer is not None
+        else obs.NULL_SPAN
+    )
+    try:
+        with span as sp:
+            handle = _mapped(
+                segments, analyses, message["descriptor"],
+                message["dataset_key"],
+            )
+            objective = message["objective"]
+            estimate, hit = answer(
+                engine,
+                analyses,
+                message["dataset_key"],
+                handle.asarray(),
+                objective,
+            )
+            sp.set_attributes(
+                cache_hit=hit,
+                tier=estimate.tier,
+                objective=objective.canonical,
+            )
+    except Exception as exc:  # noqa: BLE001 — shipped to the future
+        return {
+            "kind": "error",
+            "seq": message["seq"],
+            "error": f"{type(exc).__name__}: {exc}",
+            "exception": exc,
+        }
+    return {
+        "kind": "result",
+        "seq": message["seq"],
+        "estimate": estimate,
+        "cache_hit": hit,
+    }

@@ -1,18 +1,19 @@
-"""Fault-tolerant sharded estimation serving.
+"""Supervised worker shards: the multi-process lane of the estimation service.
 
-:class:`ShardedEstimationService` runs N worker-process shards (see
-:mod:`repro.serving.shard`), each holding a warm model replica, behind
-a supervisor that keeps the service answering through crashes, hangs
-and overload:
+:class:`ShardPool` is what
+:meth:`EstimationService.for_pipeline(..., shards=N)
+<repro.serving.service.EstimationService.for_pipeline>` attaches: N
+worker-process shards (see :mod:`repro.serving.shard`), each holding a
+warm model replica, behind a supervisor that keeps them answering
+through crashes, hangs and overload:
 
 * **Backpressure** — admission goes through a bounded queue; a full
   queue sheds the request immediately with
   :class:`~repro.errors.ServiceOverloadedError` carrying a
   ``retry_after`` hint instead of building an unbounded backlog.
-* **Deadlines** — every request may carry one; an expired request is
-  failed with :class:`~repro.errors.DeadlineExceededError` wherever it
-  happens to be (queued, piped, in flight), never served late into a
-  future nobody is waiting on.
+* **Deadlines** — an expired request is found wherever it happens to
+  be (queued, piped, in flight) and handed to the service's expiry
+  path, never served late into a future nobody is waiting on.
 * **Supervision** — a monitor thread health-checks each shard through
   heartbeat/busy timestamps and process liveness, kills wedged shards,
   and respawns dead ones on the
@@ -21,30 +22,26 @@ and overload:
 * **Circuit breaking** — each shard sits behind a
   :class:`CircuitBreaker` (closed → open → half-open); a tripped
   shard's traffic routes to the remaining shards or, when none can
-  take it, down the PR-1 degradation ladder (model → curve → FRaZ) run
-  in-process — degraded answers instead of failures.
+  take it, to the service's own in-process worker pool, whose guarded
+  engine ends in FRaZ — degraded answers instead of failures.
 
-The invariant the chaos tests pin down: **every admitted request's
-future resolves** — with a result, a typed error, or a deadline — no
-matter which shards die when. Resolution is single-owner by
-construction: whichever thread pops a request from the live table is
-the one that resolves its future; late replies from killed shards find
-the table empty and are counted, not raised.
+The pool owns no futures, metrics or request spans: every request it
+takes ends in the service's single completion path. Resolution is
+single-owner by construction: whichever thread pops a request from the
+live table is the one that hands it to the service; late replies from
+killed shards find the table empty and are counted, not raised.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import itertools
 import multiprocessing
 import os
 import queue
 import tempfile
 import threading
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass, replace
 from multiprocessing import connection, resource_tracker
 
@@ -52,21 +49,18 @@ import numpy as np
 
 from repro import obs
 from repro.core.persistence import save_pipeline
-from repro.obs.trace import Span, SpanContext, _new_id
+from repro.obs.trace import SpanContext, _new_id
 from repro.errors import (
-    DeadlineExceededError,
     InvalidConfiguration,
-    NotFittedError,
     ReproError,
-    ServiceClosedError,
     ServiceOverloadedError,
     ShardFailedError,
 )
 from repro.parallel.shm import SharedNDArray
 from repro.robustness.faults import RetryPolicy, backoff_schedule
-from repro.serving.cache import FeatureCache
-from repro.serving.frontend import Admitted, Frontend, answer, build_engine
-from repro.serving.metrics import MetricsSnapshot
+from repro.runtime.config import RuntimeConfig
+from repro.serving.metrics import MetricsRecorder
+from repro.serving.service import MAX_DATASETS, Admitted
 from repro.serving.shard import shard_main
 
 #: Shard lifecycle states.
@@ -79,10 +73,6 @@ STOPPED = "stopped"
 #: Extra seconds past a busy request's own deadline before the shard
 #: holding it is declared hung.
 HANG_GRACE = 0.5
-
-#: Datasets kept resident at once: shared-memory segments and the
-#: fallback ladder's analysis cache.
-MAX_DATASETS = 64
 
 
 class CircuitBreaker:
@@ -124,23 +114,21 @@ class CircuitBreaker:
     def would_allow(self) -> bool:
         """Whether a request *could* pass now, without consuming the probe."""
         with self._lock:
-            if self._opened_at is None:
-                return True
-            if self._probing:
-                return False  # probe already in flight
-            return time.monotonic() - self._opened_at >= self.reset_seconds
+            return self._passable()
 
     def allow(self) -> bool:
         """Admit one request; consumes the half-open probe slot."""
         with self._lock:
-            if self._opened_at is None:
-                return True
-            if self._probing:
+            if not self._passable():
                 return False
-            if time.monotonic() - self._opened_at >= self.reset_seconds:
-                self._probing = True
-                return True
-            return False
+            self._probing = self._opened_at is not None
+            return True
+
+    def _passable(self) -> bool:
+        """Closed, or half-open with no probe in flight (lock held)."""
+        return self._opened_at is None or not self._probing and (
+            time.monotonic() - self._opened_at >= self.reset_seconds
+        )
 
     def record_success(self) -> None:
         with self._lock:
@@ -158,9 +146,7 @@ class CircuitBreaker:
     def retry_after(self) -> float:
         """Seconds until the next probe may pass (0 when passable now)."""
         with self._lock:
-            if self._opened_at is None or self._probing is False and (
-                time.monotonic() - self._opened_at >= self.reset_seconds
-            ):
+            if self._passable():
                 return 0.0
             return max(
                 0.0,
@@ -168,19 +154,21 @@ class CircuitBreaker:
             )
 
 
+
 @dataclass(frozen=True)
 class SupervisorStats:
     """Counters describing what supervision did (snapshot, immutable).
 
+    Completions and failures are the service's
+    :class:`~repro.serving.metrics.MetricsSnapshot` counts.
+
     Attributes:
         admitted: requests accepted past the admission queue.
-        completed: futures resolved with a result (any tier).
-        failed: futures resolved with an engine/fallback error.
         shed: submissions rejected by backpressure.
-        expired: requests failed on their deadline.
+        expired: admitted requests failed on their deadline.
         redelivered: in-flight requests redistributed off dead shards.
-        fallbacks: requests answered by the in-process degradation
-            ladder because no shard could take them.
+        fallbacks: requests handed to the in-process lane because no
+            shard could take them.
         respawns: shard processes restarted after death.
         kills: shards the supervisor killed (hangs, lost heartbeats).
         late_replies: replies from shards for requests already resolved
@@ -188,8 +176,6 @@ class SupervisorStats:
     """
 
     admitted: int = 0
-    completed: int = 0
-    failed: int = 0
     shed: int = 0
     expired: int = 0
     redelivered: int = 0
@@ -197,21 +183,6 @@ class SupervisorStats:
     respawns: int = 0
     kills: int = 0
     late_replies: int = 0
-
-
-@dataclass
-class _Inflight(Admitted):
-    seq: int = 0
-    descriptor: object = None
-    shard: int = -1
-    redeliveries: int = 0
-    # Distributed-tracing state: the span the request span parents
-    # under (``parent_span``; None for a root trace) and the wall-clock
-    # admit instant the request span starts at. ``generation`` is the
-    # incarnation of the last shard this request was dispatched to.
-    parent_span: int | None = None
-    start_unix: float = 0.0
-    generation: int = -1
 
 
 class _ShardSlot:
@@ -230,115 +201,82 @@ class _ShardSlot:
         self.inflight: set[int] = set()
         self.strikes = 0       # consecutive deaths without reaching READY
         self.respawn_at = 0.0
-        self.started_at = 0.0
         self.last_death_reason = ""
 
 
-class ShardedEstimationService(Frontend):
-    """Supervised multi-process estimation service.
+class ShardPool:
+    """Supervised worker shards behind one estimation service.
 
     Args:
-        pipeline: a fitted :class:`~repro.core.pipeline.FXRZ`; the
-            parent keeps it for the degradation-ladder fallback while
-            each shard loads its own warm replica from ``model_path``.
+        service: the owning
+            :class:`~repro.serving.service.EstimationService`; the pool
+            resolves every request through its completion path and
+            hands what no shard can take to its worker pool.
+        pipeline: a fitted :class:`~repro.core.pipeline.FXRZ`; each
+            shard loads its own warm replica from ``model_path``.
         shards: worker-process count.
+        guarded / guard_options: the engine each shard builds (see
+            :func:`~repro.serving.service.build_engine`).
         queue_depth: admission-queue bound; beyond it submissions shed
             with :class:`~repro.errors.ServiceOverloadedError`.
         model_path: serialized pipeline the shards load. ``None`` saves
             ``pipeline`` to a temporary file owned (and deleted) by the
-            service.
-        guarded: shards serve through the guarded engine (degradation
-            ladder inside the shard) instead of the plain one.
-        guard_options: forwarded to :meth:`FXRZ.guarded` in each shard
-            and in the parent fallback engine.
-        default_deadline: deadline applied to requests without their
-            own ``deadline_seconds``; ``None`` resolves from the
-            context's :attr:`RuntimeConfig.deadline` (0 = none).
+            pool.
         max_inflight_per_shard: dispatch cap per shard, so queueing
             happens in the supervisor (where it can shed and expire)
             rather than invisibly inside shard pipes.
         max_redeliveries: how many times one request may be
-            redistributed off dead shards before it is answered by the
-            fallback ladder instead (the poison-request escape hatch).
+            redistributed off dead shards before it goes to the
+            in-process lane instead (the poison-request escape hatch).
         heartbeat_timeout: an *idle* shard whose beat is older than
             this is presumed wedged and killed.
         hang_timeout: a *busy* shard serving one request for longer
             than this is killed (its requests redistribute).
-        retry_policy: backoff schedule for shard respawns; defaults to
-            the context's policy. ``max_attempts`` bounds *consecutive
-            failed spawns* — a shard that keeps dying before reaching
-            readiness is marked failed and taken out of rotation.
         faults: optional :class:`~repro.robustness.faults.FaultSpec`
             with serving faults, injected inside the shards (chaos
             harness).
-        fallback: whether the in-process degradation ladder backstops
-            requests no shard can take; ``False`` fails them with
+        fallback: whether the in-process lane backstops requests no
+            shard can take; ``False`` fails them with
             :class:`~repro.errors.ShardFailedError` instead.
-        breaker_options: ``failure_threshold``/``reset_seconds`` for
-            the per-shard breakers; defaults to the context's
-            :attr:`RuntimeContext.breaker_options`.
         poll_interval: monitor/dispatcher tick.
-        trace_sample: fraction of requests traced end to end when a
-            tracer is available, in [0, 1]; defaults to the context's
-            :attr:`RuntimeConfig.trace_sample` (1.0 without a context).
-            Sampling is deterministic in the admission sequence number,
-            so reruns trace the same requests.
-        scrape_port: when >= 0, start the embedded observability
-            endpoint (``/metrics``, ``/healthz``, ``/slo``, ``/spans``)
-            on this port (0 = ephemeral; read :attr:`scrape_url`).
-            Defaults to the context's :attr:`RuntimeConfig.scrape_port`
-            (-1 = off without a context).
-        ctx: a :class:`~repro.runtime.RuntimeContext`; supplies config
-            defaults, adopts the shared-memory segments, and its spec
-            seeds each shard's child context.
-        outcome_log: a :class:`~repro.lifecycle.OutcomeLog` the
-            supervisor records completions to, **parent-side only** —
-            shard estimates travel back over the reply pipe and are
-            recorded here, never by the forked workers themselves, so
-            the JSONL log has exactly one writer (the shard child
-            contexts drop ``outcome_log`` in
-            :meth:`~repro.runtime.context.RuntimeContext.spec`).
-            ``None`` defaults to the context's
-            :attr:`RuntimeContext.lifecycle`.
-    """
 
-    _Item = _Inflight
+    The service context's :class:`~repro.runtime.RuntimeConfig`
+    (``RuntimeConfig()`` without one) supplies the respawn backoff
+    (``retry_attempts``/``retry_base_delay``; ``retry_attempts`` bounds
+    *consecutive failed spawns* — a shard that keeps dying before
+    reaching readiness is marked failed), the breaker thresholds
+    (``breaker_failures``/``breaker_reset``) and the embedded scrape
+    endpoint (``scrape_port`` >= 0 starts ``/metrics``, ``/healthz``,
+    ``/slo`` and ``/spans``; 0 = ephemeral, read :attr:`scrape_url`).
+    """
 
     def __init__(
         self,
+        service,
         pipeline,
         *,
-        shards: int = 2,
+        shards: int,
+        guarded: bool,
+        guard_options: dict | None = None,
         queue_depth: int = 64,
         model_path=None,
-        guarded: bool = True,
-        guard_options: dict | None = None,
-        default_deadline: float | None = None,
         max_inflight_per_shard: int = 4,
         max_redeliveries: int = 2,
         heartbeat_timeout: float = 5.0,
         hang_timeout: float = 10.0,
-        retry_policy: RetryPolicy | None = None,
         faults=None,
         fallback: bool = True,
-        breaker_options: dict | None = None,
         poll_interval: float = 0.02,
-        trace_sample: float | None = None,
-        scrape_port: int | None = None,
-        ctx=None,
-        outcome_log=None,
     ) -> None:
-        if not pipeline.is_fitted:
-            raise NotFittedError("sharded serving needs a fitted pipeline")
-        if shards < 1:
-            raise InvalidConfiguration("shards must be >= 1")
         if queue_depth < 1:
             raise InvalidConfiguration("queue_depth must be >= 1")
         if max_inflight_per_shard < 1:
             raise InvalidConfiguration("max_inflight_per_shard must be >= 1")
         if max_redeliveries < 0:
             raise InvalidConfiguration("max_redeliveries must be >= 0")
-        self.pipeline = pipeline
+        self._service = service
+        self.ctx = ctx = service.ctx
+        config = ctx.config if ctx is not None else RuntimeConfig()
         self.n_shards = int(shards)
         self.queue_depth = int(queue_depth)
         self.max_inflight_per_shard = int(max_inflight_per_shard)
@@ -346,48 +284,9 @@ class ShardedEstimationService(Frontend):
         self.heartbeat_timeout = float(heartbeat_timeout)
         self.hang_timeout = float(hang_timeout)
         self.poll_interval = float(poll_interval)
-        self.faults = faults
-        if retry_policy is None:
-            retry_policy = (
-                ctx.retry_policy if ctx is not None else RetryPolicy()
-            )
-        self.retry_policy = retry_policy
-        if breaker_options is None:
-            breaker_options = (
-                dict(ctx.breaker_options)
-                if ctx is not None
-                else {"failure_threshold": 5, "reset_seconds": 30.0}
-            )
-        self._breaker_options = breaker_options
-        if trace_sample is None:
-            trace_sample = (
-                float(ctx.config.trace_sample) if ctx is not None else 1.0
-            )
-        if not 0.0 <= trace_sample <= 1.0:
-            raise InvalidConfiguration("trace_sample must be in [0, 1]")
-        self.trace_sample = float(trace_sample)
-        if scrape_port is None:
-            scrape_port = (
-                int(ctx.config.scrape_port) if ctx is not None else -1
-            )
-        if not -1 <= int(scrape_port) <= 65535:
-            raise InvalidConfiguration(
-                "scrape_port must be -1 (off), 0 (ephemeral) or a TCP port"
-            )
-        registry = ctx.registry if ctx is not None else obs.get_registry()
-        if registry is None and int(scrape_port) >= 0:
-            # A scrape endpoint needs something behind /metrics: when
-            # neither the context nor the ambient install provides a
-            # registry, the service owns one.
-            registry = obs.MetricsRegistry()
-        self._registry = registry
-        self._setup(
-            ctx=ctx,
-            outcome_log=outcome_log,
-            default_deadline=default_deadline,
-            stride=getattr(pipeline.config, "sampling_stride", 1),
-            compressor=pipeline.compressor.name,
-            registry=registry,
+        self.fallback = bool(fallback)
+        self.retry_policy = (
+            ctx.retry_policy if ctx is not None else RetryPolicy()
         )
 
         self._owns_model = model_path is None
@@ -410,42 +309,41 @@ class ShardedEstimationService(Frontend):
             # Shards run a local tracer only when the parent has a sink
             # to absorb their spans into (and tracing is not sampled
             # fully off).
-            "trace": self._trace_sink() is not None
-            and self.trace_sample > 0.0,
+            "trace": service._trace_sink() is not None
+            and service.trace_sample > 0.0,
         }
-        # The fallback rung runs in the parent, so it always terminates
-        # in FRaZ — it is the last line of defense, not a mirror of the
-        # shard's (possibly weaker) ladder.
-        self._fallback_engine = (
-            build_engine(pipeline, True, guard_opts, ctx, fallback="fraz")
-            if fallback
-            else None
-        )
-        self._fallback_cache = FeatureCache(max_entries=MAX_DATASETS)
-        self._fallback_pool = ThreadPoolExecutor(
-            max_workers=2, thread_name_prefix="fxrz-fallback"
-        )
 
         self._mp = multiprocessing.get_context("fork")
         self._stats = SupervisorStats()
         self._ewma_latency = 0.05
-        self._seq = itertools.count(1)
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
-        self._live: dict[int, _Inflight] = {}
-        self._admission: queue.Queue[_Inflight] = queue.Queue(
+        self._live: dict[int, Admitted] = {}
+        self._admission: queue.Queue[Admitted] = queue.Queue(
             maxsize=queue_depth
         )
-        self._redeliver: deque[_Inflight] = deque()
-        self._segments: dict[str, SharedNDArray] = {}
+        self._redeliver: deque[Admitted] = deque()
+        # Shared segments by dataset key, least recently admitted first;
+        # ``_pins`` counts the unresolved requests referencing each one.
+        self._segments: OrderedDict[str, SharedNDArray] = OrderedDict()
+        self._pins: Counter[str] = Counter()
         self._stop = threading.Event()
-        self._backoff_rng = np.random.default_rng(
-            ctx.config.seed if ctx is not None else 0
-        )
+        self._backoff_rng = np.random.default_rng(config.seed)
         self.slots = [
-            _ShardSlot(i, CircuitBreaker(**breaker_options))
+            _ShardSlot(
+                i,
+                CircuitBreaker(config.breaker_failures, config.breaker_reset),
+            )
             for i in range(self.n_shards)
         ]
+        self._ts_buffer = self._obs_server = None
+        registry = service._registry
+        if registry is None and config.scrape_port >= 0:
+            # A scrape endpoint needs something behind /metrics: when
+            # neither the context nor the ambient install provides a
+            # registry, the service gets one of its own.
+            registry = service._registry = obs.MetricsRegistry()
+            service._metrics = MetricsRecorder(registry=registry)
         self._bind_gauges(registry)
         for slot in self.slots:
             self._spawn(slot)
@@ -461,76 +359,93 @@ class ShardedEstimationService(Frontend):
         ]
         for thread in self._threads:
             thread.start()
-        self._ts_buffer = None
-        self._slo_tracker = None
-        self._obs_server = None
-        if int(scrape_port) >= 0:
-            self._start_telemetry(int(scrape_port), registry)
+        if config.scrape_port >= 0:
+            self._start_telemetry(config, registry)
 
-    # -- construction helpers --------------------------------------------------
+    # -- admission ---------------------------------------------------------------
 
-    @classmethod
-    def for_pipeline(cls, pipeline, **options) -> "ShardedEstimationService":
-        """A sharded service over a fitted pipeline (temp model file)."""
-        if "ctx" not in options:
-            options["ctx"] = getattr(pipeline, "ctx", None)
-        return cls(pipeline, **options)
-
-    # -- client API ------------------------------------------------------------
-
-    def _enqueue(self, inf: _Inflight):
-        """Take custody of an admitted request.
+    def admit(self, item: Admitted):
+        """Take custody of an admitted request (the service holds its
+        lock, so admissions are serialized and close cannot race them).
 
         Raises:
             ServiceOverloadedError: the admission queue is full.
-            ServiceClosedError: the service was closed.
         """
-        inf.seq = next(self._seq)
-        inf.descriptor = self._segment_for(
-            inf.dataset_key, inf.request.data
-        ).descriptor
-        if self._trace_sink() is not None and self._sampled(inf.seq):
-            # Join the caller's trace (explicit on the request, or the
-            # ambient context) or start a new root one; the request
-            # span itself is closed at resolution time.
-            parent = inf.request.trace or obs.current_context()
-            inf.trace = SpanContext(
-                parent.trace_id if parent is not None else _new_id(),
-                _new_id(),
-            )
-            inf.parent_span = parent.span_id if parent is not None else None
-            inf.start_unix = time.time()
+        item.descriptor = self._pin(item.dataset_key, item.request.data)
         with self._lock:
-            # Re-checked here atomically with the insertion: a close
-            # racing this submit either sees the entry (and rejects it
-            # in its leftover sweep) or we see the flag and refuse.
-            self._check_open()
-            self._live[inf.seq] = inf
+            self._live[item.seq] = item
         try:
-            self._admission.put_nowait(inf)
+            self._admission.put_nowait(item)
         except queue.Full:
             with self._lock:
-                self._live.pop(inf.seq, None)
+                self._live.pop(item.seq, None)
+                ready = sum(slot.state == READY for slot in self.slots)
+                # Time for the ready shards to work off a full queue.
+                wait = self.queue_depth * self._ewma_latency / max(1, ready)
+            self._unpin(item.dataset_key)
             self._bump(shed=1)
             raise ServiceOverloadedError(
                 f"admission queue full ({self.queue_depth} deep); "
                 "request shed",
-                retry_after=self._retry_after_hint(),
+                retry_after=max(0.05, wait),
             ) from None
         self._bump(admitted=1)
-        if inf.trace is not None:
+        if item.trace is not None:
             self._trace_event(
                 "supervisor.admit",
-                trace=inf.trace,
-                request_id=inf.request_id,
+                trace=item.trace,
+                request_id=item.request_id,
                 queue_depth=self._admission.qsize(),
             )
-        return inf.future
+        return item.future
 
-    @property
-    def metrics(self) -> MetricsSnapshot:
-        """Latency/tier counters, same shape as :class:`EstimationService`."""
-        return self._metrics.snapshot()
+    def resolved(self, item: Admitted, *, expired: bool = False) -> None:
+        """The service resolved ``item``: unpin its segment."""
+        with self._lock:
+            self._ewma_latency = 0.8 * self._ewma_latency + 0.2 * (
+                time.monotonic() - item.submitted
+            )
+        if expired:
+            self._bump(expired=1)
+        self._unpin(item.dataset_key)
+
+    def _pin(self, key: str, data):
+        """The descriptor of ``key``'s shared segment, pinned once more."""
+        with self._lock:
+            handle = self._segments.get(key)
+            if handle is not None:
+                self._segments.move_to_end(key)
+                self._pins[key] += 1
+                return handle.descriptor
+        # Outside the lock: admissions are serialized, so no other
+        # thread creates this key; resolutions only evict unpinned ones.
+        # from_array makes its own contiguous copy.
+        handle = SharedNDArray.from_array(data)
+        if self.ctx is not None:
+            self.ctx.adopt_shm(handle)
+        with self._lock:
+            self._segments[key] = handle
+            self._pins[key] += 1
+        return handle.descriptor
+
+    def _unpin(self, key: str) -> None:
+        """Drop one pin; unlink the least recently admitted unpinned
+        segments beyond :data:`MAX_DATASETS`."""
+        with self._lock:
+            left = self._pins.pop(key, 0) - 1
+            if left > 0:
+                self._pins[key] = left
+            excess = len(self._segments) - MAX_DATASETS
+            victims = [k for k in self._segments if k not in self._pins]
+            evicted = [self._segments.pop(k) for k in victims[:max(excess, 0)]]
+        self._unlink(evicted)
+
+    def _unlink(self, handles) -> None:
+        for handle in handles:
+            if self.ctx is not None:
+                self.ctx.release_shm(handle)
+            handle.close()
+            handle.unlink()
 
     @property
     def stats(self) -> SupervisorStats:
@@ -577,11 +492,9 @@ class ShardedEstimationService(Frontend):
 
         def collect() -> None:
             stats = self.stats
-            for event in (
-                "admitted", "completed", "failed", "shed", "expired",
-                "redelivered", "fallbacks", "respawns", "kills",
-            ):
-                events.set(float(getattr(stats, event)), event=event)
+            for event, count in dataclasses.asdict(stats).items():
+                if event != "late_replies":
+                    events.set(float(count), event=event)
             late.set(float(stats.late_replies))
             for state in self.shard_states():
                 shard = str(state["shard"])
@@ -597,10 +510,9 @@ class ShardedEstimationService(Frontend):
 
     # -- telemetry plane -------------------------------------------------------
 
-    def _start_telemetry(self, scrape_port: int, registry) -> None:
+    def _start_telemetry(self, config: RuntimeConfig, registry) -> None:
         """Stand up the ring sampler, SLO tracker and scrape endpoint."""
-        config = self.ctx.config if self.ctx is not None else None
-        window = float(getattr(config, "slo_window", 300.0))
+        window = float(config.slo_window)
         self._ts_buffer = obs.TimeSeriesBuffer(
             registry,
             # one frame per second across the SLO window, plus slack so
@@ -608,17 +520,12 @@ class ShardedEstimationService(Frontend):
             capacity=max(int(window) + 60, 120),
             interval=1.0,
         )
-        self._slo_tracker = obs.SLOTracker(
+        slo_tracker = obs.SLOTracker(
             self._ts_buffer,
             obs.default_serving_slos(
-                availability=float(
-                    getattr(config, "slo_availability", 0.999)
-                ),
-                p99_seconds=float(getattr(config, "slo_p99_ms", 250.0))
-                / 1000.0,
-                calibration_error=float(
-                    getattr(config, "slo_calibration_error", 0.25)
-                ),
+                availability=float(config.slo_availability),
+                p99_seconds=float(config.slo_p99_ms) / 1000.0,
+                calibration_error=float(config.slo_calibration_error),
                 window=window,
             ),
         )
@@ -626,10 +533,10 @@ class ShardedEstimationService(Frontend):
         self._ts_buffer.start()
         self._obs_server = obs.ObservabilityServer(
             registry,
-            tracer=self._trace_sink(),
-            slo_tracker=self._slo_tracker,
+            tracer=self._service._trace_sink(),
+            slo_tracker=slo_tracker,
             health=self._health,
-            port=scrape_port,
+            port=int(config.scrape_port),
         )
 
     @property
@@ -638,137 +545,45 @@ class ShardedEstimationService(Frontend):
         return self._obs_server.url if self._obs_server is not None else None
 
     def _health(self) -> dict:
-        """The ``/healthz`` body: shard states, breakers, stats."""
+        """The ``/healthz`` body: shard states (with breakers), stats."""
         states = self.shard_states()
-        with self._lock:
-            closed = self._closed
+        closed = self._service._closed
         return {
             "healthy": not closed
             and any(state["state"] == READY for state in states),
             "closed": closed,
             "shards": states,
-            "breakers": {
-                str(state["shard"]): state["breaker"] for state in states
-            },
             "stats": dataclasses.asdict(self.stats),
         }
 
     # -- tracing ---------------------------------------------------------------
 
-    def _trace_sink(self):
-        """The tracer supervisor-side spans land in (None = untraced)."""
-        if self.ctx is not None:
-            tracer = self.ctx.tracer
-            if tracer is not None:
-                return tracer
-        return obs.get_tracer()
-
-    def _sampled(self, seq: int) -> bool:
-        """Deterministic per-request sampling decision (keyed on seq)."""
-        if self.trace_sample >= 1.0:
-            return True
-        if self.trace_sample <= 0.0:
-            return False
-        return ((seq * 0x9E3779B1) & 0xFFFF) / 65536.0 < self.trace_sample
-
     def _trace_event(
         self, name: str, trace: SpanContext | None = None, **attributes
     ) -> None:
         """Record a zero-duration event span (child of ``trace`` or root)."""
-        tracer = self._trace_sink()
-        if tracer is None:
-            return
-        if trace is not None:
-            trace_id, parent_id = trace.trace_id, trace.span_id
-        else:
-            trace_id, parent_id = _new_id(), None
-        tracer.absorb(
-            [
-                Span(
-                    name=name,
-                    trace_id=trace_id,
-                    span_id=_new_id(),
-                    parent_id=parent_id,
-                    start_unix=time.time(),
-                    pid=os.getpid(),
-                    attributes=attributes,
-                )
-            ]
-        )
-
-    def _finish_request_span(
-        self, inf: _Inflight, status: str, error: str = "", **attributes
-    ) -> None:
-        """Close the per-request root span (built by hand: the request
-        crosses threads and processes, so no ``with`` block can hold it)."""
-        if inf.trace is None:
-            return
-        tracer = self._trace_sink()
-        if tracer is None:
-            return
-        tracer.absorb(
-            [
-                Span(
-                    name="serving.sharded.request",
-                    trace_id=inf.trace.trace_id,
-                    span_id=inf.trace.span_id,
-                    parent_id=inf.parent_span,
-                    start_unix=inf.start_unix,
-                    wall_seconds=time.monotonic() - inf.submitted,
-                    status=status,
-                    error=error,
-                    pid=os.getpid(),
-                    attributes={
-                        "request_id": inf.request_id,
-                        "dataset_key": inf.dataset_key,
-                        "redeliveries": inf.redeliveries,
-                        "objective": inf.objective.canonical,
-                        **attributes,
-                    },
-                )
-            ]
+        trace_id, parent_id = trace if trace is not None else (_new_id(), None)
+        self._service._record_span(
+            name, trace_id, _new_id(), parent_id, time.time(), **attributes
         )
 
     def kill_shard(self, index: int) -> None:
-        """Kill one shard process outright (chaos/bench hook).
+        """Kill one shard process outright (chaos/bench hook): its
+        in-flight requests redistribute and it respawns on the backoff
+        schedule, exactly as after a hang kill."""
+        self._kill(self.slots[index], "kill_shard")
 
-        The monitor detects the death, redistributes the shard's
-        in-flight requests and respawns it on the backoff schedule —
-        exactly as for an organic crash.
+    def stop(self, drain: bool, timeout: float | None) -> list[Admitted]:
+        """Stop threads and shards, unlink every shared segment and the
+        pool's own model file; returns the requests still held (for the
+        service to fail).
+
+        ``drain=True`` first waits (up to ``timeout``) for every
+        admitted request to resolve.
         """
-        with self._lock:
-            slot = self.slots[index]
-            process = slot.process
-            self._stats = replace(self._stats, kills=self._stats.kills + 1)
-        self._trace_event(
-            "supervisor.kill", shard=index, reason="kill_shard"
-        )
-        if process is not None and process.is_alive():
-            process.kill()
-
-    def close(self, drain: bool = True, timeout: float | None = 30.0) -> None:
-        """Stop everything; **no future is left unresolved** (idempotent).
-
-        ``drain=True`` waits (up to ``timeout``) for in-flight and
-        queued requests to finish; anything still live after that — or
-        everything queued, when ``drain=False`` — is failed with
-        :class:`~repro.errors.ServiceClosedError`.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        give_up = (
-            None if timeout is None else time.monotonic() + float(timeout)
-        )
-        if drain:
-            while True:
-                with self._lock:
-                    if not self._live:
-                        break
-                if give_up is not None and time.monotonic() > give_up:
-                    break
-                time.sleep(self.poll_interval)
+        if drain:  # every resolution pops _live and notifies
+            with self._cond:
+                self._cond.wait_for(lambda: not self._live, timeout)
         self._stop.set()
         with self._cond:
             self._cond.notify_all()
@@ -790,89 +605,27 @@ class ShardedEstimationService(Frontend):
             if process is not None:
                 process.join(timeout=1.0)
                 if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=0.5)
-                if process.is_alive():  # pragma: no cover - stubborn child
                     process.kill()
                     process.join(timeout=0.5)
             self._close_conns(slot)
         with self._lock:
+            # Every admitted request sits in the live table until it is
+            # resolved, so this is everything the pool still owes.
             leftovers = list(self._live.values())
             self._live.clear()
             self._redeliver.clear()
-        while True:  # anything still sitting in the admission queue
-            try:
-                leftovers.append(self._admission.get_nowait())
-            except queue.Empty:
-                break
-        seen = set()
-        for inf in leftovers:
-            if inf.seq in seen:
-                continue
-            seen.add(inf.seq)
-            if not inf.future.done():
-                inf.future.set_exception(
-                    ServiceClosedError(
-                        f"service closed before serving {inf.request_id}"
-                    )
-                )
-        self._fallback_pool.shutdown(wait=drain, cancel_futures=not drain)
-        with self._lock:
-            segments, self._segments = self._segments, {}
-        for handle in segments.values():
-            if self.ctx is not None:
-                self.ctx.release_shm(handle)
-            handle.close()
-            handle.unlink()
+            segments = list(self._segments.values())
+            self._segments.clear()
+            self._pins.clear()
+        self._unlink(segments)
         if self._owns_model:
             try:
                 os.unlink(self.model_path)
             except OSError:
                 pass
+        return leftovers
 
-    # -- admission internals ---------------------------------------------------
-
-    def _segment_for(self, key: str, data) -> SharedNDArray:
-        """The shared segment carrying ``key``'s dataset (LRU-bounded)."""
-        with self._lock:
-            handle = self._segments.get(key)
-            if handle is not None:
-                return handle
-        # from_array already makes its own contiguous copy; an extra
-        # ascontiguousarray here would copy non-contiguous data twice.
-        handle = SharedNDArray.from_array(data)
-        if self.ctx is not None:
-            self.ctx.adopt_shm(handle)
-        evicted = []
-        with self._lock:
-            raced = self._segments.get(key)
-            if raced is not None:
-                evicted.append(handle)
-                handle = raced
-            else:
-                self._segments[key] = handle
-                while len(self._segments) > MAX_DATASETS:
-                    # dict preserves insertion order; the oldest key is
-                    # the least recently *created*, which is close
-                    # enough for an overflow valve.
-                    old_key = next(iter(self._segments))
-                    if old_key == key:
-                        break
-                    evicted.append(self._segments.pop(old_key))
-        for old in evicted:
-            if self.ctx is not None:
-                self.ctx.release_shm(old)
-            old.close()
-            old.unlink()
-        return handle
-
-    def _retry_after_hint(self) -> float:
-        with self._lock:
-            ready = sum(1 for slot in self.slots if slot.state == READY)
-            ewma = self._ewma_latency
-        return max(0.05, self.queue_depth * ewma / max(1, ready))
-
-    # -- resolution (single-owner: pop from _live first) -----------------------
+    # -- internals (resolution is single-owner: pop from _live first) ----------
 
     def _pop_live(self, seq: int):
         with self._lock:
@@ -899,51 +652,9 @@ class ShardedEstimationService(Frontend):
                 "supervisor.breaker_close", shard=slot.index, from_state=was
             )
 
-    def _complete(
-        self, inf: _Inflight, estimate, cache_hit: bool, source: str = "shard"
-    ) -> None:
-        served = self._served(inf, estimate, cache_hit, source=source)
-        with self._lock:
-            self._ewma_latency = (
-                0.8 * self._ewma_latency + 0.2 * served.latency_seconds
-            )
-        self._bump(completed=1)
-        # Close the request span *before* resolving the future, so a
-        # caller that inspects the tracer right after .result() sees a
-        # complete tree.
-        self._finish_request_span(
-            inf,
-            "ok",
-            source=source,
-            cache_hit=bool(cache_hit),
-            tier=estimate.tier,
-            shard=inf.shard,
-        )
-        inf.future.set_result(served)
-
-    def _fail(self, inf: _Inflight, exc: Exception, *, expired=False) -> None:
-        self._bump(expired=1) if expired else self._bump(failed=1)
-        self._finish_request_span(
-            inf,
-            "error",
-            error=f"{type(exc).__name__}: {exc}",
-            expired=bool(expired),
-        )
-        self._failed(inf, exc)
-
-    def _expire(self, inf: _Inflight) -> None:
-        self._fail(
-            inf,
-            DeadlineExceededError(
-                f"request {inf.request_id} missed its "
-                f"{inf.deadline - inf.submitted:.3f}s deadline"
-            ),
-            expired=True,
-        )
-
     # -- dispatcher ------------------------------------------------------------
 
-    def _next_item(self) -> _Inflight | None:
+    def _next_item(self) -> Admitted | None:
         with self._lock:
             if self._redeliver:
                 return self._redeliver.popleft()
@@ -961,26 +672,26 @@ class ShardedEstimationService(Frontend):
                 continue
             self._place(item)
 
-    def _place(self, item: _Inflight) -> None:
-        """Drive one request to a shard, the fallback ladder, or expiry."""
+    def _place(self, item: Admitted) -> None:
+        """Drive one request to a shard, the in-process lane, or expiry."""
         while not self._stop.is_set():
             with self._lock:
                 if item.seq not in self._live:
                     return  # already resolved (deadline, close)
             if item.deadline is not None and time.monotonic() > item.deadline:
                 if self._pop_live(item.seq) is not None:
-                    self._expire(item)
+                    self._service._expire(item)
                 return
             action = self._try_dispatch(item)
             if action == "dispatched":
                 return
             if action == "fallback":
-                self._send_to_fallback(item)
+                self._degrade(item)
                 return
             with self._cond:  # wait: capacity frees or topology changes
                 self._cond.wait(timeout=self.poll_interval)
 
-    def _try_dispatch(self, item: _Inflight) -> str:
+    def _try_dispatch(self, item: Admitted) -> str:
         """``"dispatched"`` | ``"wait"`` | ``"fallback"``."""
         with self._lock:
             passable = [
@@ -1045,63 +756,25 @@ class ShardedEstimationService(Frontend):
             )
         return "dispatched"
 
-    # -- fallback ladder -------------------------------------------------------
+    # -- the in-process lane ----------------------------------------------------
 
-    def _send_to_fallback(self, item: _Inflight) -> None:
-        if self._fallback_engine is None:
-            inf = self._pop_live(item.seq)
-            if inf is not None:
-                self._fail(
-                    inf,
-                    ShardFailedError(
-                        f"no shard available for {item.request_id} and the "
-                        "fallback ladder is disabled",
-                        shard=item.shard,
-                        redeliveries=item.redeliveries,
-                    ),
-                )
-            return
-        self._fallback_pool.submit(self._run_fallback, item)
-
-    def _run_fallback(self, item: _Inflight) -> None:
-        inf = self._pop_live(item.seq)
-        if inf is None:
-            return
-        if inf.deadline is not None and time.monotonic() > inf.deadline:
-            self._expire(inf)
-            return
-        tracer = self._trace_sink()
-        span = (
-            tracer.span(
-                "serving.sharded.fallback",
-                parent=inf.trace,
-                shard=inf.shard,
-                generation=inf.generation,
-                redeliveries=inf.redeliveries,
-                request_id=inf.request_id,
+    def _degrade(self, item: Admitted) -> None:
+        """Hand a request no shard can take to the service's workers."""
+        if self._pop_live(item.seq) is None:
+            return  # already resolved (deadline, close)
+        if not self.fallback:
+            self._service._fail(
+                item,
+                ShardFailedError(
+                    f"no shard available for {item.request_id} and the "
+                    "fallback lane is disabled",
+                    shard=item.shard,
+                    redeliveries=item.redeliveries,
+                ),
             )
-            if tracer is not None and inf.trace is not None
-            else contextlib.nullcontext(obs.NULL_SPAN)
-        )
-        try:
-            with span as sp:
-                estimate, hit = answer(
-                    self._fallback_engine,
-                    self._fallback_cache,
-                    inf.dataset_key,
-                    inf.request.data,
-                    inf.objective,
-                )
-                sp.set_attributes(
-                    cache_hit=hit,
-                    tier=estimate.tier,
-                    objective=inf.objective.canonical,
-                )
-        except Exception as exc:  # noqa: BLE001 — future carries it
-            self._fail(inf, exc)
             return
         self._bump(fallbacks=1)
-        self._complete(inf, estimate, hit, source="fallback")
+        self._service._run_local(item)
 
     # -- collector -------------------------------------------------------------
 
@@ -1126,13 +799,10 @@ class ShardedEstimationService(Frontend):
                 try:
                     message = conn.recv()
                 except (EOFError, OSError, TypeError):
-                    # Shard end closed: the process died (or is dying);
-                    # the monitor's liveness check owns the respawn.
-                    # The dead conn stays readable-at-EOF until then,
-                    # so pause instead of spinning on it. TypeError is
-                    # a conn the monitor closed mid-recv (its handle is
-                    # already None); letting it escape would kill this
-                    # thread and strand every later reply.
+                    # The shard died (the monitor owns the respawn; its
+                    # conn stays readable-at-EOF until then, so pause),
+                    # or the monitor closed the conn mid-recv (TypeError,
+                    # which must not kill this thread).
                     time.sleep(self.poll_interval)
                     continue
                 self._handle_message(slot, message)
@@ -1159,34 +829,27 @@ class ShardedEstimationService(Frontend):
         if spans:
             # Absorb the shard-local spans shipped with the reply, even
             # for late replies — the work happened; the trace shows it.
-            tracer = self._trace_sink()
+            tracer = self._service._trace_sink()
             if tracer is not None:
                 tracer.absorb(spans)
-        if kind == "result":
+        if kind in ("result", "error"):
+            # An engine error is request-level: the shard answered, so
+            # its breaker records a success either way.
             self._breaker_success(slot)
-            inf = self._pop_live(seq)
-            if inf is None:
-                self._bump(late_replies=1)
-                return
-            self._complete(inf, message["estimate"], message["cache_hit"])
+        inf = self._pop_live(seq)
+        if inf is None:
+            self._bump(late_replies=1)
+        elif kind == "result":
+            self._service._complete(
+                inf, message["estimate"], message["cache_hit"], source="shard"
+            )
         elif kind == "error":
-            # Request-level engine error: the shard is healthy (it
-            # answered), so the breaker records success, not failure.
-            self._breaker_success(slot)
-            inf = self._pop_live(seq)
-            if inf is None:
-                self._bump(late_replies=1)
-                return
             exc = message.get("exception")
             if exc is None:
                 exc = ReproError(message.get("error", "shard engine error"))
-            self._fail(inf, exc)
-        elif kind == "expired":
-            inf = self._pop_live(seq)
-            if inf is None:
-                self._bump(late_replies=1)
-                return
-            self._expire(inf)
+            self._service._fail(inf, exc)
+        else:  # expired in the pipe
+            self._service._expire(inf)
 
     # -- monitor ---------------------------------------------------------------
 
@@ -1208,7 +871,7 @@ class ShardedEstimationService(Frontend):
         for seq in due:
             inf = self._pop_live(seq)
             if inf is not None:
-                self._expire(inf)
+                self._service._expire(inf)
 
     def _check_health(self) -> None:
         now = time.monotonic()
@@ -1286,10 +949,7 @@ class ShardedEstimationService(Frontend):
                     to_fallback.append(inf)
                 else:
                     self._redeliver.append(inf)
-            self._stats = replace(
-                self._stats,
-                redelivered=self._stats.redelivered + len(orphans),
-            )
+            self._bump(redelivered=len(orphans))
             self._cond.notify_all()
         if breaker_now == "open" and breaker_was != "open":
             self._trace_event(
@@ -1310,7 +970,7 @@ class ShardedEstimationService(Frontend):
             process.join(timeout=0.5)
         self._close_conns(slot)
         for inf in to_fallback:
-            self._send_to_fallback(inf)
+            self._degrade(inf)
 
     def _respawn_due(self) -> None:
         now = time.monotonic()
@@ -1365,15 +1025,8 @@ class ShardedEstimationService(Frontend):
             generation = slot.generation
         process = self._mp.Process(
             target=shard_main,
-            args=(
-                slot.index,
-                generation,
-                self._shard_spec,
-                req_read,
-                res_write,
-                beat,
-                busy,
-            ),
+            args=(slot.index, generation, self._shard_spec, req_read,
+                  res_write, beat, busy),
             daemon=True,
             name=f"fxrz-shard-{slot.index}g{generation}",
         )
@@ -1390,4 +1043,3 @@ class ShardedEstimationService(Frontend):
             slot.beat = beat
             slot.busy = busy
             slot.state = STARTING
-            slot.started_at = time.monotonic()

@@ -2,7 +2,8 @@
 
 The same estimation request is sent through every way the system can
 answer it — the plain and guarded engines called directly, the
-in-process :class:`EstimationService`, the sharded service and the
+in-process :class:`EstimationService`, its shard lane, its in-process
+lane standing in for shards that cannot start, and the
 ``estimate-batch`` CLI with and without shards — and each path must
 return a bit-identical ``(config, tier)``. Targets are deliberately
 non-round so that any lossy re-encoding of the objective between
@@ -20,11 +21,8 @@ from repro.compressors import get_compressor
 from repro.core.inference import InferenceEngine
 from repro.core.objective import PSNRTarget, RatioTarget
 from repro.core.persistence import save_pipeline
-from repro.serving import (
-    EstimateRequest,
-    EstimationService,
-    ShardedEstimationService,
-)
+from repro.runtime import RuntimeContext
+from repro.serving import EstimateRequest, EstimationService
 
 from tests.conftest import small_forest_factory
 
@@ -127,11 +125,11 @@ def test_every_path_gives_the_same_answer(fitted, guarded):
         pipeline, guarded=guarded, workers=2
     ) as service:
         paths["service"] = _service_answers(service, data)
-    with ShardedEstimationService(
+    with EstimationService.for_pipeline(
         pipeline,
+        guarded=guarded,
         shards=1,
         model_path=model,
-        guarded=guarded,
         poll_interval=0.01,
     ) as service:
         paths["sharded"] = _service_answers(service, data)
@@ -144,3 +142,28 @@ def test_every_path_gives_the_same_answer(fitted, guarded):
     for name, answers in paths.items():
         assert answers == expected, f"{name} diverged from the engine"
 
+
+def test_fallback_lane_gives_the_guarded_answer(fitted):
+    """Shards that never start leave every request to the in-process
+    lane, which must answer exactly as the guarded engine does."""
+    pipeline, data, root, _model, _probe = fitted
+    expected = []
+    for objective in OBJECTIVES:
+        estimate = pipeline.guarded().estimate(data, objective=objective)
+        expected.append((estimate.config, estimate.tier))
+    unreadable = root / "unreadable.fxrz"
+    unreadable.write_bytes(b"not a model")
+    with RuntimeContext(env={}, retry_attempts=1) as ctx:
+        with EstimationService.for_pipeline(
+            pipeline,
+            ctx=ctx,
+            shards=1,
+            model_path=str(unreadable),
+            poll_interval=0.01,
+        ) as service:
+            answers = _service_answers(service, data)
+            stats = service.pool.stats
+            states = service.pool.shard_states()
+    assert answers == expected
+    assert stats.fallbacks == len(OBJECTIVES)
+    assert states[0]["state"] == "failed"

@@ -26,25 +26,23 @@ from repro.lifecycle import (
     OutcomeRecord,
     read_outcomes,
 )
-from repro.robustness.faults import FaultSpec, RetryPolicy
+from repro.robustness.faults import FaultSpec
 from repro.runtime import RuntimeContext
 from repro.serving import (
     EstimateRequest,
+    EstimationService,
     LATEST,
     ModelRegistry,
-    ShardedEstimationService,
 )
 
 from tests.conftest import small_forest_factory
-from tests.integration.test_sharded_serving import _wait_ready
+from tests.integration.test_sharded_serving import (
+    _FAST,
+    _FAST_CTX,
+    _wait_ready,
+)
 
 pytestmark = pytest.mark.lifecycle
-
-_FAST = dict(
-    poll_interval=0.01,
-    retry_policy=RetryPolicy(max_attempts=5, base_delay=0.02, jitter=0.0),
-    breaker_options={"failure_threshold": 4, "reset_seconds": 0.3},
-)
 
 
 def _smooth_fields(n: int, side: int = 20) -> list[np.ndarray]:
@@ -218,12 +216,14 @@ class TestSupervisedOutcomeRecording:
             env={},
             metrics=str(tmp_path / "metrics.json"),
             outcome_log=str(log_path),
+            **_FAST_CTX,
         ) as ctx:
-            with ShardedEstimationService(
+            with EstimationService.for_pipeline(
                 pipeline,
+                guarded=True,
+                ctx=ctx,
                 shards=2,
                 model_path=model_path,
-                ctx=ctx,
                 **_FAST,
             ) as service:
                 _wait_ready(service)
@@ -235,7 +235,7 @@ class TestSupervisedOutcomeRecording:
                 served = service.run_batch(requests, timeout=120.0)
                 text = ctx.registry.render_prometheus()
             assert len(served) == len(requests)
-            assert 'repro_serving_supervisor_events{event="completed"}' in text
+            assert 'repro_serving_supervisor_events{event="admitted"}' in text
             assert "repro_serving_late_replies" in text
             assert 'repro_serving_breaker_state{shard="0"} 0' in text
             assert 'repro_serving_shard_ready{shard="1"} 1' in text
@@ -250,9 +250,13 @@ class TestSupervisedOutcomeRecording:
         pipeline, probes = fitted
         log_path = tmp_path / "outcomes.jsonl"
         faults = FaultSpec(seed=7, worker_crash_prob=0.25)
-        with OutcomeLog(log_path) as log:
-            with ShardedEstimationService(
+        with OutcomeLog(log_path) as log, RuntimeContext(
+            env={}, **_FAST_CTX
+        ) as ctx:
+            with EstimationService.for_pipeline(
                 pipeline,
+                guarded=True,
+                ctx=ctx,
                 shards=3,
                 model_path=model_path,
                 faults=faults,
@@ -272,13 +276,13 @@ class TestSupervisedOutcomeRecording:
                         )
                     )
                     if i == 5:
-                        service.kill_shard(0)
+                        service.pool.kill_shard(0)
                     if i == 15:
-                        service.kill_shard(1)
+                        service.pool.kill_shard(1)
                 done, not_done = wait(futures, timeout=120.0)
-                stats = service.stats
+                metrics = service.metrics
         assert not not_done and len(done) == 30
-        assert stats.completed == 30
+        assert metrics.requests_total == 30 and metrics.requests_failed == 0
         replay = read_outcomes(log_path)
         assert replay.torn_lines == 0, (
             "shard deaths must never tear an outcome line"

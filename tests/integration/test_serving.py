@@ -316,6 +316,24 @@ class TestBatchCLI:
         assert "served 6 request(s) (0 failed) over 2 dataset(s)" in stdout
         assert "-- service stats --" in stdout
         assert "feature cache" in stdout
+        assert "supervision" not in stdout  # no shard lane, no line
+
+        code = main(
+            [
+                "estimate-batch",
+                requests,
+                "--model",
+                model,
+                "--shards",
+                "1",
+                "--output",
+                str(root / "sharded.jsonl"),
+                "--stats",
+            ]
+        )
+        assert code == 0
+        stdout = capsys.readouterr().out
+        assert "supervision     admitted 6, shed 0, expired 0" in stdout
 
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(records) == 6

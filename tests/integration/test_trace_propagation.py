@@ -1,12 +1,12 @@
-"""End-to-end distributed-trace propagation through the sharded service.
+"""End-to-end distributed-trace propagation through the shard lane.
 
 The acceptance scenario from ``docs/OBSERVABILITY.md``: a request
-driven through :class:`ShardedEstimationService` — including one whose
-shard dies mid-request — must come back with ONE connected span tree
-under a stable ``trace_id``: admission, per-generation shard attempts,
-redelivery and the fallback rescue all parent back to the same request
-root, and that same id is visible on the returned estimate, in the
-outcome log and at the embedded ``/spans`` endpoint.
+driven through the shard lane of :class:`EstimationService` — including
+one whose shard dies mid-request — must come back with ONE connected
+span tree under a stable ``trace_id``: admission, per-generation shard
+attempts, redelivery and the in-process rescue all parent back to the
+same request root, and that same id is visible on the returned
+estimate, in the outcome log and at the embedded ``/spans`` endpoint.
 """
 
 import json
@@ -21,17 +21,20 @@ from repro import obs
 from repro.compressors import get_compressor
 from repro.core.persistence import save_pipeline
 from repro.lifecycle import OutcomeLog, read_outcomes
-from repro.robustness.faults import FaultSpec, RetryPolicy
-from repro.serving import EstimateRequest, ShardedEstimationService
+from repro.robustness.faults import FaultSpec
+from repro.runtime import RuntimeContext
+from repro.serving import EstimateRequest, EstimationService
 
 from tests.conftest import small_forest_factory
 
 pytestmark = [pytest.mark.serving, pytest.mark.chaos, pytest.mark.obs]
 
-_FAST = dict(
-    poll_interval=0.01,
-    retry_policy=RetryPolicy(max_attempts=5, base_delay=0.02, jitter=0.0),
-    breaker_options={"failure_threshold": 4, "reset_seconds": 0.3},
+_FAST = dict(poll_interval=0.01)
+_FAST_CTX = dict(
+    retry_attempts=5,
+    retry_base_delay=0.02,
+    breaker_failures=4,
+    breaker_reset=0.3,
 )
 
 
@@ -68,15 +71,16 @@ def model_path(fitted, tmp_path_factory):
 
 
 def _wait_ready(service, want: int | None = None, timeout: float = 30.0):
-    want = service.n_shards if want is None else want
+    pool = service.pool
+    want = pool.n_shards if want is None else want
     give_up = time.monotonic() + timeout
     while time.monotonic() < give_up:
-        states = service.shard_states()
+        states = pool.shard_states()
         if sum(s["state"] == "ready" for s in states) >= want:
             return states
         time.sleep(0.02)
     raise AssertionError(
-        f"{want} shard(s) never became ready: {service.shard_states()}"
+        f"{want} shard(s) never became ready: {pool.shard_states()}"
     )
 
 
@@ -106,17 +110,20 @@ class TestHappyPathPropagation:
         log_path = tmp_path / "outcomes.jsonl"
         with obs.session() as (tracer, _registry):
             with OutcomeLog(log_path) as log:
-                with ShardedEstimationService(
+                with RuntimeContext(
+                    env={}, scrape_port=0, **_FAST_CTX
+                ) as ctx, EstimationService.for_pipeline(
                     pipeline,
+                    guarded=True,
+                    ctx=ctx,
                     shards=1,
                     model_path=model_path,
-                    scrape_port=0,
                     outcome_log=log,
                     **_FAST,
                 ) as service:
                     _wait_ready(service)
                     served = service.estimate(probes[0], 6.0)
-                    scrape = service.scrape_url
+                    scrape = service.pool.scrape_url
                     assert scrape is not None
                     with urllib.request.urlopen(
                         f"{scrape}/spans?trace={served.trace_id}", timeout=5
@@ -132,7 +139,7 @@ class TestHappyPathPropagation:
 
         spans = _trace_spans(tracer, served.trace_id)
         root = _assert_connected(spans)
-        assert root.name == "serving.sharded.request"
+        assert root.name == "serving.request"
         names = {s.name for s in spans}
         assert {"supervisor.admit", "supervisor.dispatch",
                 "shard.serve"} <= names
@@ -169,8 +176,12 @@ class TestChaosTraceSurvivesShardDeath:
         log_path = tmp_path / "outcomes.jsonl"
         with obs.session() as (tracer, _registry):
             with OutcomeLog(log_path) as log:
-                with ShardedEstimationService(
+                with RuntimeContext(
+                    env={}, **_FAST_CTX
+                ) as ctx, EstimationService.for_pipeline(
                     pipeline,
+                    guarded=True,
+                    ctx=ctx,
                     shards=2,
                     model_path=model_path,
                     faults=faults,
@@ -190,11 +201,11 @@ class TestChaosTraceSurvivesShardDeath:
                     # shard's death must be followed by a respawn.
                     give_up = time.monotonic() + 30.0
                     while (
-                        service.stats.respawns < 1
+                        service.pool.stats.respawns < 1
                         and time.monotonic() < give_up
                     ):
                         time.sleep(0.02)
-                    stats = service.stats
+                    stats = service.pool.stats
 
         assert served.estimate.config > 0
         assert served.trace_id != 0
@@ -202,7 +213,7 @@ class TestChaosTraceSurvivesShardDeath:
 
         spans = _trace_spans(tracer, served.trace_id)
         root = _assert_connected(spans)
-        assert root.name == "serving.sharded.request"
+        assert root.name == "serving.request"
         assert root.status == "ok"
 
         # The poison bounced: >= 2 dispatch attempts, distinct
@@ -223,7 +234,7 @@ class TestChaosTraceSurvivesShardDeath:
         # The rescue ran under the original trace, labelled with the
         # generation of the attempt it rescued.
         fallback = next(
-            s for s in spans if s.name == "serving.sharded.fallback"
+            s for s in spans if s.name == "serving.local"
         )
         assert fallback.parent_id == root.span_id
         assert fallback.attributes["request_id"] == poison_id

@@ -7,7 +7,7 @@ the promised error bound.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -103,6 +103,8 @@ class TestQuantizerProperty:
         ),
         bound=st.floats(1e-6, 1e3),
     )
+    # Rounding in r / (2*eb) and back lands this point just past eb.
+    @example(residuals=np.array([1.00001]), bound=1e-05)
     @settings(max_examples=80, deadline=None)
     def test_non_outlier_error_bounded(self, residuals, bound):
         quantizer = LinearQuantizer(bound)

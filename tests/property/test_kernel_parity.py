@@ -19,8 +19,10 @@ from repro.compressors import (
     CompressionStream,
     KernelArena,
     get_compressor,
+    get_kernel_backend,
     use_kernel_backend,
 )
+from repro.compressors.quantizer import LinearQuantizer
 from repro.compressors.sz import SZCompressor
 
 pytestmark = pytest.mark.kernels
@@ -83,6 +85,26 @@ def test_parity_with_tiny_error_bound_outlier_heavy(fields):
     blob_r, recon_r = _blob_and_recon(compressor, data, 1e-7, "reference")
     assert blob_n.data == blob_r.data
     np.testing.assert_array_equal(recon_n, recon_r)
+
+
+def test_rounding_edge_takes_outlier_path_in_both_backends():
+    # 1.00001 / 2e-5 rounds to a code whose dequantized residual lies a
+    # few ulps past eb; both backends must divert it to the outlier path.
+    target = np.array([1.00001, 0.5, -0.25])
+    quantizer = LinearQuantizer(1e-5)
+    results = {}
+    for name in ("numpy", "reference"):
+        pred = np.zeros(3)
+        codes = np.empty(3, dtype=np.int64)
+        outliers = get_kernel_backend(name).encode_block(
+            target, pred, quantizer, codes, KernelArena()
+        )
+        results[name] = (codes, outliers, pred)
+        assert codes[0] == quantizer.sentinel
+        np.testing.assert_array_equal(outliers, target[:1])
+        assert np.all(np.abs(pred - target) <= quantizer.error_bound)
+    for a, b in zip(results["numpy"], results["reference"]):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_parity_on_constant_block():
