@@ -1,7 +1,7 @@
 PY ?= python
 PYTEST = PYTHONPATH=src $(PY) -m pytest
 
-.PHONY: test robustness parallel obs obs-scrape-smoke runtime runtime-smoke bench bench-parallel bench-resilience bench-lifecycle bench-kernels serve-smoke serving trace-smoke chaos lifecycle kernels objective
+.PHONY: test robustness parallel obs obs-scrape-smoke runtime runtime-smoke bench bench-parallel bench-resilience bench-lifecycle bench-kernels serve-smoke serving trace-smoke chaos lifecycle kernels objective perf
 
 # Tier-1 suite (unit + property + integration), as CI runs it, with
 # DeprecationWarnings promoted to errors: no code path may lean on a
@@ -74,9 +74,11 @@ runtime-smoke:
 	PYTHONPATH=src $(PY) examples/runtime_smoke.py
 
 # Kernel gate: the kernels-marked tests (scratch arena, backend
-# registry, chunked Huffman and fused-vs-reference bit-identity parity)
-# with RuntimeWarnings promoted to errors — a fused pass that overflows
-# or divides by zero must fail loudly, not round differently.
+# registry, chunked Huffman, fused-vs-reference bit-identity parity,
+# the CA block scan against its block-major reference and the forest's
+# packed-pass parity: mean and spread bit-identical to the per-tree
+# walks) with RuntimeWarnings promoted to errors — a fused pass that
+# overflows or divides by zero must fail loudly, not round differently.
 kernels:
 	$(PYTEST) -x -q -W error::RuntimeWarning -m kernels
 
@@ -122,3 +124,11 @@ bench-resilience:
 # BENCH_online_learning.json at the repo root.
 bench-lifecycle:
 	cd benchmarks && PYTHONPATH=../src $(PY) -m pytest -q bench_online_learning.py
+
+# Repo benchmark: each BENCHMARK.json workload once (seed 1, 8 s window),
+# one JSON result line per workload on stdout.
+PERF_WORKLOADS = estimate-48 estimate-128 serve-48 compress-64
+perf:
+	for w in $(PERF_WORKLOADS); do \
+		$(PY) perfbench/run.py --workload $$w --seed 1 --seconds 8 || exit 1; \
+	done

@@ -19,20 +19,33 @@ from repro.errors import InvalidConfiguration
 
 
 def _block_ranges(data: np.ndarray, block_size: int) -> np.ndarray:
-    """Per-block value range; trailing partial blocks are edge-padded."""
+    """Per-block value range; trailing partial blocks are edge-padded.
+
+    Folds one axis at a time: the ``block_size`` strided views
+    ``a[..., k::block_size, ...]`` are combined elementwise with
+    ``np.maximum``/``np.minimum``, shrinking that axis by
+    ``block_size`` without a transposed copy of the field.
+    """
     pad = [(0, (-n) % block_size) for n in data.shape]
     if any(p[1] for p in pad):
         data = np.pad(data, pad, mode="edge")
-    split = []
-    for n in data.shape:
-        split.extend((n // block_size, block_size))
-    ndim = data.ndim
-    work = data.reshape(split)
-    perm = [2 * i for i in range(ndim)] + [2 * i + 1 for i in range(ndim)]
-    work = work.transpose(perm)
-    grid = work.shape[:ndim]
-    flat = work.reshape(int(np.prod(grid)), -1)
-    return (flat.max(axis=1) - flat.min(axis=1)).reshape(grid)
+    hi = lo = data
+    for axis in range(data.ndim):
+        hi = _fold(hi, axis, block_size, np.maximum)
+        lo = _fold(lo, axis, block_size, np.minimum)
+    return hi - lo
+
+
+def _fold(a: np.ndarray, axis: int, block_size: int, combine) -> np.ndarray:
+    """``combine`` the ``block_size`` strided views of ``a`` along ``axis``."""
+    views = [
+        a[(slice(None),) * axis + (slice(k, None, block_size),)]
+        for k in range(block_size)
+    ]
+    out = combine(views[0], views[1])
+    for view in views[2:]:
+        combine(out, view, out=out)
+    return out
 
 
 def constant_block_mask(

@@ -8,10 +8,69 @@ beats AdaBoost and SVR on estimation error.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.errors import InvalidConfiguration, NotFittedError
-from repro.ml.tree import DecisionTreeRegressor
+from repro.ml.tree import _NO_CHILD, DecisionTreeRegressor
+
+#: Rows per packed pass; bounds the ``(n_trees, rows)`` index scratch.
+_CHUNK_ROWS = 4096
+
+
+class _PackedForest(NamedTuple):
+    """Every tree of a forest in one flat node table.
+
+    Node indices are offset per tree and ``roots`` holds each tree's
+    root. Leaves point to themselves with feature 0 and threshold 0,
+    so ``depth`` rounds of descent leave every row at its leaf without
+    a branch.
+    """
+
+    roots: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    depth: int
+    n_features: int
+
+
+def _pack(trees: list[DecisionTreeRegressor]) -> _PackedForest:
+    """Concatenate the trees' node arrays into one :class:`_PackedForest`."""
+    nodes = [tree._nodes for tree in trees]
+    sizes = np.array([n["value"].size for n in nodes], dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    roots = offsets[:-1]
+
+    def column(key, dtype):
+        return np.concatenate([np.asarray(n[key], dtype=dtype) for n in nodes])
+
+    feature = column("feature", np.int64)
+    leaf = feature == _NO_CHILD
+    shift = np.repeat(roots, sizes)
+    self_index = np.arange(offsets[-1], dtype=np.int64)
+    left = np.where(leaf, self_index, column("left", np.int64) + shift)
+    right = np.where(leaf, self_index, column("right", np.int64) + shift)
+    # Depth of the deepest tree: walk all trees' frontiers level by level.
+    depth = 0
+    frontier = roots[~leaf[roots]]
+    while frontier.size:
+        depth += 1
+        frontier = np.concatenate((left[frontier], right[frontier]))
+        frontier = frontier[~leaf[frontier]]
+    return _PackedForest(
+        roots=roots,
+        feature=np.where(leaf, 0, feature),
+        threshold=np.where(leaf, 0.0, column("threshold", np.float64)),
+        left=left,
+        right=right,
+        value=column("value", np.float64),
+        depth=depth,
+        n_features=int(feature.max()) + 1,
+    )
 
 
 def _fit_tree_task(task, arrays: dict, context: dict) -> DecisionTreeRegressor:
@@ -27,18 +86,6 @@ def _fit_tree_task(task, arrays: dict, context: dict) -> DecisionTreeRegressor:
     return tree
 
 
-def _predict_chunk_task(task, arrays: dict, context: dict) -> list[np.ndarray]:
-    """Per-tree predictions of one tree chunk (executor worker).
-
-    Individual predictions (not a chunk partial sum) come back so the
-    parent can reduce in exact tree order — floating-point addition is
-    not associative, and parity with the serial path is bit-level.
-    """
-    lo, hi = task
-    features = arrays["features"]
-    return [tree.predict(features) for tree in context["trees"][lo:hi]]
-
-
 class RandomForestRegressor:
     """Bagged ensemble of :class:`DecisionTreeRegressor`.
 
@@ -51,9 +98,9 @@ class RandomForestRegressor:
             classic regression-forest default).
         bootstrap: draw each tree's sample with replacement.
         random_state: master seed; trees get derived seeds.
-        n_jobs: default worker count for :meth:`fit`/:meth:`predict`
-            (``None``/1 = serial; tree fitting is pure-python and
-            GIL-bound, so parallel runs use a process pool).
+        n_jobs: default worker count for :meth:`fit` (``None``/1 =
+            serial; tree fitting is pure-python and GIL-bound, so
+            parallel runs use a process pool).
     """
 
     def __init__(
@@ -76,6 +123,9 @@ class RandomForestRegressor:
         self.random_state = random_state
         self.n_jobs = n_jobs
         self._trees: list[DecisionTreeRegressor] | None = None
+        #: ``(trees, table)``: the packed table and the list it was built
+        #: from; derived data, never saved.
+        self._packed: tuple[list, _PackedForest] | None = None
 
     def _executor(self, n_jobs: int | None):
         """The executor for one call: ``n_jobs`` overrides the instance."""
@@ -149,41 +199,67 @@ class RandomForestRegressor:
         self._trees = trees
         return self
 
-    def predict(
-        self, features: np.ndarray, n_jobs: int | None = None
-    ) -> np.ndarray:
+    def _table(self) -> _PackedForest:
+        """The packed node table of the current ``_trees`` list.
+
+        Built on first use after every reassignment of ``_trees`` (by
+        :meth:`fit` or by the archive loader) and published with one
+        tuple assignment, so concurrent queries see either the old pair
+        or the new one, never a half-built table. Concurrent first
+        queries may each build it; the builds are identical.
+        """
+        trees = self._trees
+        if trees is None:
+            raise NotFittedError("RandomForestRegressor is not fitted")
+        packed = self._packed
+        if packed is None or packed[0] is not trees:
+            packed = (trees, _pack(trees))
+            self._packed = packed
+        return packed[1]
+
+    def tree_predictions(self, features: np.ndarray) -> np.ndarray:
+        """Per-tree predictions, shape ``(n_trees, n_rows)``.
+
+        One branch-free pass over the packed table: every level of
+        descent is a handful of gathers across all trees x rows. Row
+        ``t`` equals ``estimators_[t].predict(features)`` bit for bit,
+        NaN features included (they fail ``x <= threshold`` and go
+        right in both).
+        """
+        table = self._table()
+        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        n_rows, n_features = features.shape
+        if n_features < table.n_features:
+            raise InvalidConfiguration(
+                f"query rows have {n_features} features, the forest splits "
+                f"on {table.n_features}"
+            )
+        flat = features.ravel()
+        out = np.empty((table.roots.size, n_rows), dtype=np.float64)
+        for lo in range(0, n_rows, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, n_rows)
+            row_base = np.arange(lo, hi) * n_features
+            cur = np.repeat(table.roots[:, None], hi - lo, axis=1)
+            for _ in range(table.depth):
+                x = flat[row_base + table.feature[cur]]
+                cur = np.where(
+                    x <= table.threshold[cur], table.left[cur], table.right[cur]
+                )
+            out[:, lo:hi] = table.value[cur]
+        return out
+
+    def predict(self, features: np.ndarray) -> np.ndarray:
         """Average of the per-tree predictions.
 
-        With ``n_jobs > 1`` tree chunks predict on a process pool; the
-        reduction still adds per-tree predictions in tree order, so the
-        average is bit-identical to the serial one.
+        The rows of :meth:`tree_predictions` are added in tree order
+        into a zeroed total, so the mean is bit-identical to summing
+        each tree's own ``predict``.
         """
-        if self._trees is None:
-            raise NotFittedError("RandomForestRegressor is not fitted")
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        executor = self._executor(n_jobs)
-        total = np.zeros(features.shape[0], dtype=np.float64)
-        if executor is not None and len(self._trees) > 1:
-            bounds = np.linspace(
-                0, len(self._trees), min(executor.n_jobs, len(self._trees)) + 1
-            ).astype(int)
-            chunks = executor.map(
-                _predict_chunk_task,
-                [
-                    (int(lo), int(hi))
-                    for lo, hi in zip(bounds[:-1], bounds[1:])
-                    if hi > lo
-                ],
-                shared={"features": features},
-                context={"trees": self._trees},
-            )
-            for chunk in chunks:
-                for prediction in chunk:
-                    total += prediction
-        else:
-            for tree in self._trees:
-                total += tree.predict(features)
-        return total / len(self._trees)
+        per_tree = self.tree_predictions(features)
+        total = np.zeros(per_tree.shape[1], dtype=np.float64)
+        for prediction in per_tree:
+            total += prediction
+        return total / per_tree.shape[0]
 
     @property
     def estimators_(self) -> list[DecisionTreeRegressor]:

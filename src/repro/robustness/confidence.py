@@ -19,6 +19,7 @@ threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ class ConfidenceReport:
             (NaN when the model exposes no ensemble).
         envelope_violation: worst per-dimension distance outside the
             training envelope, in units of that dimension's span
-            (0 when inside).
+            (0 when inside, infinite for a non-finite query).
     """
 
     score: float
@@ -83,6 +84,10 @@ class FeatureEnvelope:
             raise InvalidConfiguration(
                 f"query has {row.size} dims, envelope has {self.lo.size}"
             )
+        if not np.isfinite(row).all():
+            # NaN compares false against both bounds; count any
+            # non-finite coordinate as infinitely far outside instead.
+            return math.inf
         below = (self.lo - row) / self.span
         above = (row - self.hi) / self.span
         worst = float(np.max(np.maximum(below, above)))
@@ -93,12 +98,19 @@ class FeatureEnvelope:
 
 
 def ensemble_spread(model, row: np.ndarray) -> float:
-    """Std of the per-tree predictions; NaN when there is no ensemble."""
-    estimators = getattr(model, "estimators_", None)
-    if not estimators:
+    """Std of the per-tree predictions; NaN when there is no ensemble.
+
+    All trees answer in one packed pass through the model's
+    ``tree_predictions`` (the random forest); a model without it has no
+    ensemble to spread.
+    """
+    tree_predictions = getattr(model, "tree_predictions", None)
+    if tree_predictions is None:
         return float("nan")
-    row = np.atleast_2d(np.asarray(row, dtype=np.float64))
-    preds = np.array([float(tree.predict(row)[0]) for tree in estimators])
+    row = np.atleast_2d(np.asarray(row, dtype=np.float64))[:1]
+    # A contiguous copy of the row's column: ``std`` then reduces it
+    # exactly as it reduces a 1-D array built tree by tree.
+    preds = np.ascontiguousarray(tree_predictions(row)[:, 0])
     return float(preds.std())
 
 

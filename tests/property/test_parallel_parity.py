@@ -78,10 +78,6 @@ class TestForestParity:
         np.testing.assert_array_equal(
             parallel.predict(queries), serial.predict(queries)
         )
-        # parallel predict over a serially fitted forest, too
-        np.testing.assert_array_equal(
-            serial.predict(queries, n_jobs=4), serial.predict(queries)
-        )
 
 
 class TestFRaZParity:

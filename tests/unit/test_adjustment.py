@@ -4,11 +4,24 @@ import numpy as np
 import pytest
 
 from repro.core.adjustment import (
+    _block_ranges,
     adjusted_ratio,
     constant_block_mask,
     nonconstant_fraction,
 )
 from repro.errors import InvalidConfiguration
+
+
+def _block_ranges_reference(data, block_size):
+    """Per-block max - min over an explicit block-major copy."""
+    pad = [(0, (-n) % block_size) for n in data.shape]
+    data = np.pad(data, pad, mode="edge")
+    grid = [n // block_size for n in data.shape]
+    split = [m for g in grid for m in (g, block_size)]
+    ndim = data.ndim
+    perm = [2 * i for i in range(ndim)] + [2 * i + 1 for i in range(ndim)]
+    flat = data.reshape(split).transpose(perm).reshape(int(np.prod(grid)), -1)
+    return (flat.max(axis=1) - flat.min(axis=1)).reshape(grid)
 
 
 class TestBlockMask:
@@ -49,6 +62,16 @@ class TestBlockMask:
             constant_block_mask(np.zeros((4, 4)), lam=0.0)
         with pytest.raises(InvalidConfiguration):
             constant_block_mask(np.zeros((4, 4)), lam=1.0)
+
+
+@pytest.mark.kernels
+@pytest.mark.parametrize("shape", [(16, 48, 48), (33, 70, 129), (9, 7), (5,)])
+@pytest.mark.parametrize("block_size", [2, 4, 5])
+def test_block_ranges_match_block_major_reference(shape, block_size):
+    data = np.random.default_rng(block_size).standard_normal(shape)
+    np.testing.assert_array_equal(
+        _block_ranges(data, block_size), _block_ranges_reference(data, block_size)
+    )
 
 
 class TestNonconstantFraction:

@@ -1,5 +1,7 @@
 """Unit tests for the drift detector."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,15 @@ class TestSignals:
         assert snapshots[2].state == "stable"
         assert det.state == "drifting"
         assert det.trips == 1
+
+    def test_non_finite_features_count_as_ood(self):
+        det = detector()
+        nan_row = dataclasses.replace(
+            record(inside=True), features=(0.5, float("nan"), 0.5, 0.5, 0.5)
+        )
+        det.observe(record(inside=True))
+        det.observe(nan_row)
+        assert det.snapshot.ood_rate == 0.5
 
     def test_calibration_error_alone_trips(self):
         det = detector(error_threshold=0.2, error_alpha=1.0)

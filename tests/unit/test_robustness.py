@@ -98,6 +98,12 @@ class TestFeatureEnvelope:
         assert FeatureEnvelope(rows, margin=0.5).contains(np.array([1.4]))
         assert not FeatureEnvelope(rows, margin=0.0).contains(np.array([1.4]))
 
+    def test_non_finite_query_is_infinitely_outside(self):
+        env = FeatureEnvelope(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        for bad in (np.nan, np.inf, -np.inf):
+            assert env.violation(np.array([0.5, bad])) == math.inf
+            assert not env.contains(np.array([bad, 0.5]))
+
     def test_dimension_mismatch_rejected(self):
         env = FeatureEnvelope(np.zeros((2, 3)))
         with pytest.raises(InvalidConfiguration):
@@ -122,6 +128,15 @@ class TestConfidence:
         report = score_confidence(Point(), env, np.array([0.5]))
         assert math.isnan(report.tree_std)
         assert report.spread_score == 1.0
+
+    def test_nan_query_scores_zero(self, fitted):
+        pipeline, _ = fitted
+        engine = GuardedInferenceEngine(pipeline)
+        row = engine._envelope_rows()[0].copy()
+        row[2] = np.nan
+        report = score_confidence(pipeline.model, engine.envelope, row)
+        assert report.envelope_score == 0.0 and report.score == 0.0
+        assert report.envelope_violation == math.inf
 
     def test_ood_query_scores_low(self, fitted):
         pipeline, _ = fitted
