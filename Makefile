@@ -1,7 +1,7 @@
 PY ?= python
 PYTEST = PYTHONPATH=src $(PY) -m pytest
 
-.PHONY: test robustness parallel obs obs-scrape-smoke runtime runtime-smoke bench bench-parallel bench-resilience bench-lifecycle bench-kernels serve-smoke serving trace-smoke chaos lifecycle kernels objective perf
+.PHONY: test robustness parallel obs obs-scrape-smoke runtime runtime-smoke bench bench-parallel bench-resilience bench-lifecycle bench-kernels serve-smoke serving trace-smoke chaos lifecycle kernels objective perf perf-trace
 
 # Tier-1 suite (unit + property + integration), as CI runs it, with
 # DeprecationWarnings promoted to errors: no code path may lean on a
@@ -131,4 +131,11 @@ PERF_WORKLOADS = estimate-48 estimate-128 serve-48 compress-64
 perf:
 	for w in $(PERF_WORKLOADS); do \
 		$(PY) perfbench/run.py --workload $$w --seed 1 --seconds 8 || exit 1; \
+	done
+
+# Per-layer trace of the two engine workloads (--trace 1): checks that
+# every entry point the trace patches is still on the request path.
+perf-trace:
+	for w in estimate-48 serve-48; do \
+		$(PY) perfbench/run.py --workload $$w --seed 1 --seconds 8 --trace 1 || exit 1; \
 	done

@@ -140,28 +140,27 @@ def _objective_from_args(args: argparse.Namespace):
     objectives); ``--target-psnr``/``--target-ssim`` pick the quality
     kinds. Exactly one target may be given.
     """
-    from repro.core.objective import as_objective
+    from repro.core.objective import PSNRTarget, RatioTarget, SSIMTarget
 
     given = [
-        (flag, value)
-        for flag, value in (
-            ("--ratio", getattr(args, "ratio", None)),
-            ("--target-ratio", getattr(args, "target_ratio", None)),
-            ("--target-psnr", getattr(args, "target_psnr", None)),
-            ("--target-ssim", getattr(args, "target_ssim", None)),
+        (flag, kind, value)
+        for flag, kind, value in (
+            ("--ratio", RatioTarget, getattr(args, "ratio", None)),
+            ("--target-ratio", RatioTarget,
+             getattr(args, "target_ratio", None)),
+            ("--target-psnr", PSNRTarget, getattr(args, "target_psnr", None)),
+            ("--target-ssim", SSIMTarget, getattr(args, "target_ssim", None)),
         )
         if value is not None
     ]
     if len(given) > 1:
-        flags = " and ".join(flag for flag, _ in given)
+        flags = " and ".join(flag for flag, _, _ in given)
         raise ReproError(f"pass exactly one target ({flags} given)")
     if not given:
         return None
-    flag, value = given[0]
-    if flag in ("--ratio", "--target-ratio"):
-        return as_objective(float(value))
-    kind = "psnr" if flag == "--target-psnr" else "ssim"
-    return as_objective(f"{kind}:{float(value):g}")
+    _, kind, value = given[0]
+    # Built from the float itself: a "%g" string would round the target.
+    return kind(float(value))
 
 
 def _guarded_estimate(
@@ -172,18 +171,13 @@ def _guarded_estimate(
     The guarded engine records only to an *explicit* log (so a service
     wrapping one never double-records); ``estimate`` hands it the
     session's, while ``compress`` records its own measured outcome.
-    Ratio objectives take the legacy positional path (bit-identical to
-    pre-objective releases); quality objectives take the keyword path.
     """
     pipeline = load_pipeline(args.model)
     data = _load_array(args.input)
     engine = GuardedInferenceEngine(pipeline, ctx=ctx, outcome_log=outcome_log)
-    if objective.kind == "ratio":
-        estimate = engine.estimate(data, objective.tcr, dataset_key=args.input)
-    else:
-        estimate = engine.estimate(
-            data, dataset_key=args.input, objective=objective
-        )
+    estimate = engine.estimate(
+        data, dataset_key=args.input, objective=objective
+    )
     return pipeline, data, estimate
 
 

@@ -10,8 +10,16 @@ closed forms of :mod:`repro.core.psnr_control` as the analytic prior.
 The recorded ``analysis_seconds`` is what Table VIII compares against
 FRaZ's iterative search cost.
 
-The per-dataset half of that work (feature extraction + block
-classification) is independent of the target, so it is split out
+An estimate walks a ladder of rungs, cheapest first; the first rung
+that yields a usable configuration answers, and names the estimate's
+``tier``. The plain engine's ladders have one rung each (the model for
+ratios, probe refinement for quality targets), so a failing rung raises
+its own error. :class:`~repro.robustness.guarded.GuardedInferenceEngine`
+walks the same way with validation, a confidence gate on the model rung
+and fallback rungs that end in a FRaZ search.
+
+The per-dataset half of that work (validation, feature extraction,
+block classification) is independent of the target, so it is split out
 as :meth:`InferenceEngine.analyze`: a serving layer can run it once per
 dataset and answer many targets from the cached
 :class:`DatasetAnalysis` (see :mod:`repro.serving`).
@@ -19,8 +27,10 @@ dataset and answer many targets from the cached
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -37,7 +47,10 @@ from repro.core.objective import (
     as_objective,
     build_frontier,
 )
-from repro.errors import InvalidConfiguration
+from repro.errors import InvalidConfiguration, ReproError
+
+if TYPE_CHECKING:
+    from repro.robustness.validation import FieldReport
 
 
 def _frozen_array(values: np.ndarray) -> np.ndarray:
@@ -58,11 +71,15 @@ class DatasetAnalysis:
         nonconstant: the non-constant block fraction R (1.0 when CA is
             disabled).
         seconds: wall time spent computing this analysis.
+        report: the field's validation report, computed on the patched
+            field the rungs use; ``None`` from an engine that does not
+            validate (the guarded engine re-analyzes such a field).
     """
 
     features: np.ndarray
     nonconstant: float
     seconds: float
+    report: FieldReport | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "features", _frozen_array(self.features))
@@ -85,14 +102,14 @@ class Estimate:
         features: the five model-input features (stored read-only, so a
             frozen ``Estimate`` cannot be mutated through its array).
         analysis_seconds: end-to-end inference wall time.
-        tier: which engine produced ``config`` — ``"model"`` for the
-            plain regression path, ``"curve"`` / ``"fraz"`` when guarded
-            inference degraded to a fallback, ``"analytic"`` /
+        tier: the ladder rung that produced ``config`` — ``"model"``
+            for the regression path, ``"curve"`` / ``"fraz"`` when
+            guarded inference degraded to a fallback, ``"analytic"`` /
             ``"probe"`` for the quality rungs.
         confidence: the guarded engine's confidence in the *model* tier
             for this input (1.0 for the unguarded engine).
-        fallback_reason: why guarded inference left the model tier
-            (empty when the model answered).
+        fallback_reason: why each rung above ``tier`` declined (empty
+            when the first rung answered).
         trace_id: the distributed-trace id this estimate was served
             under (0 when untraced). Excluded from equality — two
             estimates from different requests must still compare equal
@@ -142,14 +159,68 @@ class Estimate:
         )
 
 
+class Query(NamedTuple):
+    """One request as the ladder's rungs see it.
+
+    ``data`` is the field the rungs compress: the validated (patched)
+    field when the engine validates. ``acr`` is 0.0 for quality
+    objectives; ``doubts`` says why ``confidence`` is below 1.
+    """
+
+    data: np.ndarray
+    objective: Objective
+    analysis: DatasetAnalysis
+    acr: float
+    confidence: float
+    doubts: str
+
+
+def model_config(
+    model, compressor: Compressor, features: np.ndarray, acr: float
+) -> float:
+    """The model's raw (not yet normalized) configuration at ``acr``."""
+    row = np.concatenate((features, [acr]))[None, :]
+    raw = float(model.predict(row)[0])
+    if compressor.config_scale == "log":
+        # The model predicts the range-normalized bound; rescale by
+        # this dataset's own sampled value range.
+        raw = 10.0**raw * max(float(features[0]), 1e-30)
+    return raw
+
+
+def resolve_objective(target_ratio, objective) -> Objective:
+    """The one objective of an ``estimate(target_ratio, objective=)`` call."""
+    if objective is not None:
+        if target_ratio is not None:
+            raise InvalidConfiguration(
+                "pass either target_ratio or objective, not both"
+            )
+        return as_objective(objective)
+    if target_ratio is None:
+        raise InvalidConfiguration(
+            "an estimate needs a target_ratio or an objective"
+        )
+    try:
+        return RatioTarget(float(target_ratio))
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfiguration(
+            f"target ratio must be a number: {exc}"
+        ) from exc
+
+
 class InferenceEngine:
     """Maps (dataset, objective) -> error configuration.
 
     ``ctx`` (a :class:`~repro.runtime.RuntimeContext`) is carried for
     API uniformity — ratio inference itself is compression-free, but
-    engines hand the context on to the quality probes, the guarded
-    ladder and serving layers.
+    engines hand the context on to the quality probes, the fallback
+    rungs and serving layers. ``quality`` answers PSNR/SSIM objectives
+    (an uncalibrated analytic prior when not given).
     """
+
+    #: Rungs walked for ratio and for quality objectives, in order.
+    ratio_ladder: tuple[str, ...] = ("model",)
+    quality_ladder: tuple[str, ...] = ("probe",)
 
     def __init__(
         self,
@@ -165,33 +236,22 @@ class InferenceEngine:
         self.compressor = compressor
         self.config = config or FXRZConfig()
         self.ctx = ctx
-        self._quality = quality
+        self.quality = quality or QualityModel()
         self.quality_probes = int(quality_probes)
-
-    @property
-    def quality(self) -> QualityModel:
-        """The quality model answering PSNR/SSIM objectives.
-
-        An uncalibrated analytic prior until one is assigned (e.g.
-        resolved from the registry beside the ratio model).
-        """
-        if self._quality is None:
-            self._quality = QualityModel()
-        return self._quality
-
-    @quality.setter
-    def quality(self, model: QualityModel | None) -> None:
-        self._quality = model
 
     def analyze(self, data: np.ndarray) -> DatasetAnalysis:
         """Run the target-independent dataset analysis once.
 
         The returned record can be passed to :meth:`estimate` for any
         number of objectives on the *same* dataset, skipping the
-        feature/block passes each time.
+        validation/feature/block passes each time.
         """
         with obs.span("inference.analyze") as span:
             start = time.perf_counter()
+            report = self._validate(data)
+            if report is not None:
+                data = report.data
+                span.set_attribute("issues", len(report.issues))
             features = extract_features(
                 data, stride=self.config.sampling_stride
             ).selected()
@@ -212,6 +272,7 @@ class InferenceEngine:
                 features=features,
                 nonconstant=nonconstant,
                 seconds=time.perf_counter() - start,
+                report=report,
             )
 
     def estimate(
@@ -230,101 +291,122 @@ class InferenceEngine:
                 convention, equivalent to
                 ``objective=RatioTarget(target_ratio)``.
             analysis: a cached :meth:`analyze` result for ``data``; when
-                given, the feature/block passes are skipped and
+                given, the analysis passes are skipped and
                 ``analysis_seconds`` covers only the per-request
-                remainder (adjustment + model query or quality probes).
+                remainder (adjustment + the ladder walk).
             objective: a :class:`~repro.core.objective.Objective`, a
                 canonical string (``"psnr:60"``) or a bare ratio.
                 Mutually exclusive with ``target_ratio``.
         """
-        if objective is not None:
-            if target_ratio is not None:
-                raise InvalidConfiguration(
-                    "pass either target_ratio or objective, not both"
-                )
-            resolved = as_objective(objective)
-        else:
-            if target_ratio is None:
-                raise InvalidConfiguration(
-                    "an estimate needs a target_ratio or an objective"
-                )
-            if target_ratio <= 0:
-                raise InvalidConfiguration("target ratio must be > 0")
-            resolved = RatioTarget(float(target_ratio))
-        if isinstance(resolved, RatioTarget):
-            return self._estimate_ratio(data, resolved, analysis)
-        return self._estimate_quality(data, resolved, analysis)
+        return self._estimate(data, target_ratio, analysis, objective)[0]
 
-    def _estimate_ratio(
-        self,
-        data: np.ndarray,
-        objective: RatioTarget,
-        analysis: DatasetAnalysis | None,
-    ) -> Estimate:
-        target_ratio = objective.tcr
-        with obs.span(
-            "inference.estimate", target_ratio=float(target_ratio)
-        ) as span:
+    def _estimate(
+        self, data, target_ratio, analysis, objective
+    ) -> tuple[Estimate, float | None]:
+        """:meth:`estimate`, plus what the answering rung measured."""
+        objective = resolve_objective(target_ratio, objective)
+        is_ratio = isinstance(objective, RatioTarget)
+        if is_ratio:
+            attributes = {"target_ratio": objective.tcr}
+        else:
+            attributes = {"objective": objective.canonical}
+        with obs.span("inference.estimate", **attributes) as span:
             start = time.perf_counter()
             if analysis is None:
                 analysis = self.analyze(data)
-            features = analysis.features
-            acr = adjusted_ratio(target_ratio, analysis.nonconstant)
-            with obs.span("inference.model_query"):
-                row = np.concatenate((features, [acr]))[None, :]
-                raw = float(self.model.predict(row)[0])
-            if self.compressor.config_scale == "log":
-                # The model predicts the range-normalized bound; rescale by
-                # this dataset's own sampled value range.
-                raw = 10.0**raw * max(float(features[0]), 1e-30)
-            config = self.compressor.normalize_config(raw)
-            elapsed = time.perf_counter() - start
-            span.set_attributes(adjusted_target=acr, config=config)
+            acr = (
+                adjusted_ratio(objective.tcr, analysis.nonconstant)
+                if is_ratio
+                else 0.0
+            )
+            confidence, doubts = self._confidence(analysis, objective, acr)
+            if analysis.report is not None:
+                data = analysis.report.data
+            config, tier, measured, reason = self._walk(
+                self.ratio_ladder if is_ratio else self.quality_ladder,
+                Query(data, objective, analysis, acr, confidence, doubts),
+            )
+            span.set_attributes(
+                tier=tier, confidence=confidence, config=config
+            )
             return Estimate(
                 config=config,
-                target_ratio=float(target_ratio),
+                target_ratio=objective.tcr if is_ratio else 0.0,
                 adjusted_target=acr,
                 nonconstant=analysis.nonconstant,
-                features=features,
-                analysis_seconds=elapsed,
-                objective=objective,
-            )
-
-    def _estimate_quality(
-        self,
-        data: np.ndarray,
-        objective: Objective,
-        analysis: DatasetAnalysis | None,
-    ) -> Estimate:
-        with obs.span(
-            "inference.estimate", objective=objective.canonical
-        ) as span:
-            start = time.perf_counter()
-            if analysis is None:
-                analysis = self.analyze(data)
-            with obs.span(
-                "inference.quality_query", objective=objective.canonical
-            ):
-                result = self.quality.refine(
-                    self.compressor,
-                    data,
-                    objective,
-                    probes=self.quality_probes,
-                    ctx=self.ctx,
-                )
-            elapsed = time.perf_counter() - start
-            tier = "probe" if result.probes_spent > 0 else "analytic"
-            span.set_attributes(config=result.config, tier=tier)
-            return Estimate(
-                config=float(result.config),
-                target_ratio=0.0,
-                adjusted_target=0.0,
-                nonconstant=analysis.nonconstant,
                 features=analysis.features,
-                analysis_seconds=elapsed,
+                analysis_seconds=time.perf_counter() - start,
                 tier=tier,
+                confidence=confidence,
+                fallback_reason=reason,
                 objective=objective,
+            ), measured
+
+    def _walk(self, ladder: tuple[str, ...], query: Query):
+        """``(config, tier, measured, reason)`` from the first usable rung.
+
+        A rung declines by raising a :class:`~repro.errors.ReproError`;
+        ``reason`` joins the declines above the answering rung.
+        """
+        reasons: list[str] = []
+        for rung in ladder:
+            with obs.span("inference.tier", tier=rung, accepted=False) as span:
+                try:
+                    config, tier, measured = getattr(self, f"_{rung}")(query)
+                    if not (math.isfinite(config) and config > 0.0):
+                        raise InvalidConfiguration(
+                            f"unusable config {config!r}"
+                        )
+                except ReproError as exc:
+                    reasons.append(f"{rung}: {exc}")
+                    error = exc
+                    continue
+                span.set_attribute("accepted", True)
+                return config, tier, measured, "; ".join(reasons)
+        raise self._exhausted(reasons, error)
+
+    # -- hooks the guarded ladder overrides ----------------------------------
+
+    def _validate(self, data: np.ndarray) -> FieldReport | None:
+        """The field's validation report; the plain engine trusts its input."""
+        return None
+
+    def _confidence(self, analysis, objective, acr) -> tuple[float, str]:
+        """``(confidence in the model rung, doubts)``; ungated here."""
+        return 1.0, ""
+
+    def _exhausted(self, reasons: list[str], error: ReproError) -> ReproError:
+        """What an exhausted ladder raises: the plain engine's own error."""
+        return error
+
+    # -- rungs ---------------------------------------------------------------
+
+    def _model(self, query: Query):
+        """The regression model at the adjusted target (paper Sec. IV-D)."""
+        with obs.span("inference.model_query"):
+            raw = model_config(
+                self.model, self.compressor, query.analysis.features, query.acr
             )
+        return self.compressor.normalize_config(raw), "model", None
+
+    def _probe(self, query: Query):
+        """The analytic prior refined by up to ``quality_probes`` runs."""
+        objective = query.objective
+        with obs.span(
+            "inference.quality_query", objective=objective.canonical
+        ):
+            result = self.quality.refine(
+                self.compressor,
+                query.data,
+                objective,
+                probes=self.quality_probes,
+                ctx=self.ctx,
+            )
+        # The outcome log's measured-quality column is PSNR-denominated;
+        # an SSIM probe measurement would be apples to oranges there.
+        measured = result.measured if objective.kind == "psnr" else None
+        tier = "probe" if self.quality_probes > 0 else "analytic"
+        return float(result.config), tier, measured
 
     def frontier(
         self,

@@ -26,7 +26,6 @@ import numpy as np
 from repro.compressors import available_compressors, get_compressor
 from repro.config import FXRZConfig
 from repro.core.augmentation import CompressionCurve
-from repro.core.inference import InferenceEngine
 from repro.core.pipeline import FXRZ
 from repro.core.training import _DatasetRecord
 from repro.errors import (
@@ -302,5 +301,4 @@ def load_pipeline(path: str | pathlib.Path) -> FXRZ:
 
     pipeline._training.records = records
     pipeline._training._model = forest
-    pipeline._inference = InferenceEngine(forest, compressor, config=config)
     return pipeline

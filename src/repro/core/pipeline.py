@@ -90,7 +90,6 @@ class FXRZ:
             model_factory=model_factory,
             ctx=ctx,
         )
-        self._inference: InferenceEngine | None = None
 
     # -- training --------------------------------------------------------------
 
@@ -108,15 +107,21 @@ class FXRZ:
             raise InvalidConfiguration("domains must pair with datasets")
         for data, domain in zip(datasets, domains):
             self._training.add_dataset(data, domain=domain)
-        model = self._training.fit()
-        self._inference = InferenceEngine(
-            model, self.compressor, config=self.config, ctx=self.ctx
-        )
+        self._training.fit()
         return self._training.report
 
     @property
     def is_fitted(self) -> bool:
-        return self._inference is not None
+        return self._training._model is not None
+
+    @property
+    def _engine(self) -> InferenceEngine:
+        """The plain engine over the trained model."""
+        if not self.is_fitted:
+            raise NotFittedError("FXRZ.fit must be called first")
+        return InferenceEngine(
+            self.model, self.compressor, config=self.config, ctx=self.ctx
+        )
 
     @property
     def training_report(self) -> TrainingReport:
@@ -142,7 +147,7 @@ class FXRZ:
         returned range force the regressor to extrapolate and degrade
         accuracy — callers should clamp or warn.
         """
-        if self._inference is None:
+        if not self.is_fitted:
             raise NotFittedError("FXRZ.fit must be called first")
         records = self._training.records
         acr_lo = min(
@@ -178,18 +183,14 @@ class FXRZ:
         Quality objectives may spend probe compressions; see
         :class:`~repro.core.objective.QualityModel`.
         """
-        if self._inference is None:
-            raise NotFittedError("FXRZ.fit must be called first")
-        return self._inference.estimate(data, target_ratio, objective=objective)
+        return self._engine.estimate(data, target_ratio, objective=objective)
 
     def frontier(self, data: np.ndarray, analysis=None, *, ratios=None, points=12):
         """The (ratio, PSNR) Pareto frontier for ``data``.
 
         See :meth:`~repro.core.inference.InferenceEngine.frontier`.
         """
-        if self._inference is None:
-            raise NotFittedError("FXRZ.fit must be called first")
-        return self._inference.frontier(
+        return self._engine.frontier(
             data, analysis, ratios=ratios, points=points
         )
 

@@ -135,12 +135,12 @@ class DriftDetector:
         cls, pipeline, *, envelope_margin: float = 0.05, **options
     ) -> "DriftDetector":
         """A detector over a fitted pipeline's training envelope."""
-        from repro.robustness.guarded import GuardedInferenceEngine
+        from repro.robustness.confidence import FeatureEnvelope
 
-        engine = GuardedInferenceEngine(
-            pipeline, fallback="none", envelope_margin=envelope_margin
+        return cls(
+            FeatureEnvelope.for_pipeline(pipeline, margin=envelope_margin),
+            **options,
         )
-        return cls(engine.envelope, **options)
 
     # -- observation -----------------------------------------------------------
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.inference import model_config
 from repro.errors import InvalidConfiguration
 from repro.serving.registry import LATEST
 
@@ -66,15 +67,6 @@ class CanaryReport:
     quality_error: float = float("nan")
 
 
-def _model_config(model, compressor, features: np.ndarray, acr: float) -> float:
-    """Raw model prediction as an error configuration (un-normalized)."""
-    row = np.concatenate((features, [acr]))[None, :]
-    raw = float(model.predict(row)[0])
-    if compressor.config_scale == "log":
-        raw = 10.0 ** raw * max(float(features[0]), 1e-30)
-    return raw
-
-
 def invert_model_ratio(
     model,
     compressor,
@@ -96,13 +88,13 @@ def invert_model_ratio(
     if config <= 0 or not np.isfinite(config):
         raise InvalidConfiguration("config must be finite and > 0")
     lo, hi = 1.0, max(float(acr_hi), 1.0 + 1e-9)
-    if _model_config(model, compressor, features, lo) >= config:
+    if model_config(model, compressor, features, lo) >= config:
         return lo
-    if _model_config(model, compressor, features, hi) <= config:
+    if model_config(model, compressor, features, hi) <= config:
         return hi
     for _ in range(_INVERT_ITERATIONS):
         mid = 0.5 * (lo + hi)
-        if _model_config(model, compressor, features, mid) < config:
+        if model_config(model, compressor, features, mid) < config:
             lo = mid
         else:
             hi = mid

@@ -33,7 +33,6 @@ import numpy as np
 from repro import obs
 from repro.compressors import get_compressor
 from repro.core.adjustment import adjusted_ratio
-from repro.core.inference import InferenceEngine
 from repro.core.pipeline import FXRZ
 from repro.core.training import default_model_factory
 from repro.errors import InvalidConfiguration, ReproError
@@ -160,10 +159,6 @@ def clone_with_model(base: FXRZ, model) -> FXRZ:
     )
     clone._training.records = list(base._training.records)
     clone._training._model = model
-    clone._inference = InferenceEngine(
-        model, base.compressor, config=base.config,
-        ctx=getattr(base, "ctx", None),
-    )
     return clone
 
 

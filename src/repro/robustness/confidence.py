@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import InvalidConfiguration
+from repro.core.adjustment import adjusted_ratio
+from repro.errors import InvalidConfiguration, NotFittedError
 
 #: Ensemble spread (in model-target units) that halves the spread score.
 _SPREAD_SCALE = 0.5
@@ -76,6 +77,27 @@ class FeatureEnvelope:
         self.lo = lo - margin * span
         self.hi = hi + margin * span
         self.span = span
+
+    @classmethod
+    def for_pipeline(cls, pipeline, margin: float = 0.05) -> "FeatureEnvelope":
+        """The box a fitted pipeline's model was trained in.
+
+        The augmented training rows for one record share its feature
+        vector and sweep ACR over the curve's anchored ratio range, so
+        each record's two extreme rows span the exact axis-aligned box
+        the model was fitted in.
+        """
+        if not pipeline.is_fitted:
+            raise NotFittedError("a training envelope needs a fitted pipeline")
+        rows = []
+        for rec in pipeline._training.records:
+            lo, hi = rec.curve.ratio_range
+            lo = max(lo, 1.0)
+            hi = max(hi, lo)
+            for ratio in (lo, hi):
+                acr = adjusted_ratio(float(ratio), rec.nonconstant)
+                rows.append(np.concatenate((rec.features, [acr])))
+        return cls(np.vstack(rows), margin=margin)
 
     def violation(self, row: np.ndarray) -> float:
         """Worst per-dimension overshoot, in span units (0 = inside)."""

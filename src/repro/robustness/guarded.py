@@ -13,6 +13,9 @@ The ladder, from cheapest to most expensive:
    the actual compressor a handful of times. Slow, but correct by
    construction — the terminal rung of the ladder.
 
+Quality objectives walk the analytic prior, then measured probes. The
+walk itself is :class:`~repro.core.inference.InferenceEngine`'s; this
+module adds the validation, the confidence gate and the fallback rungs.
 Every answer records which tier produced it and why, so a 4,096-rank
 dump can log *how* each rank chose its configuration.
 """
@@ -20,33 +23,25 @@ dump can log *how* each rank chose its configuration.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs
 from repro.baselines.fraz import FRaZ
-from repro.core.adjustment import adjusted_ratio, nonconstant_fraction
-from repro.core.features import extract_features
-from repro.core.inference import Estimate
-from repro.core.objective import (
-    Objective,
-    QualityModel,
-    RatioTarget,
-    as_objective,
-)
+# Kept only for the perfbench layer trace, which patches both names here.
+from repro.core.adjustment import nonconstant_fraction  # noqa: F401
+from repro.core.features import extract_features  # noqa: F401
+from repro.core.inference import InferenceEngine, Query
+from repro.core.objective import QualityModel, RatioTarget
 from repro.errors import (
     FallbackExhaustedError,
     InvalidConfiguration,
-    NotFittedError,
     OutOfDistributionError,
-    ReproError,
 )
 from repro.robustness.confidence import FeatureEnvelope, score_confidence
 from repro.robustness.validation import validate_field
 
-#: Ladder tiers each ``fallback`` setting may use, in order.
+#: Ratio-ladder rungs each ``fallback`` setting may use, in order.
 _LADDERS = {
     "none": ("model",),
     "curve": ("model", "curve"),
@@ -69,27 +64,7 @@ _QUALITY_LADDERS = {
 _CURVE_SLACK = 0.25
 
 
-def _usable(config: float) -> bool:
-    return math.isfinite(config) and config > 0.0
-
-
-@dataclass(frozen=True)
-class GuardedAnalysis:
-    """Target-independent half of one guarded inference.
-
-    Like :class:`~repro.core.inference.DatasetAnalysis` but carrying the
-    validation report too (the FRaZ rung must compress the *patched*
-    field, and field issues discount the model's confidence). A serving
-    layer caches this per dataset and reuses it across targets.
-    """
-
-    report: object  # FieldReport
-    features: np.ndarray
-    nonconstant: float
-    seconds: float
-
-
-class GuardedInferenceEngine:
+class GuardedInferenceEngine(InferenceEngine):
     """Drop-in, hardened replacement for the plain inference path.
 
     Args:
@@ -115,7 +90,8 @@ class GuardedInferenceEngine:
         quality_model: the :class:`~repro.core.objective.QualityModel`
             answering PSNR/SSIM objectives; an uncalibrated analytic
             prior when not given.
-        quality_probes: compressor-run budget of the quality probe rung.
+        quality_probes: compressor-run budget of the quality probe rung
+            (at least one: the rung always measures).
     """
 
     def __init__(
@@ -143,58 +119,139 @@ class GuardedInferenceEngine:
             )
         if not 0.0 <= min_confidence <= 1.0:
             raise InvalidConfiguration("min_confidence must be in [0, 1]")
-        if not pipeline.is_fitted:
-            raise NotFittedError("guarded inference needs a fitted pipeline")
-        self.pipeline = pipeline
-        self.ctx = ctx
+        self.envelope = FeatureEnvelope.for_pipeline(
+            pipeline, margin=envelope_margin
+        )
+        super().__init__(
+            pipeline.model,
+            pipeline.compressor,
+            pipeline.config,
+            ctx=ctx,
+            quality=quality_model,
+            quality_probes=max(int(quality_probes), 1),
+        )
         self.outcome_log = outcome_log
         self.fallback = fallback
         self.min_confidence = min_confidence
         self.fraz_iterations = fraz_iterations
-        self.quality = quality_model or QualityModel()
-        self.quality_probes = int(quality_probes)
-        self.memo = (
-            ctx.memo if ctx is not None else getattr(pipeline, "memo", None)
-        )
-        self.executor = ctx.executor if ctx is not None else None
-        self.compressor = pipeline.compressor
-        self.config = pipeline.config
-        self.model = pipeline.model
+        self.ratio_ladder = _LADDERS[fallback]
+        self.quality_ladder = _QUALITY_LADDERS[fallback]
         self._records = list(pipeline._training.records)
-        self.envelope = FeatureEnvelope(
-            self._envelope_rows(), margin=envelope_margin
+
+    def estimate(
+        self,
+        data: np.ndarray,
+        target_ratio: float | None = None,
+        analysis=None,
+        *,
+        dataset_key: str = "",
+        objective=None,
+    ):
+        """Guarded version of :meth:`InferenceEngine.estimate`.
+
+        Never returns a NaN/Inf/non-positive configuration: low-
+        confidence model answers fall through the ladder, and if every
+        permitted rung fails, :class:`FallbackExhaustedError` (or
+        :class:`OutOfDistributionError` for ``fallback="none"``) is
+        raised instead of a bad number.
+
+        ``analysis`` accepts a cached :meth:`analyze` result for
+        ``data``; one without a validation report (a plain engine's) is
+        recomputed, so the ladder never sees an unvalidated field.
+        ``dataset_key`` labels the outcome-log record.
+        """
+        if analysis is not None and analysis.report is None:
+            analysis = None
+        try:
+            estimate, measured = self._estimate(
+                data, target_ratio, analysis, objective
+            )
+        except (OutOfDistributionError, FallbackExhaustedError):
+            registry = obs.get_registry()
+            if registry is not None:
+                registry.counter(
+                    "repro_guarded_exhausted_total",
+                    "guarded estimates whose ladder exhausted",
+                ).inc()
+            raise
+        registry = obs.get_registry()
+        if registry is not None:
+            registry.counter(
+                "repro_guarded_tier_total", "guarded answers by tier"
+            ).inc(tier=estimate.tier)
+            if estimate.tier != "model":
+                registry.counter(
+                    "repro_guarded_fallbacks_total",
+                    "guarded answers produced by a fallback tier",
+                ).inc()
+        if self.outcome_log is not None:
+            ratio = isinstance(estimate.objective, RatioTarget)
+            try:
+                self.outcome_log.record_estimate(
+                    estimate,
+                    dataset_key=dataset_key,
+                    compressor=self.compressor.name,
+                    measured_ratio=measured if ratio else None,
+                    measured_psnr=None if ratio else measured,
+                    source="guarded",
+                )
+            except OSError:
+                pass  # a full disk must not fail the estimate
+        return estimate
+
+    # -- hooks ---------------------------------------------------------------
+
+    def _validate(self, data: np.ndarray):
+        with obs.span("inference.validate"):
+            return validate_field(data)
+
+    def _confidence(self, analysis, objective, acr) -> tuple[float, str]:
+        issues = analysis.report.issues
+        doubts = ["field issues: " + ",".join(issues)] if issues else []
+        confidence = 1.0
+        if isinstance(objective, RatioTarget):
+            with obs.span("inference.confidence") as span:
+                report = score_confidence(
+                    self.model,
+                    self.envelope,
+                    np.concatenate((analysis.features, [acr])),
+                )
+                span.set_attribute("score", report.score)
+            confidence = report.score
+            if report.envelope_violation > 0.0:
+                doubts.append(
+                    f"outside training envelope by "
+                    f"{report.envelope_violation:.2f} spans"
+                )
+            if not math.isnan(report.tree_std):
+                doubts.append(f"tree spread {report.tree_std:.3f}")
+        if issues:
+            # A patched or degenerate field is evidence the model never
+            # saw data like this, independent of where the features land.
+            confidence = min(confidence, 0.25)
+        return confidence, "; ".join(doubts)
+
+    def _exhausted(self, reasons, error):
+        detail = "; ".join(reasons)
+        if self.fallback == "none":
+            return OutOfDistributionError(f"fallbacks disabled: {detail}")
+        return FallbackExhaustedError(
+            f"degradation ladder exhausted ({self.fallback}): {detail}"
         )
 
-    def _envelope_rows(self) -> np.ndarray:
-        """Training envelope corners: each record at its ACR extremes.
+    # -- rungs ---------------------------------------------------------------
 
-        The augmented training rows for one record share its feature
-        vector and sweep ACR over the curve's anchored ratio range, so
-        the two extreme rows per record span the exact axis-aligned box
-        the model was fitted in.
-        """
-        rows = []
-        for rec in self._records:
-            lo, hi = rec.curve.ratio_range
-            lo = max(lo, 1.0)
-            hi = max(hi, lo)
-            for ratio in (lo, hi):
-                acr = adjusted_ratio(float(ratio), rec.nonconstant)
-                rows.append(np.concatenate((rec.features, [acr])))
-        return np.vstack(rows)
+    def _model(self, query: Query):
+        if query.confidence < self.min_confidence:
+            raise OutOfDistributionError(
+                f"confidence {query.confidence:.2f} < "
+                f"{self.min_confidence:.2f} ({query.doubts})"
+            )
+        return super()._model(query)
 
-    # -- ladder rungs ----------------------------------------------------------
-
-    def _model_config(self, features: np.ndarray, acr: float) -> float:
-        """The plain engine's prediction (range-rescaled, normalized)."""
-        row = np.concatenate((features, [acr]))[None, :]
-        raw = float(self.model.predict(row)[0])
-        if self.compressor.config_scale == "log":
-            raw = 10.0**raw * max(float(features[0]), 1e-30)
-        return float(self.compressor.normalize_config(raw))
-
-    def _curve_config(self, features: np.ndarray, acr: float) -> float | None:
-        """Nearest training curve, inverted at ``acr``; None if outside."""
+    def _curve(self, query: Query):
+        """Nearest training curve, inverted at the adjusted target."""
+        features, acr = query.analysis.features, query.acr
         span = self.envelope.span[: features.size]
         best = min(
             self._records,
@@ -202,10 +259,11 @@ class GuardedInferenceEngine:
                 np.sum(((rec.features - features) / span) ** 2)
             ),
         )
-        lo, hi = best.curve.ratio_range
-        lo, hi = min(lo, hi), max(lo, hi)
+        lo, hi = sorted(best.curve.ratio_range)
         if not (lo / (1.0 + _CURVE_SLACK) <= acr <= hi * (1.0 + _CURVE_SLACK)):
-            return None
+            raise InvalidConfiguration(
+                "target outside every training curve's range"
+            )
         config = best.curve.config_for_ratio(float(np.clip(acr, lo, hi)))
         query_range = float(features[0])
         train_range = float(best.features[0])
@@ -220,386 +278,27 @@ class GuardedInferenceEngine:
             # (zero) range on either side makes the ratio meaningless,
             # so the bound transfers unscaled instead.
             config *= query_range / train_range
-        try:
-            config = float(self.compressor.normalize_config(config))
-        except InvalidConfiguration:
-            return None
-        return config if _usable(config) else None
+        return self.compressor.normalize_config(config), "curve", None
 
-    def _fraz_config(self, data: np.ndarray, target_ratio: float):
-        # Hand over the already-resolved resources directly: routing
-        # them back through the constructor keywords would trip the
-        # deprecation shims the caller never used. Returns the full
-        # search result — this rung ran the real compressor, so its
-        # measured ratio is ground truth worth logging.
-        searcher = FRaZ(self.compressor, max_iterations=self.fraz_iterations)
-        searcher.ctx = self.ctx
-        searcher.executor = self.executor
-        searcher.memo = self.memo
-        return searcher.search(data, target_ratio)
+    def _fraz(self, query: Query):
+        # The search ran the real compressor on the patched field, so
+        # its measured ratio is ground truth worth logging.
+        search = FRaZ(
+            self.compressor, max_iterations=self.fraz_iterations, ctx=self.ctx
+        ).search(query.data, query.objective.tcr)
+        return float(search.config), "fraz", float(search.measured_ratio)
 
-    # -- public API ------------------------------------------------------------
-
-    def analyze(self, data: np.ndarray) -> GuardedAnalysis:
-        """Validate ``data`` and run the target-independent analysis once."""
-        with obs.span("guarded.analyze") as span:
-            start = time.perf_counter()
-            with obs.span("guarded.validate"):
-                report = validate_field(data)
-            span.set_attribute("issues", len(report.issues))
-            features = extract_features(
-                report.data, stride=self.config.sampling_stride
-            ).selected()
-            if self.config.use_adjustment:
-                # Named like the plain engine's phase so obs-report
-                # aggregates the adjustment cost across both paths.
-                with obs.span(
-                    "inference.adjustment",
-                    block_size=int(self.config.block_size),
-                ):
-                    nonconstant = nonconstant_fraction(
-                        report.data,
-                        block_size=self.config.block_size,
-                        lam=self.config.lam,
-                    )
-            else:
-                nonconstant = 1.0
-            return GuardedAnalysis(
-                report=report,
-                features=features,
-                nonconstant=nonconstant,
-                seconds=time.perf_counter() - start,
+    def _analytic(self, query: Query):
+        # The closed form is only trustworthy without measurement when
+        # the field is clean and the model is calibrated (or the
+        # quantizer it is exact for).
+        if query.analysis.report.issues:
+            raise InvalidConfiguration(query.doubts)
+        if not self.quality.trusts(self.compressor):
+            raise InvalidConfiguration(
+                f"prior uncalibrated for {self.compressor.name!r}"
             )
+        lo, hi = self.compressor.config_domain(query.data)
+        prior = self.quality.analytic_config(query.data, query.objective)
+        return float(np.clip(prior, lo, hi)), "analytic", None
 
-    def estimate(
-        self,
-        data: np.ndarray,
-        target_ratio: float | None = None,
-        analysis: GuardedAnalysis | None = None,
-        *,
-        dataset_key: str = "",
-        objective: Objective | float | str | None = None,
-    ) -> Estimate:
-        """Guarded version of :meth:`InferenceEngine.estimate`.
-
-        Never returns a NaN/Inf/non-positive configuration: low-
-        confidence model answers fall through the ladder, and if every
-        permitted rung fails, :class:`FallbackExhaustedError` (or
-        :class:`OutOfDistributionError` for ``fallback="none"``) is
-        raised instead of a bad number. Quality objectives walk their
-        own ladder (analytic prior, then measured probes — see
-        ``_QUALITY_LADDERS``).
-
-        ``analysis`` accepts a cached :meth:`analyze` result for
-        ``data``, skipping the validation/feature/block passes.
-        ``dataset_key`` labels the outcome-log record when this engine
-        carries an :class:`~repro.lifecycle.OutcomeLog`. ``objective``
-        (an :class:`~repro.core.objective.Objective`, canonical string
-        or bare ratio) is mutually exclusive with ``target_ratio``.
-        """
-        if objective is not None:
-            if target_ratio is not None:
-                raise InvalidConfiguration(
-                    "pass either target_ratio or objective, not both"
-                )
-            resolved = as_objective(objective)
-        else:
-            if target_ratio is None:
-                raise InvalidConfiguration(
-                    "an estimate needs a target_ratio or an objective"
-                )
-            try:
-                target_ratio = float(target_ratio)
-            except (TypeError, ValueError) as exc:
-                raise InvalidConfiguration(
-                    f"target ratio must be a number: {exc}"
-                ) from exc
-            if not math.isfinite(target_ratio) or target_ratio <= 0:
-                raise InvalidConfiguration(
-                    "target ratio must be finite and > 0"
-                )
-            resolved = RatioTarget(target_ratio)
-
-        if isinstance(resolved, RatioTarget):
-            span_attrs = {"target_ratio": resolved.tcr}
-        else:
-            span_attrs = {"objective": resolved.canonical}
-        with obs.span("guarded.estimate", **span_attrs) as span:
-            try:
-                if isinstance(resolved, RatioTarget):
-                    estimate, measured_ratio = self._estimate_body(
-                        data, resolved.tcr, analysis
-                    )
-                    measured_psnr = None
-                else:
-                    estimate, measured_psnr = self._estimate_quality_body(
-                        data, resolved, analysis
-                    )
-                    measured_ratio = None
-            except (OutOfDistributionError, FallbackExhaustedError):
-                registry = obs.get_registry()
-                if registry is not None:
-                    registry.counter(
-                        "repro_guarded_exhausted_total",
-                        "guarded estimates whose ladder exhausted",
-                    ).inc()
-                raise
-            span.set_attributes(
-                tier=estimate.tier,
-                confidence=estimate.confidence,
-                config=estimate.config,
-            )
-        registry = obs.get_registry()
-        if registry is not None:
-            registry.counter(
-                "repro_guarded_tier_total", "guarded answers by tier"
-            ).inc(tier=estimate.tier)
-            if estimate.tier != "model":
-                registry.counter(
-                    "repro_guarded_fallbacks_total",
-                    "guarded answers produced by a fallback tier",
-                ).inc()
-        if self.outcome_log is not None:
-            try:
-                self.outcome_log.record_estimate(
-                    estimate,
-                    dataset_key=dataset_key,
-                    compressor=self.compressor.name,
-                    measured_ratio=measured_ratio,
-                    measured_psnr=measured_psnr,
-                    source="guarded",
-                )
-            except OSError:
-                pass  # a full disk must not fail the estimate
-        return estimate
-
-    def _estimate_quality_body(
-        self,
-        data: np.ndarray,
-        objective: Objective,
-        analysis: GuardedAnalysis | None,
-    ) -> tuple[Estimate, float | None]:
-        """Walk the quality ladder: analytic prior, then measured probes."""
-        start = time.perf_counter()
-        if analysis is None:
-            analysis = self.analyze(data)
-        report = analysis.report
-        confidence = 0.25 if report.issues else 1.0
-
-        config: float | None = None
-        tier = ""
-        fallback_reason = ""
-        measured: float | None = None
-        for rung in _QUALITY_LADDERS[self.fallback]:
-            with obs.span(
-                "guarded.tier", tier=rung, accepted=False
-            ) as rung_span:
-                if rung == "analytic":
-                    # The closed form is only trustworthy without
-                    # measurement when the field is clean and the model
-                    # is calibrated (or the quantizer it is exact for).
-                    if report.issues:
-                        fallback_reason = (
-                            "field issues: " + ",".join(report.issues)
-                        )
-                        continue
-                    if not self.quality.trusts(self.compressor):
-                        fallback_reason = (
-                            f"analytic prior uncalibrated for "
-                            f"{self.compressor.name!r}"
-                        )
-                        continue
-                    try:
-                        lo, hi = self.compressor.config_domain(report.data)
-                        candidate = float(
-                            np.clip(
-                                self.quality.analytic_config(
-                                    report.data, objective
-                                ),
-                                lo,
-                                hi,
-                            )
-                        )
-                    except ReproError as exc:
-                        fallback_reason = f"analytic prior failed: {exc}"
-                        continue
-                    if not _usable(candidate):
-                        fallback_reason = (
-                            f"analytic prior produced unusable config "
-                            f"{candidate!r}"
-                        )
-                        continue
-                    config, tier = candidate, "analytic"
-                    rung_span.set_attribute("accepted", True)
-                    break
-                if rung == "probe":
-                    # Terminal rung: measured refinement on the patched
-                    # field — the quality analogue of the FRaZ rung.
-                    try:
-                        result = self.quality.refine(
-                            self.compressor,
-                            report.data,
-                            objective,
-                            probes=max(self.quality_probes, 1),
-                            ctx=self.ctx,
-                        )
-                        candidate = float(result.config)
-                    except ReproError as exc:
-                        fallback_reason += f"; probe refinement failed: {exc}"
-                        continue
-                    if not _usable(candidate):
-                        fallback_reason += (
-                            f"; probe refinement produced unusable config "
-                            f"{candidate!r}"
-                        )
-                        continue
-                    config, tier = candidate, "probe"
-                    measured = result.measured
-                    rung_span.set_attribute("accepted", True)
-                    break
-
-        if config is None:
-            detail = fallback_reason.lstrip("; ") or "no tier produced a config"
-            if self.fallback == "none":
-                raise OutOfDistributionError(
-                    f"analytic tier rejected and fallbacks disabled: {detail}"
-                )
-            raise FallbackExhaustedError(
-                f"quality ladder exhausted ({self.fallback}): {detail}"
-            )
-
-        if objective.kind != "psnr":
-            # The outcome log's measured-quality column is PSNR-denominated;
-            # an SSIM probe measurement would be apples to oranges there.
-            measured = None
-
-        estimate = Estimate(
-            config=config,
-            target_ratio=0.0,
-            adjusted_target=0.0,
-            nonconstant=analysis.nonconstant,
-            features=analysis.features,
-            analysis_seconds=time.perf_counter() - start,
-            tier=tier,
-            confidence=confidence,
-            fallback_reason=fallback_reason.lstrip("; "),
-            objective=objective,
-        )
-        return estimate, measured
-
-    def _estimate_body(
-        self,
-        data: np.ndarray,
-        target_ratio: float,
-        analysis: GuardedAnalysis | None,
-    ) -> tuple[Estimate, float | None]:
-        start = time.perf_counter()
-        if analysis is None:
-            analysis = self.analyze(data)
-        report = analysis.report
-        features = analysis.features
-        nonconstant = analysis.nonconstant
-        acr = adjusted_ratio(float(target_ratio), nonconstant)
-
-        with obs.span("guarded.confidence") as conf_span:
-            confidence_report = score_confidence(
-                self.model, self.envelope, np.concatenate((features, [acr]))
-            )
-            conf_span.set_attribute("score", confidence_report.score)
-        confidence = confidence_report.score
-        if report.issues:
-            # A patched or degenerate field is evidence the model never
-            # saw data like this, independent of where the features land.
-            confidence = min(confidence, 0.25)
-
-        reasons: list[str] = []
-        if report.issues:
-            reasons.append("field issues: " + ",".join(report.issues))
-        if confidence_report.envelope_violation > 0.0:
-            reasons.append(
-                f"outside training envelope by "
-                f"{confidence_report.envelope_violation:.2f} spans"
-            )
-        if not math.isnan(confidence_report.tree_std):
-            reasons.append(f"tree spread {confidence_report.tree_std:.3f}")
-
-        config: float | None = None
-        tier = ""
-        fallback_reason = ""
-        measured_ratio: float | None = None
-        for rung in _LADDERS[self.fallback]:
-            with obs.span(
-                "guarded.tier", tier=rung, accepted=False
-            ) as rung_span:
-                if rung == "model":
-                    if confidence < self.min_confidence:
-                        fallback_reason = (
-                            f"model confidence {confidence:.2f} < "
-                            f"{self.min_confidence:.2f} ({'; '.join(reasons)})"
-                        )
-                        continue
-                    try:
-                        candidate = self._model_config(features, acr)
-                    except InvalidConfiguration as exc:
-                        fallback_reason = f"model produced unusable config ({exc})"
-                        continue
-                    if not _usable(candidate):
-                        fallback_reason = (
-                            f"model produced unusable config {candidate!r}"
-                        )
-                        continue
-                    config, tier = candidate, "model"
-                    rung_span.set_attribute("accepted", True)
-                    break
-                if rung == "curve":
-                    candidate = self._curve_config(features, acr)
-                    if candidate is None:
-                        fallback_reason += (
-                            "; target outside every training curve's range"
-                        )
-                        continue
-                    config, tier = candidate, "curve"
-                    rung_span.set_attribute("accepted", True)
-                    break
-                if rung == "fraz":
-                    try:
-                        search = self._fraz_config(
-                            report.data, float(target_ratio)
-                        )
-                        candidate = float(search.config)
-                    except ReproError as exc:
-                        fallback_reason += f"; FRaZ search failed: {exc}"
-                        continue
-                    if not _usable(candidate):
-                        fallback_reason += (
-                            f"; FRaZ produced unusable config {candidate!r}"
-                        )
-                        continue
-                    config, tier = candidate, "fraz"
-                    measured_ratio = float(search.measured_ratio)
-                    rung_span.set_attribute("accepted", True)
-                    break
-
-        if config is None:
-            detail = fallback_reason.lstrip("; ") or "no tier produced a config"
-            if self.fallback == "none":
-                raise OutOfDistributionError(
-                    f"model tier rejected and fallbacks disabled: {detail}"
-                )
-            raise FallbackExhaustedError(
-                f"degradation ladder exhausted ({self.fallback}): {detail}"
-            )
-
-        elapsed = time.perf_counter() - start
-        estimate = Estimate(
-            config=config,
-            target_ratio=float(target_ratio),
-            adjusted_target=acr,
-            nonconstant=nonconstant,
-            features=features,
-            analysis_seconds=elapsed,
-            tier=tier,
-            confidence=confidence,
-            fallback_reason=fallback_reason.lstrip("; "),
-        )
-        return estimate, measured_ratio

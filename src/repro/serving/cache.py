@@ -53,9 +53,9 @@ def dataset_fingerprint(data: np.ndarray, stride: int = 1) -> str:
 class FeatureCache:
     """LRU cache of per-dataset analyses, safe for concurrent workers.
 
-    Values are whatever the owning engine's ``analyze`` returns
-    (:class:`~repro.core.inference.DatasetAnalysis` or
-    :class:`~repro.robustness.guarded.GuardedAnalysis`); the cache never
+    Values are whatever the owning engine's ``analyze`` returns (a
+    :class:`~repro.core.inference.DatasetAnalysis`, carrying the
+    validation report when the engine validates); the cache never
     inspects them.
 
     Args:

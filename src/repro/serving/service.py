@@ -153,13 +153,13 @@ class Admitted:
 
 def build_engine(pipeline, guarded: bool, guard_options=None, ctx=None,
                  *, fallback: str | None = None):
-    """The engine a fitted pipeline serves through.
+    """The engine a fitted pipeline serves through: which ladder it walks.
 
-    ``guarded=False`` gives the plain engine (answers identical to
-    ``pipeline.estimate_config``); ``guarded=True`` builds the
-    degradation ladder with ``guard_options`` forwarded to
-    :meth:`FXRZ.guarded` (a ``ctx`` there wins over ``ctx``), and
-    ``fallback`` pins its last rung.
+    ``guarded=False`` gives the model-only ladder (answers identical to
+    ``pipeline.estimate_config``); ``guarded=True`` the validated
+    degradation ladder, with ``guard_options`` forwarded to
+    :meth:`FXRZ.guarded` (a ``ctx`` there wins over ``ctx``) and
+    ``fallback`` pinning its last rung.
     """
     if not guarded:
         return InferenceEngine(
@@ -176,8 +176,8 @@ def build_engine(pipeline, guarded: bool, guard_options=None, ctx=None,
 def answer(engine, cache: FeatureCache, key: str, data, objective: Objective):
     """``(estimate, cache_hit)``: the cached analysis plus one estimate.
 
-    Both engines route a :class:`RatioTarget` objective down their ratio
-    path, so every objective kind takes this one call.
+    Every objective kind takes this one call; the engine picks the
+    ladder.
     """
     analysis, hit = cache.get_or_compute(key, lambda: engine.analyze(data))
     return engine.estimate(data, analysis=analysis, objective=objective), hit
@@ -187,9 +187,10 @@ class EstimationService:
     """Batched concurrent service over one inference engine.
 
     Args:
-        engine: anything exposing ``analyze(data)`` and
-            ``estimate(data, analysis=..., objective=...)`` — the plain
-            or the guarded engine.
+        engine: an :class:`~repro.core.inference.InferenceEngine` (the
+            plain or the guarded ladder), or anything exposing
+            ``analyze(data)`` and ``estimate(data, analysis=...,
+            objective=...)``.
         workers: worker threads draining the queue.
         max_batch: cap on how many same-dataset requests one worker
             coalesces into a single batch.

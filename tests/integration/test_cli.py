@@ -294,11 +294,12 @@ class TestObservabilityFlags:
         names = {s.name for s in spans}
         for phase in (
             "cli.estimate",
-            "guarded.estimate",
-            "guarded.analyze",
+            "inference.estimate",
+            "inference.analyze",
+            "inference.validate",
             "features.extract",
-            "guarded.confidence",
-            "guarded.tier",
+            "inference.confidence",
+            "inference.tier",
         ):
             assert phase in names
         # Every phase hangs off the single command-root span.

@@ -4,7 +4,8 @@ The same estimation request is sent through every way the system can
 answer it — the plain and guarded engines called directly, the
 in-process :class:`EstimationService`, its shard lane, its in-process
 lane standing in for shards that cannot start, and the
-``estimate-batch`` CLI with and without shards — and each path must
+``estimate-batch`` CLI with and without shards, plus the single-shot
+``estimate`` command for the guarded engine — and each path must
 return a bit-identical ``(config, tier)``. Targets are deliberately
 non-round so that any lossy re-encoding of the objective between
 layers (e.g. a ``%g``-formatted wire string) changes the answer.
@@ -106,6 +107,29 @@ def _cli_answers(root, model, probe, engine, shards) -> list[tuple[float, str]]:
     return [(r["config"], r["tier"]) for r in records]
 
 
+def _single_shot_answers(root, model, probe) -> list[tuple[float, str]]:
+    """One ``estimate`` command per objective, read back exactly from the
+    ``--outcome-log`` rows (the printed config is rounded)."""
+    log = root / "single-shot.jsonl"
+    flags = {"ratio": "--ratio", "psnr": "--target-psnr"}
+    for objective in OBJECTIVES:
+        code = main(
+            [
+                "estimate",
+                probe,
+                "--model",
+                model,
+                flags[objective.kind],
+                repr(objective.value),
+                "--outcome-log",
+                str(log),
+            ]
+        )
+        assert code == 0
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    return [(r["config"], r["tier"]) for r in records]
+
+
 @pytest.mark.parametrize("guarded", [False, True], ids=["plain", "guarded"])
 def test_every_path_gives_the_same_answer(fitted, guarded):
     pipeline, data, root, model, probe = fitted
@@ -138,6 +162,8 @@ def test_every_path_gives_the_same_answer(fitted, guarded):
         paths[f"cli-shards-{shards}"] = _cli_answers(
             root, model, probe, engine_name, shards
         )
+    if guarded:
+        paths["cli-estimate"] = _single_shot_answers(root, model, probe)
 
     for name, answers in paths.items():
         assert answers == expected, f"{name} diverged from the engine"

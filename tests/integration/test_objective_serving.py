@@ -182,12 +182,6 @@ class TestObjectiveObservability:
                 get_compressor("sz"), config=pipeline.config, ctx=ctx
             )
             scoped._training = pipeline._training
-            scoped._inference = InferenceEngine(
-                pipeline.model,
-                scoped.compressor,
-                config=pipeline.config,
-                ctx=ctx,
-            )
             result = scoped.compress_to_objective(probes[1], "psnr:50")
         assert result.measured_psnr is not None
         assert abs(result.measured_psnr - 50.0) < 3.0

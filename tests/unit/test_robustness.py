@@ -7,6 +7,7 @@ import pytest
 
 import repro
 from repro.compressors import get_compressor
+from repro.core.inference import InferenceEngine
 from repro.errors import (
     FallbackExhaustedError,
     InvalidConfiguration,
@@ -131,20 +132,20 @@ class TestConfidence:
 
     def test_nan_query_scores_zero(self, fitted):
         pipeline, _ = fitted
-        engine = GuardedInferenceEngine(pipeline)
-        row = engine._envelope_rows()[0].copy()
+        envelope = FeatureEnvelope.for_pipeline(pipeline)
+        row = (envelope.lo + envelope.hi) / 2
         row[2] = np.nan
-        report = score_confidence(pipeline.model, engine.envelope, row)
+        report = score_confidence(pipeline.model, envelope, row)
         assert report.envelope_score == 0.0 and report.score == 0.0
         assert report.envelope_violation == math.inf
 
     def test_ood_query_scores_low(self, fitted):
         pipeline, _ = fitted
-        engine = GuardedInferenceEngine(pipeline)
-        inside = engine._envelope_rows()[0]
-        report_in = score_confidence(pipeline.model, engine.envelope, inside)
+        envelope = FeatureEnvelope.for_pipeline(pipeline)
+        inside = (envelope.lo + envelope.hi) / 2
+        report_in = score_confidence(pipeline.model, envelope, inside)
         far = inside * 0 + 1e9
-        report_out = score_confidence(pipeline.model, engine.envelope, far)
+        report_out = score_confidence(pipeline.model, envelope, far)
         assert report_out.envelope_score < 0.05 < report_in.envelope_score
 
 
@@ -244,6 +245,30 @@ class TestGuardedLadder:
         assert estimate.tier == "curve"
         clean = pipeline.guarded().estimate(train[0], 6.0)
         assert estimate.config > 1e-6 * clean.config
+
+    def test_unvalidated_analysis_is_revalidated(self, fitted):
+        """A plain engine's analysis (no validation report) handed to the
+        guarded engine must not let the model answer on unpatched data.
+        The NaNs sit off the sampling lattice, so the plain analysis
+        succeeds and its features look clean."""
+        pipeline, train = fitted
+        stride = pipeline.config.sampling_stride
+        polluted = train[0].astype(np.float64).copy()
+        polluted[1::stride, 1::stride, 1::stride] = np.nan
+        plain = InferenceEngine(
+            pipeline.model, pipeline.compressor, config=pipeline.config
+        )
+        unvalidated = plain.analyze(polluted)
+        assert unvalidated.report is None
+        try:
+            estimate = pipeline.guarded().estimate(
+                polluted, 6.0, analysis=unvalidated
+            )
+        except InvalidConfiguration:
+            return
+        assert estimate.tier in ("curve", "fraz")
+        assert "nan" in estimate.fallback_reason
+        assert math.isfinite(estimate.config) and estimate.config > 0
 
     def test_invalid_targets_rejected(self, fitted):
         pipeline, train = fitted
