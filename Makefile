@@ -74,7 +74,7 @@ runtime-smoke:
 	PYTHONPATH=src $(PY) examples/runtime_smoke.py
 
 # Kernel gate: the kernels-marked tests (scratch arena, backend
-# registry, chunked Huffman, fused-vs-reference bit-identity parity,
+# registry, fused-vs-reference bit-identity parity, pinned SZ blob bytes,
 # the CA block scan against its block-major reference and the forest's
 # packed-pass parity: mean and spread bit-identical to the per-tree
 # walks) with RuntimeWarnings promoted to errors — a fused pass that

@@ -29,7 +29,6 @@ import time
 import numpy as np
 
 from repro.compressors import available_compressors, get_compressor
-from repro.compressors.sz import SZCompressor
 from repro.datasets import load_series
 from repro.experiments.tables import render_table
 
@@ -63,7 +62,6 @@ _FLOORS = {
 #: warm-arena path must never be slower than the cold floor.
 _STREAM_ROWS = {
     "sz": (lambda: get_compressor("sz"), (15.0, 3.0)),
-    "sz/chunked": (lambda: SZCompressor(entropy="chunked"), (12.0, 6.0)),
     "sz2": (lambda: get_compressor("sz2"), (6.0, 1.8)),
 }
 

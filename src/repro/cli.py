@@ -466,8 +466,7 @@ def _cmd_compress(args: argparse.Namespace, ctx: RuntimeContext) -> int:
 
 def _cmd_decompress(args: argparse.Namespace, ctx: RuntimeContext) -> int:
     blob = read_blob(args.input)
-    kwargs = {}
-    compressor = get_compressor(blob.compressor, **kwargs)
+    compressor = get_compressor(blob.compressor)
     array = compressor.decompress(blob)
     np.save(args.output, array)
     print(

@@ -161,8 +161,8 @@ class Compressor(abc.ABC):
 
         Two instances share a token exactly when they would produce
         identical blobs for identical inputs: the registry name plus
-        every simple option attribute (SZ's interpolation/entropy
-        choice, ZFP's mode, ...). Memo caches key on this instead of
+        every simple option attribute (SZ's interpolation, ZFP's mode,
+        ...). Memo caches key on this instead of
         ``name`` so differently-configured instances never alias.
         """
         options = sorted(

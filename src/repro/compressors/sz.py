@@ -21,12 +21,8 @@ The per-step predict→quantize→code-emit pass is fused through the
 batched kernel layer (:mod:`repro.compressors.kernels`): each
 refinement step is one vectorized pass writing quantization codes
 straight into an arena-backed code buffer at a running offset, with a
-symmetric fused decode. Entropy backends: classic Huffman (default),
-range coding, or cuSZ-style chunked Huffman (``entropy="chunked"``)
-whose byte-aligned chunks decode in vectorized waves. The quantization
-code width is exposed as ``quant_width`` (cuSZ's ``-Q`` knob): narrower
-codes shrink the entropy alphabet at the cost of routing more residuals
-through the outlier path.
+symmetric fused decode. Like SZ 2.x, one canonical Huffman stage codes
+the quantization codes.
 """
 
 from __future__ import annotations
@@ -41,34 +37,14 @@ from repro.compressors.predictors import (
     interp_prediction_cubic,
     interp_prediction_linear,
 )
-from repro.compressors.quantizer import DEFAULT_MAX_CODE, LinearQuantizer
-from repro.encoding import (
-    ChunkedHuffmanCodec,
-    HuffmanCodec,
-    zero_rle_decode,
-    zero_rle_encode,
-)
-from repro.encoding.range_coder import RangeCoder
+from repro.compressors.quantizer import LinearQuantizer
+from repro.encoding import HuffmanCodec, zero_rle_decode, zero_rle_encode
 from repro.encoding.varint import decode_section, encode_section
-from repro.errors import CorruptStreamError, EncodingError
+from repro.errors import CorruptStreamError
 
-#: Header byte 17 values naming the entropy backend of a blob.
-_ENTROPY_TAGS = {"huffman": 0, "range": 1, "chunked": 2}
-_ENTROPY_NAMES = {tag: name for name, tag in _ENTROPY_TAGS.items()}
-
-#: ``quant_width`` bounds: at least 2 bits (one magnitude bit + sign),
-#: at most the default 21-bit-magnitude code space.
-_MIN_QUANT_WIDTH = 2
-_MAX_QUANT_WIDTH = 22
-
-
-def _entropy_codec(name: str):
-    """The entropy backend: Huffman (default), range, or chunked."""
-    if name == "range":
-        return RangeCoder()
-    if name == "chunked":
-        return ChunkedHuffmanCodec()
-    return HuffmanCodec()
+#: Header byte 17 once named the entropy backend (1 = range coding,
+#: 2 = chunked Huffman, both retired); Huffman blobs carry 0.
+_HUFFMAN_TAG = 0
 
 
 @dataclass(frozen=True)
@@ -123,33 +99,10 @@ class SZCompressor(Compressor):
     error_mode = "abs"
     config_scale = "log"
 
-    def __init__(
-        self,
-        interpolation: str = "cubic",
-        entropy: str = "huffman",
-        quant_width: int | None = None,
-    ) -> None:
+    def __init__(self, interpolation: str = "cubic") -> None:
         if interpolation not in ("cubic", "linear"):
             raise ValueError("interpolation must be 'cubic' or 'linear'")
-        if entropy not in _ENTROPY_TAGS:
-            raise ValueError(
-                "entropy must be 'huffman', 'range' or 'chunked'"
-            )
-        if quant_width is not None and not (
-            _MIN_QUANT_WIDTH <= int(quant_width) <= _MAX_QUANT_WIDTH
-        ):
-            raise ValueError(
-                f"quant_width must be in "
-                f"[{_MIN_QUANT_WIDTH}, {_MAX_QUANT_WIDTH}]"
-            )
         self.interpolation = interpolation
-        self.entropy = entropy
-        self.quant_width = int(quant_width) if quant_width is not None else None
-
-    def _max_code(self) -> int:
-        if self.quant_width is None:
-            return DEFAULT_MAX_CODE
-        return (1 << (self.quant_width - 1)) - 1
 
     # -- compression ----------------------------------------------------------
 
@@ -163,7 +116,7 @@ class SZCompressor(Compressor):
             arena = KernelArena()
         backend = get_kernel_backend()
         data = array.astype(np.float64)
-        quantizer = LinearQuantizer(config, max_code=self._max_code())
+        quantizer = LinearQuantizer(config)
         mean = float(data.mean())
 
         recon = arena.zeros("sz.recon", data.shape, np.float64)
@@ -235,41 +188,18 @@ class SZCompressor(Compressor):
             primary, literals = codes, None
         else:
             primary, literals = zero_rle_encode(codes, arena=arena)
-        entropy = self.entropy
-        if entropy == "range":
-            try:
-                encoded = (
-                    RangeCoder().encode(primary),
-                    b"" if literals is None else RangeCoder().encode(literals),
-                )
-            except EncodingError:
-                # Range coder's 2**16 alphabet cap exceeded (very small
-                # bounds on rough data): Huffman handles any alphabet.
-                entropy = "huffman"
-        if entropy == "chunked":
-            codec = ChunkedHuffmanCodec()
-            encoded = (
-                codec.encode(primary),
-                b"" if literals is None else codec.encode(literals),
-            )
-        if entropy == "huffman":
-            huffman = HuffmanCodec()
-            encoded = (
-                huffman.encode(primary),
-                b"" if literals is None else huffman.encode(literals),
-            )
+        huffman = HuffmanCodec()
+        encoded = (
+            huffman.encode(primary),
+            b"" if literals is None else huffman.encode(literals),
+        )
         header = np.array([config, mean], dtype=np.float64).tobytes() + bytes(
             (
                 (1 if self.interpolation == "cubic" else 0)
                 | (2 if direct else 0),
-                _ENTROPY_TAGS[entropy],
+                _HUFFMAN_TAG,
             )
         )
-        if self.quant_width is not None:
-            # Extended header: one extra byte carrying the quant-code
-            # width. Blobs at the default width keep the legacy 18-byte
-            # header, so existing streams stay byte-identical.
-            header += bytes((self.quant_width,))
         return b"".join(
             (
                 encode_section(header),
@@ -288,7 +218,7 @@ class SZCompressor(Compressor):
             arena = KernelArena()
         backend = get_kernel_backend()
         header, offset = decode_section(blob.data, 0)
-        if len(header) not in (18, 19):
+        if len(header) != 18:
             raise CorruptStreamError("bad SZ header")
         config, mean = np.frombuffer(header[:16], dtype=np.float64)
         flags = header[16]
@@ -298,16 +228,11 @@ class SZCompressor(Compressor):
         # Flag bit 1: quantization codes were entropy-coded directly
         # (no zero-RLE layer); legacy blobs carry 0/1 here.
         direct = bool(flags & 2)
-        entropy = _ENTROPY_NAMES.get(header[17])
-        if entropy is None:
-            raise CorruptStreamError("unknown SZ entropy backend tag")
-        codec = _entropy_codec(entropy)
-        max_code = DEFAULT_MAX_CODE
-        if len(header) == 19:
-            quant_width = header[18]
-            if not _MIN_QUANT_WIDTH <= quant_width <= _MAX_QUANT_WIDTH:
-                raise CorruptStreamError("invalid SZ quant width")
-            max_code = (1 << (quant_width - 1)) - 1
+        if header[17] != _HUFFMAN_TAG:
+            raise CorruptStreamError(
+                f"unknown or retired SZ entropy backend tag {header[17]}"
+            )
+        codec = HuffmanCodec()
         tokens_blob, offset = decode_section(blob.data, offset)
         literals_blob, offset = decode_section(blob.data, offset)
         outlier_blob, offset = decode_section(blob.data, offset)
@@ -321,7 +246,7 @@ class SZCompressor(Compressor):
         outliers = np.frombuffer(outlier_blob, dtype=np.float64)
 
         shape = blob.original_shape
-        quantizer = LinearQuantizer(float(config), max_code=max_code)
+        quantizer = LinearQuantizer(float(config))
         recon = arena.zeros("sz.recon", shape, np.float64)
         code_pos = 0
         out_pos = 0

@@ -115,11 +115,11 @@ def save_pipeline(pipeline: FXRZ, path: str | pathlib.Path) -> None:
 
     config = pipeline.config
     # Constructor options a compressor may carry (zfp's mode, sz's
-    # interpolation/entropy); persisted so the reloaded pipeline codes
-    # exactly like the trained one.
+    # interpolation); persisted so the reloaded pipeline codes exactly
+    # like the trained one.
     options = {
         key: getattr(pipeline.compressor, key)
-        for key in ("mode", "interpolation", "entropy")
+        for key in ("mode", "interpolation")
         if hasattr(pipeline.compressor, key)
     }
     meta = {
@@ -243,6 +243,14 @@ def load_pipeline(path: str | pathlib.Path) -> FXRZ:
     kwargs = dict(meta.get("compressor_options") or {})
     if meta.get("compressor_mode"):  # archives written before options
         kwargs["mode"] = meta["compressor_mode"]
+    # SZ once took an ``entropy`` option; Huffman, its default, is now
+    # the only backend, so archives naming it still load.
+    entropy = kwargs.pop("entropy", "huffman")
+    if entropy != "huffman":
+        raise InvalidConfiguration(
+            f"archive uses the retired SZ entropy backend {entropy!r}; "
+            "only Huffman coding is supported"
+        )
     name = meta.get("compressor")
     try:
         compressor = get_compressor(name, **kwargs)

@@ -1,12 +1,8 @@
-"""Bit-level I/O primitives.
+"""Bit-level packing primitives.
 
-Two families live here:
-
-* :class:`BitWriter` / :class:`BitReader` — simple sequential bit streams
-  used for headers and small payloads.
-* :func:`pack_bits` / :func:`unpack_bits` and the fixed-width variants —
-  vectorized numpy routines used on million-element symbol arrays, where a
-  Python per-symbol loop would be prohibitively slow.
+:func:`pack_bits` / :func:`unpack_bits` and the fixed-width variants are
+vectorized numpy routines used on million-element symbol arrays, where a
+Python per-symbol loop would be prohibitively slow.
 """
 
 from __future__ import annotations
@@ -24,65 +20,6 @@ _KEEP_MASK = np.concatenate(
 )
 
 
-class BitWriter:
-    """Append-only MSB-first bit stream."""
-
-    def __init__(self) -> None:
-        self._bits: list[int] = []
-
-    def write_bit(self, bit: int) -> None:
-        self._bits.append(1 if bit else 0)
-
-    def write_bits(self, value: int, width: int) -> None:
-        """Write ``width`` bits of ``value``, most significant first."""
-        if width < 0:
-            raise ValueError("width must be non-negative")
-        if value < 0 or (width < 64 and value >> width):
-            raise ValueError(f"value {value} does not fit in {width} bits")
-        for shift in range(width - 1, -1, -1):
-            self._bits.append((value >> shift) & 1)
-
-    def __len__(self) -> int:
-        return len(self._bits)
-
-    def getvalue(self) -> bytes:
-        """Return the stream padded with zero bits to a byte boundary."""
-        if not self._bits:
-            return b""
-        arr = np.array(self._bits, dtype=np.uint8)
-        return np.packbits(arr).tobytes()
-
-
-class BitReader:
-    """Sequential MSB-first reader over bytes produced by :class:`BitWriter`."""
-
-    def __init__(self, data: bytes) -> None:
-        self._bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-        self._pos = 0
-
-    @property
-    def remaining(self) -> int:
-        return len(self._bits) - self._pos
-
-    def read_bit(self) -> int:
-        if self._pos >= len(self._bits):
-            raise CorruptStreamError("bit stream exhausted")
-        bit = int(self._bits[self._pos])
-        self._pos += 1
-        return bit
-
-    def read_bits(self, width: int) -> int:
-        if width < 0:
-            raise ValueError("width must be non-negative")
-        if self._pos + width > len(self._bits):
-            raise CorruptStreamError("bit stream exhausted")
-        value = 0
-        for _ in range(width):
-            value = (value << 1) | int(self._bits[self._pos])
-            self._pos += 1
-        return value
-
-
 def pack_at_offsets(
     codes: np.ndarray,
     lengths: np.ndarray,
@@ -91,10 +28,9 @@ def pack_at_offsets(
 ) -> bytes:
     """Scatter variable-length codes to explicit bit offsets (MSB-first).
 
-    The kernel under :func:`pack_bits` and the chunked Huffman encoder:
-    each code's bits land at ``offsets[i] .. offsets[i]+lengths[i]``.
-    Offsets must be non-decreasing with non-overlapping codes; gaps are
-    zero-filled (that is how chunk padding gets its zero bits). The
+    The kernel under :func:`pack_bits`: each code's bits land at
+    ``offsets[i] .. offsets[i]+lengths[i]``. Offsets must be
+    non-decreasing with non-overlapping codes; gaps are zero-filled. The
     whole scatter is two ``bitwise_or`` passes over 64-bit words — one
     for each code's home word, one for the straddle into the next word
     — so packing a million symbols costs a handful of vector ops.

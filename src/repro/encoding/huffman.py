@@ -28,7 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.encoding.bitio import (
-    pack_at_offsets,
     pack_bits,
     pack_fixed_width,
     unpack_fixed_width,
@@ -333,177 +332,4 @@ class HuffmanCodec:
             else:
                 raise CorruptStreamError("Huffman payload underflow")
             out[i] = sym_idx
-        return alphabet[out]
-
-
-class ChunkedHuffmanCodec:
-    """Chunked canonical Huffman codec (the cuSZ layout).
-
-    One codebook serves the whole stream, but the payload is split into
-    fixed-size symbol chunks, each byte-aligned and carrying its own bit
-    length in the header. That layout buys two things:
-
-    * **Wave decoding.** All chunks decode simultaneously: iteration
-      ``j`` of the decode loop reads symbol ``j`` of *every* chunk with
-      one table gather, so the Python-level loop runs ``chunk_size``
-      times instead of once per symbol — the same schedule a GPU
-      decoder would use with one thread per chunk.
-    * **Parallel-friendly layout.** Byte-aligned chunks with recorded
-      lengths can be sliced and handed to independent workers without
-      bit-level fixups.
-
-    The chunk size trades header overhead (one bit-length record per
-    chunk) against decode parallelism; 256 mirrors cuSZ's default.
-    Streams produced by this codec are *not* compatible with
-    :class:`HuffmanCodec` — the compressor header records which codec
-    wrote the payload.
-    """
-
-    def __init__(self, chunk_size: int = 256) -> None:
-        if chunk_size < 1:
-            raise EncodingError("chunk_size must be >= 1")
-        self.chunk_size = int(chunk_size)
-
-    def encode(self, symbols: np.ndarray) -> bytes:
-        """Encode an integer array into a self-describing byte stream."""
-        symbols = np.asarray(symbols).ravel()
-        n = symbols.size
-        if n == 0:
-            return encode_uvarint(0)
-        alphabet, inverse, counts = symbol_table(symbols)
-        if alphabet.size > (1 << _MAX_CODE_LEN_HARD):
-            raise EncodingError(
-                f"alphabet of {alphabet.size} symbols exceeds the "
-                f"{1 << _MAX_CODE_LEN_HARD} limit"
-            )
-        out = [
-            encode_uvarint(n),
-            encode_uvarint(self.chunk_size),
-            encode_uvarint(alphabet.size),
-            _encode_alphabet(alphabet),
-        ]
-        if alphabet.size == 1:
-            # Degenerate stream: everything is one symbol, no payload.
-            return b"".join(out)
-
-        lengths = _limited_code_lengths(counts)
-        codes = _canonical_codes(lengths)
-        out.append(pack_fixed_width(lengths.astype(np.uint64), 6))
-
-        size = self.chunk_size
-        starts = np.arange(0, n, size)
-        sym_lengths = lengths[inverse]
-        chunk_bits = np.add.reduceat(sym_lengths, starts)
-        chunk_bytes = (chunk_bits + 7) >> 3
-        width = max(int(chunk_bits.max()).bit_length(), 1)
-        out.append(encode_uvarint(width))
-        out.append(pack_fixed_width(chunk_bits.astype(np.uint64), width))
-
-        # Bit offset of every symbol: its chunk's byte-aligned start
-        # plus the lengths of the symbols before it within the chunk.
-        chunk_start_bits = np.zeros(starts.size, dtype=np.int64)
-        np.cumsum(chunk_bytes[:-1] << 3, out=chunk_start_bits[1:])
-        running = np.zeros(n, dtype=np.int64)
-        np.cumsum(sym_lengths[:-1], out=running[1:])
-        chunk_of = np.arange(n) // size
-        offsets = chunk_start_bits[chunk_of] + (
-            running - running[starts][chunk_of]
-        )
-        total_bytes = int(chunk_bytes.sum())
-        payload = pack_at_offsets(
-            codes[inverse], sym_lengths, offsets, total_bytes * 8
-        )
-        out.append(encode_section(payload))
-        return b"".join(out)
-
-    def decode(self, data: bytes) -> np.ndarray:
-        """Decode a stream produced by :meth:`encode`."""
-        n, offset = decode_uvarint(data, 0)
-        if n == 0:
-            return np.zeros(0, dtype=np.int64)
-        chunk_size, offset = decode_uvarint(data, offset)
-        if not 1 <= chunk_size <= (1 << 28):
-            raise CorruptStreamError("implausible chunk size")
-        alpha_size, offset = decode_uvarint(data, offset)
-        if alpha_size == 0:
-            raise CorruptStreamError("empty alphabet with nonzero symbols")
-        if alpha_size > n:
-            raise CorruptStreamError("alphabet larger than symbol count")
-        alphabet, offset = _decode_alphabet(data, offset, alpha_size)
-
-        if alpha_size == 1:
-            if n > (1 << 28):
-                raise CorruptStreamError("implausible degenerate run length")
-            return np.full(n, alphabet[0], dtype=np.int64)
-
-        # Every coded symbol costs >= 1 payload bit; a corrupted header
-        # cannot be allowed to force huge allocations below.
-        if n > max(len(data), 64) * 64:
-            raise CorruptStreamError("implausible symbol count")
-
-        len_bytes = (alpha_size * 6 + 7) // 8
-        if offset + len_bytes > len(data):
-            raise CorruptStreamError("truncated code length table")
-        lengths = unpack_fixed_width(
-            data[offset : offset + len_bytes], 6, alpha_size
-        ).astype(np.int64)
-        offset += len_bytes
-        if lengths.min() < 1 or lengths.max() > _MAX_CODE_LEN_HARD:
-            raise CorruptStreamError("invalid code lengths")
-        codes = _canonical_codes(lengths)
-        table_sym, table_len, max_len = _build_decode_table(lengths, codes)
-
-        width, offset = decode_uvarint(data, offset)
-        if not 1 <= width <= 63:
-            raise CorruptStreamError("invalid chunk bit-length width")
-        n_chunks = (n + chunk_size - 1) // chunk_size
-        cb_bytes = (n_chunks * width + 7) // 8
-        if offset + cb_bytes > len(data):
-            raise CorruptStreamError("truncated chunk length table")
-        chunk_bits = unpack_fixed_width(
-            data[offset : offset + cb_bytes], width, n_chunks
-        ).astype(np.int64)
-        offset += cb_bytes
-        payload, offset = decode_section(data, offset)
-        chunk_bytes = (chunk_bits + 7) >> 3
-        if len(payload) < int(chunk_bytes.sum()):
-            raise CorruptStreamError("truncated chunked Huffman payload")
-
-        chunk_start_bits = np.zeros(n_chunks, dtype=np.int64)
-        np.cumsum(chunk_bytes[:-1] << 3, out=chunk_start_bits[1:])
-        # int64 bytes so the 4-byte window arithmetic below stays in
-        # one dtype; pad so window reads at the tail never go out of
-        # bounds.
-        padded = np.zeros(len(payload) + 4, dtype=np.int64)
-        padded[: len(payload)] = np.frombuffer(payload, dtype=np.uint8)
-        cursors = chunk_start_bits.copy()
-        out = np.empty(n, dtype=np.int64)
-        base = np.arange(n_chunks, dtype=np.int64) * chunk_size
-        window_mask = (1 << max_len) - 1
-        last_size = n - (n_chunks - 1) * chunk_size
-        for j in range(chunk_size):
-            # Chunks are full except the last, so the active set is a
-            # prefix: all chunks while j is within the last chunk, all
-            # but the last afterwards.
-            active = n_chunks if j < last_size else n_chunks - 1
-            if active == 0:
-                break
-            cur = cursors[:active]
-            byte = cur >> 3
-            if int(byte.max()) > len(payload):
-                raise CorruptStreamError("chunked Huffman payload underflow")
-            window = (
-                (padded[byte] << 24)
-                | (padded[byte + 1] << 16)
-                | (padded[byte + 2] << 8)
-                | padded[byte + 3]
-            ) >> (32 - (cur & 7) - max_len)
-            window &= window_mask
-            length = table_len[window]
-            if not length.all():
-                raise CorruptStreamError("chunked Huffman payload underflow")
-            out[base[:active] + j] = table_sym[window]
-            cursors[:active] += length
-        if not np.array_equal(cursors, chunk_start_bits + chunk_bits):
-            raise CorruptStreamError("chunked Huffman payload underflow")
         return alphabet[out]

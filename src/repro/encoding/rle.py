@@ -5,12 +5,8 @@ Scientific quantization codes are dominated by long runs of the
 coding both shrinks the payload and (more importantly here) shrinks the
 symbol count the pure-Python Huffman decoder has to walk.
 
-Two codecs are provided:
-
-* :func:`rle_encode` / :func:`rle_decode` — generic (value, run) pairs,
-  fully vectorized with numpy run detection.
-* :func:`zero_rle_encode` / :func:`zero_rle_decode` — specialised for
-  streams where only a single known value (usually 0) forms long runs.
+:func:`zero_rle_encode` / :func:`zero_rle_decode` are specialised for
+streams where only a single known value (usually 0) forms long runs.
 """
 
 from __future__ import annotations
@@ -23,63 +19,6 @@ from repro.errors import CorruptStreamError
 #: corrupted run length must not be allowed to allocate unbounded
 #: memory before the caller's own length check fires.
 _MAX_DECODED = 1 << 28
-
-
-def rle_encode(
-    symbols: np.ndarray, *, arena=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split a symbol stream into (values, run lengths).
-
-    Args:
-        symbols: the stream to encode.
-        arena: optional :class:`~repro.compressors.kernels.KernelArena`;
-            when given, the returned arrays are views into pooled
-            scratch buffers (valid until the next ``rle.*`` request on
-            the same arena) instead of fresh allocations per call.
-
-    Returns:
-        ``(values, runs)`` with ``np.repeat(values, runs)`` reproducing
-        the input exactly.
-    """
-    symbols = np.asarray(symbols).ravel()
-    if symbols.size == 0:
-        return symbols.copy(), np.zeros(0, dtype=np.int64)
-    change = np.nonzero(symbols[1:] != symbols[:-1])[0] + 1
-    n_runs = change.size + 1
-    if arena is None:
-        values = np.empty(n_runs, dtype=symbols.dtype)
-        runs = np.empty(n_runs, dtype=np.int64)
-    else:
-        values = arena.scratch("rle.values", n_runs, symbols.dtype)
-        runs = arena.scratch("rle.runs", n_runs, np.int64)
-    values[0] = symbols[0]
-    np.take(symbols, change, out=values[1:])
-    if n_runs == 1:
-        runs[0] = symbols.size
-    else:
-        runs[0] = change[0]
-        np.subtract(change[1:], change[:-1], out=runs[1:-1])
-        runs[-1] = symbols.size - change[-1]
-    return values, runs
-
-
-def rle_decode(values: np.ndarray, runs: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`rle_encode`.
-
-    Raises:
-        CorruptStreamError: mismatched shapes, non-positive runs, or an
-            implausibly large decoded size — the failure modes of a
-            corrupted upstream stream.
-    """
-    values = np.asarray(values)
-    runs = np.asarray(runs, dtype=np.int64)
-    if values.shape != runs.shape:
-        raise CorruptStreamError("values and runs must have the same shape")
-    if runs.size and runs.min() < 1:
-        raise CorruptStreamError("runs must be positive")
-    if runs.size and int(runs.sum()) > _MAX_DECODED:
-        raise CorruptStreamError("implausible RLE decoded size")
-    return np.repeat(values, runs)
 
 
 def zero_rle_encode(

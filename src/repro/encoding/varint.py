@@ -1,30 +1,13 @@
-"""Varint and small-header serialization helpers.
+"""Varint and length-prefixed section helpers.
 
 All multi-part compressed payloads in this library are laid out as a
 sequence of length-prefixed sections; the helpers here implement the
-LEB128-style unsigned varint used for those prefixes plus a tiny header
-format for numpy arrays (dtype + shape).
+LEB128-style unsigned varint used for those prefixes.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import CorruptStreamError
-
-_DTYPE_TAGS: dict[str, int] = {
-    "float32": 0,
-    "float64": 1,
-    "int8": 2,
-    "int16": 3,
-    "int32": 4,
-    "int64": 5,
-    "uint8": 6,
-    "uint16": 7,
-    "uint32": 8,
-    "uint64": 9,
-}
-_TAG_DTYPES = {tag: np.dtype(name) for name, tag in _DTYPE_TAGS.items()}
 
 
 def encode_uvarint(value: int) -> bytes:
@@ -62,35 +45,6 @@ def decode_uvarint(data: bytes, offset: int = 0) -> tuple[int, int]:
         shift += 7
         if shift > 63:
             raise CorruptStreamError("varint too long")
-
-
-def encode_array_header(shape: tuple[int, ...], dtype: np.dtype) -> bytes:
-    """Serialize an array's dtype tag and shape."""
-    name = np.dtype(dtype).name
-    if name not in _DTYPE_TAGS:
-        raise ValueError(f"unsupported dtype {name!r}")
-    parts = [encode_uvarint(_DTYPE_TAGS[name]), encode_uvarint(len(shape))]
-    parts.extend(encode_uvarint(dim) for dim in shape)
-    return b"".join(parts)
-
-
-def decode_array_header(data: bytes, offset: int = 0) -> tuple[tuple[int, ...], np.dtype, int]:
-    """Inverse of :func:`encode_array_header`.
-
-    Returns:
-        ``(shape, dtype, new_offset)``.
-    """
-    tag, offset = decode_uvarint(data, offset)
-    if tag not in _TAG_DTYPES:
-        raise CorruptStreamError(f"unknown dtype tag {tag}")
-    ndim, offset = decode_uvarint(data, offset)
-    if ndim > 16:
-        raise CorruptStreamError("implausible array rank")
-    dims = []
-    for _ in range(ndim):
-        dim, offset = decode_uvarint(data, offset)
-        dims.append(dim)
-    return tuple(dims), _TAG_DTYPES[tag], offset
 
 
 def encode_section(payload: bytes) -> bytes:

@@ -17,8 +17,8 @@ config)``:
   ratios depend on every point, so unlike the serving layer's sampled
   fingerprint this one must cover the whole field;
 * the cache token (:meth:`Compressor.cache_token`) folds in option
-  state (SZ's interpolation/entropy choice, ZFP's mode), so two
-  differently-configured instances of the same compressor never alias;
+  state (SZ's interpolation, ZFP's mode), so two differently-configured
+  instances of the same compressor never alias;
 * configs are normalized before keying, so the float the compressor
   would actually use is the float that is compared.
 

@@ -7,10 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.encoding import (
     HuffmanCodec,
-    RangeCoder,
     pack_fixed_width,
-    rle_decode,
-    rle_encode,
     unpack_fixed_width,
     zero_rle_decode,
     zero_rle_encode,
@@ -44,30 +41,7 @@ class TestHuffmanProperties:
         assert np.array_equal(codec.decode(codec.encode(symbols)), symbols)
 
 
-class TestRangeCoderProperties:
-    @given(_int_arrays)
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip_any_ints(self, symbols):
-        coder = RangeCoder()
-        assert np.array_equal(coder.decode(coder.encode(symbols)), symbols)
-
-    @given(_small_alphabet_arrays)
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip_small_alphabet(self, symbols):
-        coder = RangeCoder()
-        assert np.array_equal(coder.decode(coder.encode(symbols)), symbols)
-
-
 class TestRLEProperties:
-    @given(_small_alphabet_arrays)
-    @settings(max_examples=60, deadline=None)
-    def test_generic_rle_roundtrip(self, symbols):
-        values, runs = rle_encode(symbols)
-        assert np.array_equal(rle_decode(values, runs), symbols)
-        # Compression invariant: adjacent values always differ.
-        if values.size > 1:
-            assert (values[1:] != values[:-1]).all()
-
     @given(_small_alphabet_arrays)
     @settings(max_examples=60, deadline=None)
     def test_zero_rle_roundtrip(self, symbols):

@@ -11,21 +11,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.compressors import get_compressor
+from repro.compressors import available_compressors, get_compressor
 from repro.compressors.predictors import lorenzo_reconstruct, lorenzo_residuals
 from repro.compressors.quantizer import LinearQuantizer
+from repro.errors import CompressionError
 
 _shapes = st.sampled_from(
     [(30,), (7, 9), (5, 6, 7), (17, 3), (4, 4, 4), (3, 4, 2, 5)]
 )
 
-_fields = _shapes.flatmap(
-    lambda shape: hnp.arrays(
-        dtype=np.float64,
-        shape=shape,
-        elements=st.floats(-1e6, 1e6, allow_nan=False, width=64),
+
+def _float_fields(width: int):
+    return _shapes.flatmap(
+        lambda shape: hnp.arrays(
+            dtype=np.float32 if width == 32 else np.float64,
+            shape=shape,
+            elements=st.floats(-1e6, 1e6, allow_nan=False, width=width),
+        )
     )
-)
+
+
+_fields = st.one_of(_float_fields(64), _float_fields(32))
 
 _rel_bounds = st.floats(1e-5, 0.09)
 
@@ -58,15 +64,26 @@ class TestAbsBoundProperty:
         assert recon.shape == data.shape
 
 
+@pytest.mark.parametrize("name", available_compressors())
+class TestNonFiniteInputProperty:
+    @given(
+        data=_fields,
+        where=st.integers(0, 2**31),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_non_finite_input_rejected(self, name, data, where, bad):
+        comp = get_compressor(name)
+        data = data.copy()
+        data.flat[where % data.size] = bad
+        config = 1e-3 if comp.error_mode == "abs" else comp.config_domain()[1]
+        with pytest.raises(CompressionError, match="non-finite"):
+            comp.compress(data, config)
+
+
 class TestFPZIPProperty:
     @given(
-        data=_shapes.flatmap(
-            lambda shape: hnp.arrays(
-                dtype=np.float32,
-                shape=shape,
-                elements=st.floats(-1e6, 1e6, allow_nan=False, width=32),
-            )
-        ),
+        data=_float_fields(32),
         precision=st.integers(10, 32),
     )
     @settings(max_examples=25, deadline=None)
@@ -78,13 +95,7 @@ class TestFPZIPProperty:
 
 class TestDigitRoundingProperty:
     @given(
-        data=_shapes.flatmap(
-            lambda shape: hnp.arrays(
-                dtype=np.float32,
-                shape=shape,
-                elements=st.floats(-1e6, 1e6, allow_nan=False, width=32),
-            )
-        ),
+        data=_float_fields(32),
         digits=st.integers(1, 7),
     )
     @settings(max_examples=25, deadline=None)

@@ -7,12 +7,15 @@ the classic entropy-coder failure mode of trusting stream-carried
 sizes.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.compressors import get_compressor
 from repro.compressors.base import CompressedBlob
 from repro.encoding import HuffmanCodec
+from repro.encoding.varint import decode_section, encode_section
 from repro.errors import CorruptStreamError, InvalidConfiguration, ReproError
 
 _ACCEPTABLE = (ReproError,)
@@ -47,19 +50,6 @@ class TestHuffmanCorruption:
                 codec.decode(mutated)
             except _ACCEPTABLE:
                 pass  # the expected controlled failure
-
-
-class TestRangeCoderCorruption:
-    def test_controlled_failures(self, rng):
-        from repro.encoding import RangeCoder
-
-        coder = RangeCoder()
-        blob = coder.encode(rng.integers(-20, 20, 3000))
-        for mutated in _mutations(blob, np.random.default_rng(3), 40):
-            try:
-                coder.decode(mutated)
-            except _ACCEPTABLE:
-                pass
 
 
 @pytest.mark.robustness
@@ -189,3 +179,34 @@ class TestCompressorCorruption:
                 assert out.shape == smooth_field3d.shape
             except _ACCEPTABLE:
                 pass
+
+
+class TestRetiredSZHeaders:
+    """SZ blobs from the retired entropy backends fail with a typed error.
+
+    Header byte 17 once tagged range coding (1) and chunked Huffman (2),
+    and a 19th header byte once carried a narrowed quantization-code
+    width. Huffman with the default code space is all that remains.
+    """
+
+    @pytest.fixture()
+    def blob(self, smooth_field3d):
+        return get_compressor("sz").compress(smooth_field3d, 0.01)
+
+    def _header(self, blob):
+        header, offset = decode_section(blob.data, 0)
+        assert len(header) == 18 and header[17] == 0
+        return header, blob.data[offset:]
+
+    @pytest.mark.parametrize("tag", [1, 2])
+    def test_retired_entropy_tag(self, blob, tag):
+        header, body = self._header(blob)
+        retired = encode_section(header[:17] + bytes((tag,))) + body
+        with pytest.raises(CorruptStreamError, match="entropy backend tag"):
+            get_compressor("sz").decompress(replace(blob, data=retired))
+
+    def test_code_width_header_byte(self, blob):
+        header, body = self._header(blob)
+        widened = encode_section(header + bytes((8,))) + body
+        with pytest.raises(CorruptStreamError, match="bad SZ header"):
+            get_compressor("sz").decompress(replace(blob, data=widened))

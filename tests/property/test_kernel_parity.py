@@ -5,12 +5,14 @@ in-place vector passes over arena scratch; the ``"reference"`` backend
 reproduces the original unfused semantics through
 :class:`~repro.compressors.quantizer.LinearQuantizer`. Their contract is
 bit-identity — same blob *bytes*, same reconstruction — across every
-rank, entropy codec and error-bound regime the SZ family supports.
+rank, code space and error-bound regime the SZ family supports.
 These tests pin that contract; any fused shortcut that changes a single
 rounding decision fails here first.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from repro.compressors import (
     use_kernel_backend,
 )
 from repro.compressors.quantizer import LinearQuantizer
-from repro.compressors.sz import SZCompressor
 
 pytestmark = pytest.mark.kernels
 
@@ -55,7 +56,7 @@ def _blob_and_recon(compressor, data, eb, backend):
 
 @pytest.mark.parametrize("name", ["sz", "sz2"])
 @pytest.mark.parametrize("rank", ["1d", "2d", "3d"])
-@pytest.mark.parametrize("eb", [1e-2, 1e-4])
+@pytest.mark.parametrize("eb", [1e-2, 1e-3, 1e-4])
 def test_fused_blob_bytes_match_reference(fields, name, rank, eb):
     data = fields[rank]
     compressor = get_compressor(name)
@@ -66,25 +67,77 @@ def test_fused_blob_bytes_match_reference(fields, name, rank, eb):
     compressor.verify(data, recon_n, eb)
 
 
-@pytest.mark.parametrize("entropy", ["huffman", "range", "chunked"])
-def test_parity_holds_for_every_entropy_codec(fields, entropy):
-    data = fields["2d"]
-    compressor = SZCompressor(entropy=entropy)
-    blob_n, recon_n = _blob_and_recon(compressor, data, 1e-3, "numpy")
-    blob_r, recon_r = _blob_and_recon(compressor, data, 1e-3, "reference")
-    assert blob_n.data == blob_r.data
-    np.testing.assert_array_equal(recon_n, recon_r)
+#: sha256 of ``compress(field, eb).data`` for the default compressors.
+#: A changed digest means the on-disk SZ format moved: old blobs would
+#: no longer reproduce byte for byte.
+_PINNED_DIGESTS = {
+    ("sz", "1d", 0.01): "a1b4a283bf6701d9a6d813ebd3332e1a6ce4711aec81f031f5cbcaed511bf562",
+    ("sz", "1d", 0.0001): "2727d24657f6a532cd575de7b1a5e295eb26a2e41da8acf6b70f2beb4060d4b4",
+    ("sz", "2d", 0.01): "287aed5037c0bbb6501dc8133e07af6c443bf1bb4d7aa6b1401a6124f1baef92",
+    ("sz", "2d", 0.0001): "2a46593b5fefbf975a8317a9b31f171a2ab98cb197e834396693d50673965152",
+    ("sz", "3d", 0.01): "40a0730a4aedd4c78cefad50978574eff18499d892b5498308a25bdd3f424614",
+    ("sz", "3d", 0.0001): "cbbb9a128c8e0bc60bb4873f36a298c36870f2d8c7356319ea26009e8a432dc9",
+    ("sz2", "1d", 0.01): "299a34d971e30a9e024dc989cfce1cf17b7ae2816d606b888e9c0779d1d71563",
+    ("sz2", "1d", 0.0001): "e6f1634e4f0f851033f88e61f0cdd447daaadcabd6fe39b1d408d90597f1c3b4",
+    ("sz2", "2d", 0.01): "3ef567d10e51d52b8ee3bd9b0f6ba9ca7d96088bc10ac22232a6f07345220d1b",
+    ("sz2", "2d", 0.0001): "100e3712d8df7504620fdccb3ff8d9eb2e717fce427f67d12c0b3a0e5123e34b",
+    ("sz2", "3d", 0.01): "4a8657e158834f7602ddb9c9a2c719c6d6f77cc98bac45c19afb1880a20712db",
+    ("sz2", "3d", 0.0001): "5e443e7af56f35ebd1cb7a53b1f1c6321f340c2222ed94fff9cbb156f58f961a",
+}
+
+
+@pytest.mark.parametrize("name,rank,eb", sorted(_PINNED_DIGESTS))
+def test_default_blob_bytes_are_pinned(fields, name, rank, eb):
+    blob = get_compressor(name).compress(fields[rank], eb)
+    assert hashlib.sha256(blob.data).hexdigest() == _PINNED_DIGESTS[name, rank, eb]
+
+
+def _kernel_roundtrip(backend_name, target, pred0, quantizer):
+    """Encode then decode one block; returns ``(codes, outliers, recon)``."""
+    backend = get_kernel_backend(backend_name)
+    pred = pred0.copy()
+    codes = np.empty(target.shape, dtype=np.int64)
+    outliers = backend.encode_block(target, pred, quantizer, codes, KernelArena())
+    recon = pred0.copy()
+    used = backend.decode_block(codes, recon, quantizer, outliers, 0, KernelArena())
+    assert used == outliers.size
+    # The decoder rebuilds exactly the reconstruction the encoder left.
+    assert recon.tobytes() == pred.tobytes()
+    return codes, outliers, recon
+
+
+def _assert_kernel_parity(target, pred0, quantizer):
+    results = {
+        name: _kernel_roundtrip(name, target, pred0, quantizer)
+        for name in ("numpy", "reference")
+    }
+    codes, outliers, recon = results["numpy"]
+    assert outliers.size > 0
+    for a, b in zip(results["numpy"], results["reference"]):
+        assert a.tobytes() == b.tobytes()
+    assert np.all(np.abs(recon - target) <= quantizer.error_bound)
+    return codes
 
 
 def test_parity_with_tiny_error_bound_outlier_heavy(fields):
-    # A tiny eb pushes many residuals past the code range: the outlier
-    # path (sentinel codes + verbatim values) must also match exactly.
-    data = fields["3d"]
-    compressor = SZCompressor(quant_width=4)
-    blob_n, recon_n = _blob_and_recon(compressor, data, 1e-7, "numpy")
-    blob_r, recon_r = _blob_and_recon(compressor, data, 1e-7, "reference")
-    assert blob_n.data == blob_r.data
-    np.testing.assert_array_equal(recon_n, recon_r)
+    # A tiny eb in a 4-bit code space pushes most residuals past the
+    # code range: the outlier path (sentinel codes + verbatim values)
+    # must match exactly too.
+    target = fields["3d"].astype(np.float64)
+    pred0 = np.roll(target, 1, axis=0)
+    codes = _assert_kernel_parity(target, pred0, LinearQuantizer(1e-7, max_code=7))
+    assert np.count_nonzero(codes == 8) > codes.size // 2
+
+
+def test_narrow_code_space_parity(fields):
+    # Code spaces from 1 magnitude bit up: both code and outlier paths
+    # are exercised in one block.
+    target = fields["2d"]
+    pred0 = np.roll(target, 1, axis=1)
+    for max_code in (1, 7, 127):
+        quantizer = LinearQuantizer(1e-3, max_code=max_code)
+        codes = _assert_kernel_parity(target, pred0, quantizer)
+        assert np.count_nonzero(codes != quantizer.sentinel) > 0
 
 
 def test_rounding_edge_takes_outlier_path_in_both_backends():
@@ -149,14 +202,3 @@ def test_stream_decode_after_shrinking_shapes(fields):
     np.testing.assert_array_equal(
         stream.decompress(big), compressor.decompress(big)
     )
-
-
-def test_quant_width_parity_and_header_roundtrip(fields):
-    data = fields["2d"]
-    for width in (2, 8, 22):
-        compressor = SZCompressor(entropy="chunked", quant_width=width)
-        blob_n, recon_n = _blob_and_recon(compressor, data, 1e-3, "numpy")
-        blob_r, recon_r = _blob_and_recon(compressor, data, 1e-3, "reference")
-        assert blob_n.data == blob_r.data
-        np.testing.assert_array_equal(recon_n, recon_r)
-        compressor.verify(data, recon_n, 1e-3)

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.encoding.bitio import (
-    BitReader,
-    BitWriter,
     _pack_bits_reference,
     pack_at_offsets,
     pack_bits,
@@ -14,53 +12,6 @@ from repro.encoding.bitio import (
     unpack_fixed_width,
 )
 from repro.errors import CorruptStreamError
-
-
-class TestBitWriterReader:
-    def test_roundtrip_mixed_widths(self):
-        writer = BitWriter()
-        writer.write_bits(5, 3)
-        writer.write_bits(1, 1)
-        writer.write_bits(1023, 10)
-        writer.write_bit(1)
-        data = writer.getvalue()
-        reader = BitReader(data)
-        assert reader.read_bits(3) == 5
-        assert reader.read_bits(1) == 1
-        assert reader.read_bits(10) == 1023
-        assert reader.read_bit() == 1
-
-    def test_empty_stream(self):
-        assert BitWriter().getvalue() == b""
-
-    def test_value_too_wide_rejected(self):
-        writer = BitWriter()
-        with pytest.raises(ValueError):
-            writer.write_bits(8, 3)
-
-    def test_negative_value_rejected(self):
-        with pytest.raises(ValueError):
-            BitWriter().write_bits(-1, 4)
-
-    def test_read_past_end_raises(self):
-        writer = BitWriter()
-        writer.write_bits(3, 2)
-        reader = BitReader(writer.getvalue())
-        reader.read_bits(2)
-        # Padding bits exist up to the byte boundary; exhaust them.
-        reader.read_bits(6)
-        with pytest.raises(CorruptStreamError):
-            reader.read_bit()
-
-    def test_zero_width_read(self):
-        reader = BitReader(b"\xff")
-        assert reader.read_bits(0) == 0
-
-    def test_remaining_counts_down(self):
-        reader = BitReader(b"\xab")
-        assert reader.remaining == 8
-        reader.read_bits(3)
-        assert reader.remaining == 5
 
 
 class TestPackBits:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.encoding.huffman import (
-    ChunkedHuffmanCodec,
     HuffmanCodec,
     _canonical_codes,
     _huffman_code_lengths,
@@ -139,71 +138,3 @@ class TestSymbolTable:
         alphabet, inverse, _ = symbol_table(symbols)
         np.testing.assert_array_equal(alphabet[inverse], symbols)
 
-
-class TestChunkedHuffman:
-    @pytest.fixture()
-    def chunked(self):
-        return ChunkedHuffmanCodec()
-
-    def test_skewed_roundtrip(self, chunked, rng):
-        symbols = rng.geometric(0.25, 50_000).astype(np.int64) - 3
-        assert np.array_equal(chunked.decode(chunked.encode(symbols)), symbols)
-
-    def test_uniform_roundtrip(self, chunked, rng):
-        symbols = rng.integers(-500, 500, 20_000)
-        assert np.array_equal(chunked.decode(chunked.encode(symbols)), symbols)
-
-    @pytest.mark.parametrize("chunk_size", [1, 2, 7, 256, 4096])
-    def test_roundtrip_across_chunk_sizes(self, rng, chunk_size):
-        codec = ChunkedHuffmanCodec(chunk_size=chunk_size)
-        symbols = rng.geometric(0.4, 3000).astype(np.int64)
-        assert np.array_equal(codec.decode(codec.encode(symbols)), symbols)
-
-    @pytest.mark.parametrize("n", [1, 255, 256, 257, 512, 513])
-    def test_partial_final_chunk_boundaries(self, chunked, rng, n):
-        symbols = rng.integers(0, 9, n)
-        assert np.array_equal(chunked.decode(chunked.encode(symbols)), symbols)
-
-    def test_single_symbol_stream_is_tiny(self, chunked):
-        symbols = np.full(999, -42, dtype=np.int64)
-        blob = chunked.encode(symbols)
-        assert len(blob) < 20
-        assert np.array_equal(chunked.decode(blob), symbols)
-
-    def test_empty_stream(self, chunked):
-        assert chunked.decode(chunked.encode(np.zeros(0, np.int64))).size == 0
-
-    def test_two_distinct_symbols(self, chunked):
-        symbols = np.array([7, 7, 7, -1, 7, -1], dtype=np.int64)
-        assert np.array_equal(chunked.decode(chunked.encode(symbols)), symbols)
-
-    def test_compresses_skewed_stream(self, chunked, rng):
-        symbols = rng.geometric(0.9, 100_000).astype(np.int64)
-        assert len(chunked.encode(symbols)) < symbols.size
-
-    def test_overhead_vs_plain_huffman_is_bounded(self, rng):
-        # The chunk table + per-chunk byte alignment should cost only a
-        # few percent at the default chunk size.
-        symbols = rng.geometric(0.5, 100_000).astype(np.int64)
-        plain = len(HuffmanCodec().encode(symbols))
-        chunked = len(ChunkedHuffmanCodec().encode(symbols))
-        assert chunked < plain * 1.10
-
-    def test_truncated_stream_raises(self, chunked, rng):
-        symbols = rng.integers(0, 100, 1000)
-        blob = chunked.encode(symbols)
-        with pytest.raises(CorruptStreamError):
-            chunked.decode(blob[: len(blob) // 2])
-
-    def test_empty_blob_raises(self, chunked):
-        with pytest.raises(CorruptStreamError):
-            chunked.decode(b"")
-
-    def test_bad_chunk_size_rejected(self):
-        with pytest.raises(EncodingError):
-            ChunkedHuffmanCodec(chunk_size=0)
-
-    def test_multidimensional_input_flattened(self, chunked, rng):
-        symbols = rng.integers(0, 5, (10, 10))
-        decoded = chunked.decode(chunked.encode(symbols))
-        assert np.array_equal(decoded, symbols.ravel())

@@ -24,6 +24,15 @@ def _unwrap_arrays(path) -> dict[str, np.ndarray]:
         return {k: archive[k] for k in archive.files}
 
 
+def _rewrite_meta(path, edit) -> None:
+    """Apply ``edit`` to the archive's metadata; re-save as bare npz."""
+    arrays = _unwrap_arrays(path)
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    edit(meta)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)  # legacy bare-npz layout is still read
+
+
 @pytest.fixture(scope="module")
 def fitted_pipeline():
     rng = np.random.default_rng(2)
@@ -71,16 +80,32 @@ class TestRoundtrip:
         from repro.compressors.sz import SZCompressor
 
         pipeline = repro.FXRZ(
-            SZCompressor(interpolation="linear", entropy="range"),
+            SZCompressor(interpolation="linear"),
             config=config,
             model_factory=small_forest_factory,
         )
         pipeline.fit([data])
         path = tmp_path / "szopts.npz"
         save_pipeline(pipeline, path)
+        meta = json.loads(bytes(_unwrap_arrays(path)["meta"]).decode("utf-8"))
+        assert meta["compressor_options"] == {"interpolation": "linear"}
         restored = load_pipeline(path)
         assert restored.compressor.interpolation == "linear"
-        assert restored.compressor.entropy == "range"
+
+    def test_huffman_entropy_option_still_loads(self, fitted_pipeline, tmp_path):
+        # Archives from before SZ lost its entropy option carry
+        # "entropy": "huffman"; Huffman is the only backend now.
+        pipeline, train = fitted_pipeline
+        path = tmp_path / "huffman.npz"
+        save_pipeline(pipeline, path)
+        _rewrite_meta(
+            path, lambda meta: meta["compressor_options"].update({"entropy": "huffman"})
+        )
+        restored = load_pipeline(path)
+        assert restored.compressor.name == "sz"
+        assert restored.estimate_config(train[0], 6.0).config == pytest.approx(
+            pipeline.estimate_config(train[0], 6.0).config
+        )
 
     def test_rate_mode_compressor_restored(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -126,13 +151,7 @@ class TestValidation:
         pipeline, _ = fitted_pipeline
         path = tmp_path / "versioned.npz"
         save_pipeline(pipeline, path)
-        arrays = _unwrap_arrays(path)
-        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-        meta["format_version"] = 999
-        arrays["meta"] = np.frombuffer(
-            json.dumps(meta).encode("utf-8"), dtype=np.uint8
-        )
-        np.savez(path, **arrays)  # legacy bare-npz layout is still read
+        _rewrite_meta(path, lambda meta: meta.update(format_version=999))
         with pytest.raises(InvalidConfiguration, match="newer"):
             load_pipeline(path)
 
@@ -140,13 +159,9 @@ class TestValidation:
         pipeline, _ = fitted_pipeline
         path = tmp_path / "badcomp.npz"
         save_pipeline(pipeline, path)
-        arrays = _unwrap_arrays(path)
-        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-        meta["compressor"] = "definitely-not-a-compressor"
-        arrays["meta"] = np.frombuffer(
-            json.dumps(meta).encode("utf-8"), dtype=np.uint8
+        _rewrite_meta(
+            path, lambda meta: meta.update(compressor="definitely-not-a-compressor")
         )
-        np.savez(path, **arrays)
         with pytest.raises(InvalidConfiguration, match="unknown or unloadable"):
             load_pipeline(path)
 
@@ -154,14 +169,21 @@ class TestValidation:
         pipeline, _ = fitted_pipeline
         path = tmp_path / "badcfg.npz"
         save_pipeline(pipeline, path)
-        arrays = _unwrap_arrays(path)
-        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-        meta["config"]["no_such_knob"] = 1
-        arrays["meta"] = np.frombuffer(
-            json.dumps(meta).encode("utf-8"), dtype=np.uint8
-        )
-        np.savez(path, **arrays)
+        _rewrite_meta(path, lambda meta: meta["config"].update(no_such_knob=1))
         with pytest.raises(InvalidConfiguration, match="configuration"):
+            load_pipeline(path)
+
+    @pytest.mark.parametrize("backend", ["range", "chunked"])
+    def test_retired_entropy_backend_rejected(
+        self, fitted_pipeline, tmp_path, backend
+    ):
+        pipeline, _ = fitted_pipeline
+        path = tmp_path / f"{backend}.npz"
+        save_pipeline(pipeline, path)
+        _rewrite_meta(
+            path, lambda meta: meta["compressor_options"].update({"entropy": backend})
+        )
+        with pytest.raises(InvalidConfiguration, match=f"retired.*{backend}"):
             load_pipeline(path)
 
 

@@ -5,47 +5,7 @@ import pytest
 
 from repro.errors import CorruptStreamError
 
-from repro.encoding.rle import (
-    rle_decode,
-    rle_encode,
-    zero_rle_decode,
-    zero_rle_encode,
-)
-
-
-class TestGenericRLE:
-    def test_basic_runs(self):
-        values, runs = rle_encode(np.array([1, 1, 1, 2, 3, 3]))
-        assert values.tolist() == [1, 2, 3]
-        assert runs.tolist() == [3, 1, 2]
-
-    def test_roundtrip(self, rng):
-        symbols = rng.integers(0, 3, 5000)
-        values, runs = rle_encode(symbols)
-        assert np.array_equal(rle_decode(values, runs), symbols)
-
-    def test_empty(self):
-        values, runs = rle_encode(np.zeros(0, np.int64))
-        assert values.size == 0 and runs.size == 0
-        assert rle_decode(values, runs).size == 0
-
-    def test_single_element(self):
-        values, runs = rle_encode(np.array([9]))
-        assert values.tolist() == [9] and runs.tolist() == [1]
-
-    def test_all_distinct(self):
-        data = np.arange(10)
-        values, runs = rle_encode(data)
-        assert np.array_equal(values, data)
-        assert (runs == 1).all()
-
-    def test_decode_rejects_mismatched_shapes(self):
-        with pytest.raises(CorruptStreamError):
-            rle_decode(np.array([1, 2]), np.array([1]))
-
-    def test_decode_rejects_nonpositive_runs(self):
-        with pytest.raises(CorruptStreamError):
-            rle_decode(np.array([1]), np.array([0]))
+from repro.encoding.rle import zero_rle_decode, zero_rle_encode
 
 
 class TestZeroRLE:
@@ -91,19 +51,6 @@ class TestZeroRLE:
 
 
 class TestArenaBackedRLE:
-    def test_rle_encode_uses_arena_scratch(self, rng):
-        from repro.compressors.kernels import KernelArena
-
-        arena = KernelArena()
-        symbols = rng.integers(0, 3, 5000)
-        values, runs = rle_encode(symbols, arena=arena)
-        assert np.array_equal(rle_decode(values, runs), symbols)
-        # Same stream again: the outputs must come from pooled buffers.
-        values2, runs2 = rle_encode(symbols, arena=arena)
-        assert np.shares_memory(values, values2)
-        assert np.shares_memory(runs, runs2)
-        assert arena.stats.reuses >= 2
-
     def test_zero_rle_encode_uses_arena_scratch(self, rng):
         from repro.compressors.kernels import KernelArena
 
@@ -127,10 +74,6 @@ class TestArenaBackedRLE:
         )
         assert np.array_equal(plain_tokens, arena_tokens)
         assert np.array_equal(plain_literals, arena_literals)
-        plain_values, plain_runs = rle_encode(symbols)
-        arena_values, arena_runs = rle_encode(symbols, arena=KernelArena())
-        assert np.array_equal(plain_values, arena_values)
-        assert np.array_equal(plain_runs, arena_runs)
 
     def test_all_zero_stream_with_arena(self):
         from repro.compressors.kernels import KernelArena

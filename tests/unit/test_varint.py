@@ -1,13 +1,10 @@
 """Unit tests for repro.encoding.varint."""
 
-import numpy as np
 import pytest
 
 from repro.encoding.varint import (
-    decode_array_header,
     decode_section,
     decode_uvarint,
-    encode_array_header,
     encode_section,
     encode_uvarint,
 )
@@ -39,27 +36,6 @@ class TestUvarint:
         first, offset = decode_uvarint(data)
         second, offset = decode_uvarint(data, offset)
         assert (first, second) == (7, 300)
-
-
-class TestArrayHeader:
-    @pytest.mark.parametrize(
-        "shape,dtype",
-        [((3,), np.float32), ((4, 5), np.int64), ((2, 3, 4, 5), np.uint8)],
-    )
-    def test_roundtrip(self, shape, dtype):
-        data = encode_array_header(shape, np.dtype(dtype))
-        out_shape, out_dtype, offset = decode_array_header(data)
-        assert out_shape == shape
-        assert out_dtype == np.dtype(dtype)
-        assert offset == len(data)
-
-    def test_unsupported_dtype_rejected(self):
-        with pytest.raises(ValueError):
-            encode_array_header((2,), np.dtype(np.complex128))
-
-    def test_bad_tag_raises(self):
-        with pytest.raises(CorruptStreamError):
-            decode_array_header(encode_uvarint(250))
 
 
 class TestSections:
