@@ -75,10 +75,12 @@ runtime-smoke:
 
 # Kernel gate: the kernels-marked tests (scratch arena, backend
 # registry, fused-vs-reference bit-identity parity, pinned SZ blob bytes,
-# the CA block scan against its block-major reference and the forest's
+# the CA block scan against its block-major reference, the forest's
 # packed-pass parity: mean and spread bit-identical to the per-tree
-# walks) with RuntimeWarnings promoted to errors — a fused pass that
-# overflows or divides by zero must fail loudly, not round differently.
+# walks, and the level-wise tree fit against its depth-first oracle
+# with pinned forest and archive digests) with RuntimeWarnings promoted
+# to errors — a fused pass that overflows or divides by zero must fail
+# loudly, not round differently.
 kernels:
 	$(PYTEST) -x -q -W error::RuntimeWarning -m kernels
 

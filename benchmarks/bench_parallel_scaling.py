@@ -1,6 +1,6 @@
-"""Parallel execution layer — sweep scaling, memo reuse, forest fit.
+"""Parallel execution layer — sweep scaling and memo reuse.
 
-Three measurements over the new :mod:`repro.parallel` seams:
+Two measurements over the :mod:`repro.parallel` seams:
 
 1. **Sweep scaling** — ``build_curve`` at several ``--jobs`` levels,
    each run twice against one shared memo: the *cold* pass pays every
@@ -9,9 +9,7 @@ Three measurements over the new :mod:`repro.parallel` seams:
    stationary config from the memo. Both wall clocks, the parallel
    speedup and the memo-warm speedup are recorded — separately and
    honestly labeled, because they come from different mechanisms.
-2. **Forest fit** — serial vs ``n_jobs=4`` fit wall clock, with the
-   bit-identical-prediction parity asserted in passing.
-3. **FRaZ memo reuse** — the same field searched twice through one
+2. **FRaZ memo reuse** — the same field searched twice through one
    memo; the second search must *hit* (the cross-path cache's
    raison d'être) and its compressor-free wall clock is recorded. The
    section runs with a live :class:`~repro.obs.MetricsRegistry`: the
@@ -37,7 +35,6 @@ from repro.compressors import get_compressor
 from repro.core.augmentation import build_curve
 from repro.baselines.fraz import FRaZ
 from repro.experiments.tables import render_table
-from repro.ml.forest import RandomForestRegressor
 from repro.parallel import CompressionMemoCache, available_cpus
 from repro.runtime import RuntimeContext
 
@@ -158,24 +155,7 @@ def test_parallel_scaling(benchmark, report):
             "serial path; cold-scaling floor skipped"
         )
 
-    # -- 2. forest fit: serial vs n_jobs=4, parity asserted -------------------
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(400, 6))
-    y = x @ rng.normal(size=6) + 0.1 * rng.normal(size=400)
-    tick = time.perf_counter()
-    serial_forest = RandomForestRegressor(n_estimators=24, random_state=3).fit(x, y)
-    fit_serial = time.perf_counter() - tick
-    tick = time.perf_counter()
-    parallel_forest = RandomForestRegressor(
-        n_estimators=24, random_state=3, n_jobs=4
-    ).fit(x, y)
-    fit_parallel = time.perf_counter() - tick
-    queries = rng.normal(size=(50, 6))
-    np.testing.assert_array_equal(
-        parallel_forest.predict(queries), serial_forest.predict(queries)
-    )
-
-    # -- 3. FRaZ memo reuse: the second search must hit -----------------------
+    # -- 2. FRaZ memo reuse: the second search must hit -----------------------
     # Run under a RuntimeContext carrying a live metrics registry: the
     # session memo registers its repro_memo_* gauges on first use, the
     # context makes the registry ambient for FRaZ's probe counters, and
@@ -227,14 +207,8 @@ def test_parallel_scaling(benchmark, report):
         )
         + "\n"
         + render_table(
-            ["path", "serial", "jobs=4", "note"],
+            ["path", "first", "repeat", "note"],
             [
-                [
-                    "forest fit (24 trees)",
-                    f"{fit_serial:.3f} s",
-                    f"{fit_parallel:.3f} s",
-                    "predictions bit-identical",
-                ],
                 [
                     "FRaZ search x2 (shared memo)",
                     f"{fraz_first:.3f} s",
@@ -242,7 +216,7 @@ def test_parallel_scaling(benchmark, report):
                     f"{fraz_hits} memo hit(s) on repeat",
                 ],
             ],
-            title="Forest fit and FRaZ memo reuse",
+            title="FRaZ memo reuse",
         )
         + "\n"
         + render_table(
@@ -271,12 +245,6 @@ def test_parallel_scaling(benchmark, report):
                     ),
                 },
                 "sweep": sweep_records,
-                "forest_fit": {
-                    "n_estimators": 24,
-                    "serial_seconds": fit_serial,
-                    "jobs4_seconds": fit_parallel,
-                    "bit_identical": True,
-                },
                 "fraz_memo": {
                     "target_ratio": target,
                     "first_seconds": fraz_first,

@@ -66,9 +66,8 @@ class FXRZ:
         model_factory: ``seed -> model`` override for the Table III
             model comparison; defaults to the random forest.
         ctx: a :class:`~repro.runtime.RuntimeContext`; supplies the
-            training-time executor, the shared compression memo and the
-            forest worker count. Results are bit-identical at any
-            worker count.
+            training-time sweep executor and the shared compression
+            memo. Results are bit-identical at any worker count.
     """
 
     def __init__(
@@ -83,7 +82,6 @@ class FXRZ:
         self.config = config or FXRZConfig()
         self.ctx = ctx
         self.memo = ctx.memo if ctx is not None else None
-        self.n_jobs = ctx.config.jobs if ctx is not None else None
         self._training = TrainingEngine(
             compressor,
             config=self.config,

@@ -73,8 +73,7 @@ class TrainingEngine:
         config: framework knobs.
         model_factory: ``seed -> model`` override.
         ctx: a :class:`~repro.runtime.RuntimeContext`; supplies the
-            sweep executor, the shared compression memo and the forest
-            worker count.
+            sweep executor and the shared compression memo.
     """
 
     def __init__(
@@ -91,7 +90,6 @@ class TrainingEngine:
         self.ctx = ctx
         self.executor = ctx.executor if ctx is not None else None
         self.memo = ctx.memo if ctx is not None else None
-        self.n_jobs = ctx.config.jobs if ctx is not None else None
         self.records: list[_DatasetRecord] = []
         self.report = TrainingReport()
         self._model = None
@@ -158,10 +156,6 @@ class TrainingEngine:
         x, y = self.build_training_matrix()
         start = time.perf_counter()
         model = self.model_factory(self.config.seed)
-        if self.n_jobs is not None and hasattr(model, "n_jobs"):
-            # Seeds are drawn serially inside the forest, so the fitted
-            # model is bit-identical at any worker count.
-            model.n_jobs = self.n_jobs
         model.fit(x, y)
         self.report.fit_seconds += time.perf_counter() - start
         self._model = model

@@ -73,19 +73,6 @@ def _pack(trees: list[DecisionTreeRegressor]) -> _PackedForest:
     )
 
 
-def _fit_tree_task(task, arrays: dict, context: dict) -> DecisionTreeRegressor:
-    """Fit one tree on its bootstrap rows (executor worker)."""
-    seed, idx = task
-    tree = DecisionTreeRegressor(
-        max_depth=context["max_depth"],
-        min_samples_leaf=context["min_samples_leaf"],
-        max_features=context["max_features"],
-        random_state=seed,
-    )
-    tree.fit(arrays["x"][idx], arrays["y"][idx])
-    return tree
-
-
 class RandomForestRegressor:
     """Bagged ensemble of :class:`DecisionTreeRegressor`.
 
@@ -98,9 +85,6 @@ class RandomForestRegressor:
             classic regression-forest default).
         bootstrap: draw each tree's sample with replacement.
         random_state: master seed; trees get derived seeds.
-        n_jobs: default worker count for :meth:`fit` (``None``/1 =
-            serial; tree fitting is pure-python and GIL-bound, so
-            parallel runs use a process pool).
     """
 
     def __init__(
@@ -111,7 +95,6 @@ class RandomForestRegressor:
         max_features: int | str | None = "third",
         bootstrap: bool = True,
         random_state: int | None = None,
-        n_jobs: int | None = None,
     ) -> None:
         if n_estimators < 1:
             raise InvalidConfiguration("n_estimators must be >= 1")
@@ -121,22 +104,10 @@ class RandomForestRegressor:
         self.max_features = max_features
         self.bootstrap = bootstrap
         self.random_state = random_state
-        self.n_jobs = n_jobs
         self._trees: list[DecisionTreeRegressor] | None = None
         #: ``(trees, table)``: the packed table and the list it was built
         #: from; derived data, never saved.
         self._packed: tuple[list, _PackedForest] | None = None
-
-    def _executor(self, n_jobs: int | None):
-        """The executor for one call: ``n_jobs`` overrides the instance."""
-        if n_jobs is None:
-            n_jobs = self.n_jobs
-        if n_jobs is None or n_jobs == 1:
-            return None
-        from repro.parallel.executor import ParallelExecutor
-
-        executor = ParallelExecutor(n_jobs=n_jobs, backend="process")
-        return executor if executor.backend != "serial" else None
 
     def _resolve_max_features(self, n_features: int) -> int | None:
         if self.max_features is None:
@@ -151,19 +122,11 @@ class RandomForestRegressor:
             return min(self.max_features, n_features)
         raise InvalidConfiguration(f"bad max_features {self.max_features!r}")
 
-    def fit(
-        self,
-        features: np.ndarray,
-        targets: np.ndarray,
-        n_jobs: int | None = None,
-    ) -> "RandomForestRegressor":
+    def fit(self, features: np.ndarray, targets: np.ndarray) -> "RandomForestRegressor":
         """Fit ``n_estimators`` trees on bootstrap resamples.
 
-        With ``n_jobs > 1`` the trees are fitted on a process pool. The
-        per-tree seeds and bootstrap rows are drawn serially from the
-        master generator first (the draws are cheap; the tree fits are
-        not), so the resulting forest is bit-identical at any worker
-        count.
+        Each tree's seed and bootstrap rows are drawn from the master
+        generator just before the tree is grown.
         """
         features = np.asarray(features, dtype=np.float64)
         targets = np.asarray(targets, dtype=np.float64)
@@ -172,30 +135,17 @@ class RandomForestRegressor:
         n = features.shape[0]
         max_features = self._resolve_max_features(features.shape[1])
         rng = np.random.default_rng(self.random_state)
-        tasks: list[tuple[int, np.ndarray]] = []
+        trees = []
         for _ in range(self.n_estimators):
             seed = int(rng.integers(0, 2**31 - 1))
-            if self.bootstrap:
-                idx = rng.integers(0, n, size=n)
-            else:
-                idx = np.arange(n)
-            tasks.append((seed, idx))
-        context = {
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "max_features": max_features,
-        }
-        executor = self._executor(n_jobs)
-        if executor is not None:
-            trees = executor.map(
-                _fit_tree_task,
-                tasks,
-                shared={"x": features, "y": targets},
-                context=context,
+            idx = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
+            tree = DecisionTreeRegressor(
+                max_depth=self.max_depth,
+                min_samples_leaf=self.min_samples_leaf,
+                max_features=max_features,
+                random_state=seed,
             )
-        else:
-            arrays = {"x": features, "y": targets}
-            trees = [_fit_tree_task(task, arrays, context) for task in tasks]
+            trees.append(tree.fit(features[idx], targets[idx]))
         self._trees = trees
         return self
 

@@ -3,8 +3,24 @@
 Axis-aligned binary splits chosen by variance (sum-of-squared-error)
 reduction, with the usual depth / sample-count stopping rules and
 optional per-split feature subsampling (used by the random forest).
-Split search is vectorized: candidate thresholds per feature are
-evaluated with prefix sums over the sorted targets.
+
+The tree grows one level at a time, and every node of a level is
+handled in the same few array passes:
+
+* leaf values and the parent SSE are pairwise sums over each node's
+  rows in row order, taken for all nodes of one size at once;
+* each feature's rows are argsorted once per fit (stable, NaN last);
+  regrouped by node, that order is every node's own stable sort. A
+  node's sorted rows fill one zero-padded row of a
+  ``(features, nodes, max_size)`` block whose row cumsums give every
+  candidate threshold's left sums; each node takes its first best
+  split, features compared in order with a strict ``>``;
+* the chosen splits partition all rows in one mask.
+
+Nodes are then numbered in depth-first creation order (a node's
+children get consecutive ids when it is popped off a stack, right
+child first). The node arrays equal those of a node-at-a-time
+depth-first fit bit for bit; the test suite keeps one as its oracle.
 """
 
 from __future__ import annotations
@@ -14,6 +30,14 @@ import numpy as np
 from repro.errors import InvalidConfiguration, NotFittedError
 
 _NO_CHILD = -1
+
+#: Cells of one padded ``(features, nodes, max_size)`` block of the
+#: split search; bounds its scratch at a few MB whatever the level.
+_BATCH_CELLS = 1 << 16
+
+#: Longest node whose rows numpy's pairwise ``sum`` adds in plain
+#: sequence (it unrolls from eight values on).
+_SEQUENTIAL_SUM = 7
 
 
 class DecisionTreeRegressor:
@@ -75,123 +99,215 @@ class DecisionTreeRegressor:
             if sample_weight.shape != targets.shape or sample_weight.min() < 0:
                 raise InvalidConfiguration("bad sample_weight")
 
+        n, d = features.shape
         rng = np.random.default_rng(self.random_state)
-        # Growable node storage; lists are converted to arrays afterwards.
-        feature_ids: list[int] = []
-        thresholds: list[float] = []
-        lefts: list[int] = []
-        rights: list[int] = []
-        values: list[float] = []
+        # Each feature's rows in (value, row) order, NaN last: a node's
+        # rows taken in this order are that node's stable sort.
+        orders = np.argsort(features, axis=0, kind="stable").T
+        wy = sample_weight * targets
+        stats = np.stack((sample_weight, wy, wy * targets, targets))
+        levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        # The current level: its nodes' rows, grouped by node and
+        # ascending within a node, and each node's row count.
+        rows = np.arange(n)
+        sizes = np.array([n])
+        depth = 0
+        while sizes.size:
+            m = sizes.size
+            starts = np.cumsum(sizes) - sizes
+            node_of = np.repeat(np.arange(m), sizes)
+            sum_w, sum_wy, sum_wy2, sum_y = _node_sums(stats, rows, starts, sizes)
+            value = sum_y / sizes
+            np.divide(sum_wy, sum_w, out=value, where=sum_w > 0)
+            y = targets[rows]
+            varied = np.logical_or.reduceat(y != y[starts][node_of], starts)
+            searched = np.flatnonzero(varied & (sizes >= self.min_samples_split))
+            if self.max_depth is not None and depth >= self.max_depth:
+                searched = searched[:0]
 
-        def new_node() -> int:
-            feature_ids.append(_NO_CHILD)
-            thresholds.append(0.0)
-            lefts.append(_NO_CHILD)
-            rights.append(_NO_CHILD)
-            values.append(0.0)
-            return len(values) - 1
+            feature = np.full(m, _NO_CHILD, dtype=np.int64)
+            threshold = np.zeros(m)
+            if searched.size and d:
+                # ``wy2.sum() - wy.sum() ** 2 / w.sum()`` in numpy scalar
+                # arithmetic, whose ``** 2`` is libm pow, not a square
+                # (and overflows to inf where a Python float raises).
+                parent_sse = np.array(
+                    [
+                        s2 - s1**2 / max(s0, 1e-300)
+                        for s0, s1, s2 in zip(
+                            sum_w[searched], sum_wy[searched], sum_wy2[searched]
+                        )
+                    ]
+                )
+                feature[searched], threshold[searched] = self._best_splits(
+                    features,
+                    orders,
+                    stats,
+                    rows,
+                    starts[searched],
+                    sizes[searched],
+                    parent_sse,
+                    rng,
+                )
 
-        root = new_node()
-        stack = [(root, np.arange(features.shape[0]), 0)]
-        while stack:
-            node, idx, depth = stack.pop()
-            y = targets[idx]
-            w = sample_weight[idx]
-            total_w = w.sum()
-            values[node] = float(np.average(y, weights=w)) if total_w > 0 else float(
-                y.mean()
+            # Partition every split node's rows at once; a split that
+            # leaves a child under min_samples_leaf makes a leaf.
+            inside = feature[node_of] != _NO_CHILD
+            rows, node_of = rows[inside], node_of[inside]
+            go_right = ~(features[rows, feature[node_of]] <= threshold[node_of])
+            n_left = np.bincount(node_of[~go_right], minlength=m)
+            keep = (
+                (feature != _NO_CHILD)
+                & (n_left >= self.min_samples_leaf)
+                & (sizes - n_left >= self.min_samples_leaf)
             )
-            if (
-                idx.size < self.min_samples_split
-                or (self.max_depth is not None and depth >= self.max_depth)
-                or np.all(y == y[0])
-            ):
-                continue
-            split = self._best_split(features[idx], y, w, rng)
-            if split is None:
-                continue
-            feat, thr = split
-            mask = features[idx, feat] <= thr
-            left_idx = idx[mask]
-            right_idx = idx[~mask]
-            if (
-                left_idx.size < self.min_samples_leaf
-                or right_idx.size < self.min_samples_leaf
-            ):
-                continue
-            feature_ids[node] = feat
-            thresholds[node] = thr
-            left = new_node()
-            right = new_node()
-            lefts[node] = left
-            rights[node] = right
-            stack.append((left, left_idx, depth + 1))
-            stack.append((right, right_idx, depth + 1))
+            feature[~keep] = _NO_CHILD
+            threshold[~keep] = 0.0
+            levels.append((feature, threshold, value))
 
-        self._nodes = {
-            "feature": np.array(feature_ids, dtype=np.int64),
-            "threshold": np.array(thresholds, dtype=np.float64),
-            "left": np.array(lefts, dtype=np.int64),
-            "right": np.array(rights, dtype=np.int64),
-            "value": np.array(values, dtype=np.float64),
-        }
+            kept = keep[node_of]
+            child = 2 * (np.cumsum(keep) - 1)[node_of[kept]] + go_right[kept]
+            rows = rows[kept][np.argsort(child, kind="stable")]
+            sizes = np.bincount(child, minlength=2 * int(keep.sum()))
+            depth += 1
+
+        feature, threshold, value = (np.concatenate(a) for a in zip(*levels))
+        self._nodes = _depth_first(feature, threshold, value)
         return self
 
-    def _best_split(
+    def _best_splits(
         self,
         features: np.ndarray,
-        targets: np.ndarray,
-        weights: np.ndarray,
+        orders: np.ndarray,
+        stats: np.ndarray,
+        rows: np.ndarray,
+        starts: np.ndarray,
+        sizes: np.ndarray,
+        parent_sse: np.ndarray,
         rng: np.random.Generator,
-    ) -> tuple[int, float] | None:
-        """Return (feature, threshold) with the largest SSE reduction."""
-        n, d = features.shape
-        if self.max_features is not None and self.max_features < d:
-            candidates = rng.choice(d, size=self.max_features, replace=False)
-        else:
-            candidates = np.arange(d)
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Each node's (feature, threshold) with the largest SSE reduction.
 
-        best_gain = 1e-12
-        best: tuple[int, float] | None = None
-        wy = weights * targets
-        wy2 = weights * targets * targets
-        parent_sse = wy2.sum() - (wy.sum() ** 2) / max(weights.sum(), 1e-300)
-        for feat in candidates:
-            order = np.argsort(features[:, feat], kind="stable")
-            x_sorted = features[order, feat]
-            w_sorted = weights[order]
-            wy_sorted = wy[order]
-            wy2_sorted = wy2[order]
-            cw = np.cumsum(w_sorted)
-            cwy = np.cumsum(wy_sorted)
-            cwy2 = np.cumsum(wy2_sorted)
-            total_w, total_wy, total_wy2 = cw[-1], cwy[-1], cwy2[-1]
-            # Valid split positions: between distinct consecutive x values,
-            # honoring min_samples_leaf on both sides.
-            pos = np.arange(1, n)
-            valid = x_sorted[1:] > x_sorted[:-1]
-            valid &= pos >= self.min_samples_leaf
-            valid &= (n - pos) >= self.min_samples_leaf
-            if not valid.any():
-                continue
-            k = pos[valid] - 1
-            lw = cw[k]
-            rw = total_w - lw
-            ok = (lw > 0) & (rw > 0)
-            if not ok.any():
-                continue
-            k = k[ok]
-            lw = lw[ok]
-            rw = rw[ok]
-            left_sse = cwy2[k] - (cwy[k] ** 2) / lw
-            right_sse = (total_wy2 - cwy2[k]) - ((total_wy - cwy[k]) ** 2) / rw
-            gain = parent_sse - (left_sse + right_sse)
-            j = int(np.argmax(gain))
-            if gain[j] > best_gain:
-                best_gain = float(gain[j])
-                thr = 0.5 * (x_sorted[k[j]] + x_sorted[k[j] + 1])
-                best = (int(feat), float(thr))
-        return best
+        Node ``i`` owns ``rows[starts[i]:starts[i] + sizes[i]]``. Nodes
+        with no split gaining more than 1e-12 get feature ``-1``.
+        Subsampled candidate features are drawn node by node in level
+        order.
+        """
+        k = sizes.size
+        d = features.shape[1]
+        if self.max_features is not None and self.max_features < d:
+            candidates = np.array(
+                [rng.choice(d, size=self.max_features, replace=False) for _ in range(k)]
+            )
+        else:
+            candidates = np.broadcast_to(np.arange(d), (k, d))
+        gains = np.full((k, d), -np.inf)
+        thresholds = np.zeros((k, d))
+        # Batches of nodes of similar size keep the padding small.
+        by_size = np.argsort(-sizes, kind="stable")
+        lo = 0
+        while lo < k:
+            room = _BATCH_CELLS // (d * int(sizes[by_size[lo]]))
+            batch = by_size[lo : lo + max(1, room)]
+            lo += batch.size
+            searched = np.unique(candidates[batch])
+            cells = np.ix_(batch, searched)
+            gains[cells], thresholds[cells] = self._search_batch(
+                features,
+                orders,
+                stats,
+                rows,
+                starts[batch],
+                sizes[batch],
+                parent_sse[batch],
+                searched,
+            )
+        best_gain = np.full(k, 1e-12)
+        best_feature = np.full(k, _NO_CHILD, dtype=np.int64)
+        best_threshold = np.zeros(k)
+        nodes = np.arange(k)
+        for column in candidates.T:
+            gain = gains[nodes, column]
+            better = gain > best_gain
+            best_gain[better] = gain[better]
+            best_feature[better] = column[better]
+            best_threshold[better] = thresholds[nodes, column][better]
+        return best_feature, best_threshold
+
+    def _search_batch(
+        self,
+        features: np.ndarray,
+        orders: np.ndarray,
+        stats: np.ndarray,
+        rows: np.ndarray,
+        starts: np.ndarray,
+        sizes: np.ndarray,
+        parent_sse: np.ndarray,
+        searched: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """First best split of every node of a batch, per searched feature.
+
+        Returns ``(gains, thresholds)``, shape ``(nodes, features)``; a
+        node with no admissible position gets gain ``-inf``. For each
+        feature, each node's rows sorted by value fill one zero-padded
+        row of width ``max(sizes)``; numpy's row cumsum adds in
+        sequence, so its left sums equal the node's own cumsum bit for
+        bit.
+        """
+        k = sizes.size
+        width = int(sizes.max())
+        offsets = np.cumsum(sizes) - sizes
+        owner = np.repeat(np.arange(k), sizes)
+        members = np.repeat(starts - offsets, sizes) + np.arange(owner.size)
+        owner_of = np.full(features.shape[0], -1)
+        owner_of[rows[members]] = owner
+        # Each searched feature's batch rows in value order, regrouped
+        # by node; the sort is stable, so value order holds in a node.
+        order = orders[searched]
+        by_owner = owner_of[order]
+        inside = by_owner >= 0
+        order = order[inside].reshape(searched.size, owner.size)
+        by_owner = by_owner[inside].reshape(order.shape)
+        regroup = np.argsort(by_owner, axis=1, kind="stable")
+        order = np.take_along_axis(order, regroup, axis=1)
+        cell = owner * width + np.arange(owner.size) - offsets[owner]
+        x = np.zeros((searched.size, k * width))
+        x[:, cell] = features[order, searched[:, None]]
+        x = x.reshape(searched.size, k, width)
+        sums = np.zeros((3, searched.size, k * width))
+        sums[:, :, cell] = stats[:3, order]
+        cums = np.cumsum(sums.reshape(3, searched.size, k, width), axis=3)
+        totals = cums[:, :, np.arange(k), sizes - 1]
+
+        # Candidate positions: between distinct values, each side at
+        # least min_samples_leaf rows and positive weight. Only those
+        # lanes go on to the gain arithmetic.
+        pos = np.arange(1, width)
+        ok = (pos >= self.min_samples_leaf) & (
+            pos <= (sizes - self.min_samples_leaf)[:, None]
+        )
+        left_w = cums[0, ..., :-1]
+        ok = ok & (x[..., 1:] > x[..., :-1]) & (left_w > 0)
+        ok &= totals[0][..., None] - left_w > 0
+        lane = np.flatnonzero(ok)
+        row = lane // (width - 1)  # feature * k + node
+        lw, lwy, lwy2 = cums.reshape(3, -1)[:, lane + row]
+        total_w, total_wy, total_wy2 = totals.reshape(3, -1)[:, row]
+        left_sse = lwy2 - (lwy**2) / lw
+        right_sse = (total_wy2 - lwy2) - ((total_wy - lwy) ** 2) / (total_w - lw)
+        gain = np.full(ok.shape, -np.inf)
+        gain.ravel()[lane] = np.tile(parent_sse, searched.size)[row] - (
+            left_sse + right_sse
+        )
+        best = np.argmax(gain, axis=2)[..., None]
+        gains = np.take_along_axis(gain, best, axis=2)[..., 0]
+        # ±inf neighbours give a NaN midpoint: a split nothing passes.
+        with np.errstate(invalid="ignore", over="ignore"):
+            thresholds = 0.5 * (
+                np.take_along_axis(x, best, axis=2)
+                + np.take_along_axis(x, best + 1, axis=2)
+            )[..., 0]
+        return gains.T, thresholds.T
 
     # -- inference ---------------------------------------------------------------
 
@@ -245,3 +361,71 @@ class DecisionTreeRegressor:
                 stack.append((int(nodes["left"][node]), d + 1))
                 stack.append((int(nodes["right"][node]), d + 1))
         return depth
+
+
+def _node_sums(
+    stats: np.ndarray, rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray
+) -> np.ndarray:
+    """Each node's sum of every ``stats`` row over its rows, ``(len(stats), nodes)``.
+
+    Each group of nodes is gathered into one C-contiguous block and
+    summed along its last axis, which numpy adds with the same pairwise
+    tree as a 1-D ``sum`` over one node's rows alone. That tree depends
+    on the row count, so larger nodes are grouped by size. numpy adds
+    fewer than eight values in plain sequence from ``+0.0``, so all
+    nodes of up to ``_SEQUENTIAL_SUM`` rows share one zero-padded block:
+    trailing zeros change no such sum.
+    """
+    out = np.empty((stats.shape[0], sizes.size))
+    small = sizes <= _SEQUENTIAL_SUM
+    groups = [np.flatnonzero(small)]
+    groups += [np.flatnonzero(sizes == size) for size in np.unique(sizes[~small])]
+    for nodes in groups:
+        if not nodes.size:
+            continue
+        column = np.arange(sizes[nodes].max())
+        inside = column < sizes[nodes, None]
+        block = stats[:, rows[np.where(inside, starts[nodes, None] + column, 0)]]
+        block[:, ~inside] = 0.0
+        out[:, nodes] = np.ascontiguousarray(block).sum(axis=2)
+    return out
+
+
+def _depth_first(
+    feature: np.ndarray, threshold: np.ndarray, value: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Node arrays renumbered from level order into depth-first order.
+
+    In level order the ``i``-th split node's children are ``2i + 1``
+    and ``2i + 2``. Depth-first numbering gives a node's children the
+    next two ids when it is popped off a stack, right child popped
+    first.
+    """
+    split = np.flatnonzero(feature != _NO_CHILD)
+    first_child = np.full(feature.size, _NO_CHILD, dtype=np.int64)
+    first_child[split] = 2 * np.arange(split.size) + 1
+    children = first_child.tolist()
+    new_id = [0] * feature.size
+    stack = [0]
+    next_id = 1
+    while stack:
+        left = children[stack.pop()]
+        if left != _NO_CHILD:
+            new_id[left] = next_id
+            new_id[left + 1] = next_id + 1
+            next_id += 2
+            stack.append(left)
+            stack.append(left + 1)
+    new_id = np.array(new_id, dtype=np.int64)
+    old_id = np.empty_like(new_id)
+    old_id[new_id] = np.arange(new_id.size)
+    is_split = feature[old_id] != _NO_CHILD
+    left = np.where(is_split, new_id[first_child[old_id]], _NO_CHILD)
+    right = np.where(is_split, new_id[first_child[old_id] + 1], _NO_CHILD)
+    return {
+        "feature": feature[old_id],
+        "threshold": threshold[old_id],
+        "left": left,
+        "right": right,
+        "value": value[old_id],
+    }

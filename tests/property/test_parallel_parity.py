@@ -1,10 +1,9 @@
 """Serial-vs-parallel parity: every hot path must be bit-identical.
 
 The executor's whole contract is that ``n_jobs`` changes the wall
-clock, never the numbers: sweeps assemble in config order, the forest
-draws its seeds serially before fanning out and reduces predictions in
-tree order, FRaZ's prefetch only relocates where probes are computed,
-and tiles are independent by construction. These tests pin that
+clock, never the numbers: sweeps assemble in config order, FRaZ's
+prefetch only relocates where probes are computed, and tiles are
+independent by construction. These tests pin that
 contract at n_jobs=4 against the serial reference.
 """
 
@@ -19,7 +18,6 @@ from repro.config import FXRZConfig
 from repro.core.augmentation import build_curve
 from repro.core.pipeline import FXRZ
 from repro.core.tiling import TiledFixedRatio
-from repro.ml.forest import RandomForestRegressor
 from repro.parallel import CompressionMemoCache, ParallelExecutor
 from repro.runtime import RuntimeContext
 
@@ -61,23 +59,6 @@ class TestSweepParity:
         np.testing.assert_array_equal(warm.ratios, cold.ratios)
         assert memo.hits >= 6  # the second sweep never ran the compressor
         assert warm.build_seconds == cold.build_seconds  # recorded seconds
-
-
-class TestForestParity:
-    def test_fit_and_predict_identical(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(120, 6))
-        y = x @ rng.normal(size=6) + 0.1 * rng.normal(size=120)
-        serial = RandomForestRegressor(
-            n_estimators=12, random_state=9, min_samples_leaf=2
-        ).fit(x, y)
-        parallel = RandomForestRegressor(
-            n_estimators=12, random_state=9, min_samples_leaf=2, n_jobs=4
-        ).fit(x, y)
-        queries = rng.normal(size=(30, 6))
-        np.testing.assert_array_equal(
-            parallel.predict(queries), serial.predict(queries)
-        )
 
 
 class TestFRaZParity:
