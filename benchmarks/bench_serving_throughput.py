@@ -303,8 +303,9 @@ def test_tracing_overhead_guard(report):
     request, a few percent of a ~2 ms request. Resolving that against
     a shared box's load drift needs fine-grained alternation: two
     long-lived warm services — one plain, one built with the registry
-    installed so its recorder mirrors metrics and its cache gauges are
-    bound — serve one 16-request batch each per round, with the
+    installed and served with the tracer installed (both record their
+    metrics: the plain one into a registry of its own) — serve one
+    16-request batch each per round, with the
     within-round order alternating. Each timed unit is ~30 ms, so load
     shifts slower than that hit both sides equally; the guarded
     statistic is the *aggregate* req/s over one trial's rounds (total

@@ -39,6 +39,7 @@ from repro.serving import EstimationService
 REQUIRED_SERIES = (
     "repro_serving_requests_total",
     "repro_serving_latency_seconds",
+    "repro_serving_feature_cache_hits",
     "repro_slo_compliance",
     "repro_slo_burn_rate",
     "repro_slo_alert",

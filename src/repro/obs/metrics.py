@@ -12,11 +12,13 @@ so hot paths never pay for mirroring.
 
 Exporters: :meth:`MetricsRegistry.render_prometheus` writes the
 text-exposition format; :meth:`MetricsRegistry.to_dict` a JSON-friendly
-snapshot.
+snapshot. :func:`bucket_interpolate` reads a histogram's distribution
+back (quantiles, counts under a threshold).
 """
 
 from __future__ import annotations
 
+import bisect
 import re
 import threading
 
@@ -25,10 +27,13 @@ from repro.errors import InvalidConfiguration
 #: Enforced metric-name shape: ``repro_<subsystem>_<name>``, lowercase.
 _NAME_RE = re.compile(r"^repro(_[a-z0-9]+)+$")
 
-#: Default histogram buckets, in seconds — spans latencies from 100 us
-#: to 100 s, the range of one feature extraction up to a full FRaZ search.
+#: Default histogram buckets, in seconds: a 1-2.5-5 grid from 100 us to
+#: 100 s, the range of one feature extraction up to a full FRaZ search.
+#: Adjacent bounds sit at most 2.5x apart, which caps the error of any
+#: percentile read back through :func:`bucket_interpolate`.
 DEFAULT_BUCKETS = (
-    1e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.5, 1.0, 5.0, 10.0, 100.0,
+    1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1,
+    0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0,
 )
 
 
@@ -96,7 +101,7 @@ class _BoundCounter:
     """A counter series with its label key pre-resolved.
 
     Hot paths that hit the same series on every event (the serving
-    recorder's per-request mirror) bind once and skip the label-key
+    recorder's per-request writes) bind once and skip the label-key
     sort/str work per increment.
     """
 
@@ -115,6 +120,10 @@ class _BoundCounter:
         metric, key = self._metric, self._key
         with metric._lock:
             metric._series[key] = metric._series.get(key, 0.0) + amount
+
+    def value(self) -> float:
+        with self._metric._lock:
+            return self._metric._series.get(self._key, 0.0)
 
 
 class Counter(_Metric):
@@ -190,10 +199,9 @@ class Histogram(_Metric):
                     "count": 0,
                 }
                 self._series[key] = series
-            for index, bound in enumerate(self.buckets):
-                if value <= bound:
-                    series["counts"][index] += 1
-                    break
+            index = bisect.bisect_left(self.buckets, value)
+            if index < len(self.buckets):
+                series["counts"][index] += 1
             series["sum"] += value
             series["count"] += 1
 
@@ -203,8 +211,11 @@ class Histogram(_Metric):
 
     def snapshot(self, **labels) -> dict:
         """``{"counts": [...], "sum": s, "count": n}`` for one series."""
+        return self._snapshot(_label_key(labels))
+
+    def _snapshot(self, key: tuple) -> dict:
         with self._lock:
-            series = self._series.get(_label_key(labels))
+            series = self._series.get(key)
             if series is None:
                 return {"counts": [0] * len(self.buckets), "sum": 0.0, "count": 0}
             return {
@@ -212,6 +223,35 @@ class Histogram(_Metric):
                 "sum": series["sum"],
                 "count": series["count"],
             }
+
+
+def bucket_interpolate(bounds, counts, *, value=None, rank=None) -> float:
+    """Read a bucketed histogram's distribution in either direction.
+
+    The observations in each bucket are taken as spread evenly between
+    its lower edge (the previous bound, 0 for the first) and its upper
+    bound, which makes the cumulative count piecewise linear. Pass
+    exactly one of:
+
+    * ``value`` -- returns how many observations lie at or below it
+      (the latency SLO's "good" count for a threshold);
+    * ``rank`` -- returns the smallest value with ``rank`` observations
+      at or below it (``rank = q * count`` gives the ``q`` quantile).
+
+    ``counts`` are per bucket, not cumulative, and exclude observations
+    above the last bound (a histogram counts those only in its total):
+    a ``rank`` past the bucketed total reads as the last bound.
+    """
+    if (value is None) == (rank is None):
+        raise TypeError("bucket_interpolate needs exactly one of value/rank")
+    lower, seen = 0.0, 0.0
+    for bound, count in zip(bounds, counts):
+        if value is not None and value < bound:
+            return seen + count * max(value - lower, 0.0) / (bound - lower)
+        if rank is not None and count and seen + count >= rank:
+            return lower + (bound - lower) * (rank - seen) / count
+        lower, seen = bound, seen + count
+    return seen if value is not None else lower
 
 
 class _BoundHistogram:
@@ -223,8 +263,15 @@ class _BoundHistogram:
         self._metric = metric
         self._key = key
 
+    @property
+    def buckets(self) -> tuple:
+        return self._metric.buckets
+
     def observe(self, value: float) -> None:
         self._metric._observe(float(value), self._key)
+
+    def snapshot(self) -> dict:
+        return self._metric._snapshot(self._key)
 
 
 class MetricsRegistry:

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import InvalidConfiguration
+from repro.obs.metrics import bucket_interpolate
 from repro.obs.timeseries import TimeSeriesBuffer
 
 
@@ -176,11 +177,12 @@ class AvailabilitySLO(SLO):
 class LatencySLO(SLO):
     """Fraction of requests under a latency threshold, from a histogram.
 
-    Compliance is the fraction of window events that landed in buckets
-    with an upper bound at or below ``threshold_seconds`` — the bucket
-    grid quantizes the threshold, so pick a threshold on (or above) a
-    bucket bound. An objective of 0.99 with a 0.25 s threshold reads as
-    "p99 latency stays under 250 ms".
+    Compliance is the fraction of window events at or below
+    ``threshold_seconds``, read from the window's bucket counts by
+    :func:`~repro.obs.metrics.bucket_interpolate`: exact when the
+    threshold is a bucket bound (0.25 s is one on the default grid),
+    interpolated within its bucket otherwise. An objective of 0.99 with
+    a 0.25 s threshold reads as "p99 latency stays under 250 ms".
     """
 
     kind = "latency"
@@ -216,10 +218,8 @@ class LatencySLO(SLO):
         bounds = getattr(metric, "buckets", None)
         if not bounds:
             return 1.0, 0.0, "histogram has no bucket bounds"
-        within = sum(
-            count
-            for bound, count in zip(bounds, delta["counts"])
-            if bound <= self.threshold_seconds
+        within = bucket_interpolate(
+            bounds, delta["counts"], value=self.threshold_seconds
         )
         total = delta["count"]
         return (

@@ -21,7 +21,9 @@ request lifecycle:
   deadlines, completion, ``close()`` and the ``serving.request`` span
   are written once, whichever lane serves;
 * :class:`MetricsSnapshot` — per-request latency, cache hit/miss
-  counters, and tier/fallback counts from the guarded engine;
+  counters, and tier/fallback counts from the guarded engine, read
+  back from the ``repro_serving_*`` series in the service's metrics
+  registry;
   :class:`SupervisorStats` — what the shard lane's supervision did.
 
 See ``docs/API.md`` ("Estimation serving") for the on-disk registry

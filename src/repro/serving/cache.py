@@ -62,12 +62,9 @@ class FeatureCache:
         max_entries: LRU capacity; the least recently used analysis is
             dropped past this (waiters already holding its future still
             receive the value).
-        ctx: a :class:`~repro.runtime.RuntimeContext`; when it carries
-            a metrics registry the cache binds its hit/miss/eviction
-            gauges there.
     """
 
-    def __init__(self, max_entries: int = 128, *, ctx=None) -> None:
+    def __init__(self, max_entries: int = 128) -> None:
         if max_entries < 1:
             raise InvalidConfiguration("cache needs at least one entry")
         self.max_entries = int(max_entries)
@@ -76,10 +73,6 @@ class FeatureCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        if ctx is not None and ctx.registry is not None:
-            from repro import obs
-
-            obs.bind_cache_gauges(ctx.registry, "serving_feature_cache", self)
 
     @property
     def hits(self) -> int:

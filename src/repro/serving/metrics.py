@@ -1,48 +1,43 @@
 """Service metrics: counters, latency distribution, tier accounting.
 
-The serving layer records every request's outcome into a thread-safe
-:class:`MetricsRecorder`; :meth:`MetricsRecorder.snapshot` freezes the
-current state into an immutable :class:`MetricsSnapshot` that the CLI
-``--stats`` view and the throughput benchmark render. Latencies keep a
-bounded window (the most recent :data:`LATENCY_WINDOW` requests) so a
-long-lived service never grows without bound.
+The serving layer records every request's outcome through a
+:class:`MetricsRecorder`, which writes only to six series of a
+:class:`repro.obs.MetricsRegistry` --
+``repro_serving_requests_total{outcome=}``,
+``repro_serving_latency_seconds{outcome=}`` (histogram),
+``repro_serving_batches_total``, ``repro_serving_batched_requests_total``,
+``repro_serving_tier_total{tier=}`` and
+``repro_serving_analysis_seconds_total``. The registry is the one place
+the counts live: :meth:`MetricsRecorder.snapshot` reads those series
+back into an immutable :class:`MetricsSnapshot` for the CLI ``--stats``
+view and the throughput benchmark, and a ``/metrics`` scrape exports
+the same numbers. Services that share a registry share counts.
+
+Latency percentiles are all-time estimates from the histogram's
+buckets (:func:`repro.obs.metrics.bucket_interpolate`): on the default
+1-2.5-5 grid a percentile is off by less than one bucket's width.
 
 Two representation rules worth spelling out:
 
 * **No data is not zero.** The latency aggregates are ``None`` (and
-  render as ``n/a``) when the window is empty — a service that has only
-  ever failed requests must not report a 0.00 ms p95.
+  render as ``n/a``) before any successful request -- a service that
+  has only ever failed requests must not report a 0.00 ms p95.
 * **Failures are labeled, not folded in.** A failed request counts
-  toward ``requests_total``/``requests_failed`` only; its latency never
-  enters the window, so the percentiles describe successful service
+  toward ``requests_total``/``requests_failed`` and lands in the
+  ``outcome="error"`` latency series; the snapshot's latency figures
+  read only ``outcome="ok"``, so they describe successful service
   latency exclusively.
-
-When a process-wide :class:`repro.obs.MetricsRegistry` is installed
-(or passed as ``registry=``), the recorder mirrors every event into
-namespaced metrics — ``repro_serving_requests_total{outcome=}``,
-``repro_serving_latency_seconds{outcome=}`` (histogram),
-``repro_serving_batches_total``, ``repro_serving_batched_requests_total``,
-``repro_serving_tier_total{tier=}``,
-``repro_serving_analysis_seconds_total`` — so the serving numbers
-export alongside the rest of the pipeline's.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import Counter, deque
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro import obs
+from repro.obs.metrics import bucket_interpolate
 
 #: Ladder tiers a request can be answered from (plus "error").
 TIERS = ("model", "curve", "fraz")
-
-#: Successful-request latencies retained for the percentile view.
-LATENCY_WINDOW = 4096
 
 
 def _ms(value: "float | None") -> str:
@@ -65,12 +60,12 @@ class MetricsSnapshot:
         fallback_count: requests the model tier did *not* answer
             (degraded to curve/fraz) — the guarded ladder's degradation
             counter.
-        latency_count: successful requests inside the retained latency
-            window (failures never enter it).
+        latency_count: successful requests timed (failures never are).
         latency_mean_ms / latency_p50_ms / latency_p95_ms /
-        latency_max_ms: submit-to-completion latency over that window,
-            or ``None`` when no successful request has been recorded —
-            "no data" is distinct from a true 0 ms.
+        latency_max_ms: submit-to-completion latency of those requests
+            (the mean exact, the rest bucket estimates), or ``None``
+            when no successful request has been recorded -- "no data"
+            is distinct from a true 0 ms.
         analysis_seconds_total: engine-reported per-request analysis
             time, summed (the amortized-cost numerator).
         uptime_seconds: service age at snapshot time.
@@ -118,76 +113,51 @@ class MetricsSnapshot:
 
 
 class MetricsRecorder:
-    """Thread-safe accumulator behind a service's ``metrics`` property.
+    """A service's view of its ``repro_serving_*`` series.
+
+    Holds pre-bound series handles and the service start time, nothing
+    else: every count is written to and read back from ``registry``.
 
     Args:
-        registry: a :class:`repro.obs.MetricsRegistry` to mirror events
-            into; defaults to the process-wide installed registry (or
-            no mirroring when none is installed).
+        registry: the :class:`repro.obs.MetricsRegistry` the series
+            live in.
     """
 
-    def __init__(self, registry=None) -> None:
-        self._lock = threading.Lock()
+    def __init__(self, registry) -> None:
         self._start = time.perf_counter()
-        self._requests_total = 0
-        self._requests_failed = 0
-        self._batches = 0
-        self._batched_requests = 0
-        self._tier_counts: Counter[str] = Counter()
-        self._fallbacks = 0
-        self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
-        self._analysis_seconds = 0.0
-        if registry is None:
-            registry = obs.get_registry()
-        self._requests_metric = self._latency_metric = None
-        self._batches_metric = self._batched_metric = None
-        self._tier_metric = self._analysis_metric = None
-        if registry is not None:
-            self._requests_metric = registry.counter(
-                "repro_serving_requests_total",
-                "estimation requests by outcome",
-            )
-            self._latency_metric = registry.histogram(
-                "repro_serving_latency_seconds",
-                "request submit-to-completion latency",
-            )
-            self._batches_metric = registry.counter(
-                "repro_serving_batches_total",
-                "dataset-coalesced batches processed",
-            )
-            self._batched_metric = registry.counter(
-                "repro_serving_batched_requests_total",
-                "requests processed through batches",
-            )
-            self._tier_metric = registry.counter(
-                "repro_serving_tier_total",
-                "successful requests by answering tier",
-            )
-            self._analysis_metric = registry.counter(
-                "repro_serving_analysis_seconds_total",
-                "engine-reported analysis seconds, summed",
-            )
-            # Pre-bound series handles: the per-request mirror runs on
-            # the serving hot path, so the label keys are resolved once
-            # here instead of on every event.
-            self._requests_ok = self._requests_metric.bind(outcome="ok")
-            self._requests_error = self._requests_metric.bind(outcome="error")
-            self._latency_ok = self._latency_metric.bind(outcome="ok")
-            self._latency_error = self._latency_metric.bind(outcome="error")
-            self._tier_bound = {
-                tier: self._tier_metric.bind(tier=tier) for tier in TIERS
-            }
-            self._analysis_bound = self._analysis_metric.bind()
-            self._batches_bound = self._batches_metric.bind()
-            self._batched_bound = self._batched_metric.bind()
+        requests = registry.counter(
+            "repro_serving_requests_total", "estimation requests by outcome"
+        )
+        latency = registry.histogram(
+            "repro_serving_latency_seconds",
+            "request submit-to-completion latency",
+        )
+        self._tiers = registry.counter(
+            "repro_serving_tier_total", "successful requests by answering tier"
+        )
+        # Pre-bound series handles: recording runs on the serving hot
+        # path, so the label keys are resolved once here instead of on
+        # every event.
+        self._requests_ok = requests.bind(outcome="ok")
+        self._requests_error = requests.bind(outcome="error")
+        self._latency_ok = latency.bind(outcome="ok")
+        self._latency_error = latency.bind(outcome="error")
+        self._tier_bound = {tier: self._tiers.bind(tier=tier) for tier in TIERS}
+        self._batches = registry.counter(
+            "repro_serving_batches_total", "dataset-coalesced batches processed"
+        ).bind()
+        self._batched = registry.counter(
+            "repro_serving_batched_requests_total",
+            "requests processed through batches",
+        ).bind()
+        self._analysis = registry.counter(
+            "repro_serving_analysis_seconds_total",
+            "engine-reported analysis seconds, summed",
+        ).bind()
 
     def record_batch(self, size: int) -> None:
-        with self._lock:
-            self._batches += 1
-            self._batched_requests += int(size)
-        if self._batches_metric is not None:
-            self._batches_bound.inc()
-            self._batched_bound.inc(int(size))
+        self._batches.inc()
+        self._batched.inc(int(size))
 
     def record_request(
         self,
@@ -196,72 +166,60 @@ class MetricsRecorder:
         analysis_seconds: float = 0.0,
         failed: bool = False,
     ) -> None:
-        with self._lock:
-            self._requests_total += 1
-            if failed:
-                # Failures are counted, not timed: folding their
-                # latency into the window would let errors skew (or
-                # fabricate) the service's latency percentiles.
-                self._requests_failed += 1
+        if failed:
+            self._requests_error.inc()
+            self._latency_error.observe(latency_seconds)
+            return
+        self._requests_ok.inc()
+        self._latency_ok.observe(latency_seconds)
+        if tier:
+            bound = self._tier_bound.get(tier)
+            if bound is not None:
+                bound.inc()
             else:
-                self._latencies.append(float(latency_seconds))
-                self._analysis_seconds += float(analysis_seconds)
-                if tier:
-                    self._tier_counts[tier] += 1
-                    if tier != "model":
-                        self._fallbacks += 1
-        if self._requests_metric is not None:
-            if failed:
-                self._requests_error.inc()
-                self._latency_error.observe(float(latency_seconds))
-            else:
-                self._requests_ok.inc()
-                self._latency_ok.observe(float(latency_seconds))
-                if tier:
-                    bound = self._tier_bound.get(tier)
-                    if bound is not None:
-                        bound.inc()
-                    else:
-                        self._tier_metric.inc(tier=tier)
-                self._analysis_bound.inc(float(analysis_seconds))
+                self._tiers.inc(tier=tier)
+        self._analysis.inc(float(analysis_seconds))
 
     def snapshot(self, cache=None) -> MetricsSnapshot:
-        """Freeze the counters; ``cache`` supplies hit/miss/eviction."""
-        with self._lock:
-            latencies = np.array(self._latencies, dtype=np.float64)
-            tier_counts = dict(self._tier_counts)
-            requests_total = self._requests_total
-            requests_failed = self._requests_failed
-            batches = self._batches
-            batched = self._batched_requests
-            fallbacks = self._fallbacks
-            analysis_seconds = self._analysis_seconds
-            uptime = time.perf_counter() - self._start
+        """Read the series back; ``cache`` supplies hit/miss/eviction."""
+        tier_counts = {
+            dict(key)["tier"]: int(self._tiers.value(**dict(key)))
+            for key in self._tiers.labels()
+        }
+        succeeded = int(self._requests_ok.value())
+        failed = int(self._requests_error.value())
+        batches = int(self._batches.value())
+        latency = self._latency_ok.snapshot()
+        timed = latency["count"]
+        bounds, counts = self._latency_ok.buckets, latency["counts"]
+
+        def quantile_ms(q: float) -> float | None:
+            if not timed:
+                return None
+            return bucket_interpolate(bounds, counts, rank=q * timed) * 1e3
+
         hits = int(getattr(cache, "hits", 0))
         misses = int(getattr(cache, "misses", 0))
         evictions = int(getattr(cache, "evictions", 0))
         lookups = hits + misses
-        has_latency = latencies.size > 0
         return MetricsSnapshot(
-            requests_total=requests_total,
-            requests_failed=requests_failed,
+            requests_total=succeeded + failed,
+            requests_failed=failed,
             batches=batches,
-            mean_batch_size=batched / batches if batches else 0.0,
+            mean_batch_size=self._batched.value() / batches if batches else 0.0,
             cache_hits=hits,
             cache_misses=misses,
             cache_hit_ratio=hits / lookups if lookups else 0.0,
             cache_evictions=evictions,
             tier_counts=tier_counts,
-            fallback_count=fallbacks,
-            latency_count=int(latencies.size),
-            latency_mean_ms=float(latencies.mean() * 1e3) if has_latency else None,
-            latency_p50_ms=(
-                float(np.percentile(latencies, 50) * 1e3) if has_latency else None
+            fallback_count=sum(
+                count for tier, count in tier_counts.items() if tier != "model"
             ),
-            latency_p95_ms=(
-                float(np.percentile(latencies, 95) * 1e3) if has_latency else None
-            ),
-            latency_max_ms=float(latencies.max() * 1e3) if has_latency else None,
-            analysis_seconds_total=analysis_seconds,
-            uptime_seconds=uptime,
+            latency_count=timed,
+            latency_mean_ms=latency["sum"] / timed * 1e3 if timed else None,
+            latency_p50_ms=quantile_ms(0.50),
+            latency_p95_ms=quantile_ms(0.95),
+            latency_max_ms=quantile_ms(1.0),
+            analysis_seconds_total=self._analysis.value(),
+            uptime_seconds=time.perf_counter() - self._start,
         )

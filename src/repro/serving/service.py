@@ -203,7 +203,8 @@ class EstimationService:
         ctx: a :class:`~repro.runtime.RuntimeContext`; its config
             supplies the defaults (``RuntimeConfig()`` without one) and
             its registry (or the ambient installed one when no context
-            is given) gets the service metrics and cache gauges.
+            is given, or else a private one) gets the service metrics
+            and cache gauges.
         outcome_log: a :class:`~repro.lifecycle.OutcomeLog` every served
             estimate is recorded to, parent-side only; ``None`` defaults
             to the context's :attr:`RuntimeContext.lifecycle`.
@@ -246,15 +247,11 @@ class EstimationService:
         self._compressor = getattr(
             getattr(engine, "compressor", None), "name", ""
         )
-        self._registry = (
-            ctx.registry if ctx is not None else obs.get_registry()
-        )
-        self._metrics = MetricsRecorder(registry=self._registry)
+        registry = ctx.registry if ctx is not None else obs.get_registry()
+        self._registry = registry or obs.MetricsRegistry()
+        self._metrics = MetricsRecorder(self._registry)
         self.cache = FeatureCache(max_entries=FEATURE_CACHE_ENTRIES)
-        if self._registry is not None:
-            obs.bind_cache_gauges(
-                self._registry, "serving_feature_cache", self.cache
-            )
+        obs.bind_cache_gauges(self._registry, "serving_feature_cache", self.cache)
         self._seq = itertools.count(1)
         self._closed = False    # admission refused
         self._stopping = False  # workers exit once the queue is empty
@@ -339,7 +336,7 @@ class EstimationService:
 
     @property
     def metrics(self) -> MetricsSnapshot:
-        """A frozen snapshot of the service counters."""
+        """A frozen snapshot of the service's series in its registry."""
         return self._metrics.snapshot(cache=self.cache)
 
     # -- client API ------------------------------------------------------------

@@ -59,7 +59,6 @@ from repro.errors import (
 from repro.parallel.shm import SharedNDArray
 from repro.robustness.faults import RetryPolicy, backoff_schedule
 from repro.runtime.config import RuntimeConfig
-from repro.serving.metrics import MetricsRecorder
 from repro.serving.service import MAX_DATASETS, Admitted
 from repro.serving.shard import shard_main
 
@@ -337,14 +336,7 @@ class ShardPool:
             for i in range(self.n_shards)
         ]
         self._ts_buffer = self._obs_server = None
-        registry = service._registry
-        if registry is None and config.scrape_port >= 0:
-            # A scrape endpoint needs something behind /metrics: when
-            # neither the context nor the ambient install provides a
-            # registry, the service gets one of its own.
-            registry = service._registry = obs.MetricsRegistry()
-            service._metrics = MetricsRecorder(registry=registry)
-        self._bind_gauges(registry)
+        self._bind_gauges(service._registry)
         for slot in self.slots:
             self._spawn(slot)
         self._threads = [
@@ -360,7 +352,7 @@ class ShardPool:
         for thread in self._threads:
             thread.start()
         if config.scrape_port >= 0:
-            self._start_telemetry(config, registry)
+            self._start_telemetry(config, service._registry)
 
     # -- admission ---------------------------------------------------------------
 
@@ -472,8 +464,6 @@ class ShardPool:
 
     def _bind_gauges(self, registry) -> None:
         """Export supervision state as pull-model ``repro_serving_*`` gauges."""
-        if registry is None:
-            return
         events = registry.gauge(
             "repro_serving_supervisor_events",
             "supervision counters, by event",

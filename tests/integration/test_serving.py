@@ -19,6 +19,7 @@ from repro.compressors import get_compressor
 from repro.core.inference import InferenceEngine
 from repro.core.persistence import save_pipeline
 from repro.errors import InvalidConfiguration
+from repro.runtime import RuntimeContext
 from repro.serving import EstimateRequest, EstimationService, ModelRegistry
 
 from tests.conftest import small_forest_factory
@@ -139,6 +140,58 @@ class TestServiceParity:
         service.close()  # idempotent
         with pytest.raises(InvalidConfiguration, match="closed"):
             service.submit(EstimateRequest(data=probes[0], target_ratio=5.0))
+
+
+class TestServiceMetrics:
+    """``service.metrics`` reads back the series in the service's registry."""
+
+    def _serve_three(self, service, probe):
+        return service.run_batch(
+            [EstimateRequest(data=probe, target_ratio=t) for t in (4.0, 6.0, 8.0)]
+        )
+
+    def test_metrics_live_in_the_context_registry(self, fitted):
+        pipeline, probes = fitted
+        registry = obs.MetricsRegistry()
+        ctx = RuntimeContext(env={}, registry=registry)
+        with EstimationService.for_pipeline(
+            pipeline, ctx=ctx, workers=1
+        ) as service:
+            self._serve_three(service, probes[0])
+            metrics = service.metrics
+        assert metrics.requests_total == 3
+        assert (metrics.cache_misses, metrics.cache_hits) == (1, 2)
+        text = registry.render_prometheus()
+        assert 'repro_serving_requests_total{outcome="ok"} 3' in text
+        assert 'repro_serving_latency_seconds_count{outcome="ok"} 3' in text
+        assert "repro_serving_feature_cache_hits 2" in text
+
+    def test_services_sharing_a_registry_share_counts(self, fitted):
+        pipeline, probes = fitted
+        ctx = RuntimeContext(env={}, registry=obs.MetricsRegistry())
+        with EstimationService.for_pipeline(
+            pipeline, ctx=ctx, workers=1
+        ) as first, EstimationService.for_pipeline(
+            pipeline, ctx=ctx, workers=1
+        ) as second:
+            self._serve_three(first, probes[0])
+            assert second.metrics.requests_total == 3
+            assert second.metrics.latency_count == 3
+
+    def test_without_a_registry_each_service_gets_its_own(self, fitted):
+        pipeline, probes = fitted
+        assert obs.get_registry() is None
+        ctx = RuntimeContext(env={})
+        assert ctx.registry is None
+        with EstimationService.for_pipeline(
+            pipeline, ctx=ctx, workers=1
+        ) as first, EstimationService.for_pipeline(
+            pipeline, ctx=ctx, workers=1
+        ) as second:
+            self._serve_three(first, probes[0])
+            assert first.metrics.requests_total == 3
+            assert first.metrics.cache_hits == 2
+            assert second.metrics.requests_total == 0
 
 
 class TestDeadlinesAndShutdown:

@@ -280,9 +280,15 @@ class TestPackedPass:
                         bad.append(got)
 
         def writer():
+            give_up = time.monotonic() + 30.0
             for i in range(300):
                 forest._trees = sources[i % 2].estimators_  # a new list
-                time.sleep(5e-4)
+                # Swap again only once some reader has checked a query
+                # against this list: otherwise every query can span a
+                # swap and none is ever checked.
+                done = len(checked)
+                while len(checked) == done and time.monotonic() < give_up:
+                    time.sleep(5e-4)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -3,9 +3,10 @@
 Covers the span tree mechanics (nesting, attributes, error status,
 explicit parenting, thread safety, absorb/export round-trip), the
 metrics registry (counters/gauges/histograms, labels, name validation,
-pull-model collectors, Prometheus rendering), the serving recorder's
-migration onto the registry plus the no-data-percentile fix, the
-profiled() hook, and the cost-tree report."""
+pull-model collectors, Prometheus rendering), the serving recorder as
+a read view over the registry (plus the no-data-percentile rule), the
+bucket interpolation behind its percentiles, the profiled() hook, and
+the cost-tree report."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import pytest
 
 from repro import obs
 from repro.errors import InvalidConfiguration
+from repro.obs.metrics import DEFAULT_BUCKETS, bucket_interpolate
 from repro.serving.metrics import MetricsRecorder
 
 pytestmark = pytest.mark.obs
@@ -259,8 +261,10 @@ class TestRegistry:
 
 
 class TestRecorderMigration:
+    """The recorder writes only registry series and reads them back."""
+
     def test_no_data_percentiles_are_none_not_zero(self):
-        recorder = MetricsRecorder()
+        recorder = MetricsRecorder(obs.MetricsRegistry())
         snap = recorder.snapshot()
         assert snap.latency_mean_ms is None
         assert snap.latency_p50_ms is None
@@ -269,7 +273,7 @@ class TestRecorderMigration:
         assert any("n/a" in line for line in snap.lines())
 
     def test_only_failures_still_report_no_latency_data(self):
-        recorder = MetricsRecorder()
+        recorder = MetricsRecorder(obs.MetricsRegistry())
         recorder.record_request(0.5, failed=True)
         snap = recorder.snapshot()
         assert snap.requests_total == 1
@@ -279,39 +283,114 @@ class TestRecorderMigration:
         assert snap.latency_p95_ms is None
 
     def test_failures_excluded_from_latency_window(self):
-        recorder = MetricsRecorder()
+        registry = obs.MetricsRegistry()
+        recorder = MetricsRecorder(registry)
         recorder.record_request(0.001, tier="model")
         recorder.record_request(9.0, failed=True)
         snap = recorder.snapshot()
         assert snap.latency_count == 1
+        # 1 ms is a bucket bound, so the bucket estimate is exact.
         assert snap.latency_max_ms == pytest.approx(1.0)
+        assert snap.latency_mean_ms == pytest.approx(1.0)
+        # The failure is timed in its own series, which the figures skip.
+        latency = registry.get("repro_serving_latency_seconds")
+        assert latency.snapshot(outcome="error")["sum"] == pytest.approx(9.0)
 
-    def test_registry_mirror(self):
-        with obs.session() as (_tracer, registry):
-            recorder = MetricsRecorder()
-            recorder.record_batch(2)
-            recorder.record_request(0.002, tier="model", analysis_seconds=0.001)
-            recorder.record_request(0.004, failed=True)
-            requests = registry.get("repro_serving_requests_total")
-            assert requests.value(outcome="ok") == 1
-            assert requests.value(outcome="error") == 1
-            assert registry.get("repro_serving_tier_total").value(tier="model") == 1
-            assert registry.get("repro_serving_batches_total").value() == 1
-            assert (
-                registry.get("repro_serving_batched_requests_total").value() == 2
-            )
-            latency = registry.get("repro_serving_latency_seconds")
-            assert latency.snapshot(outcome="ok")["count"] == 1
-            assert latency.snapshot(outcome="error")["count"] == 1
-            assert registry.get(
-                "repro_serving_analysis_seconds_total"
-            ).value() == pytest.approx(0.001)
+    def test_writes_the_serving_series(self):
+        registry = obs.MetricsRegistry()
+        recorder = MetricsRecorder(registry)
+        recorder.record_batch(2)
+        recorder.record_request(0.002, tier="model", analysis_seconds=0.001)
+        recorder.record_request(0.003, tier="analytic")
+        recorder.record_request(0.004, failed=True)
+        requests = registry.get("repro_serving_requests_total")
+        assert requests.value(outcome="ok") == 2
+        assert requests.value(outcome="error") == 1
+        tiers = registry.get("repro_serving_tier_total")
+        assert tiers.value(tier="model") == 1
+        assert tiers.value(tier="analytic") == 1
+        assert registry.get("repro_serving_batches_total").value() == 1
+        assert registry.get("repro_serving_batched_requests_total").value() == 2
+        latency = registry.get("repro_serving_latency_seconds")
+        assert latency.snapshot(outcome="ok")["count"] == 2
+        assert latency.snapshot(outcome="error")["count"] == 1
+        assert registry.get(
+            "repro_serving_analysis_seconds_total"
+        ).value() == pytest.approx(0.001)
 
-    def test_no_registry_no_mirror(self):
-        assert obs.get_registry() is None
-        recorder = MetricsRecorder()
-        recorder.record_request(0.001, tier="model")
-        assert recorder.snapshot().requests_total == 1
+    def test_snapshot_reads_the_registry(self):
+        # Whatever lands in the series is what the snapshot reports: a
+        # second recorder on the same registry sees the first's counts.
+        registry = obs.MetricsRegistry()
+        first, second = MetricsRecorder(registry), MetricsRecorder(registry)
+        first.record_batch(3)
+        for latency in (0.002, 0.02, 0.02, 0.2):
+            first.record_request(latency, tier="model")
+        first.record_request(0.003, tier="curve")
+        registry.get("repro_serving_tier_total").inc(tier="fraz")
+        snap = second.snapshot()
+        assert snap.requests_total == 5
+        assert snap.batches == 1 and snap.mean_batch_size == 3.0
+        assert snap.tier_counts == {"model": 4, "curve": 1, "fraz": 1}
+        assert snap.fallback_count == 2
+        assert snap.latency_count == 5
+        assert snap.latency_mean_ms == pytest.approx(49.0)
+        # p50 is rank 2.5 of 5: ranks 1-2 lie under 5 ms and ranks 3-4
+        # in the (10, 25] ms bucket, so it sits a quarter of the way in.
+        assert snap.latency_p50_ms == pytest.approx(10.0 + 15.0 * 0.25)
+        assert snap.latency_max_ms == pytest.approx(250.0)
+        assert snap.latency_p50_ms <= snap.latency_p95_ms <= snap.latency_max_ms
+
+
+class TestBucketInterpolate:
+    BOUNDS = (1.0, 2.0, 4.0, 8.0)
+    COUNTS = (2, 0, 4, 2)  # plus 2 overflow observations above 8.0
+
+    def test_value_counts_whole_and_partial_buckets(self):
+        def below(value):
+            return bucket_interpolate(self.BOUNDS, self.COUNTS, value=value)
+
+        assert below(0.0) == 0.0
+        assert below(0.5) == pytest.approx(1.0)
+        assert below(1.0) == 2.0  # a bound: exact
+        assert below(1.5) == 2.0  # an empty bucket adds nothing
+        assert below(3.0) == pytest.approx(4.0)  # half of (2, 4]
+        assert below(8.0) == 8.0
+        assert below(50.0) == 8.0  # overflow is never counted as below
+
+    def test_rank_inverts_the_cumulative_counts(self):
+        def at(rank):
+            return bucket_interpolate(self.BOUNDS, self.COUNTS, rank=rank)
+
+        assert at(1.0) == pytest.approx(0.5)
+        assert at(2.0) == 1.0  # ends on a bound: the flat run is skipped
+        assert at(4.0) == pytest.approx(3.0)
+        assert at(7.0) == pytest.approx(6.0)
+        assert at(8.0) == 8.0  # the max reads as its bucket's bound
+        assert at(10.0) == 8.0  # ranks in the overflow clamp to the top
+
+    def test_rank_and_value_round_trip_inside_buckets(self):
+        for rank in (0.5, 3.0, 5.5, 7.5):
+            value = bucket_interpolate(self.BOUNDS, self.COUNTS, rank=rank)
+            assert bucket_interpolate(
+                self.BOUNDS, self.COUNTS, value=value
+            ) == pytest.approx(rank)
+
+    def test_needs_exactly_one_direction(self):
+        with pytest.raises(TypeError):
+            bucket_interpolate(self.BOUNDS, self.COUNTS)
+        with pytest.raises(TypeError):
+            bucket_interpolate(self.BOUNDS, self.COUNTS, value=1.0, rank=1.0)
+
+    def test_default_grid_keeps_every_bound_and_adds_the_slo_threshold(self):
+        kept = (1e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.5, 1.0, 5.0, 10.0, 100.0)
+        assert set(kept) < set(DEFAULT_BUCKETS)
+        assert 0.25 in DEFAULT_BUCKETS
+        assert len(DEFAULT_BUCKETS) == 19
+        ratios = [
+            b / a for a, b in zip(DEFAULT_BUCKETS, DEFAULT_BUCKETS[1:])
+        ]
+        assert max(ratios) == pytest.approx(2.5)
 
 
 class TestProfiled:

@@ -184,6 +184,42 @@ class TestSLOs:
         assert status.compliance == pytest.approx(2.0 / 3.0)
         assert status.events == 3.0
 
+    def _latency_traffic(self, registry, latencies):
+        hist = registry.histogram("repro_serving_latency_seconds")
+        buf = obs.TimeSeriesBuffer(registry, capacity=10)
+        buf.sample(unix=0.0)
+        for value in latencies:
+            hist.observe(value, outcome="ok")
+        buf.sample(unix=10.0)
+        return buf
+
+    def test_default_p99_counts_requests_under_250ms(self, registry):
+        # The default grid has a 0.25 bound, so the stock 250 ms
+        # threshold counts a 0.2 s request as good.
+        buf = self._latency_traffic(registry, [0.2] * 100)
+        [_, slo, _] = obs.default_serving_slos()
+        status = slo.evaluate(buf)
+        assert status.compliance == 1.0
+        assert status.burn_rate == 0.0
+        assert not status.alerting
+
+    def test_default_p99_fails_requests_over_250ms(self, registry):
+        buf = self._latency_traffic(registry, [0.3] * 100)
+        [_, slo, _] = obs.default_serving_slos()
+        status = slo.evaluate(buf)
+        assert status.compliance == 0.0
+        assert status.alerting
+
+    def test_off_grid_threshold_interpolates(self, registry):
+        # 0.175 s is 50% of the way through the (0.1, 0.25] bucket.
+        buf = self._latency_traffic(registry, [0.2] * 10)
+        slo = obs.LatencySLO(
+            objective=0.5, threshold_seconds=0.175, window=60.0
+        )
+        status = slo.evaluate(buf)
+        assert status.compliance == pytest.approx(0.5)
+        assert status.burn_rate == pytest.approx(1.0)
+
     def test_threshold_slo_watches_gauge(self, registry):
         gauge = registry.gauge("repro_lifecycle_drift_error_ewma")
         buf = obs.TimeSeriesBuffer(registry, capacity=10)
