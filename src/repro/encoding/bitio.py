@@ -98,29 +98,6 @@ def pack_bits(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     return pack_at_offsets(codes, lengths, offsets, total_bits), total_bits
 
 
-def _pack_bits_reference(
-    codes: np.ndarray, lengths: np.ndarray
-) -> tuple[bytes, int]:
-    """Bit-by-bit packer retained as the parity oracle for tests."""
-    codes = np.asarray(codes, dtype=np.uint64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if codes.size == 0:
-        return b"", 0
-    offsets = np.zeros(lengths.size, dtype=np.int64)
-    np.cumsum(lengths[:-1], out=offsets[1:])
-    total_bits = int(offsets[-1] + lengths[-1])
-    bits = np.zeros(total_bits, dtype=np.uint8)
-    max_len = int(lengths.max())
-    for j in range(max_len):
-        mask = lengths > j
-        if not mask.any():
-            continue
-        shift = (lengths[mask] - 1 - j).astype(np.uint64)
-        bit_vals = ((codes[mask] >> shift) & np.uint64(1)).astype(np.uint8)
-        bits[offsets[mask] + j] = bit_vals
-    return np.packbits(bits).tobytes(), total_bits
-
-
 def unpack_bits(buffer: bytes, total_bits: int) -> np.ndarray:
     """Inverse of the byte-packing in :func:`pack_bits`: a flat bit array."""
     bits = np.unpackbits(np.frombuffer(buffer, dtype=np.uint8))

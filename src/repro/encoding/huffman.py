@@ -1,7 +1,9 @@
 """Canonical Huffman codec.
 
-This is the entropy stage used by the SZ-like, FPZIP-like and MGARD-like
-compressors, mirroring SZ's use of Huffman coding on quantization codes.
+This is the entropy stage of every compressor here that codes
+integers: SZ (``sz``, ``sz2``) Huffman-codes its quantization codes as
+SZ 2.x does, and the MGARD-, FPZIP-, ZFP- and digit-rounding-like
+compressors use it on theirs.
 
 Design notes:
 
@@ -10,6 +12,13 @@ Design notes:
   :func:`repro.encoding.bitio.pack_bits`, so encoding a million symbols
   performs ~``max_code_length`` vector operations rather than a million
   Python iterations.
+* **Code tables are built by runs.** Quantization histograms have tens
+  of thousands of symbols but only a few hundred distinct counts, so
+  the two-queue Huffman merge consumes whole runs of equal-weight
+  leaves (or of merged nodes lighter than the next leaf) with one
+  slice sum each, and its Python loop turns about once per run rather
+  than once per symbol. The canonical codes and the alphabet header
+  are numpy passes.
 * **Decoding is table-driven.** A flat ``2**max_len`` lookup table maps
   every possible ``max_len``-bit window to ``(symbol, code length)``; the
   decoder keeps a small integer bit buffer so each symbol costs O(1).
@@ -24,6 +33,8 @@ Design notes:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from operator import add
 
 import numpy as np
 
@@ -37,6 +48,7 @@ from repro.encoding.varint import (
     decode_uvarint,
     encode_section,
     encode_uvarint,
+    encode_uvarints,
 )
 from repro.errors import CorruptStreamError, EncodingError
 
@@ -97,51 +109,72 @@ def _huffman_code_lengths(freqs: np.ndarray) -> np.ndarray:
     Uses the O(n) two-queue merge over frequency-sorted leaves (after
     an O(n log n) sort): the two smallest weights are always at the
     front of either the remaining-leaves queue or the FIFO of already
-    merged nodes, so no heap is needed. Depths are then propagated
-    root-to-leaves in one pass.
+    merged nodes, whose weights come out non-decreasing, and a leaf
+    wins a tie. Merges are taken by runs: while the next leaves all
+    weigh no more than the merged front, that front stays put and the
+    leaves pair among themselves, so one slice sum merges the whole
+    run; the merged nodes lighter than the next leaf pair the same way.
+    Only a merge of a leaf with a merged node is made singly. Depths
+    then follow from the parent links by pointer doubling.
     """
     n = freqs.size
     if n == 1:
         return np.array([1], dtype=np.int64)
     order = np.argsort(freqs, kind="stable")
-    leaf_weights = freqs[order].tolist()
-
-    # Merged nodes: weights plus the two children of each.
-    merged_weights: list[int] = []
-    left_child: list[int] = []   # node ids; leaves are 0..n-1,
-    right_child: list[int] = []  # merged nodes are n, n+1, ...
+    leaves = freqs[order].tolist()
+    merged: list[int] = []     # merged weights, in creation order
+    leaf_kids: list[int] = []  # how many children of each are leaves
     li = 0  # next unconsumed leaf
     mi = 0  # next unconsumed merged node
-
-    def take_smallest() -> tuple[int, int]:
-        nonlocal li, mi
-        take_leaf = li < n and (
-            mi >= len(merged_weights) or leaf_weights[li] <= merged_weights[mi]
-        )
-        if take_leaf:
+    while len(merged) < n - 1:
+        m = len(merged)
+        if li < n and (mi == m or leaves[li] <= merged[mi]):
+            if mi < m:
+                pairs = (bisect_right(leaves, merged[mi], li, n) - li) >> 1
+                if pairs:
+                    end = li + 2 * pairs
+                    merged += map(add, leaves[li:end:2], leaves[li + 1:end:2])
+                    leaf_kids += [2] * pairs
+                    li = end
+                    continue
+            first = leaves[li]
             li += 1
-            return int(order[li - 1]), int(leaf_weights[li - 1])
-        mi += 1
-        return n + mi - 1, int(merged_weights[mi - 1])
+            from_leaves = 1
+        else:
+            stop = bisect_left(merged, leaves[li], mi, m) if li < n else m
+            pairs = (stop - mi) >> 1
+            if pairs:
+                end = mi + 2 * pairs
+                merged += map(add, merged[mi:end:2], merged[mi + 1:end:2])
+                leaf_kids += [0] * pairs
+                mi = end
+                continue
+            first = merged[mi]
+            mi += 1
+            from_leaves = 0
+        if li < n and (mi == m or leaves[li] <= merged[mi]):
+            merged.append(first + leaves[li])
+            li += 1
+            from_leaves += 1
+        else:
+            merged.append(first + merged[mi])
+            mi += 1
+        leaf_kids.append(from_leaves)
 
-    for _ in range(n - 1):
-        a_id, a_w = take_smallest()
-        b_id, b_w = take_smallest()
-        merged_weights.append(a_w + b_w)
-        left_child.append(a_id)
-        right_child.append(b_id)
-
-    # Root is the last merged node; push depths down to the leaves.
-    lengths = np.zeros(n, dtype=np.int64)
-    n_merged = len(merged_weights)
-    depth = [0] * n_merged
-    for node in range(n_merged - 1, -1, -1):
-        d = depth[node] + 1
-        for child in (left_child[node], right_child[node]):
-            if child >= n:
-                depth[child - n] = d
-            else:
-                lengths[child] = d
+    # Both queues are consumed in order, so the parents of the sorted
+    # leaves, and of every merged node but the root, are the merged ids
+    # repeated by how many children of each kind they took.
+    kids = np.array(leaf_kids, dtype=np.int64)
+    nodes = np.arange(n - 1)
+    root = n - 2
+    up = np.append(np.repeat(nodes, 2 - kids), root)  # parent; root: itself
+    depth = np.ones(n - 1, dtype=np.int64)  # distance to ``up``
+    depth[root] = 0
+    while up.min() != root:
+        depth += depth[up]
+        up = up[up]
+    lengths = np.empty(n, dtype=np.int64)
+    lengths[order] = depth[np.repeat(nodes, kids)] + 1
     return lengths
 
 
@@ -165,65 +198,114 @@ def _limited_code_lengths(freqs: np.ndarray) -> np.ndarray:
 
 
 def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
-    """Assign canonical codes: sorted by (length, symbol index)."""
-    order = np.lexsort((np.arange(lengths.size), lengths))
-    codes = np.zeros(lengths.size, dtype=np.uint64)
+    """Assign canonical codes: sorted by (length, symbol index).
+
+    Each length's first code follows from the counts of the shorter
+    lengths; within a length, codes count up in symbol order.
+    """
+    order = np.argsort(lengths, kind="stable")
+    sorted_len = lengths[order]
+    bl_count = np.bincount(sorted_len)
+    first = [0] * bl_count.size
     code = 0
-    prev_len = 0
-    for idx in order:
-        length = int(lengths[idx])
-        code <<= length - prev_len
-        codes[idx] = code
-        code += 1
-        prev_len = length
+    for length in range(1, bl_count.size):
+        code = (code + int(bl_count[length - 1])) << 1
+        first[length] = code
+    rank = np.arange(lengths.size) - (np.cumsum(bl_count) - bl_count)[sorted_len]
+    codes = np.zeros(lengths.size, dtype=np.uint64)
+    codes[order] = np.array(first, dtype=np.uint64)[sorted_len] + rank.astype(
+        np.uint64
+    )
     return codes
 
 
-def _build_decode_table(lengths: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Flat window -> (symbol, length) arrays for max-length windows."""
+def _build_decode_table(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Flat window -> (symbol, length) arrays for max-length windows.
+
+    In canonical order each code's windows start where the previous
+    code's end, so the table is each symbol repeated over its
+    ``2**(max_len - length)`` windows in that order. Lengths that
+    overfill the code space (a corrupt header) are cut off at the end of
+    the table; an underfull one leaves zero-length (invalid) windows.
+    """
     max_len = int(lengths.max())
     size = 1 << max_len
+    order = np.argsort(lengths, kind="stable")
+    sorted_len = lengths[order]
+    ends = np.minimum(np.cumsum(1 << (max_len - sorted_len)), size)
+    widths = np.diff(ends, prepend=0)
+    filled = int(ends[-1])
     table_sym = np.zeros(size, dtype=np.int64)
     table_len = np.zeros(size, dtype=np.int64)
-    for sym_idx in range(lengths.size):
-        length = int(lengths[sym_idx])
-        code = int(codes[sym_idx])
-        start = code << (max_len - length)
-        end = (code + 1) << (max_len - length)
-        table_sym[start:end] = sym_idx
-        table_len[start:end] = length
+    table_sym[:filled] = np.repeat(order, widths)
+    table_len[:filled] = np.repeat(sorted_len, widths)
     return table_sym, table_len, max_len
 
 
 def _encode_alphabet(alphabet: np.ndarray) -> bytes:
     """Alphabet as zigzag-first + deltas (sorted, so deltas are >= 0)."""
     first = int(alphabet[0])
-    zigzag_first = (first << 1) ^ (first >> 63)
-    parts = [encode_uvarint(zigzag_first)]
     deltas = np.diff(alphabet.astype(np.int64))
-    parts.extend(encode_uvarint(int(d)) for d in deltas)
-    return b"".join(parts)
+    if deltas.size and deltas.min() < 0:
+        # Only a span past the int64 range wraps a delta negative.
+        raise ValueError("uvarint cannot encode negative values")
+    values = np.empty(alphabet.size, dtype=np.uint64)
+    values[0] = (first << 1) ^ (first >> 63)
+    values[1:] = deltas
+    return encode_uvarints(values)
 
 
 def _decode_alphabet(
     data: bytes, offset: int, alpha_size: int
 ) -> tuple[np.ndarray, int]:
-    """Inverse of :func:`_encode_alphabet`; returns (alphabet, offset)."""
+    """Inverse of :func:`_encode_alphabet`; returns (alphabet, offset).
+
+    Fails like decoding the deltas one by one would, at the first delta
+    that is truncated, longer than ten bytes or lifts the running value
+    past the plausible range.
+    """
     zigzag_first, offset = decode_uvarint(data, offset)
     first = (zigzag_first >> 1) ^ -(zigzag_first & 1)
     limit = 1 << 62
     if abs(first) > limit:
         raise CorruptStreamError("implausible alphabet start")
-    alphabet = np.zeros(alpha_size, dtype=np.int64)
-    value = first
-    for i in range(1, alpha_size):
-        delta, offset = decode_uvarint(data, offset)
-        value += delta
-        if value > limit:
-            raise CorruptStreamError("alphabet delta overflow")
-        alphabet[i] = value
+    count = alpha_size - 1
+    avail = len(data) - offset
+    window = np.frombuffer(
+        data, dtype=np.uint8, count=min(avail, 10 * count), offset=offset
+    )
+    # A delta ends at the next byte without a continuation bit.
+    ends = np.flatnonzero(window < 0x80)[:count]
+    sizes = np.diff(ends, prepend=-1)
+    too_long = np.flatnonzero(sizes > 10)
+    parsed = int(too_long[0]) if too_long.size else ends.size
+    ends = ends[:parsed]
+    sizes = sizes[:parsed]
+    nbytes = int(ends[-1]) + 1 if parsed else 0
+
+    alphabet = np.empty(parsed + 1, dtype=np.int64)
     alphabet[0] = first
-    return alphabet, offset
+    if parsed:
+        starts = ends - sizes + 1
+        group = np.arange(nbytes) - np.repeat(starts, sizes)
+        bits = (window[:nbytes] & 0x7F).astype(np.uint64)
+        deltas = np.bitwise_or.reduceat(
+            bits << (7 * group).astype(np.uint64), starts
+        )
+        # A tenth byte above 1 puts a delta past 2**64 (and past the
+        # limit); a running sum that wraps is past it too.
+        huge = (sizes == 10) & (window[ends] > 1)
+        total = np.cumsum(deltas)
+        over = (total > np.uint64(limit - first)) | huge
+        over[1:] |= total[1:] < total[:-1]
+        if over.any():
+            raise CorruptStreamError("alphabet delta overflow")
+        alphabet[1:] = (total + np.uint64(first % (1 << 64))).view(np.int64)
+    if parsed < count:
+        if too_long.size or nbytes + 10 <= avail:
+            raise CorruptStreamError("varint too long")
+        raise CorruptStreamError("truncated varint")
+    return alphabet, offset + nbytes
 
 
 class HuffmanCodec:
@@ -296,8 +378,7 @@ class HuffmanCodec:
         offset += len_bytes
         if lengths.min() < 1 or lengths.max() > _MAX_CODE_LEN_HARD:
             raise CorruptStreamError("invalid code lengths")
-        codes = _canonical_codes(lengths)
-        table_sym, table_len, max_len = _build_decode_table(lengths, codes)
+        table_sym, table_len, max_len = _build_decode_table(lengths)
 
         total_bits, offset = decode_uvarint(data, offset)
         payload, offset = decode_section(data, offset)

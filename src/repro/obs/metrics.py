@@ -21,6 +21,7 @@ from __future__ import annotations
 import bisect
 import re
 import threading
+from typing import Callable
 
 from repro.errors import InvalidConfiguration
 
@@ -330,15 +331,24 @@ class MetricsRegistry:
             )
         return metric
 
-    def register_collector(self, collect) -> None:
+    def register_collector(self, collect) -> Callable[[], None]:
         """Add a zero-arg callable run before every export.
 
         Collectors pull values out of sources that keep their own state
         (caches, pools) and write them into gauges — the source's hot
-        path stays untouched.
+        path stays untouched. Returns a zero-arg callable that removes
+        the collector again (a no-op once removed), so a source that
+        closes before the registry does not stay reachable from it.
         """
         with self._lock:
             self._collectors.append(collect)
+
+        def remove() -> None:
+            with self._lock:
+                if collect in self._collectors:
+                    self._collectors.remove(collect)
+
+        return remove
 
     def collect(self) -> None:
         """Run every registered collector (refresh pull-model gauges)."""
@@ -424,14 +434,18 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n"
 
 
-def bind_cache_gauges(registry: MetricsRegistry, subsystem: str, cache) -> None:
+def bind_cache_gauges(
+    registry: MetricsRegistry, subsystem: str, cache
+) -> Callable[[], None]:
     """Expose a cache's hit/miss/eviction counters as registry gauges.
 
     Works for any object with ``hits``/``misses``/``evictions``
     attributes and ``len()`` (both :class:`repro.serving.FeatureCache`
     and :class:`repro.parallel.CompressionMemoCache`). Pull-model: the
     gauges refresh at export time via a collector, so the cache's hot
-    path is untouched.
+    path is untouched. Returns a zero-arg callable that refreshes the
+    gauges one last time and removes the collector; call it when the
+    cache is done with, or the registry keeps the cache alive.
     """
     hits = registry.gauge(
         f"repro_{subsystem}_hits", f"{subsystem} cache hits"
@@ -452,4 +466,10 @@ def bind_cache_gauges(registry: MetricsRegistry, subsystem: str, cache) -> None:
         evictions.set(cache.evictions)
         entries.set(len(cache))
 
-    registry.register_collector(collect)
+    remove = registry.register_collector(collect)
+
+    def unbind() -> None:
+        collect()
+        remove()
+
+    return unbind

@@ -251,7 +251,9 @@ class EstimationService:
         self._registry = registry or obs.MetricsRegistry()
         self._metrics = MetricsRecorder(self._registry)
         self.cache = FeatureCache(max_entries=FEATURE_CACHE_ENTRIES)
-        obs.bind_cache_gauges(self._registry, "serving_feature_cache", self.cache)
+        self._unbind_cache = obs.bind_cache_gauges(
+            self._registry, "serving_feature_cache", self.cache
+        )
         self._seq = itertools.count(1)
         self._closed = False    # admission refused
         self._stopping = False  # workers exit once the queue is empty
@@ -427,6 +429,7 @@ class EstimationService:
             )
         for thread in self._workers:
             thread.join(timeout=timeout)
+        self._unbind_cache()
 
     # -- admission -------------------------------------------------------------
 

@@ -7,7 +7,9 @@ cache hits and per-request latency recorded — plus the guarded-ladder
 metrics plumbing and the ``estimate-batch`` CLI round trip.
 """
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -192,6 +194,23 @@ class TestServiceMetrics:
             assert first.metrics.requests_total == 3
             assert first.metrics.cache_hits == 2
             assert second.metrics.requests_total == 0
+
+    def test_closed_services_leave_a_shared_registry(self, fitted):
+        pipeline, probes = fitted
+        registry = obs.MetricsRegistry()
+        ctx = RuntimeContext(env={}, registry=registry)
+        before = len(registry._collectors)
+        caches = []
+        for _ in range(5):
+            service = EstimationService.for_pipeline(pipeline, ctx=ctx, workers=1)
+            self._serve_three(service, probes[0])
+            caches.append(weakref.ref(service.cache))
+            service.close()
+            service.close()  # idempotent: removes nothing twice
+        del service
+        assert len(registry._collectors) == before
+        gc.collect()
+        assert [ref() for ref in caches] == [None] * 5
 
 
 class TestDeadlinesAndShutdown:

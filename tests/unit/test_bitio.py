@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.encoding.bitio import (
-    _pack_bits_reference,
     pack_at_offsets,
     pack_bits,
     pack_fixed_width,
@@ -12,6 +11,29 @@ from repro.encoding.bitio import (
     unpack_fixed_width,
 )
 from repro.errors import CorruptStreamError
+
+
+def _pack_bits_reference(
+    codes: np.ndarray, lengths: np.ndarray
+) -> tuple[bytes, int]:
+    """Bit-by-bit packer: the parity oracle for :func:`pack_bits`."""
+    codes = np.asarray(codes, dtype=np.uint64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if codes.size == 0:
+        return b"", 0
+    offsets = np.zeros(lengths.size, dtype=np.int64)
+    np.cumsum(lengths[:-1], out=offsets[1:])
+    total_bits = int(offsets[-1] + lengths[-1])
+    bits = np.zeros(total_bits, dtype=np.uint8)
+    max_len = int(lengths.max())
+    for j in range(max_len):
+        mask = lengths > j
+        if not mask.any():
+            continue
+        shift = (lengths[mask] - 1 - j).astype(np.uint64)
+        bit_vals = ((codes[mask] >> shift) & np.uint64(1)).astype(np.uint8)
+        bits[offsets[mask] + j] = bit_vals
+    return np.packbits(bits).tobytes(), total_bits
 
 
 class TestPackBits:

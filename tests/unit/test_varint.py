@@ -1,5 +1,6 @@
 """Unit tests for repro.encoding.varint."""
 
+import numpy as np
 import pytest
 
 from repro.encoding.varint import (
@@ -7,6 +8,7 @@ from repro.encoding.varint import (
     decode_uvarint,
     encode_section,
     encode_uvarint,
+    encode_uvarints,
 )
 from repro.errors import CorruptStreamError
 
@@ -22,6 +24,12 @@ class TestUvarint:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             encode_uvarint(-1)
+
+    def test_array_encoding_matches_one_at_a_time(self):
+        values = [0, 1, 127, 128, 300, 2**32, 2**62, 2**63, 2**64 - 1, 5]
+        expected = b"".join(encode_uvarint(v) for v in values)
+        assert encode_uvarints(np.array(values, dtype=np.uint64)) == expected
+        assert encode_uvarints(np.zeros(0, dtype=np.uint64)) == b""
 
     def test_truncated_raises(self):
         with pytest.raises(CorruptStreamError):
