@@ -73,14 +73,14 @@ chaos:
 runtime-smoke:
 	PYTHONPATH=src $(PY) examples/runtime_smoke.py
 
-# Kernel gate: the kernels-marked tests (scratch arena, backend
-# registry, fused-vs-reference bit-identity parity, pinned SZ blob bytes,
-# the CA block scan against its block-major reference, the forest's
-# packed-pass parity: mean and spread bit-identical to the per-tree
-# walks, and the level-wise tree fit against its depth-first oracle
-# with pinned forest and archive digests) with RuntimeWarnings promoted
-# to errors — a fused pass that overflows or divides by zero must fail
-# loudly, not round differently.
+# Kernel gate: the kernels-marked tests (scratch arena, the fused
+# quantize pass against its unfused test-tree oracle for sz/sz2/mgard,
+# pinned sz/sz2/mgard blob bytes, the CA block scan against its
+# block-major reference, the forest's packed-pass parity: mean and
+# spread bit-identical to the per-tree walks, and the level-wise tree
+# fit against its depth-first oracle with pinned forest and archive
+# digests) with RuntimeWarnings promoted to errors — a fused pass that
+# overflows or divides by zero must fail loudly, not round differently.
 kernels:
 	$(PYTEST) -x -q -W error::RuntimeWarning -m kernels
 

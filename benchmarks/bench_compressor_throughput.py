@@ -17,9 +17,12 @@ Two kinds of rows:
 Each row is the median of a few repeats and is gated by a regression
 floor in MB/s (set at roughly half the speed measured on the reference
 container, so real regressions trip but scheduler noise does not).
-Results land in ``BENCH_kernel_throughput.json`` at the repo root; the
-JSON also records the pre-kernel seed baseline so the fused-kernel
-speedup stays auditable.
+``sz``, ``sz2`` and ``mgard`` quantize through the same fused pass
+(:func:`~repro.compressors.kernels.encode_block` /
+:func:`~repro.compressors.kernels.decode_block`), so a change to it
+moves all three rows. Results land in ``BENCH_kernel_throughput.json``
+at the repo root; the JSON also records the pre-kernel seed baseline so
+the fused-kernel speedup stays auditable.
 """
 
 import json

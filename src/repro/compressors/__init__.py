@@ -24,15 +24,7 @@ from repro.compressors.base import (
     get_compressor,
     register_compressor,
 )
-from repro.compressors.kernels import (
-    ArenaStats,
-    KernelArena,
-    KernelBackend,
-    available_kernel_backends,
-    get_kernel_backend,
-    register_kernel_backend,
-    use_kernel_backend,
-)
+from repro.compressors.kernels import ArenaStats, KernelArena
 from repro.compressors.quantizer import LinearQuantizer
 from repro.compressors.sz import SZCompressor
 from repro.compressors.sz_lorenzo import SZLorenzoCompressor
@@ -47,12 +39,7 @@ __all__ = [
     "CompressionStream",
     "Compressor",
     "KernelArena",
-    "KernelBackend",
     "LinearQuantizer",
-    "available_kernel_backends",
-    "get_kernel_backend",
-    "register_kernel_backend",
-    "use_kernel_backend",
     "SZCompressor",
     "SZLorenzoCompressor",
     "ZFPCompressor",

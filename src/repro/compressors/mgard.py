@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.compressors import kernels
 from repro.compressors.base import CompressedBlob, Compressor, register_compressor
 from repro.compressors.kernels import KernelArena
 from repro.compressors.predictors import interp_prediction_linear
@@ -56,6 +57,16 @@ def _level_bins(error_bound: float, n_levels: int) -> list[float]:
     ]
 
 
+def _step_depths(steps) -> list[int]:
+    """Pyramid level of each refinement step (1 = coarsest stride).
+
+    Steps run coarse to fine, so the depths never decrease.
+    """
+    curs = sorted({step.cur for step in steps}, reverse=True)
+    depth_of = {cur: depth + 1 for depth, cur in enumerate(curs)}
+    return [depth_of[step.cur] for step in steps]
+
+
 @register_compressor
 class MGARDCompressor(Compressor):
     """Multigrid hierarchy compressor with level-scaled quantization."""
@@ -72,49 +83,52 @@ class MGARDCompressor(Compressor):
         config: float,
         arena: KernelArena | None = None,
     ) -> bytes:
+        if arena is None:
+            arena = KernelArena()
         data = array.astype(np.float64)
         mean = float(data.mean())
         recon = np.zeros_like(data)
 
         s0 = _initial_stride(data.shape)
         steps = _plan_steps(data.shape, s0)
-        n_levels = 1 + len({step.cur for step in steps})
-        bins = _level_bins(config, n_levels)
+        depths = _step_depths(steps)
+        n_levels = 1 + len(set(depths))
+        quantizers = [LinearQuantizer(b) for b in _level_bins(config, n_levels)]
 
-        level_codes: list[list[np.ndarray]] = [[] for _ in range(n_levels)]
-        outlier_parts: list[np.ndarray] = []
+        # Levels are coded coarse to fine, so level d's codes fill
+        # codes[bounds[d] : bounds[d + 1]] of one buffer.
+        codes = arena.scratch("mgard.codes", data.size, np.int64)
+        bounds = [0] * (n_levels + 1)
 
         coarse_key = tuple(slice(0, None, s0) for _ in data.shape)
-        quantizer = LinearQuantizer(bins[0])
         target = data[coarse_key]
-        quant = quantizer.quantize(target - mean)
-        recon_block = mean + quant.dequantized
-        recon_block[quant.outlier_mask] = target[quant.outlier_mask]
-        recon[coarse_key] = recon_block
-        level_codes[0].append(quant.codes.ravel())
-        outlier_parts.append(target[quant.outlier_mask].ravel())
-
-        stride_depth = {
-            cur: depth + 1
-            for depth, cur in enumerate(sorted({s.cur for s in steps}, reverse=True))
-        }
-        for step in steps:
-            depth = stride_depth[step.cur]
-            quantizer = LinearQuantizer(bins[depth])
-            sub_recon = recon[step.key]
-            sub_data = data[step.key]
-            pred = interp_prediction_linear(
-                sub_recon, step.axis, step.new_idx, step.half
+        pred = np.full(target.shape, mean)
+        pos = target.size
+        outlier_parts = [
+            kernels.encode_block(
+                target, pred, quantizers[0], codes[:pos].reshape(target.shape),
+                arena,
             )
-            target = np.take(sub_data, step.new_idx, axis=step.axis)
-            quant = quantizer.quantize(target - pred)
-            recon_block = pred + quant.dequantized
-            recon_block[quant.outlier_mask] = target[quant.outlier_mask]
+        ]
+        bounds[1] = pos
+        recon[coarse_key] = pred
+
+        for step, depth in zip(steps, depths):
+            pred = interp_prediction_linear(
+                recon[step.key], step.axis, step.new_idx, step.half
+            )
+            target = np.take(data[step.key], step.new_idx, axis=step.axis)
+            block_codes = codes[pos : pos + pred.size].reshape(pred.shape)
+            pos += pred.size
+            bounds[depth + 1] = pos
+            outlier_parts.append(
+                kernels.encode_block(
+                    target, pred, quantizers[depth], block_codes, arena
+                )
+            )
             write_key = list(step.key)
             write_key[step.axis] = slice(step.half, None, step.cur)
-            recon[tuple(write_key)] = recon_block
-            level_codes[depth].append(quant.codes.ravel())
-            outlier_parts.append(target[quant.outlier_mask].ravel())
+            recon[tuple(write_key)] = pred
 
         huffman = HuffmanCodec()
         header = np.array([config, mean], dtype=np.float64).tobytes() + bytes(
@@ -122,20 +136,12 @@ class MGARDCompressor(Compressor):
         )
         sections = [encode_section(header)]
         for depth in range(n_levels):
-            codes = (
-                np.concatenate(level_codes[depth])
-                if level_codes[depth]
-                else np.zeros(0, dtype=np.int64)
+            tokens, literals = zero_rle_encode(
+                codes[bounds[depth] : bounds[depth + 1]]
             )
-            tokens, literals = zero_rle_encode(codes)
             sections.append(encode_section(huffman.encode(tokens)))
             sections.append(encode_section(huffman.encode(literals)))
-        outliers = (
-            np.concatenate(outlier_parts)
-            if outlier_parts
-            else np.zeros(0, dtype=np.float64)
-        )
-        sections.append(encode_section(outliers.astype(np.float64).tobytes()))
+        sections.append(encode_section(np.concatenate(outlier_parts).tobytes()))
         return b"".join(sections)
 
     # -- decompression --------------------------------------------------------
@@ -143,6 +149,8 @@ class MGARDCompressor(Compressor):
     def _decompress_payload(
         self, blob: CompressedBlob, arena: KernelArena | None = None
     ) -> np.ndarray:
+        if arena is None:
+            arena = KernelArena()
         header, offset = decode_section(blob.data, 0)
         if len(header) != 17:
             raise CorruptStreamError("bad MGARD header")
@@ -165,55 +173,41 @@ class MGARDCompressor(Compressor):
         shape = blob.original_shape
         s0 = _initial_stride(shape)
         steps = _plan_steps(shape, s0)
-        expected_levels = 1 + len({step.cur for step in steps})
-        if expected_levels != n_levels:
+        depths = _step_depths(steps)
+        if 1 + len(set(depths)) != n_levels:
             raise CorruptStreamError("MGARD level count mismatch")
-        bins = _level_bins(float(config), n_levels)
+        quantizers = [
+            LinearQuantizer(b) for b in _level_bins(float(config), n_levels)
+        ]
 
         recon = np.zeros(shape, dtype=np.float64)
         level_pos = [0] * n_levels
         out_pos = 0
 
-        coarse_key = tuple(slice(0, None, s0) for _ in shape)
-        coarse_shape = recon[coarse_key].shape
-        count = int(np.prod(coarse_shape))
-        quantizer = LinearQuantizer(bins[0])
-        block_codes = level_streams[0][:count].reshape(coarse_shape)
-        level_pos[0] = count
-        residuals, mask = quantizer.dequantize(block_codes)
-        recon_block = mean + residuals
-        n_out = int(mask.sum())
-        recon_block[mask] = outliers[out_pos : out_pos + n_out]
-        out_pos += n_out
-        recon[coarse_key] = recon_block
-
-        stride_depth = {
-            cur: depth + 1
-            for depth, cur in enumerate(sorted({s.cur for s in steps}, reverse=True))
-        }
-        for step in steps:
-            depth = stride_depth[step.cur]
-            quantizer = LinearQuantizer(bins[depth])
-            sub_recon = recon[step.key]
-            pred = interp_prediction_linear(
-                sub_recon, step.axis, step.new_idx, step.half
-            )
-            count = pred.size
-            stream = level_streams[depth]
-            pos = level_pos[depth]
-            if pos + count > stream.size:
+        def decode(pred: np.ndarray, depth: int) -> None:
+            """Reconstruct one block of ``depth`` into ``pred``."""
+            nonlocal out_pos
+            stream, pos = level_streams[depth], level_pos[depth]
+            if pos + pred.size > stream.size:
                 raise CorruptStreamError("MGARD code stream underflow")
-            block_codes = stream[pos : pos + count].reshape(pred.shape)
-            level_pos[depth] = pos + count
-            residuals, mask = quantizer.dequantize(block_codes)
-            recon_block = pred + residuals
-            n_out = int(mask.sum())
-            if out_pos + n_out > outliers.size:
-                raise CorruptStreamError("MGARD outlier stream underflow")
-            recon_block[mask] = outliers[out_pos : out_pos + n_out]
-            out_pos += n_out
+            level_pos[depth] = pos + pred.size
+            out_pos += kernels.decode_block(
+                stream[pos : pos + pred.size].reshape(pred.shape),
+                pred, quantizers[depth], outliers, out_pos, arena,
+            )
+
+        coarse_key = tuple(slice(0, None, s0) for _ in shape)
+        pred = np.full(recon[coarse_key].shape, mean)
+        decode(pred, 0)
+        recon[coarse_key] = pred
+
+        for step, depth in zip(steps, depths):
+            pred = interp_prediction_linear(
+                recon[step.key], step.axis, step.new_idx, step.half
+            )
+            decode(pred, depth)
             write_key = list(step.key)
             write_key[step.axis] = slice(step.half, None, step.cur)
-            recon[tuple(write_key)] = recon_block
+            recon[tuple(write_key)] = pred
 
         return recon.astype(blob.original_dtype).ravel()

@@ -31,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.compressors import kernels
 from repro.compressors.base import CompressedBlob, Compressor, register_compressor
-from repro.compressors.kernels import KernelArena, get_kernel_backend
+from repro.compressors.kernels import KernelArena
 from repro.compressors.predictors import (
     interp_prediction_cubic,
     interp_prediction_linear,
@@ -114,7 +115,6 @@ class SZCompressor(Compressor):
     ) -> bytes:
         if arena is None:
             arena = KernelArena()
-        backend = get_kernel_backend()
         data = array.astype(np.float64)
         quantizer = LinearQuantizer(config)
         mean = float(data.mean())
@@ -130,7 +130,7 @@ class SZCompressor(Compressor):
         pred[...] = mean
         pos = target.size
         block_codes = codes[:pos].reshape(target.shape)
-        outliers = backend.encode_block(
+        outliers = kernels.encode_block(
             target, pred, quantizer, block_codes, arena
         )
         if outliers.size:
@@ -151,7 +151,7 @@ class SZCompressor(Compressor):
             count = pred.size
             block_codes = codes[pos : pos + count].reshape(pred.shape)
             pos += count
-            outliers = backend.encode_block(
+            outliers = kernels.encode_block(
                 target, pred, quantizer, block_codes, arena
             )
             if outliers.size:
@@ -179,8 +179,8 @@ class SZCompressor(Compressor):
         # non-zero it nearly doubles the entropy work (tokens + literals
         # each ~n symbols), so entropy-code the codes directly instead
         # and record the choice in header flag bit 1. The decision is a
-        # pure function of the codes, so fused and reference backends
-        # stay bit-identical.
+        # pure function of the codes, so any quantization pass that
+        # emits the same codes writes the same bytes.
         direct = bool(codes.size) and 2 * int(
             np.count_nonzero(codes)
         ) >= codes.size
@@ -216,7 +216,6 @@ class SZCompressor(Compressor):
     ) -> np.ndarray:
         if arena is None:
             arena = KernelArena()
-        backend = get_kernel_backend()
         header, offset = decode_section(blob.data, 0)
         if len(header) != 18:
             raise CorruptStreamError("bad SZ header")
@@ -263,12 +262,9 @@ class SZCompressor(Compressor):
         code_pos = count
         pred = arena.scratch("sz.pred", coarse_shape, np.float64)
         pred[...] = mean
-        n_out = backend.decode_block(
+        out_pos += kernels.decode_block(
             block_codes, pred, quantizer, outliers, out_pos, arena
         )
-        if out_pos + n_out > outliers.size:
-            raise CorruptStreamError("SZ outlier stream underflow")
-        out_pos += n_out
         recon[coarse_key] = pred
 
         predict = (
@@ -284,12 +280,9 @@ class SZCompressor(Compressor):
                 raise CorruptStreamError("SZ code stream underflow")
             block_codes = codes[code_pos : code_pos + count].reshape(pred.shape)
             code_pos += count
-            n_out = backend.decode_block(
+            out_pos += kernels.decode_block(
                 block_codes, pred, quantizer, outliers, out_pos, arena
             )
-            if out_pos + n_out > outliers.size:
-                raise CorruptStreamError("SZ outlier stream underflow")
-            out_pos += n_out
             write_key = list(step.key)
             write_key[step.axis] = slice(step.half, None, step.cur)
             recon[tuple(write_key)] = pred

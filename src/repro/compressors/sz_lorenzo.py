@@ -20,8 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.compressors import kernels
 from repro.compressors.base import CompressedBlob, Compressor, register_compressor
-from repro.compressors.kernels import KernelArena, get_kernel_backend
+from repro.compressors.kernels import KernelArena
 from repro.compressors.quantizer import LinearQuantizer
 from repro.encoding import HuffmanCodec, zero_rle_decode, zero_rle_encode
 from repro.encoding.varint import decode_section, encode_section
@@ -77,20 +78,18 @@ class SZLorenzoCompressor(Compressor):
         values; in decode mode (``codes_in`` given) consumes them. Both
         modes build the identical reconstruction, guaranteeing
         encoder/decoder prediction agreement. Each wavefront batch runs
-        through the fused kernel backend writing codes into one
+        through the fused kernel pass writing codes into one
         arena-backed buffer at a running offset.
         """
         ndim = len(shape)
-        backend = get_kernel_backend()
         stencil = _lorenzo_stencil(ndim)
         # Zero-padded reconstruction: border cells stand in for the
         # phantom zero neighbors of SZ's convention.
         padded_shape = tuple(n + 1 for n in shape)
         recon = arena.zeros("sz2.recon", padded_shape, np.float64)
         order, starts = _wavefronts(shape)
-        padded_strides = np.array(
-            np.zeros(padded_shape).strides, dtype=np.int64
-        ) // 8
+        # Element strides of the C-contiguous padded array.
+        padded_strides = np.array(recon.strides, dtype=np.int64) // recon.itemsize
         flat_recon = recon.ravel()
         coords = np.unravel_index(order, shape)
         # Padded-array flat position of every point, in wavefront order.
@@ -129,13 +128,13 @@ class SZLorenzoCompressor(Compressor):
             if data is not None:
                 target = arena.scratch("sz2.target", hi - lo, np.float64)
                 np.take(data_flat, order[lo:hi], out=target)
-                block_outliers = backend.encode_block(
+                block_outliers = kernels.encode_block(
                     target, pred, quantizer, codes[lo:hi], arena
                 )
                 if block_outliers.size:
                     outliers_out.append(block_outliers)
             else:
-                out_pos += backend.decode_block(
+                out_pos += kernels.decode_block(
                     codes_in[lo:hi], pred, quantizer,
                     outliers_in, out_pos, arena,
                 )

@@ -305,7 +305,8 @@ class SLOTracker:
             :func:`default_serving_slos`).
         registry: where to export; defaults to the buffer's registry.
             The exporter is a pull-model collector, so every
-            ``render_prometheus()`` / ``to_dict()`` re-evaluates.
+            ``render_prometheus()`` / ``to_dict()`` re-evaluates until
+            :meth:`close` removes it.
     """
 
     def __init__(
@@ -334,7 +335,11 @@ class SLOTracker:
             "repro_slo_alert", "1 when the SLO burn rate is over its alert"
         )
         self._exporting = False
-        registry.register_collector(self._export)
+        self._remove_collector = registry.register_collector(self._export)
+
+    def close(self) -> None:
+        """Stop exporting: remove the collector from the registry."""
+        self._remove_collector()
 
     def evaluate(self) -> list[SLOStatus]:
         """Evaluate every SLO against the buffer, in declaration order."""

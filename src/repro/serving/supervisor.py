@@ -42,6 +42,7 @@ import tempfile
 import threading
 import time
 from collections import Counter, OrderedDict, deque
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from multiprocessing import connection, resource_tracker
 
@@ -335,8 +336,8 @@ class ShardPool:
             )
             for i in range(self.n_shards)
         ]
-        self._ts_buffer = self._obs_server = None
-        self._bind_gauges(service._registry)
+        self._ts_buffer = self._obs_server = self._slo_tracker = None
+        self._unbind_gauges = self._bind_gauges(service._registry)
         for slot in self.slots:
             self._spawn(slot)
         self._threads = [
@@ -462,8 +463,13 @@ class ShardPool:
 
     _BREAKER_CODES = {"closed": 0.0, "half-open": 1.0, "open": 2.0}
 
-    def _bind_gauges(self, registry) -> None:
-        """Export supervision state as pull-model ``repro_serving_*`` gauges."""
+    def _bind_gauges(self, registry) -> Callable[[], None]:
+        """Export supervision state as pull-model ``repro_serving_*`` gauges.
+
+        Returns a zero-arg callable that refreshes the gauges one last
+        time and removes the collector, so a stopped pool does not stay
+        reachable from a shared registry.
+        """
         events = registry.gauge(
             "repro_serving_supervisor_events",
             "supervision counters, by event",
@@ -496,7 +502,13 @@ class ShardPool:
                     1.0 if state["state"] == READY else 0.0, shard=shard
                 )
 
-        registry.register_collector(collect)
+        remove = registry.register_collector(collect)
+
+        def unbind() -> None:
+            collect()
+            remove()
+
+        return unbind
 
     # -- telemetry plane -------------------------------------------------------
 
@@ -510,7 +522,7 @@ class ShardPool:
             capacity=max(int(window) + 60, 120),
             interval=1.0,
         )
-        slo_tracker = obs.SLOTracker(
+        self._slo_tracker = obs.SLOTracker(
             self._ts_buffer,
             obs.default_serving_slos(
                 availability=float(config.slo_availability),
@@ -524,7 +536,7 @@ class ShardPool:
         self._obs_server = obs.ObservabilityServer(
             registry,
             tracer=self._service._trace_sink(),
-            slo_tracker=slo_tracker,
+            slo_tracker=self._slo_tracker,
             health=self._health,
             port=int(config.scrape_port),
         )
@@ -583,6 +595,8 @@ class ShardPool:
             self._obs_server.close()
         if self._ts_buffer is not None:
             self._ts_buffer.stop()
+        if self._slo_tracker is not None:
+            self._slo_tracker.close()
         for slot in self.slots:
             with self._lock:
                 process, req_conn = slot.process, slot.req_conn
@@ -608,6 +622,7 @@ class ShardPool:
             self._segments.clear()
             self._pins.clear()
         self._unlink(segments)
+        self._unbind_gauges()
         if self._owns_model:
             try:
                 os.unlink(self.model_path)

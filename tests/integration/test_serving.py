@@ -195,20 +195,30 @@ class TestServiceMetrics:
             assert first.metrics.cache_hits == 2
             assert second.metrics.requests_total == 0
 
-    def test_closed_services_leave_a_shared_registry(self, fitted):
+    # A scrape endpoint (scrape_port 0) adds the sharded lane's SLO
+    # tracker exporter on top of its supervision gauges.
+    @pytest.mark.parametrize(
+        "shards,scrape_port", [(0, -1), (1, -1), (1, 0)],
+        ids=["0", "1", "1-scraped"],
+    )
+    def test_closed_services_leave_a_shared_registry(
+        self, fitted, shards, scrape_port
+    ):
         pipeline, probes = fitted
         registry = obs.MetricsRegistry()
-        ctx = RuntimeContext(env={}, registry=registry)
+        ctx = RuntimeContext(env={}, registry=registry, scrape_port=scrape_port)
         before = len(registry._collectors)
         caches = []
         for _ in range(5):
-            service = EstimationService.for_pipeline(pipeline, ctx=ctx, workers=1)
+            service = EstimationService.for_pipeline(
+                pipeline, ctx=ctx, workers=1, shards=shards
+            )
             self._serve_three(service, probes[0])
             caches.append(weakref.ref(service.cache))
             service.close()
             service.close()  # idempotent: removes nothing twice
+            assert len(registry._collectors) == before
         del service
-        assert len(registry._collectors) == before
         gc.collect()
         assert [ref() for ref in caches] == [None] * 5
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.compressors import available_compressors, get_compressor
+from repro.compressors.kernels import KernelArena, encode_block
 from repro.compressors.predictors import lorenzo_reconstruct, lorenzo_residuals
 from repro.compressors.quantizer import LinearQuantizer
 from repro.errors import CompressionError
@@ -119,11 +120,16 @@ class TestQuantizerProperty:
     @settings(max_examples=80, deadline=None)
     def test_non_outlier_error_bounded(self, residuals, bound):
         quantizer = LinearQuantizer(bound)
-        result = quantizer.quantize(residuals)
-        fine = ~result.outlier_mask
+        recon = np.zeros_like(residuals)
+        codes = np.empty(residuals.shape, dtype=np.int64)
+        outliers = encode_block(residuals, recon, quantizer, codes, KernelArena())
+        fine = codes != quantizer.sentinel
         if fine.any():
-            err = np.abs(residuals[fine] - result.dequantized[fine])
+            err = np.abs(residuals[fine] - recon[fine])
             assert err.max() <= bound * (1 + 1e-12) + 1e-300
+        # Outliers travel verbatim and reconstruct exactly.
+        np.testing.assert_array_equal(outliers, residuals[~fine])
+        np.testing.assert_array_equal(recon[~fine], residuals[~fine])
 
 
 class TestLorenzoProperty:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.compressors import get_compressor
 from repro.compressors.base import CompressedBlob
-from repro.encoding import HuffmanCodec
+from repro.encoding import HuffmanCodec, zero_rle_encode
 from repro.encoding.varint import decode_section, encode_section
 from repro.errors import CorruptStreamError, InvalidConfiguration, ReproError
 
@@ -210,3 +210,46 @@ class TestRetiredSZHeaders:
         widened = encode_section(header + bytes((8,))) + body
         with pytest.raises(CorruptStreamError, match="bad SZ header"):
             get_compressor("sz").decompress(replace(blob, data=widened))
+
+
+class TestMGARDSections:
+    """MGARD sections that disagree with the grid fail with a typed error.
+
+    Each case decodes an outlier-heavy blob (every point, the one-point
+    coarse level included, is an outlier) with one section re-encoded.
+    """
+
+    @pytest.fixture()
+    def blob(self):
+        field = np.random.default_rng(3).standard_normal((16, 16, 16))
+        return get_compressor("mgard").compress(field, 1e-12)
+
+    @staticmethod
+    def _sections(blob):
+        sections, offset = [], 0
+        while offset < len(blob.data):
+            section, offset = decode_section(blob.data, offset)
+            sections.append(section)
+        assert b"".join(map(encode_section, sections)) == blob.data
+        return sections
+
+    @staticmethod
+    def _decompress(blob, sections):
+        data = b"".join(map(encode_section, sections))
+        return get_compressor("mgard").decompress(replace(blob, data=data))
+
+    def test_empty_outlier_section(self, blob):
+        sections = self._sections(blob)
+        assert len(sections[-1]) == 8 * 16**3
+        sections[-1] = b""
+        with pytest.raises(CorruptStreamError, match="outlier stream underflow"):
+            self._decompress(blob, sections)
+
+    def test_coarse_level_shorter_than_grid(self, blob):
+        sections = self._sections(blob)
+        # Sections 1 and 2 carry level 0's zero-RLE tokens and literals.
+        tokens, literals = zero_rle_encode(np.zeros(0, dtype=np.int64))
+        sections[1] = HuffmanCodec().encode(tokens)
+        sections[2] = HuffmanCodec().encode(literals)
+        with pytest.raises(CorruptStreamError, match="code stream underflow"):
+            self._decompress(blob, sections)

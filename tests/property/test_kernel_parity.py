@@ -1,11 +1,12 @@
-"""Fused-vs-reference kernel parity: the batched path must be bit-identical.
+"""Fused-vs-oracle kernel parity: the batched path must be bit-identical.
 
-The ``"numpy"`` kernel backend fuses predict→quantize→code-emit into
-in-place vector passes over arena scratch; the ``"reference"`` backend
-reproduces the original unfused semantics through
-:class:`~repro.compressors.quantizer.LinearQuantizer`. Their contract is
-bit-identity — same blob *bytes*, same reconstruction — across every
-rank, code space and error-bound regime the SZ family supports.
+:func:`~repro.compressors.kernels.encode_block` and
+:func:`~repro.compressors.kernels.decode_block` fuse
+predict→quantize→code-emit into in-place vector passes over arena
+scratch; :mod:`tests.kernel_oracle` keeps the unfused quantize/dequantize
+formulation. Their contract is bit-identity — same blob *bytes*, same
+reconstruction — across every rank, code space and error-bound regime
+of the three compressors that quantize through them (sz, sz2, mgard).
 These tests pin that contract; any fused shortcut that changes a single
 rounding decision fails here first.
 """
@@ -21,10 +22,11 @@ from repro.compressors import (
     CompressionStream,
     KernelArena,
     get_compressor,
-    get_kernel_backend,
-    use_kernel_backend,
+    kernels,
 )
 from repro.compressors.quantizer import LinearQuantizer
+from tests import kernel_oracle
+from tests.kernel_oracle import oracle_passes
 
 pytestmark = pytest.mark.kernels
 
@@ -47,29 +49,32 @@ def fields():
     return {"1d": field1d, "2d": field2d, "3d": field3d}
 
 
-def _blob_and_recon(compressor, data, eb, backend):
-    with use_kernel_backend(backend):
-        blob = compressor.compress(data, eb)
-        recon = compressor.decompress(blob)
-    return blob, recon
+def _blob_and_recon(compressor, data, eb):
+    blob = compressor.compress(data, eb)
+    return blob, compressor.decompress(blob)
 
 
-@pytest.mark.parametrize("name", ["sz", "sz2"])
+def _oracle_blob_and_recon(compressor, data, eb):
+    with oracle_passes():
+        return _blob_and_recon(compressor, data, eb)
+
+
+@pytest.mark.parametrize("name", ["sz", "sz2", "mgard"])
 @pytest.mark.parametrize("rank", ["1d", "2d", "3d"])
 @pytest.mark.parametrize("eb", [1e-2, 1e-3, 1e-4])
 def test_fused_blob_bytes_match_reference(fields, name, rank, eb):
     data = fields[rank]
     compressor = get_compressor(name)
-    blob_n, recon_n = _blob_and_recon(compressor, data, eb, "numpy")
-    blob_r, recon_r = _blob_and_recon(compressor, data, eb, "reference")
+    blob_n, recon_n = _blob_and_recon(compressor, data, eb)
+    blob_r, recon_r = _oracle_blob_and_recon(compressor, data, eb)
     assert blob_n.data == blob_r.data
     np.testing.assert_array_equal(recon_n, recon_r)
     compressor.verify(data, recon_n, eb)
 
 
-#: sha256 of ``compress(field, eb).data`` for the default compressors.
-#: A changed digest means the on-disk SZ format moved: old blobs would
-#: no longer reproduce byte for byte.
+#: sha256 of ``compress(field, eb).data`` for the compressors that
+#: quantize through the fused passes. A changed digest means an on-disk
+#: format moved: old blobs would no longer reproduce byte for byte.
 _PINNED_DIGESTS = {
     ("sz", "1d", 0.01): "a1b4a283bf6701d9a6d813ebd3332e1a6ce4711aec81f031f5cbcaed511bf562",
     ("sz", "1d", 0.0001): "2727d24657f6a532cd575de7b1a5e295eb26a2e41da8acf6b70f2beb4060d4b4",
@@ -83,6 +88,12 @@ _PINNED_DIGESTS = {
     ("sz2", "2d", 0.0001): "100e3712d8df7504620fdccb3ff8d9eb2e717fce427f67d12c0b3a0e5123e34b",
     ("sz2", "3d", 0.01): "4a8657e158834f7602ddb9c9a2c719c6d6f77cc98bac45c19afb1880a20712db",
     ("sz2", "3d", 0.0001): "5e443e7af56f35ebd1cb7a53b1f1c6321f340c2222ed94fff9cbb156f58f961a",
+    ("mgard", "1d", 0.01): "bb74be2bf9cdbb64a54aad90ed3b6de520a3a7a5356cdd1601662325e357de39",
+    ("mgard", "1d", 0.0001): "90be23523ff1cd4d37c3289c3fba3239092006c6787c68eb7cf32f1cfebc8fe6",
+    ("mgard", "2d", 0.01): "ca07a8cd3dda04f36aab4cc05d4afc95eb861f666904cc355969fcb7b925748d",
+    ("mgard", "2d", 0.0001): "d902711d065cf83d53e88e29eef4b2726e016678ca18d48165ef0e7b10252898",
+    ("mgard", "3d", 0.01): "d036c989597b5a4cf2433663aa956e8e2e39083244cf0693a5cf8c0580f7a446",
+    ("mgard", "3d", 0.0001): "52e7b0c590fbcf010ae1b1077fea2364e523fdbb04aa23d86a050ce9d57b7f96",
 }
 
 
@@ -92,14 +103,13 @@ def test_default_blob_bytes_are_pinned(fields, name, rank, eb):
     assert hashlib.sha256(blob.data).hexdigest() == _PINNED_DIGESTS[name, rank, eb]
 
 
-def _kernel_roundtrip(backend_name, target, pred0, quantizer):
+def _kernel_roundtrip(passes, target, pred0, quantizer):
     """Encode then decode one block; returns ``(codes, outliers, recon)``."""
-    backend = get_kernel_backend(backend_name)
     pred = pred0.copy()
     codes = np.empty(target.shape, dtype=np.int64)
-    outliers = backend.encode_block(target, pred, quantizer, codes, KernelArena())
+    outliers = passes.encode_block(target, pred, quantizer, codes, KernelArena())
     recon = pred0.copy()
-    used = backend.decode_block(codes, recon, quantizer, outliers, 0, KernelArena())
+    used = passes.decode_block(codes, recon, quantizer, outliers, 0, KernelArena())
     assert used == outliers.size
     # The decoder rebuilds exactly the reconstruction the encoder left.
     assert recon.tobytes() == pred.tobytes()
@@ -107,13 +117,11 @@ def _kernel_roundtrip(backend_name, target, pred0, quantizer):
 
 
 def _assert_kernel_parity(target, pred0, quantizer):
-    results = {
-        name: _kernel_roundtrip(name, target, pred0, quantizer)
-        for name in ("numpy", "reference")
-    }
-    codes, outliers, recon = results["numpy"]
+    fused = _kernel_roundtrip(kernels, target, pred0, quantizer)
+    oracle = _kernel_roundtrip(kernel_oracle, target, pred0, quantizer)
+    codes, outliers, recon = fused
     assert outliers.size > 0
-    for a, b in zip(results["numpy"], results["reference"]):
+    for a, b in zip(fused, oracle):
         assert a.tobytes() == b.tobytes()
     assert np.all(np.abs(recon - target) <= quantizer.error_bound)
     return codes
@@ -142,35 +150,41 @@ def test_narrow_code_space_parity(fields):
 
 def test_rounding_edge_takes_outlier_path_in_both_backends():
     # 1.00001 / 2e-5 rounds to a code whose dequantized residual lies a
-    # few ulps past eb; both backends must divert it to the outlier path.
+    # few ulps past eb; the fused pass and the oracle must both divert
+    # it to the outlier path.
     target = np.array([1.00001, 0.5, -0.25])
     quantizer = LinearQuantizer(1e-5)
-    results = {}
-    for name in ("numpy", "reference"):
+    results = []
+    for passes in (kernels, kernel_oracle):
         pred = np.zeros(3)
         codes = np.empty(3, dtype=np.int64)
-        outliers = get_kernel_backend(name).encode_block(
+        outliers = passes.encode_block(
             target, pred, quantizer, codes, KernelArena()
         )
-        results[name] = (codes, outliers, pred)
+        results.append((codes, outliers, pred))
         assert codes[0] == quantizer.sentinel
         np.testing.assert_array_equal(outliers, target[:1])
         assert np.all(np.abs(pred - target) <= quantizer.error_bound)
-    for a, b in zip(results["numpy"], results["reference"]):
+    for a, b in zip(*results):
         np.testing.assert_array_equal(a, b)
 
 
 def test_parity_on_constant_block():
     data = np.full((32, 32), 3.25, dtype=np.float64)
-    compressor = get_compressor("sz")
-    blob_n, recon_n = _blob_and_recon(compressor, data, 1e-5, "numpy")
-    blob_r, recon_r = _blob_and_recon(compressor, data, 1e-5, "reference")
-    assert blob_n.data == blob_r.data
-    np.testing.assert_array_equal(recon_n, data)
-    np.testing.assert_array_equal(recon_r, data)
+    for name in ("sz", "sz2", "mgard"):
+        compressor = get_compressor(name)
+        blob_n, recon_n = _blob_and_recon(compressor, data, 1e-5)
+        blob_r, recon_r = _oracle_blob_and_recon(compressor, data, 1e-5)
+        assert blob_n.data == blob_r.data, name
+        np.testing.assert_array_equal(recon_n, recon_r)
+        compressor.verify(data, recon_n, 1e-5)
+        if name != "sz2":
+            # Predicted from the field mean, a constant field comes
+            # back exactly (sz2's Lorenzo stencil starts from zeros).
+            np.testing.assert_array_equal(recon_n, data)
 
 
-@pytest.mark.parametrize("name", ["sz", "sz2"])
+@pytest.mark.parametrize("name", ["sz", "sz2", "mgard"])
 def test_stream_reuse_is_bit_identical_to_cold_calls(fields, name):
     # The same arena carries scratch across timesteps; buffer reuse
     # must never leak state between arrays of different shapes/content.

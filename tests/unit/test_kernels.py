@@ -1,21 +1,13 @@
-"""Unit tests for the batched kernel layer (arena + backend registry)."""
+"""Unit tests for the batched kernel layer (arena + fused passes)."""
 
 import numpy as np
 import pytest
 
-from repro.compressors.kernels import (
-    ArenaStats,
-    KernelArena,
-    KernelBackend,
-    NumpyKernelBackend,
-    ReferenceKernelBackend,
-    available_kernel_backends,
-    get_kernel_backend,
-    register_kernel_backend,
-    use_kernel_backend,
-)
+from repro.compressors import kernels
+from repro.compressors.kernels import ArenaStats, KernelArena
 from repro.compressors.quantizer import LinearQuantizer
-from repro.errors import CorruptStreamError, InvalidConfiguration
+from repro.errors import CorruptStreamError
+from tests import kernel_oracle
 
 pytestmark = pytest.mark.kernels
 
@@ -98,56 +90,9 @@ class TestKernelArena:
         assert stats.requests == 1
 
 
-class TestBackendRegistry:
-    def test_builtin_backends_registered(self):
-        names = available_kernel_backends()
-        assert "numpy" in names and "reference" in names
-
-    def test_default_is_numpy(self):
-        assert get_kernel_backend().name == "numpy"
-
-    def test_explicit_name_wins(self):
-        assert get_kernel_backend("reference").name == "reference"
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(InvalidConfiguration):
-            get_kernel_backend("cuda-imaginary")
-
-    def test_use_kernel_backend_scopes_override(self):
-        with use_kernel_backend("reference") as backend:
-            assert backend.name == "reference"
-            assert get_kernel_backend().name == "reference"
-        assert get_kernel_backend().name == "numpy"
-
-    def test_use_kernel_backend_nests(self):
-        with use_kernel_backend("reference"):
-            with use_kernel_backend("numpy"):
-                assert get_kernel_backend().name == "numpy"
-            assert get_kernel_backend().name == "reference"
-
-    def test_env_var_selects_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "reference")
-        assert get_kernel_backend().name == "reference"
-
-    def test_register_rejects_non_backend(self):
-        with pytest.raises(InvalidConfiguration):
-            register_kernel_backend(object())
-
-    def test_register_custom_backend(self):
-        class Custom(KernelBackend):
-            name = "custom-test"
-
-        try:
-            register_kernel_backend(Custom())
-            assert get_kernel_backend("custom-test").name == "custom-test"
-        finally:
-            from repro.compressors import kernels
-
-            kernels._BACKENDS.pop("custom-test", None)
-
-
+# backend0 runs the fused passes, backend1 their unfused oracle.
 @pytest.mark.parametrize(
-    "backend", [NumpyKernelBackend(), ReferenceKernelBackend()]
+    "backend", [kernels, kernel_oracle], ids=["backend0", "backend1"]
 )
 class TestBackendPasses:
     def test_encode_then_decode_reconstructs(self, backend, rng):

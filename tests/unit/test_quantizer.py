@@ -1,39 +1,58 @@
-"""Unit tests for the linear-scaling quantizer."""
+"""Unit tests for linear-scaling quantization (the fused kernel passes)."""
 
 import numpy as np
 import pytest
 
+from repro.compressors.kernels import KernelArena, decode_block, encode_block
 from repro.compressors.quantizer import LinearQuantizer
 from repro.errors import InvalidConfiguration
+
+
+def _quantize(quantizer, residuals):
+    """Encode ``residuals`` against a zero prediction.
+
+    Returns ``(codes, recon, outliers)``: with a zero prediction the
+    reconstruction is the dequantized residual, outlier positions
+    patched with their exact values.
+    """
+    residuals = np.asarray(residuals, dtype=np.float64)
+    recon = np.zeros_like(residuals)
+    codes = np.empty(residuals.shape, dtype=np.int64)
+    outliers = encode_block(residuals, recon, quantizer, codes, KernelArena())
+    return codes, recon, outliers
 
 
 class TestQuantize:
     def test_error_within_bound(self, rng):
         quantizer = LinearQuantizer(0.01)
         residuals = rng.uniform(-5, 5, 10_000)
-        result = quantizer.quantize(residuals)
-        err = np.abs(residuals - result.dequantized)
-        assert err[~result.outlier_mask].max() <= 0.01 + 1e-12
-        assert not result.outlier_mask.any()
+        codes, recon, outliers = _quantize(quantizer, residuals)
+        assert np.abs(residuals - recon).max() <= 0.01 + 1e-12
+        assert outliers.size == 0
+        assert not (codes == quantizer.sentinel).any()
 
     def test_zero_residuals_give_zero_codes(self):
-        result = LinearQuantizer(0.1).quantize(np.zeros(100))
-        assert (result.codes == 0).all()
+        codes, _, _ = _quantize(LinearQuantizer(0.1), np.zeros(100))
+        assert (codes == 0).all()
 
     def test_outlier_detection(self):
         quantizer = LinearQuantizer(1e-9, max_code=100)
-        result = quantizer.quantize(np.array([0.0, 1.0]))
-        assert result.outlier_mask.tolist() == [False, True]
-        assert result.codes[1] == quantizer.sentinel
-        assert result.dequantized[1] == 0.0
+        codes, recon, outliers = _quantize(quantizer, [0.0, 1.0])
+        assert (codes == quantizer.sentinel).tolist() == [False, True]
+        assert outliers.tolist() == [1.0]
+        assert recon.tolist() == [0.0, 1.0]
 
     def test_dequantize_matches_quantize(self, rng):
-        quantizer = LinearQuantizer(0.05)
+        quantizer = LinearQuantizer(0.05, max_code=10)
         residuals = rng.uniform(-2, 2, 1000)
-        q = quantizer.quantize(residuals)
-        deq, mask = quantizer.dequantize(q.codes)
-        assert np.array_equal(mask, q.outlier_mask)
-        assert np.allclose(deq, q.dequantized)
+        codes, recon, outliers = _quantize(quantizer, residuals)
+        assert outliers.size > 0
+        decoded = np.zeros_like(residuals)
+        used = decode_block(
+            codes, decoded, quantizer, outliers, 0, KernelArena()
+        )
+        assert used == outliers.size
+        assert decoded.tobytes() == recon.tobytes()
 
     def test_bin_width_is_twice_bound(self):
         assert LinearQuantizer(0.25).bin_width == 0.5
@@ -52,10 +71,11 @@ class TestQuantize:
 
     def test_huge_values_do_not_overflow(self):
         quantizer = LinearQuantizer(1e-300, max_code=1 << 20)
-        result = quantizer.quantize(np.array([1e300, -1e300]))
-        assert result.outlier_mask.all()
+        codes, recon, outliers = _quantize(quantizer, [1e300, -1e300])
+        assert (codes == quantizer.sentinel).all()
+        assert outliers.tolist() == [1e300, -1e300]
 
     def test_codes_are_nearest_bin(self):
         quantizer = LinearQuantizer(0.5)  # bin width 1.0
-        result = quantizer.quantize(np.array([0.49, 0.51, -0.51, 1.49]))
-        assert result.codes.tolist() == [0, 1, -1, 1]
+        codes, _, _ = _quantize(quantizer, [0.49, 0.51, -0.51, 1.49])
+        assert codes.tolist() == [0, 1, -1, 1]
