@@ -671,18 +671,21 @@ def _cmd_retrain(args: argparse.Namespace, ctx: RuntimeContext) -> int:
             file=sys.stderr,
         )
     registry = ModelRegistry(args.registry, ctx=ctx)
-    retrainer = BackgroundRetrainer(
-        registry,
-        args.compressor,
-        args.fingerprint or None,
-        min_samples=args.min_samples,
-        canary_fraction=args.canary_fraction,
-        canary_margin=args.canary_margin,
-        oversample=args.oversample,
-        auto_promote=not args.no_promote,
-        ctx=ctx,
-    )
-    result = retrainer.retrain(replay.records)
+    try:
+        retrainer = BackgroundRetrainer(
+            registry,
+            args.compressor,
+            args.fingerprint or None,
+            min_samples=args.min_samples,
+            canary_fraction=args.canary_fraction,
+            canary_margin=args.canary_margin,
+            oversample=args.oversample,
+            auto_promote=not args.no_promote,
+            ctx=ctx,
+        )
+        result = retrainer.retrain(replay.records)
+    finally:
+        registry.close()
     print(
         f"retrain ({result.trainable} trainable record(s), "
         f"{result.train_rows} trained, {result.holdout} held out) "

@@ -114,21 +114,17 @@ class MGARDCompressor(Compressor):
         recon[coarse_key] = pred
 
         for step, depth in zip(steps, depths):
-            pred = interp_prediction_linear(
-                recon[step.key], step.axis, step.new_idx, step.half
-            )
-            target = np.take(data[step.key], step.new_idx, axis=step.axis)
+            pred = interp_prediction_linear(recon[step.key], step.axis, step.half)
             block_codes = codes[pos : pos + pred.size].reshape(pred.shape)
             pos += pred.size
             bounds[depth + 1] = pos
             outlier_parts.append(
                 kernels.encode_block(
-                    target, pred, quantizers[depth], block_codes, arena
+                    data[step.write_key], pred, quantizers[depth],
+                    block_codes, arena,
                 )
             )
-            write_key = list(step.key)
-            write_key[step.axis] = slice(step.half, None, step.cur)
-            recon[tuple(write_key)] = pred
+            recon[step.write_key] = pred
 
         huffman = HuffmanCodec()
         header = np.array([config, mean], dtype=np.float64).tobytes() + bytes(
@@ -202,12 +198,8 @@ class MGARDCompressor(Compressor):
         recon[coarse_key] = pred
 
         for step, depth in zip(steps, depths):
-            pred = interp_prediction_linear(
-                recon[step.key], step.axis, step.new_idx, step.half
-            )
+            pred = interp_prediction_linear(recon[step.key], step.axis, step.half)
             decode(pred, depth)
-            write_key = list(step.key)
-            write_key[step.axis] = slice(step.half, None, step.cur)
-            recon[tuple(write_key)] = pred
+            recon[step.write_key] = pred
 
         return recon.astype(blob.original_dtype).ravel()

@@ -8,6 +8,12 @@
 * :func:`interp_prediction_linear` / :func:`interp_prediction_cubic` —
   the midpoint interpolation used by the SZ-like multilevel compressor;
   the cubic weights (-1/16, 9/16, 9/16, -1/16) are the paper's Eq. (3).
+  One call predicts one full pyramid step: the midpoints ``half, 3*half,
+  ...`` of one axis. Every neighbour of midpoint ``j`` sits at a multiple
+  ``(j-1, j, j+1, j+2) * 2*half`` of the stride, so each is read as a
+  basic (strided, copy-free) slice of the reconstruction; the cubic
+  formula runs only on the interior midpoints that have all four
+  neighbours, the linear fallback only on the one to three edge planes.
 """
 
 from __future__ import annotations
@@ -42,46 +48,86 @@ def lorenzo_prediction(array: np.ndarray) -> np.ndarray:
     return array - lorenzo_residuals(array)
 
 
-def interp_prediction_linear(
-    recon: np.ndarray, axis: int, new_idx: np.ndarray, half: int
-) -> np.ndarray:
-    """Linear midpoint prediction along ``axis`` at indices ``new_idx``.
+def _planes(array: np.ndarray, axis: int, start: int, stop: int, step: int = 1):
+    """Basic-slice view of ``array[start:stop:step]`` along ``axis``."""
+    key = [slice(None)] * array.ndim
+    key[axis] = slice(start, stop, step)
+    return array[tuple(key)]
 
-    ``recon`` must already hold reconstructed values at ``new_idx - half``
-    and (where in range) ``new_idx + half``; out-of-range right neighbors
-    fall back to the left value.
+
+def _fill_linear(
+    recon: np.ndarray, axis: int, half: int, out: np.ndarray, lo: int, hi: int
+) -> None:
+    """Linear predictions of midpoints ``lo .. hi-1`` into ``out``'s planes.
+
+    Midpoint ``j`` (index ``j*cur + half``, ``cur = 2*half``) averages its
+    neighbours at ``j*cur`` and ``(j+1)*cur``; those past the last
+    point, which have no right neighbour, take the left value.
     """
-    n = recon.shape[axis]
-    left = np.take(recon, new_idx - half, axis=axis)
-    right_idx = np.minimum(new_idx + half, np.int64(n - 1))
-    right = np.take(recon, right_idx, axis=axis)
-    has_right = new_idx + half < n
-    shape = [1] * recon.ndim
-    shape[axis] = new_idx.size
-    has_right = has_right.reshape(shape)
-    return np.where(has_right, 0.5 * (left + right), left)
+    cur = 2 * half
+    split = min(hi, max(lo, (recon.shape[axis] - 1) // cur))
+    if split > lo:
+        both = _planes(out, axis, lo, split)
+        np.add(
+            _planes(recon, axis, lo * cur, split * cur, cur),
+            _planes(recon, axis, (lo + 1) * cur, (split + 1) * cur, cur),
+            out=both,
+        )
+        np.multiply(both, 0.5, out=both)
+    if hi > split:
+        _planes(out, axis, split, hi)[...] = _planes(
+            recon, axis, split * cur, hi * cur, cur
+        )
+
+
+def _prediction_buffer(recon: np.ndarray, axis: int, half: int) -> np.ndarray:
+    """Uninitialized output: one plane per midpoint ``half, 3*half, ...``."""
+    shape = list(recon.shape)
+    shape[axis] = len(range(half, recon.shape[axis], 2 * half))
+    return np.empty(shape, dtype=np.float64)
+
+
+def interp_prediction_linear(
+    recon: np.ndarray, axis: int, half: int
+) -> np.ndarray:
+    """Linear prediction of the midpoints ``half, 3*half, ...`` of ``axis``.
+
+    ``recon`` must already hold reconstructed values at the multiples
+    of ``2*half`` along ``axis``; a midpoint without a right neighbour
+    takes its left one. Returns one plane per midpoint.
+    """
+    out = _prediction_buffer(recon, axis, half)
+    _fill_linear(recon, axis, half, out, 0, out.shape[axis])
+    return out
 
 
 def interp_prediction_cubic(
-    recon: np.ndarray, axis: int, new_idx: np.ndarray, half: int
+    recon: np.ndarray, axis: int, half: int
 ) -> np.ndarray:
     """Cubic-spline midpoint prediction (paper Eq. 3) with linear fallback.
 
     Uses neighbors at distances -3h, -h, +h, +3h with weights
-    (-1/16, 9/16, 9/16, -1/16); points lacking the outer neighbors fall
-    back to :func:`interp_prediction_linear`.
+    (-1/16, 9/16, 9/16, -1/16). The first midpoint and the last one or
+    two lack an outer neighbour and take the linear prediction of
+    :func:`interp_prediction_linear`.
     """
-    n = recon.shape[axis]
-    linear = interp_prediction_linear(recon, axis, new_idx, half)
-    ok = (new_idx - 3 * half >= 0) & (new_idx + 3 * half < n)
-    if not ok.any():
-        return linear
-    clip = lambda idx: np.clip(idx, 0, n - 1)  # noqa: E731 - local helper
-    d_m3 = np.take(recon, clip(new_idx - 3 * half), axis=axis)
-    d_m1 = np.take(recon, clip(new_idx - half), axis=axis)
-    d_p1 = np.take(recon, clip(new_idx + half), axis=axis)
-    d_p3 = np.take(recon, clip(new_idx + 3 * half), axis=axis)
-    cubic = (-d_m3 + 9.0 * d_m1 + 9.0 * d_p1 - d_p3) / 16.0
-    shape = [1] * recon.ndim
-    shape[axis] = new_idx.size
-    return np.where(ok.reshape(shape), cubic, linear)
+    out = _prediction_buffer(recon, axis, half)
+    count = out.shape[axis]
+    cur = 2 * half
+    # Midpoints 1 <= j < inner have all four neighbours (j-1)*cur,
+    # j*cur, (j+1)*cur and (j+2)*cur inside the axis.
+    inner = max(1, (recon.shape[axis] - 1) // cur - 1)
+    if inner > 1:
+        mid = _planes(out, axis, 1, inner)
+        # (-m3 + 9*m1 + 9*p1 - p3) / 16, evaluated left to right
+        # (9*m1 - m3 is -m3 + 9*m1 exactly).
+        np.multiply(_planes(recon, axis, cur, inner * cur, cur), 9.0, out=mid)
+        np.subtract(mid, _planes(recon, axis, 0, (inner - 1) * cur, cur), out=mid)
+        mid += 9.0 * _planes(recon, axis, 2 * cur, (inner + 1) * cur, cur)
+        mid -= _planes(recon, axis, 3 * cur, (inner + 2) * cur, cur)
+        mid /= 16.0
+        _fill_linear(recon, axis, half, out, 0, 1)
+        _fill_linear(recon, axis, half, out, inner, count)
+    else:
+        _fill_linear(recon, axis, half, out, 0, count)
+    return out

@@ -12,7 +12,9 @@ skipped (header flag bit 1) and the codes are Huffman-coded directly,
 halving the entropy-coding work on dense streams.
 
 The traversal refines a power-of-two stride pyramid: at each level, each
-axis in turn fills its midpoints. Because both the encoder and the
+axis in turn fills its midpoints. A step reads its neighbours, and the
+encoder its target values, as strided views of the reconstruction and
+the data; nothing is gathered or copied. Because both the encoder and the
 decoder update the reconstruction array with *identical* float64
 operations, predictions match bit-for-bit on both sides, and the
 point-wise absolute error bound holds unconditionally.
@@ -50,13 +52,18 @@ _HUFFMAN_TAG = 0
 
 @dataclass(frozen=True)
 class _Step:
-    """One refinement step: fill midpoints of ``axis`` at stride ``cur``."""
+    """One refinement step: fill midpoints of ``axis`` at stride ``cur``.
+
+    ``key`` selects the sub-grid the predictor reads (``axis`` left
+    whole); ``write_key`` selects the midpoints it fills, in ``recon``
+    and, for the encoder's target values, in the data.
+    """
 
     axis: int
     cur: int
     half: int
     key: tuple[slice, ...]
-    new_idx: np.ndarray
+    write_key: tuple[slice, ...]
 
 
 def _initial_stride(shape: tuple[int, ...]) -> int:
@@ -75,8 +82,7 @@ def _plan_steps(shape: tuple[int, ...], s0: int) -> list[_Step]:
     while cur >= 2:
         half = cur // 2
         for axis in range(ndim):
-            new_idx = np.arange(half, shape[axis], cur, dtype=np.int64)
-            if new_idx.size == 0:
+            if half >= shape[axis]:
                 continue
             # Axes already refined at this level sit at stride `half`,
             # axes still pending sit at stride `cur`; the refined axis
@@ -87,7 +93,17 @@ def _plan_steps(shape: tuple[int, ...], s0: int) -> list[_Step]:
                 else slice(0, None, half if a < axis else cur)
                 for a in range(ndim)
             )
-            steps.append(_Step(axis=axis, cur=cur, half=half, key=key, new_idx=new_idx))
+            write_key = list(key)
+            write_key[axis] = slice(half, None, cur)
+            steps.append(
+                _Step(
+                    axis=axis,
+                    cur=cur,
+                    half=half,
+                    key=key,
+                    write_key=tuple(write_key),
+                )
+            )
         cur = half
     return steps
 
@@ -143,22 +159,16 @@ class SZCompressor(Compressor):
             else interp_prediction_linear
         )
         for step in _plan_steps(data.shape, s0):
-            sub_recon = recon[step.key]
-            sub_data = data[step.key]
-            pred = predict(sub_recon, step.axis, step.new_idx, step.half)
-            target = arena.scratch("sz.target", pred.shape, np.float64)
-            np.take(sub_data, step.new_idx, axis=step.axis, out=target)
+            pred = predict(recon[step.key], step.axis, step.half)
             count = pred.size
             block_codes = codes[pos : pos + count].reshape(pred.shape)
             pos += count
             outliers = kernels.encode_block(
-                target, pred, quantizer, block_codes, arena
+                data[step.write_key], pred, quantizer, block_codes, arena
             )
             if outliers.size:
                 outlier_parts.append(outliers)
-            write_key = list(step.key)
-            write_key[step.axis] = slice(step.half, None, step.cur)
-            recon[tuple(write_key)] = pred
+            recon[step.write_key] = pred
 
         all_outliers = (
             np.concatenate(outlier_parts)
@@ -273,8 +283,7 @@ class SZCompressor(Compressor):
             else interp_prediction_linear
         )
         for step in _plan_steps(shape, s0):
-            sub_recon = recon[step.key]
-            pred = predict(sub_recon, step.axis, step.new_idx, step.half)
+            pred = predict(recon[step.key], step.axis, step.half)
             count = pred.size
             if code_pos + count > codes.size:
                 raise CorruptStreamError("SZ code stream underflow")
@@ -283,9 +292,7 @@ class SZCompressor(Compressor):
             out_pos += kernels.decode_block(
                 block_codes, pred, quantizer, outliers, out_pos, arena
             )
-            write_key = list(step.key)
-            write_key[step.axis] = slice(step.half, None, step.cur)
-            recon[tuple(write_key)] = pred
+            recon[step.write_key] = pred
 
         if code_pos != codes.size:
             raise CorruptStreamError("trailing SZ quantization codes")

@@ -7,7 +7,6 @@ framing.
 """
 
 from repro.encoding.bitio import (
-    pack_at_offsets,
     pack_bits,
     unpack_bits,
     pack_fixed_width,
@@ -18,7 +17,6 @@ from repro.encoding.huffman import HuffmanCodec, symbol_table
 from repro.encoding.rle import zero_rle_encode, zero_rle_decode
 
 __all__ = [
-    "pack_at_offsets",
     "pack_bits",
     "unpack_bits",
     "pack_fixed_width",

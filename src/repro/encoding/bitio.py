@@ -2,7 +2,11 @@
 
 :func:`pack_bits` / :func:`unpack_bits` and the fixed-width variants are
 vectorized numpy routines used on million-element symbol arrays, where a
-Python per-symbol loop would be prohibitively slow.
+Python per-symbol loop would be prohibitively slow. :func:`pack_bits`
+places each variable-length code by the bit where it ends: one cumsum
+of the lengths gives every code's end word and left shift, one
+``bitwise_or.reduceat`` folds the codes sharing an end word, and the
+few codes that start in the previous word spill their high bits there.
 """
 
 from __future__ import annotations
@@ -20,68 +24,21 @@ _KEEP_MASK = np.concatenate(
 )
 
 
-def pack_at_offsets(
-    codes: np.ndarray,
-    lengths: np.ndarray,
-    offsets: np.ndarray,
-    total_bits: int,
-) -> bytes:
-    """Scatter variable-length codes to explicit bit offsets (MSB-first).
-
-    The kernel under :func:`pack_bits`: each code's bits land at
-    ``offsets[i] .. offsets[i]+lengths[i]``. Offsets must be
-    non-decreasing with non-overlapping codes; gaps are zero-filled. The
-    whole scatter is two ``bitwise_or`` passes over 64-bit words — one
-    for each code's home word, one for the straddle into the next word
-    — so packing a million symbols costs a handful of vector ops.
-    """
-    codes = np.asarray(codes, dtype=np.uint64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if codes.size == 0:
-        return bytes((total_bits + 7) // 8)
-    # Codes may carry stray bits above their declared length (callers
-    # pass raw table lookups); mask to the length like the bit-by-bit
-    # packer implicitly did.
-    codes = codes & _KEEP_MASK[np.minimum(lengths, 64)]
-    word_idx = offsets >> 6
-    shift = 64 - (offsets & 63) - lengths
-    # Left-shift through a signed view: numpy's int64 shift loop skips
-    # the unsigned fixups and the masked codes make the reinterpret
-    # lossless. Codes whose tail crosses the word boundary (shift < 0)
-    # instead contribute their top bits to the home word.
-    first = (codes.view(np.int64) << np.clip(shift, 0, 63)).view(np.uint64)
-    straddle = shift < 0
-    has_straddle = bool(straddle.any())
-    if has_straddle:
-        first[straddle] = codes[straddle] >> (-shift[straddle]).astype(
-            np.uint64
-        )
-    words = np.zeros((total_bits + 63) // 64 + 1, dtype=np.uint64)
-    # Offsets are non-decreasing, so home words arrive sorted: fold each
-    # run of equal word_idx with one ``reduceat`` pass instead of the
-    # element-wise ``bitwise_or.at`` scatter (~5x slower).
-    starts = np.flatnonzero(np.r_[True, word_idx[1:] != word_idx[:-1]])
-    words[word_idx[starts]] = np.bitwise_or.reduceat(first, starts)
-    if has_straddle:
-        # Non-overlapping codes mean at most one code crosses any word
-        # boundary, so spill words are unique; plain fancy indexing
-        # ORs them into whatever the home pass already wrote.
-        idx2 = word_idx[straddle] + 1
-        spill = codes[straddle] << (64 + shift[straddle]).astype(np.uint64)
-        words[idx2] = words[idx2] | spill
-    return words.astype(">u8").tobytes()[: (total_bits + 7) // 8]
-
-
 def pack_bits(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     """Pack per-symbol variable-length codes into a contiguous bit buffer.
 
-    Vectorized over symbols via :func:`pack_at_offsets` (word-wise OR
-    scatter); byte-identical to packing each code MSB-first by hand.
+    Byte-identical to writing each code MSB-first by hand. Each code is
+    placed by the bit where it ends: shifted left into the 64-bit word
+    holding its last bit, ORed with the other codes ending in that word
+    in one ``bitwise_or.reduceat`` pass, and — for the few codes that
+    start in the previous word — its high bits spilled into that word.
 
     Args:
         codes: uint64 array of code values, one per symbol (MSB-justified
             to their own length, i.e. the natural canonical-Huffman code).
-        lengths: per-symbol code lengths in bits (same shape as ``codes``).
+            Bits above a code's length are ignored.
+        lengths: per-symbol code lengths in bits, 0..64 (same shape as
+            ``codes``).
 
     Returns:
         ``(buffer, total_bits)`` where ``buffer`` is the packed bytes.
@@ -92,10 +49,50 @@ def pack_bits(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
         raise ValueError("codes and lengths must have the same shape")
     if codes.size == 0:
         return b"", 0
-    offsets = np.zeros(lengths.size, dtype=np.int64)
-    np.cumsum(lengths[:-1], out=offsets[1:])
-    total_bits = int(offsets[-1] + lengths[-1])
-    return pack_at_offsets(codes, lengths, offsets, total_bits), total_bits
+    codes = codes.ravel()
+    lengths = lengths.ravel()
+    # The steps below work in three int64 buffers, in place: on long
+    # streams, faulting in a fresh buffer costs more than the
+    # arithmetic on it.
+    word = np.cumsum(lengths)
+    total_bits = int(word[-1])
+    # A code ending at bit ``e`` has its last bit ``63 - ((e - 1) & 63)``
+    # places above the least significant bit of word ``(e - 1) >> 6``.
+    np.subtract(word, 1, out=word)
+    shift = np.bitwise_and(word, 63)
+    np.subtract(63, shift, out=shift)
+    np.right_shift(word, 6, out=word)
+    # Codes may carry stray bits above their declared length (callers
+    # pass raw table lookups); mask them so they cannot reach a
+    # neighbour's bits.
+    home = _KEEP_MASK.take(lengths)
+    np.bitwise_and(home, codes, out=home)
+    # A code longer than the ``64 - shift`` bits it has in its end word
+    # started in the previous word (a few percent of Huffman codes);
+    # its high bits spill into the low bits of that word.
+    np.add(shift, lengths, out=shift)
+    cross = np.flatnonzero(shift > 64)
+    np.subtract(shift, lengths, out=shift)
+    spill = home[cross] >> (64 - shift[cross]).astype(np.uint64)
+    # Left-shift through a signed view: numpy's int64 shift loop skips
+    # the unsigned fixups and the masked codes make the reinterpret
+    # lossless. Bits pushed past the top are the spilled ones.
+    np.left_shift(home.view(np.int64), shift, out=home.view(np.int64))
+    # End words are non-decreasing: fold each run of equal words with
+    # one ``reduceat`` pass.
+    run_start = np.empty(word.size, dtype=np.bool_)
+    run_start[0] = True
+    np.not_equal(word[1:], word[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    # One spare word past the end: zero-length codes before the first
+    # bit (e == 0) land in word -1, which is that spare, and add nothing.
+    words = np.zeros((total_bits + 63) // 64 + 1, dtype=np.uint64)
+    words[word[starts]] = np.bitwise_or.reduceat(home, starts)
+    # At most one code crosses each word boundary, so the spill
+    # targets are unique.
+    words[word[cross] - 1] |= spill
+    packed = words.astype(">u8").view(np.uint8)
+    return packed[: (total_bits + 7) // 8].tobytes(), total_bits
 
 
 def unpack_bits(buffer: bytes, total_bits: int) -> np.ndarray:

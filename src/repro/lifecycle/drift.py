@@ -127,6 +127,7 @@ class DriftDetector:
         self._state = STABLE
         self._trips = 0
         self._trips_counter = None
+        self._remove_collector = lambda: None
         if registry is not None:
             self._bind_metrics(registry)
 
@@ -287,4 +288,12 @@ class DriftDetector:
             if snapshot.error_ewma is not None:
                 error_gauge.set(snapshot.error_ewma)
 
-        registry.register_collector(collect)
+        self._remove_collector = registry.register_collector(collect)
+
+    def close(self) -> None:
+        """Stop exporting the drift gauges: remove the collector (idempotent).
+
+        The collector closes over this detector, so until it is removed
+        the metrics registry keeps the detector alive.
+        """
+        self._remove_collector()

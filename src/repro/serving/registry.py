@@ -155,6 +155,7 @@ class ModelRegistry:
         self.load_hits = 0
         self.load_misses = 0
         self.evictions = 0
+        self._remove_collector = lambda: None
         if ctx is not None and ctx.registry is not None:
             metrics = ctx.registry
             hits = metrics.gauge(
@@ -173,7 +174,16 @@ class ModelRegistry:
                 misses.set(self.load_misses)
                 evictions.set(self.evictions)
 
-            metrics.register_collector(collect)
+            self._remove_collector = metrics.register_collector(collect)
+
+    def close(self) -> None:
+        """Stop exporting the LRU gauges: remove the collector (idempotent).
+
+        The collector closes over this registry, so until it is removed
+        the context's metrics registry keeps it — and every pipeline in
+        its LRU — alive.
+        """
+        self._remove_collector()
 
     # -- publishing ------------------------------------------------------------
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.encoding.bitio import (
-    pack_at_offsets,
     pack_bits,
     pack_fixed_width,
     unpack_bits,
@@ -60,19 +59,31 @@ class TestPackBits:
 
 
 class TestPackAtOffsets:
+    """Word placement of :func:`pack_bits` against the bit-by-bit oracle."""
+
     def test_matches_bit_by_bit_reference(self, rng):
         # The word-scatter packer must be byte-identical to the slow
-        # reference across many random code/length mixes.
-        for _ in range(25):
+        # reference across many random code/length mixes, every length
+        # 0..64 included; codes carry random bits above their length.
+        for _ in range(200):
             n = int(rng.integers(1, 400))
-            lengths = rng.integers(1, 23, n)
-            codes = rng.integers(0, 1 << 22, n, dtype=np.uint64) & (
-                (np.uint64(1) << lengths.astype(np.uint64)) - np.uint64(1)
-            )
+            lengths = rng.integers(0, int(rng.integers(1, 65)) + 1, n)
+            codes = rng.integers(0, 2**64, n, dtype=np.uint64)
             fast, total_fast = pack_bits(codes, lengths)
             slow, total_slow = _pack_bits_reference(codes, lengths)
             assert total_fast == total_slow
             assert fast == slow
+
+    def test_matches_reference_on_a_long_stream(self, rng):
+        # 262,144 symbols: a 64^3 field's code stream, with Huffman-like
+        # short lengths and stray high bits.
+        n = 1 << 18
+        lengths = np.minimum(rng.geometric(0.3, n), 16)
+        codes = rng.integers(0, 2**64, n, dtype=np.uint64)
+        fast, total_fast = pack_bits(codes, lengths)
+        slow, total_slow = _pack_bits_reference(codes, lengths)
+        assert total_fast == total_slow == int(lengths.sum())
+        assert fast == slow
 
     def test_stray_high_bits_are_masked(self):
         # Raw table lookups may carry bits above the declared length;
@@ -83,15 +94,6 @@ class TestPackAtOffsets:
         assert total == 3
         assert unpack_bits(buf, 3).tolist() == [1, 1, 1]
 
-    def test_gaps_are_zero_filled(self):
-        # Chunk padding: codes at explicit offsets with a hole between.
-        codes = np.array([0b11, 0b11], dtype=np.uint64)
-        lengths = np.array([2, 2], dtype=np.int64)
-        offsets = np.array([0, 8], dtype=np.int64)
-        buf = pack_at_offsets(codes, lengths, offsets, 10)
-        bits = unpack_bits(buf, 10)
-        assert bits.tolist() == [1, 1, 0, 0, 0, 0, 0, 0, 1, 1]
-
     def test_word_straddling_codes(self):
         # A 20-bit code crossing the 64-bit word boundary.
         codes = np.array([(1 << 60) - 1, (1 << 20) - 1], dtype=np.uint64)
@@ -100,14 +102,6 @@ class TestPackAtOffsets:
         slow, _ = _pack_bits_reference(codes, lengths)
         assert fast == slow
         assert total == 80
-
-    def test_empty(self):
-        assert pack_at_offsets(
-            np.zeros(0, np.uint64),
-            np.zeros(0, np.int64),
-            np.zeros(0, np.int64),
-            0,
-        ) == b""
 
 
 class TestFixedWidth:

@@ -137,3 +137,27 @@ class TestSignals:
         assert "repro_lifecycle_drift_state 1" in text
         assert "repro_lifecycle_drift_ood_rate 1" in text
         assert "repro_lifecycle_drift_trips_total 1" in text
+
+    def test_closed_detectors_leave_a_shared_registry(self):
+        import gc
+        import weakref
+
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        before = len(registry._collectors)
+        refs = []
+        for _ in range(3):
+            det = detector(registry=registry)
+            det.observe(record(inside=False))
+            assert len(registry._collectors) == before + 1
+            assert "repro_lifecycle_drift_ood_rate 1" in (
+                registry.render_prometheus()
+            )
+            refs.append(weakref.ref(det))
+            det.close()
+            det.close()  # idempotent: removes nothing twice
+            assert len(registry._collectors) == before
+        del det
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 3

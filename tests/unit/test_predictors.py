@@ -56,43 +56,44 @@ class TestLorenzo:
 
 
 class TestInterpolation:
+    """Each call predicts one full pyramid step: the midpoints
+    ``half, 3*half, ...`` of ``axis``."""
+
     def test_linear_midpoint_exact_on_linear_data(self):
         recon = np.arange(0.0, 33.0)
-        new_idx = np.arange(2, 31, 4)
-        pred = interp_prediction_linear(recon, 0, new_idx, 2)
-        assert np.allclose(pred, recon[new_idx])
+        pred = interp_prediction_linear(recon, 0, 2)
+        assert np.allclose(pred, recon[2::4])
 
     def test_linear_boundary_falls_back_to_left(self):
         recon = np.arange(0.0, 7.0)
-        new_idx = np.array([6])  # right neighbor at 8 out of range
-        pred = interp_prediction_linear(recon, 0, new_idx, 2)
-        assert pred[0] == recon[4]
+        pred = interp_prediction_linear(recon, 0, 2)  # midpoints 2 and 6
+        assert pred.shape == (2,)
+        assert pred[-1] == recon[4]  # right neighbor at 8 out of range
 
     def test_cubic_exact_on_cubic_polynomial(self):
         # Eq. (3) reproduces cubics exactly at midpoints.
         t = np.arange(0.0, 64.0)
         recon = 0.5 * t**3 - 2 * t**2 + t - 7
-        # Keep i +- 3h in range so no point falls back to linear.
-        new_idx = np.arange(16, 48, 8)
-        pred = interp_prediction_cubic(recon, 0, new_idx, 4)
-        assert np.allclose(pred, recon[new_idx], rtol=1e-10)
+        pred = interp_prediction_cubic(recon, 0, 4)  # midpoints 4, 12, ..., 60
+        # Midpoints 12..44 keep i +- 3h in range, so none falls back.
+        assert np.allclose(pred[1:6], recon[12:45:8], rtol=1e-10)
 
     def test_cubic_falls_back_to_linear_near_edges(self):
-        recon = np.arange(0.0, 12.0)
-        new_idx = np.array([2])  # i-3h = -4 out of range
-        cubic = interp_prediction_cubic(recon, 0, new_idx, 2)
-        linear = interp_prediction_linear(recon, 0, new_idx, 2)
-        assert np.allclose(cubic, linear)
+        recon = np.arange(0.0, 13.0) ** 2
+        cubic = interp_prediction_cubic(recon, 0, 2)  # midpoints 2, 6, 10
+        linear = interp_prediction_linear(recon, 0, 2)
+        # i-3h = -4 at 2 and i+3h = 16 at 10 are out of range; 6 has
+        # all four neighbours and is exact on the quadratic.
+        assert cubic[0] == linear[0] and cubic[2] == linear[2]
+        assert cubic[1] == recon[6] != linear[1]
 
     def test_multi_axis_prediction(self, rng):
         recon = rng.standard_normal((16, 17))
-        new_idx = np.array([4, 12])
-        pred = interp_prediction_linear(recon, 1, new_idx, 4)
+        pred = interp_prediction_linear(recon, 1, 4)  # midpoints 4 and 12
         assert pred[3, 0] == pytest.approx(0.5 * (recon[3, 0] + recon[3, 8]))
         assert pred[5, 1] == pytest.approx(0.5 * (recon[5, 8] + recon[5, 16]))
 
     def test_prediction_shape(self, rng):
         recon = rng.standard_normal((8, 20, 8))
-        new_idx = np.array([2, 6, 10, 14, 18])
-        pred = interp_prediction_linear(recon, 1, new_idx, 2)
+        pred = interp_prediction_linear(recon, 1, 2)
         assert pred.shape == (8, 5, 8)

@@ -414,3 +414,34 @@ class TestQualityArtifacts:
         assert served.estimate_config(probe, 6.0).config == pytest.approx(
             pipeline.estimate_config(probe, 6.0).config
         )
+
+
+class TestMetricsCollector:
+    def test_closed_registries_leave_a_shared_metrics_registry(
+        self, fitted_pipeline, tmp_path
+    ):
+        import gc
+        import weakref
+
+        from repro.obs import MetricsRegistry
+        from repro.runtime import RuntimeContext
+
+        pipeline, _ = fitted_pipeline
+        metrics = MetricsRegistry()
+        ctx = RuntimeContext(env={}, registry=metrics)
+        before = len(metrics._collectors)
+        refs = []
+        for _ in range(3):
+            registry = ModelRegistry(tmp_path / "reg", ctx=ctx)
+            registry.publish(pipeline)
+            assert len(metrics._collectors) == before + 1
+            assert "repro_model_registry_load_hits" in (
+                metrics.render_prometheus()
+            )
+            refs.append(weakref.ref(registry))
+            registry.close()
+            registry.close()  # idempotent: removes nothing twice
+            assert len(metrics._collectors) == before
+        del registry
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 3
