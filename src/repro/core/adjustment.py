@@ -8,6 +8,14 @@ splits the grid into small cubic blocks, classifies each block as
 ratio by the non-constant fraction R:
 
     ACR = TCR * R        (Formula 4)
+
+The block scan reads the field in its own floating dtype: per-block
+max/min never round and the float64 cast is monotone, so folding a
+float32 field and casting only the per-block extremes gives the same
+ranges as casting first. The threshold's mean is summed in the exact
+pairwise order numpy uses on a float64 copy (:func:`_field_mean`),
+from float64 casts of one bounded chunk at a time, so no full-field
+float64 copy is made and every mask and R stay bit-identical.
 """
 
 from __future__ import annotations
@@ -17,6 +25,10 @@ import numpy as np
 from repro.config import DEFAULT_BLOCK_SIZE, DEFAULT_LAMBDA
 from repro.errors import InvalidConfiguration
 
+#: Largest subtree of numpy's pairwise sum that :func:`_field_mean`
+#: casts into its float64 buffer at once (256 KiB of scratch).
+_MEAN_CHUNK = 32768
+
 
 def _block_ranges(data: np.ndarray, block_size: int) -> np.ndarray:
     """Per-block value range; trailing partial blocks are edge-padded.
@@ -24,7 +36,8 @@ def _block_ranges(data: np.ndarray, block_size: int) -> np.ndarray:
     Folds one axis at a time: the ``block_size`` strided views
     ``a[..., k::block_size, ...]`` are combined elementwise with
     ``np.maximum``/``np.minimum``, shrinking that axis by
-    ``block_size`` without a transposed copy of the field.
+    ``block_size`` without a transposed copy of the field. The folds run
+    in ``data``'s own dtype; only the final subtraction is float64.
     """
     pad = [(0, (-n) % block_size) for n in data.shape]
     if any(p[1] for p in pad):
@@ -33,7 +46,10 @@ def _block_ranges(data: np.ndarray, block_size: int) -> np.ndarray:
     for axis in range(data.ndim):
         hi = _fold(hi, axis, block_size, np.maximum)
         lo = _fold(lo, axis, block_size, np.minimum)
-    return hi - lo
+    # An all-Inf block's range is Inf - Inf = NaN; the caller rejects
+    # every non-finite range, so the warning would only repeat it.
+    with np.errstate(invalid="ignore"):
+        return np.subtract(hi, lo, dtype=np.float64)
 
 
 def _fold(a: np.ndarray, axis: int, block_size: int, combine) -> np.ndarray:
@@ -48,19 +64,69 @@ def _fold(a: np.ndarray, axis: int, block_size: int, combine) -> np.ndarray:
     return out
 
 
+def _field_mean(data: np.ndarray) -> float:
+    """``np.asarray(data, np.float64).mean()``, bit for bit, without the copy.
+
+    numpy sums a contiguous float64 array pairwise, splitting a run of
+    ``n`` at ``n // 2 - (n // 2) % 8``. For a C-contiguous field of a
+    narrower dtype, :func:`_pairwise_sum` walks that same tree and casts
+    only subtrees of at most ``_MEAN_CHUNK`` elements into one reused
+    float64 buffer, so the sum rounds exactly as the full copy's would.
+    float64, non-C-contiguous and small fields take the plain expression.
+    """
+    if (
+        data.dtype == np.float64
+        or not data.flags.c_contiguous
+        or data.size <= _MEAN_CHUNK
+    ):
+        return float(np.asarray(data, dtype=np.float64).mean())
+    buffer = np.empty(_MEAN_CHUNK, dtype=np.float64)
+    return _pairwise_sum(data.reshape(-1), buffer) / data.size
+
+
+def _pairwise_sum(flat: np.ndarray, buffer: np.ndarray) -> float:
+    """Sum of ``flat`` in numpy's pairwise order for a float64 run."""
+    n = flat.size
+    if n <= buffer.size:
+        chunk = buffer[:n]
+        np.copyto(chunk, flat)
+        return float(np.add.reduce(chunk))
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(flat[:half], buffer) + _pairwise_sum(
+        flat[half:], buffer
+    )
+
+
 def constant_block_mask(
     data: np.ndarray,
     block_size: int = DEFAULT_BLOCK_SIZE,
     lam: float = DEFAULT_LAMBDA,
 ) -> np.ndarray:
-    """Boolean block grid: True where a block is constant (Fig. 6)."""
+    """Boolean block grid: True where a block is constant (Fig. 6).
+
+    Raises:
+        InvalidConfiguration: non-finite values anywhere in the field —
+            a NaN would make the threshold NaN (no block constant, R = 1)
+            and an Inf would make it infinite (every block constant,
+            R = 0). NaN and Inf propagate through the block folds, so a
+            non-finite block range is the check.
+    """
     if block_size < 2:
         raise InvalidConfiguration("block_size must be >= 2")
     if not 0.0 < lam < 1.0:
         raise InvalidConfiguration("lam must be in (0, 1)")
-    data = np.asarray(data, dtype=np.float64)
-    threshold = lam * abs(float(data.mean()))
+    data = np.asarray(data)
+    if data.dtype.kind != "f":
+        data = np.asarray(data, dtype=np.float64)
+    threshold = lam * abs(_field_mean(data))
     ranges = _block_ranges(data, block_size)
+    if not np.isfinite(ranges).all():
+        raise InvalidConfiguration(
+            "field contains non-finite values in its constant-block scan; "
+            "patch or reject it (repro.robustness.validate_field) "
+            "before the compressibility adjustment"
+        )
     return ranges <= threshold
 
 

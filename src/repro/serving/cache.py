@@ -42,11 +42,15 @@ def dataset_fingerprint(data: np.ndarray, stride: int = 1) -> str:
     array = np.asarray(data)
     if array.size == 0:
         raise InvalidConfiguration("cannot fingerprint an empty dataset")
-    sampled = uniform_sample(np.asarray(array, dtype=np.float64), stride)
+    # Cast only the sampled lattice: the bytes equal those of sampling a
+    # float64 copy of the whole field.
+    sampled = np.ascontiguousarray(
+        uniform_sample(array, stride), dtype=np.float64
+    )
     digest = hashlib.blake2b(digest_size=8)
     meta = f"{array.shape}|{array.dtype.str}|{stride}".encode("ascii")
     digest.update(meta)
-    digest.update(np.ascontiguousarray(sampled).tobytes())
+    digest.update(sampled.tobytes())
     return digest.hexdigest()
 
 

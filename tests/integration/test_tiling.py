@@ -94,3 +94,14 @@ class TestTiledCompression:
         tiled = TiledFixedRatio(pipeline, (12, 12, 12))
         with pytest.raises(InvalidConfiguration):
             tiled.compress(data, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_tile_rejected_before_compression(self, fitted, bad):
+        """A NaN or Inf off the sampling lattice is caught by the tile's
+        constant-block scan, not by a later compression."""
+        pipeline, data = fitted
+        polluted = data.copy()
+        polluted[1, 1, 1] = bad
+        tiled = TiledFixedRatio(pipeline, (12, 12, 12))
+        with pytest.raises(InvalidConfiguration, match="constant-block scan"):
+            tiled.compress(polluted, 6.0)

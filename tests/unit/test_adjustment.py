@@ -93,6 +93,39 @@ class TestNonconstantFraction:
         assert r_large <= r_small
 
 
+class TestNonFiniteField:
+    """A NaN or Inf anywhere in the field, sampled or not, is rejected.
+
+    Unchecked, one NaN makes the threshold NaN (no block constant,
+    R = 1) and one +Inf makes it infinite (every block constant, R = 0).
+    """
+
+    @pytest.fixture(scope="class")
+    def qcloud(self):
+        from repro.datasets.hurricane import generate_hurricane_field
+
+        return generate_hurricane_field("QCLOUD", 10)
+
+    def test_clean_field_r(self, qcloud):
+        assert nonconstant_fraction(qcloud) == pytest.approx(0.448, abs=1e-3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_value_off_sample_lattice_rejected(self, qcloud, bad):
+        field = qcloud.copy()
+        field[1, 1, 1] = bad  # off the stride-4 lattice
+        with pytest.raises(InvalidConfiguration, match="non-finite"):
+            nonconstant_fraction(field)
+        with pytest.raises(InvalidConfiguration, match="non-finite"):
+            constant_block_mask(field.astype(np.float64))
+
+    def test_all_inf_edge_block_rejected(self):
+        """A padded block of +Inf alone has range Inf - Inf = NaN."""
+        field = np.ones((9, 9))
+        field[8, 8] = np.inf
+        with pytest.raises(InvalidConfiguration, match="non-finite"):
+            nonconstant_fraction(field, block_size=4)
+
+
 class TestAdjustedRatio:
     def test_formula_four(self):
         assert adjusted_ratio(100.0, 0.6) == pytest.approx(60.0)

@@ -1,5 +1,6 @@
 """Unit tests for guarded inference and its supporting pieces."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -255,8 +256,11 @@ class TestGuardedLadder:
         stride = pipeline.config.sampling_stride
         polluted = train[0].astype(np.float64).copy()
         polluted[1::stride, 1::stride, 1::stride] = np.nan
+        # Without CA: the block scan rejects a non-finite field outright.
         plain = InferenceEngine(
-            pipeline.model, pipeline.compressor, config=pipeline.config
+            pipeline.model,
+            pipeline.compressor,
+            config=dataclasses.replace(pipeline.config, use_adjustment=False),
         )
         unvalidated = plain.analyze(polluted)
         assert unvalidated.report is None
@@ -268,6 +272,20 @@ class TestGuardedLadder:
             return
         assert estimate.tier in ("curve", "fraz")
         assert "nan" in estimate.fallback_reason
+        assert math.isfinite(estimate.config) and estimate.config > 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_plain_estimate_rejects_value_off_sample_lattice(self, fitted, bad):
+        """The plain engine does not validate: one NaN or Inf off the
+        sampling lattice passes the feature guard, so the CA block scan
+        must reject it instead of answering with a corrupted R. The
+        guarded engine patches it and answers."""
+        pipeline, train = fitted
+        polluted = train[0].copy()
+        polluted[1, 1, 1] = bad
+        with pytest.raises(InvalidConfiguration, match="non-finite"):
+            pipeline.estimate_config(polluted, 6.0)
+        estimate = pipeline.guarded().estimate(polluted, 6.0)
         assert math.isfinite(estimate.config) and estimate.config > 0
 
     def test_invalid_targets_rejected(self, fitted):
