@@ -135,10 +135,11 @@ perf:
 		$(PY) perfbench/run.py --workload $$w --seed 1 --seconds 8 || exit 1; \
 	done
 
-# Per-layer trace of the engine workloads and of estimate-128, where the
-# feature pass and the CA block scan dominate (--trace 1): checks that
-# every entry point the trace patches is still on the request path.
+# Per-layer trace of the engine workloads, of estimate-128, where the
+# feature pass and the CA block scan dominate, and of compress-64, the
+# only workload that compresses inside its window (--trace 1): checks
+# that every entry point the trace patches is still on the request path.
 perf-trace:
-	for w in estimate-48 estimate-128 serve-48; do \
+	for w in estimate-48 estimate-128 serve-48 compress-64; do \
 		$(PY) perfbench/run.py --workload $$w --seed 1 --seconds 8 --trace 1 || exit 1; \
 	done

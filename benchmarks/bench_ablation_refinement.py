@@ -15,6 +15,7 @@ from repro.baselines.fraz import FRaZ
 from repro.experiments.corpus import held_out_snapshots
 from repro.experiments.harness import get_trained_fxrz, target_ratio_grid
 from repro.experiments.tables import render_table
+from repro.runtime import RuntimeContext
 
 _CASES = (("hurricane", "TC", "sz"), ("nyx", "baryon_density", "sz"))
 
@@ -44,12 +45,13 @@ def test_ablation_refinement_frontier(benchmark, report):
         for app, field, comp_name in _CASES:
             pipeline = get_trained_fxrz(app, field, comp_name, config=BENCH_CONFIG)
             snapshot = held_out_snapshots(app, field)[0]
-            cache = {}
-            for tcr in target_ratio_grid(pipeline.compressor, snapshot, 5):
-                outcome = FRaZ(
-                    pipeline.compressor, max_iterations=budget
-                ).search(snapshot.data, float(tcr), cache=cache)
-                errors.append(outcome.estimation_error)
+            # One memo per field: the searches share its compressor runs.
+            with RuntimeContext(env={}) as ctx:
+                for tcr in target_ratio_grid(pipeline.compressor, snapshot, 5):
+                    outcome = FRaZ(
+                        pipeline.compressor, max_iterations=budget, ctx=ctx
+                    ).search(snapshot.data, float(tcr))
+                    errors.append(outcome.estimation_error)
         # FRaZ's final compression at the chosen config is one more run.
         frontier[f"fraz-{budget}"] = (budget + 1.0, float(np.mean(errors)))
 

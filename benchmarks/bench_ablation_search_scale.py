@@ -14,6 +14,7 @@ from repro.baselines.fraz import FRaZ
 from repro.compressors import get_compressor
 from repro.datasets import load_series
 from repro.experiments.tables import render_table
+from repro.runtime import RuntimeContext
 
 
 def test_ablation_fraz_search_scale(benchmark, report):
@@ -25,13 +26,15 @@ def test_ablation_fraz_search_scale(benchmark, report):
     means = {}
     for scale in ("linear", "log"):
         for budget in (6, 15):
-            cache = {}
-            errors = [
-                FRaZ(comp, max_iterations=budget, search_scale=scale)
-                .search(data, float(t), cache=cache)
-                .estimation_error
-                for t in targets
-            ]
+            with RuntimeContext(env={}) as ctx:
+                errors = [
+                    FRaZ(
+                        comp, max_iterations=budget, search_scale=scale, ctx=ctx
+                    )
+                    .search(data, float(t))
+                    .estimation_error
+                    for t in targets
+                ]
             means[(scale, budget)] = float(np.mean(errors))
             rows.append(
                 [scale, str(budget), f"{means[(scale, budget)]:.1%}"]

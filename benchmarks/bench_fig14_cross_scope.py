@@ -16,6 +16,7 @@ from repro.core.pipeline import FXRZ
 from repro.experiments.corpus import cross_scope_corpus
 from repro.experiments.harness import target_ratio_grid
 from repro.experiments.tables import render_table
+from repro.runtime import RuntimeContext
 
 _COMPRESSORS = ("sz", "zfp", "mgard", "fpzip")
 
@@ -40,15 +41,15 @@ def test_fig14_cross_scope_training(benchmark, report):
         if hi <= lo:
             hi = lo * 1.5
         targets = np.linspace(lo, hi, 5)
-        cache = {}
         fx, fr = [], []
-        for tcr in targets:
-            result = pipeline.compress_to_ratio(snapshot.data, float(tcr))
-            fx.append(result.estimation_error)
-            outcome = FRaZ(comp, max_iterations=15).search(
-                snapshot.data, float(tcr), cache=cache
-            )
-            fr.append(outcome.estimation_error)
+        with RuntimeContext(env={}) as ctx:
+            for tcr in targets:
+                result = pipeline.compress_to_ratio(snapshot.data, float(tcr))
+                fx.append(result.estimation_error)
+                outcome = FRaZ(comp, max_iterations=15, ctx=ctx).search(
+                    snapshot.data, float(tcr)
+                )
+                fr.append(outcome.estimation_error)
         fxrz_errors[comp_name] = float(np.mean(fx))
         fraz_errors[comp_name] = float(np.mean(fr))
         rows.append(

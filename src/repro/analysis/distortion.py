@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compressors.base import Compressor
+from repro.core.augmentation import stationary_configs
 from repro.errors import InvalidConfiguration
 
 
@@ -84,19 +85,14 @@ def valid_ratio_range(
 ) -> tuple[float, float]:
     """(lowest, highest) usable compression ratios for ``data``.
 
-    Probes ``n_probes`` configurations across the compressor's domain,
-    measures (ratio, PSNR) at each, and returns the ratio span whose
-    PSNR stays at or above ``min_psnr`` — the Fig. 11 analogue.
+    Probes ``n_probes`` configurations across the compressor's domain
+    (the augmentation sweep's stationary grid), measures (ratio, PSNR)
+    at each, and returns the ratio span whose PSNR stays at or above
+    ``min_psnr`` — the Fig. 11 analogue.
     """
     if n_probes < 3:
         raise InvalidConfiguration("n_probes must be >= 3")
-    lo, hi = compressor.config_domain(data)
-    if compressor.config_scale == "log":
-        configs = np.logspace(np.log10(lo), np.log10(hi), n_probes)
-    else:
-        configs = np.unique(
-            np.round(np.linspace(lo, hi, n_probes)).astype(int)
-        ).astype(float)
+    configs = stationary_configs(compressor, data, n_probes)
     best_hi = None
     best_lo = None
     for config in configs:

@@ -27,7 +27,6 @@ time than FXRZ (Table VIII) — more iterations buy accuracy (Fig. 12's
 from __future__ import annotations
 
 import bisect
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +34,7 @@ import numpy as np
 from repro import obs
 from repro.compressors.base import Compressor
 from repro.errors import InvalidConfiguration, SearchError
+from repro.parallel.memo import measure_ratios
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class FRaZResult:
         config: best error configuration found.
         measured_ratio: compression ratio at that configuration.
         target_ratio: the requested TCR.
-        iterations: compressor runs spent (cache hits included — they
+        iterations: compressor runs spent (memo hits included — they
             still represent compressor work in the modeled system).
         search_seconds: total compressor time of those runs.
         evaluations: every (config, ratio) probed, in order.
@@ -63,28 +63,6 @@ class FRaZResult:
     @property
     def estimation_error(self) -> float:
         return abs(self.target_ratio - self.measured_ratio) / self.target_ratio
-
-
-def _probe_task(config: float, arrays: dict, compressor: Compressor):
-    """One window probe (executor worker): ``(ratio, seconds)``."""
-    tick = time.perf_counter()
-    ratio = compressor.compression_ratio(arrays["data"], config)
-    return ratio, time.perf_counter() - tick
-
-
-def _probe_batch(configs: list, arrays: dict, compressor: Compressor):
-    """A fat probe task: several edge probes in one dispatch.
-
-    One batch runs on one worker; a single compression stream carries
-    the kernel arena across its probes.
-    """
-    stream = compressor.compress_stream()
-    results = []
-    for config in configs:
-        tick = time.perf_counter()
-        ratio = stream.compress(arrays["data"], config).compression_ratio
-        results.append((ratio, time.perf_counter() - tick))
-    return results
 
 
 class FRaZ:
@@ -105,8 +83,7 @@ class FRaZ:
             recorded search is bit-identical to the serial one, only
             the wall clock changes. Its memo is shared across
             searches/paths; hits are charged their recorded compressor
-            time, exactly like the legacy ``cache`` dict, so FRaZ's
-            cost accounting stays honest.
+            time, so FRaZ's cost accounting stays honest.
     """
 
     def __init__(
@@ -137,7 +114,6 @@ class FRaZ:
         data: np.ndarray,
         target_ratio: float,
         domain: tuple[float, float] | None = None,
-        cache: dict[float, tuple[float, float]] | None = None,
     ) -> FRaZResult:
         """Find the config whose measured ratio is closest to the target.
 
@@ -146,10 +122,11 @@ class FRaZ:
             target_ratio: TCR.
             domain: (low, high) config range; defaults to the
                 compressor's domain for ``data``.
-            cache: optional shared ``config -> (ratio, seconds)`` memo;
-                hits are charged their recorded compressor time, so
-                repeated searches stay honest about FRaZ's cost while
-                the *experiment harness* avoids redundant real runs.
+
+        Repeated searches share compressor runs through the context's
+        memo (``ctx=``); a config probed twice within one search is
+        answered from the search's own record. Either way the repeat is
+        charged its recorded compressor time and labelled ``memo``.
         """
         sources: dict[str, int] = {}
         with obs.span(
@@ -158,9 +135,7 @@ class FRaZ:
             target_ratio=float(target_ratio),
             max_iterations=self.max_iterations,
         ) as span:
-            result = self._search_body(
-                data, target_ratio, domain, cache, sources
-            )
+            result = self._search_body(data, target_ratio, domain, sources)
             span.set_attributes(
                 iterations=result.iterations,
                 measured_ratio=result.measured_ratio,
@@ -175,7 +150,7 @@ class FRaZ:
             ).inc()
             probes = registry.counter(
                 "repro_fraz_probes_total",
-                "FRaZ probes by source (run/memo/prefetch/cache)",
+                "FRaZ probes by source (run/memo/prefetch)",
             )
             for source, count in sources.items():
                 probes.inc(count, source=source)
@@ -190,7 +165,6 @@ class FRaZ:
         data: np.ndarray,
         target_ratio: float,
         domain: tuple[float, float] | None,
-        cache: dict[float, tuple[float, float]] | None,
         sources: dict[str, int],
     ) -> FRaZResult:
         if target_ratio <= 0:
@@ -217,9 +191,11 @@ class FRaZ:
         # old O(n) scan per bisection step), and its keys are the same
         # normalized configs the memo cache uses.
         probed_configs: list[float] = []
+        # This search's own (ratio, seconds) per config: a shared bin
+        # edge is compressed once even without a memo.
+        probed: dict[float, tuple[float, float]] = {}
         memo = self.memo
         fingerprint = memo.fingerprint(data) if memo is not None else None
-        prefetched: dict[float, tuple[float, float]] = {}
         # One stream per search: every real probe compresses the same
         # array, so the kernel arena sized by the first run is reused by
         # all later bisection probes.
@@ -232,42 +208,31 @@ class FRaZ:
                     return True
             return False
 
-        def measure(config: float) -> tuple[float, float, str]:
-            """(ratio, seconds, source) for a normalized config — the
-            cheapest source wins: harness cache, executor prefetch,
-            cross-path memo, then a real compressor run."""
-            if cache is not None and config in cache:
-                ratio, seconds = cache[config]
-                return ratio, seconds, "cache"
-            if config in prefetched:
-                ratio, seconds = prefetched[config]
-                return ratio, seconds, "prefetch"
-            if memo is not None:
-                record = memo.get(memo.key(fingerprint, self.compressor, config))
-                if record is not None:
-                    return record.ratio, record.seconds, "memo"
-            tick = time.perf_counter()
-            ratio = stream.compress(data, config).compression_ratio
-            seconds = time.perf_counter() - tick
-            if memo is not None:
-                from repro.parallel.memo import MemoRecord
-
-                memo.put(
-                    memo.key(fingerprint, self.compressor, config),
-                    MemoRecord(ratio=ratio, seconds=seconds),
-                )
-            return ratio, seconds, "run"
-
         def evaluate(config: float) -> float:
             config = self.compressor.normalize_config(config)
             with obs.span("fraz.probe", eb=config) as span:
-                ratio, seconds, source = measure(config)
+                if config in probed:
+                    (ratio, seconds), source = probed[config], "memo"
+                else:
+                    [(ratio, seconds, hit)] = measure_ratios(
+                        self.compressor,
+                        data,
+                        [config],
+                        memo=memo,
+                        fingerprint=fingerprint,
+                        stream=stream,
+                    )
+                    if not hit:
+                        source = "run"
+                    elif config in prefetched:
+                        source = "prefetch"
+                    else:
+                        source = "memo"
+                    probed[config] = (ratio, seconds)
                 span.set_attributes(
                     ratio=ratio, source=source, memo_hit=source != "run"
                 )
             sources[source] = sources.get(source, 0) + 1
-            if cache is not None:
-                cache[config] = (ratio, seconds)
             evaluations.append((config, ratio))
             eval_seconds.append(seconds)
             bisect.insort(probed_configs, config)
@@ -282,8 +247,8 @@ class FRaZ:
         ]
         edges = np.linspace(to_axis(lo), to_axis(hi), self.n_bins + 1)
 
-        self._prefetch_edges(
-            data, edges, budgets, from_axis, cache, prefetched, fingerprint
+        prefetched = self._prefetch_edges(
+            data, edges, budgets, from_axis, fingerprint
         )
 
         for i, budget in enumerate(budgets):
@@ -323,10 +288,8 @@ class FRaZ:
         edges: np.ndarray,
         budgets: list[int],
         from_axis,
-        cache: dict | None,
-        prefetched: dict[float, tuple[float, float]],
         fingerprint: str | None,
-    ) -> None:
+    ) -> set[float]:
         """Concurrently evaluate the window edges the serial loop will open.
 
         Every bin with budget probes its left edge, and its right edge
@@ -334,13 +297,12 @@ class FRaZ:
         search starts. Those probes are independent full compressions
         (the dominant cost at small budgets: 6 iterations over 3 bins
         spend all but one run on edges), so they are fanned over the
-        executor and parked in ``prefetched`` for ``evaluate`` to
-        consume in the original serial order.
+        executor into the memo for ``evaluate`` to read back in the
+        original serial order. Returns the configs actually run here.
         """
         if self.executor is None:
-            return
-        pending: list[float] = []
-        seen: set[float] = set()
+            return set()
+        configs: list[float] = []
         for i, budget in enumerate(budgets):
             if budget < 1:
                 continue
@@ -349,44 +311,21 @@ class FRaZ:
                 edge_configs.append(from_axis(float(edges[i + 1])))
             for config in edge_configs:
                 config = self.compressor.normalize_config(config)
-                if config in seen:
-                    continue
-                seen.add(config)
-                if cache is not None and config in cache:
-                    continue
-                if self.memo is not None and (
-                    self.memo.peek(
-                        self.memo.key(fingerprint, self.compressor, config)
-                    )
-                    is not None
-                ):
-                    continue
-                pending.append(config)
-        if len(pending) < 2:
-            return  # nothing to overlap
-        # Fat-task dispatch: at most one batch per worker, each batch a
-        # single pool task running its probes over one stream.
-        n_batches = max(1, min(self.executor.n_jobs, len(pending)))
-        bounds = np.linspace(0, len(pending), n_batches + 1).astype(int)
-        groups = [
-            pending[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-        ]
-        grouped = self.executor.map(
-            _probe_batch,
-            groups,
-            shared={"data": np.asarray(data)},
-            context=self.compressor,
+                if config not in configs:
+                    configs.append(config)
+        measured = measure_ratios(
+            self.compressor,
+            data,
+            configs,
+            memo=self.memo,
+            executor=self.executor,
+            fingerprint=fingerprint,
         )
-        results = [result for group in grouped for result in group]
-        for config, (ratio, seconds) in zip(pending, results):
-            prefetched[config] = (ratio, seconds)
-            if self.memo is not None:
-                from repro.parallel.memo import MemoRecord
-
-                self.memo.put(
-                    self.memo.key(fingerprint, self.compressor, config),
-                    MemoRecord(ratio=ratio, seconds=seconds),
-                )
+        return {
+            config
+            for config, (_, _, hit) in zip(configs, measured)
+            if not hit
+        }
 
     @staticmethod
     def _result(

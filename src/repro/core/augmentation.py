@@ -13,7 +13,6 @@ useful bounds span decades); precision compressors in linear space.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,7 @@ import numpy as np
 from repro import obs
 from repro.compressors.base import Compressor
 from repro.errors import InvalidConfiguration
+from repro.parallel.memo import measure_ratios
 
 
 @dataclass(frozen=True)
@@ -145,32 +145,6 @@ def stationary_configs(
     return configs
 
 
-def _sweep_task(config: float, arrays: dict, compressor: Compressor):
-    """One stationary evaluation (executor worker): ``(ratio, seconds)``."""
-    tick = time.perf_counter()
-    ratio = compressor.compression_ratio(arrays["data"], config)
-    return ratio, time.perf_counter() - tick
-
-
-def _sweep_batch(configs: list, arrays: dict, compressor: Compressor):
-    """A fat sweep task: many stationary evaluations in one dispatch.
-
-    One batch runs on one worker, so a single
-    :class:`~repro.compressors.base.CompressionStream` carries the
-    kernel arena across every config in the batch — the first probe
-    sizes the scratch buffers, the rest reuse them.
-    """
-    from repro.compressors.base import CompressionStream
-
-    stream = CompressionStream(compressor)
-    results = []
-    for config in configs:
-        tick = time.perf_counter()
-        ratio = stream.compress(arrays["data"], config).compression_ratio
-        results.append((ratio, time.perf_counter() - tick))
-    return results
-
-
 def build_curve(
     compressor: Compressor,
     data: np.ndarray,
@@ -187,86 +161,47 @@ def build_curve(
     independent, so two accelerations apply through ``ctx`` (a
     :class:`~repro.runtime.RuntimeContext`):
 
-    * the context's executor fans the evaluations over workers; the
-      field ships to process workers once via shared memory. Results
-      are assembled in config order, so the curve is bit-identical to
-      the serial one.
-    * the context's memo resolves already-paid evaluations before
+    * the context's executor fans the evaluations over workers in
+      fat batches; the field ships to process workers once via shared
+      memory. Results are assembled in config order, so the curve is
+      bit-identical to the serial one.
+    * the context's memo answers already-paid evaluations before
       anything is submitted and records the rest, so repeated sweeps
       (re-training, benchmarks) skip the compressor entirely.
       ``fingerprint`` optionally supplies the precomputed content hash
       of ``data``.
+
+    Both go through :func:`repro.parallel.memo.measure_ratios`, the
+    probe path FRaZ shares.
 
     ``build_seconds`` totals the *compressor* time of the evaluations
     (memo hits charge their recorded time), which is the quantity
     Table VI accounts — under a parallel executor the wall clock is
     lower.
     """
-    executor = ctx.executor if ctx is not None else None
-    memo = ctx.memo if ctx is not None else None
     configs = stationary_configs(compressor, data, n_points, domain)
     with obs.span(
         "augmentation.build_curve",
         compressor=compressor.name,
         n_points=int(configs.size),
     ) as span:
-        ratios = np.empty(configs.size, dtype=np.float64)
-        seconds = np.zeros(configs.size, dtype=np.float64)
-        pending: list[int] = []
-        keys: dict[int, tuple] = {}
-        if memo is not None:
-            if fingerprint is None:
-                fingerprint = memo.fingerprint(data)
-            for i, config in enumerate(configs):
-                key = memo.key(fingerprint, compressor, float(config))
-                record = memo.get(key)
-                if record is None:
-                    pending.append(i)
-                    keys[i] = key
-                else:
-                    ratios[i], seconds[i] = record.ratio, record.seconds
-        else:
-            pending = list(range(configs.size))
-        span.set_attributes(
-            memo_hits=int(configs.size) - len(pending), evaluated=len(pending)
+        measured = measure_ratios(
+            compressor,
+            data,
+            configs,
+            memo=ctx.memo if ctx is not None else None,
+            executor=ctx.executor if ctx is not None else None,
+            fingerprint=fingerprint,
         )
-
-        if pending:
-            miss_configs = [float(configs[i]) for i in pending]
-            if executor is not None:
-                # Fat-task dispatch: one batch per worker instead of one
-                # task per probe, so pool dispatch/pickling is paid per
-                # worker and each batch reuses one compression stream.
-                n_batches = max(1, min(executor.n_jobs, len(miss_configs)))
-                bounds = np.linspace(
-                    0, len(miss_configs), n_batches + 1
-                ).astype(int)
-                groups = [
-                    miss_configs[lo:hi]
-                    for lo, hi in zip(bounds[:-1], bounds[1:])
-                    if hi > lo
-                ]
-                grouped = executor.map(
-                    _sweep_batch,
-                    groups,
-                    shared={"data": np.asarray(data)},
-                    context=compressor,
-                )
-                results = [result for group in grouped for result in group]
-            else:
-                results = _sweep_batch(
-                    miss_configs, {"data": data}, compressor
-                )
-            for i, (ratio, elapsed) in zip(pending, results):
-                ratios[i], seconds[i] = ratio, elapsed
-                if memo is not None:
-                    from repro.parallel.memo import MemoRecord
-
-                    memo.put(keys[i], MemoRecord(ratio=ratio, seconds=elapsed))
-
+        hits = sum(hit for _, _, hit in measured)
+        span.set_attributes(
+            memo_hits=hits, evaluated=int(configs.size) - hits
+        )
         return CompressionCurve(
             configs=configs,
-            ratios=ratios,
+            ratios=np.array([ratio for ratio, _, _ in measured]),
             log_config=compressor.config_scale == "log",
-            build_seconds=float(seconds.sum()),
+            build_seconds=float(
+                np.sum([seconds for _, seconds, _ in measured])
+            ),
         )

@@ -103,30 +103,34 @@ def _constant_tile_config(pipeline: FXRZ, tile: np.ndarray) -> float:
     return compressor.normalize_config(lo)
 
 
-def _tile_task(task, arrays: dict, context: dict) -> TileRecord:
-    """Analyze, estimate, and compress one tile (executor worker).
+def _tile_batch(batch, arrays: dict, context: dict) -> list[TileRecord]:
+    """Analyze, estimate, and compress a batch of tiles (executor worker).
 
     The feature pass, the model query, and the compression are all
     per-tile and independent of every other tile, so the whole chunk
     job runs where the tile is scheduled; the parent only collects the
-    finished :class:`TileRecord` (a few compressed bytes, not a field).
+    finished tile records (a few compressed bytes, not a field).
     """
-    index, slices = task
     pipeline = context["pipeline"]
-    # No ascontiguousarray here: the feature pass reads the view as-is
-    # and the compressors' input validation makes tiles contiguous
-    # exactly when a copy is unavoidable.
-    tile = arrays["data"][slices]
-    if _entirely_constant(pipeline, tile):
-        # R = 0: estimation is degenerate (the adjustment layer
-        # rejects it), but the tile itself is trivial — compress
-        # it directly under the constancy tolerance.
-        blob = pipeline.compressor.compress(
-            tile, _constant_tile_config(pipeline, tile)
-        )
-    else:
-        blob = pipeline.compress_to_ratio(tile, context["target_ratio"]).blob
-    return TileRecord(index=index, slices=slices, blob=blob)
+    records = []
+    for index, slices in batch:
+        # No ascontiguousarray here: the feature pass reads the view
+        # as-is and the compressors' input validation makes tiles
+        # contiguous exactly when a copy is unavoidable.
+        tile = arrays["data"][slices]
+        if _entirely_constant(pipeline, tile):
+            # R = 0: estimation is degenerate (the adjustment layer
+            # rejects it), but the tile itself is trivial — compress
+            # it directly under the constancy tolerance.
+            blob = pipeline.compressor.compress(
+                tile, _constant_tile_config(pipeline, tile)
+            )
+        else:
+            blob = pipeline.compress_to_ratio(
+                tile, context["target_ratio"]
+            ).blob
+        records.append(TileRecord(index=index, slices=slices, blob=blob))
+    return records
 
 
 class TiledFixedRatio:
@@ -169,11 +173,10 @@ class TiledFixedRatio:
             # Fat batches: one pool task per worker, not per tile —
             # small tiles would otherwise pay dispatch per chunk.
             tiles = self.executor.map_batched(
-                _tile_task, grid, shared={"data": data}, context=context
+                _tile_batch, grid, shared={"data": data}, context=context
             )
         else:
-            arrays = {"data": data}
-            tiles = [_tile_task(task, arrays, context) for task in grid]
+            tiles = _tile_batch(grid, {"data": data}, context)
         return TiledResult(
             tiles=tiles,
             original_shape=data.shape,

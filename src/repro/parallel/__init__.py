@@ -1,15 +1,16 @@
 """Shared parallel execution layer (executor, shm transport, memo cache).
 
 The three pieces compose into one story: :class:`ParallelExecutor`
-fans independent compressor/tree/tile tasks over processes or threads
-with serial-identical results, :class:`SharedNDArray` ships the large
+fans independent compressor/tile tasks over processes or threads with
+serial-identical results, :class:`SharedNDArray` ships the large
 fields those tasks read to process workers once instead of per task,
 and :class:`CompressionMemoCache` makes sure no execution path in the
-library ever pays for the same compression twice. Every hot loop
-(augmentation sweeps, FRaZ probes, forest fit/predict, tiled
-estimation) reaches them through a
-:class:`~repro.runtime.RuntimeContext` (the forest also takes
-``n_jobs=``); the CLI exposes them as ``--jobs``.
+library ever pays for the same compression twice. Ratio probes — the
+augmentation sweep and FRaZ's searches — all measure through
+:func:`measure_ratios`, which combines the memo and the executor.
+Every parallel loop (those probes and tiled compression) reaches them
+through a :class:`~repro.runtime.RuntimeContext`; the CLI exposes
+them as ``--jobs``.
 """
 
 from repro.parallel.executor import (
@@ -18,7 +19,11 @@ from repro.parallel.executor import (
     derive_seeds,
     resolve_n_jobs,
 )
-from repro.parallel.memo import CompressionMemoCache, MemoRecord
+from repro.parallel.memo import (
+    CompressionMemoCache,
+    MemoRecord,
+    measure_ratios,
+)
 from repro.parallel.shm import SharedNDArray, ShmDescriptor
 
 __all__ = [
@@ -29,5 +34,6 @@ __all__ = [
     "ShmDescriptor",
     "available_cpus",
     "derive_seeds",
+    "measure_ratios",
     "resolve_n_jobs",
 ]

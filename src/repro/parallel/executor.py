@@ -1,16 +1,16 @@
 """Backend-pluggable task execution with deterministic results.
 
-Every hot loop in this library — the ~25-point stationary sweeps of
-augmentation, FRaZ's window probes, per-tree forest fits, per-tile
-estimation — is a map over independent tasks. :class:`ParallelExecutor`
+Every parallel loop in this library — the ~25-point stationary sweeps
+of augmentation, FRaZ's window-edge probes, per-tile compression — is
+a map over independent tasks. :class:`ParallelExecutor`
 gives those loops one seam: a ``map`` that runs serially, on a thread
 pool, or on a process pool, always returning results in task order so
 callers are bit-identical to their serial selves.
 
 Backend guidance (the GIL decides):
 
-* ``"process"`` — CPU-bound work that holds the GIL (the pure-python
-  compressors, CART tree fitting). Tasks and results cross process
+* ``"process"`` — CPU-bound work that holds the GIL (the compressors'
+  Python-level passes). Tasks and results cross process
   boundaries by pickling, so large ndarrays should travel through
   ``shared=`` (see :mod:`repro.parallel.shm`) instead of task tuples.
 * ``"thread"`` — work dominated by numpy kernels that release the GIL,
@@ -24,6 +24,8 @@ Worker functions used with the process backend must be module-level
 ``fn(task, arrays, context)`` where ``arrays`` is the dict passed as
 ``shared=`` (reconstructed zero-copy in workers) and ``context`` is the
 per-map constant shipped once per worker instead of once per task.
+:meth:`ParallelExecutor.map_batched` calls the same signature with a
+contiguous *list* of tasks and expects one result per task back.
 """
 
 from __future__ import annotations
@@ -105,17 +107,6 @@ def _worker_init(descriptors, fn, context, handoff=None) -> None:
         "context": context,
         "tracer": tracer,
     }
-
-
-def _run_batch(batch, arrays, context):
-    """Module-level fat-task wrapper used by ``map_batched``.
-
-    ``context`` carries ``(fn, inner_context)``; the batch is a list of
-    the caller's tasks, executed as one pool task so dispatch overhead
-    is paid once per worker instead of once per probe.
-    """
-    fn, inner_context = context
-    return [fn(task, arrays, inner_context) for task in batch]
 
 
 def _worker_call(task):
@@ -236,33 +227,28 @@ class ParallelExecutor:
         *,
         shared: dict[str, np.ndarray] | None = None,
         context=None,
-        batches: int | None = None,
     ) -> list:
-        """Like :meth:`map`, but ships tasks as fat batches.
+        """Like :meth:`map`, but hands each worker one fat batch.
 
-        Tasks are grouped into at most ``batches`` (default: one per
-        worker) contiguous chunks, each submitted as a *single* pool
-        task. Per-task results come back flattened in task order, so
-        callers see :meth:`map` semantics with per-worker instead of
-        per-task dispatch cost — the difference between losing and
-        winning against serial when each task is only a few ms of work.
-
-        ``fn`` must still be picklable by reference (module-level) for
-        the process backend, exactly as with :meth:`map`.
+        Tasks are grouped into at most ``n_jobs`` contiguous batches,
+        each submitted as a *single* pool task: ``fn(batch, arrays,
+        context)`` receives the whole batch (a list of tasks) and
+        returns one result per task, in batch order. Results come back
+        flattened in task order, so callers see :meth:`map` semantics
+        with per-worker instead of per-task dispatch cost, and a worker
+        can carry state (a compression stream's arena) across its
+        batch.
         """
         tasks = list(tasks)
         if not tasks:
             return []
-        n_batches = batches if batches else min(self.n_jobs, len(tasks))
-        n_batches = max(1, min(n_batches, len(tasks)))
+        n_batches = min(self.n_jobs, len(tasks))
         bounds = np.linspace(0, len(tasks), n_batches + 1).astype(int)
-        groups = [
+        batches = [
             tasks[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
         ]
-        grouped = self.map(
-            _run_batch, groups, shared=shared, context=(fn, context)
-        )
-        return [result for group in grouped for result in group]
+        grouped = self.map(fn, batches, shared=shared, context=context)
+        return [result for batch in grouped for result in batch]
 
     def _dispatch(self, fn, tasks, arrays, context, span_ctx) -> list:
         if self.backend == "serial" or len(tasks) == 1:

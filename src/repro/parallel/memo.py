@@ -1,7 +1,7 @@
 """Cross-path compression memo: never run an identical compression twice.
 
 Augmentation sweeps, FRaZ searches, PSNR calibration and the benchmark
-suite all invoke ``compressor.compression_ratio(data, config)`` — and
+suite all run ``compressor.compress(data, config)`` — and
 routinely at the *same* ``(data, compressor, config)`` triple: FRaZ
 re-probes bin edges across targets, benches sweep the same fields the
 training pass already swept, repeated searches on one snapshot overlap
@@ -24,11 +24,14 @@ config)``:
 
 Thread-safety: all mutation happens under one lock, so thread-pool
 workers can share an instance directly. Process pools cannot share the
-dict itself; the supported pattern (used by ``build_curve`` and FRaZ)
-is *lookup-before-submit, merge-after*: the parent resolves hits, ships
-only misses to workers, and merges their ``(key, record)`` results back
-with :meth:`merge`. Recorded seconds travel with each record so memo
-hits can stay honest about the compressor time they represent.
+dict itself, so ratio probes go through :func:`measure_ratios`, the
+one place that keys the memo for them: it answers hits in the caller,
+fans only the misses over the executor (one compression stream per
+worker batch), and puts every fresh run back. Recorded seconds
+travel with each record so memo hits can stay honest about the
+compressor time they represent. PSNR calibration
+(:mod:`repro.core.psnr_control`) keys the memo itself, since it
+measures a roundtrip rather than a ratio.
 """
 
 from __future__ import annotations
@@ -201,37 +204,81 @@ class CompressionMemoCache:
         self._misses = state["misses"]
         self._evictions = state["evictions"]
 
-    def merge(self, items: dict[MemoKey, MemoRecord]) -> None:
-        """Bulk-insert worker-computed records (process-pool pattern)."""
-        for key, record in items.items():
-            self.put(key, record)
-
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
 
-    # -- convenience ----------------------------------------------------------
 
-    def ratio(
-        self,
-        compressor: Compressor,
-        data: np.ndarray,
-        config: float,
-        fingerprint: str | None = None,
-    ) -> tuple[float, float, bool]:
-        """``(ratio, seconds, hit)`` for one compression, memoized.
+def _ratio_batch(configs: list, arrays: dict, compressor: Compressor):
+    """Executor batch worker: one compression stream across ``configs``."""
+    return _run_ratios(compressor.compress_stream(), arrays["data"], configs)
 
-        ``fingerprint`` lets callers that sweep many configs over one
-        array pay the content hash once instead of per call.
-        """
-        if fingerprint is None:
-            fingerprint = self.fingerprint(data)
-        key = self.key(fingerprint, compressor, config)
-        record = self.get(key)
-        if record is not None:
-            return record.ratio, record.seconds, True
+
+def _run_ratios(stream, data: np.ndarray, configs: list) -> list:
+    """``[(ratio, seconds), ...]`` for ``configs``, compressed on ``stream``."""
+    results = []
+    for config in configs:
         tick = perf_counter()
-        measured = compressor.compression_ratio(data, config)
-        seconds = perf_counter() - tick
-        self.put(key, MemoRecord(ratio=measured, seconds=seconds))
-        return measured, seconds, False
+        ratio = stream.compress(data, config).compression_ratio
+        results.append((ratio, perf_counter() - tick))
+    return results
+
+
+def measure_ratios(
+    compressor: Compressor,
+    data: np.ndarray,
+    configs,
+    *,
+    memo: CompressionMemoCache | None = None,
+    executor=None,
+    fingerprint: str | None = None,
+    stream=None,
+) -> list[tuple[float, float, bool]]:
+    """``[(ratio, seconds, hit), ...]`` for ``configs``, in config order.
+
+    The one probe path for compression ratios (the augmentation sweep
+    and FRaZ both measure through it):
+
+    * memo hits are answered first and charge their recorded seconds;
+    * misses go to ``executor.map_batched`` when an executor is given
+      (the field ships to process workers once, and each worker batch
+      runs on one compression stream), else inline on ``stream`` — or
+      on a fresh stream, so one call's probes share one arena;
+    * every fresh run is ``put`` in the memo.
+
+    ``fingerprint`` is the precomputed content hash of ``data``;
+    callers probing one array many times pass it to hash once.
+    """
+    configs = [float(config) for config in configs]
+    results: list = [None] * len(configs)
+    pending: list[int] = []
+    keys: dict[int, MemoKey] = {}
+    if memo is not None and fingerprint is None:
+        fingerprint = memo.fingerprint(data)
+    for i, config in enumerate(configs):
+        if memo is not None:
+            keys[i] = memo.key(fingerprint, compressor, config)
+            record = memo.get(keys[i])
+            if record is not None:
+                results[i] = (record.ratio, record.seconds, True)
+                continue
+        pending.append(i)
+    if not pending:
+        return results
+    misses = [configs[i] for i in pending]
+    if executor is not None:
+        fresh = executor.map_batched(
+            _ratio_batch,
+            misses,
+            shared={"data": np.asarray(data)},
+            context=compressor,
+        )
+    else:
+        if stream is None:
+            stream = compressor.compress_stream()
+        fresh = _run_ratios(stream, data, misses)
+    for i, (ratio, seconds) in zip(pending, fresh):
+        results[i] = (ratio, seconds, False)
+        if memo is not None:
+            memo.put(keys[i], MemoRecord(ratio=ratio, seconds=seconds))
+    return results

@@ -63,14 +63,19 @@ class TestSweepParity:
 
 class TestFRaZParity:
     def test_search_trace_identical_with_executor(self, field, executor4):
-        sz = get_compressor("sz")
-        serial = FRaZ(sz, max_iterations=6).search(field, 20.0)
-        with RuntimeContext(env={}, executor=executor4) as ctx:
-            parallel = FRaZ(sz, max_iterations=6, ctx=ctx).search(field, 20.0)
-        assert parallel.evaluations == serial.evaluations
-        assert parallel.config == serial.config
-        assert parallel.measured_ratio == serial.measured_ratio
-        assert parallel.iterations == serial.iterations
+        # sz: log-scale error bounds; zfp: stairwise ratios; fpzip: a
+        # linear integer precision grid whose bisections exhaust early.
+        for name, target in (("sz", 20.0), ("zfp", 8.0), ("fpzip", 3.0)):
+            comp = get_compressor(name)
+            serial = FRaZ(comp, max_iterations=6).search(field, target)
+            with RuntimeContext(env={}, executor=executor4) as ctx:
+                parallel = FRaZ(comp, max_iterations=6, ctx=ctx).search(
+                    field, target
+                )
+            assert parallel.evaluations == serial.evaluations, name
+            assert parallel.config == serial.config, name
+            assert parallel.measured_ratio == serial.measured_ratio, name
+            assert parallel.iterations == serial.iterations, name
 
 
 class TestTiledParity:

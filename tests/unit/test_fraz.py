@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.baselines.fraz import FRaZ
 from repro.compressors import get_compressor
 from repro.errors import InvalidConfiguration
+from repro.runtime import RuntimeContext
 
 
 @pytest.fixture(scope="module")
@@ -27,13 +29,13 @@ class TestSearch:
 
     def test_more_iterations_not_worse(self, field):
         comp = get_compressor("sz")
-        cache = {}
         errors = {}
-        for budget in (6, 30):
-            result = FRaZ(comp, max_iterations=budget).search(
-                field, 12.0, cache=cache
-            )
-            errors[budget] = result.estimation_error
+        with RuntimeContext(env={}) as ctx:
+            for budget in (6, 30):
+                result = FRaZ(comp, max_iterations=budget, ctx=ctx).search(
+                    field, 12.0
+                )
+                errors[budget] = result.estimation_error
         assert errors[30] <= errors[6] + 1e-9
 
     def test_result_is_best_evaluation(self, field):
@@ -44,13 +46,13 @@ class TestSearch:
 
     def test_cache_reuses_evaluations(self, field):
         comp = get_compressor("sz")
-        cache = {}
-        FRaZ(comp, max_iterations=6).search(field, 10.0, cache=cache)
-        size_after_first = len(cache)
-        result = FRaZ(comp, max_iterations=6).search(field, 10.0, cache=cache)
-        assert len(cache) == size_after_first
-        # Cached runs still report per-evaluation compressor time.
-        assert result.search_seconds > 0
+        with RuntimeContext(env={}) as ctx:
+            first = FRaZ(comp, max_iterations=6, ctx=ctx).search(field, 10.0)
+            size_after_first = len(ctx.memo)
+            result = FRaZ(comp, max_iterations=6, ctx=ctx).search(field, 10.0)
+            assert len(ctx.memo) == size_after_first
+        # Memo hits still report the recorded compressor time.
+        assert result.search_seconds == first.search_seconds > 0
 
     def test_eval_times_align(self, field):
         comp = get_compressor("sz")
@@ -81,6 +83,63 @@ class TestSearch:
             field, 10.0, domain=(1e-4, 1e-1)
         )
         assert all(1e-4 <= c <= 1e-1 for c, _ in result.evaluations)
+
+
+def _probe_sources(search) -> tuple[list[str], object]:
+    """Run ``search()`` under a tracer; the fraz.probe sources, in order."""
+    tracer = obs.Tracer()
+    with obs.session(tracer=tracer):
+        result = search()
+    sources = [
+        span.attributes["source"]
+        for span in tracer.spans
+        if span.name == "fraz.probe"
+    ]
+    return sources, result
+
+
+class TestProbeSources:
+    @pytest.mark.parametrize("name", ["sz", "zfp", "fpzip"])
+    @pytest.mark.parametrize("budget", [6, 15])
+    def test_each_distinct_config_runs_once_without_ctx(
+        self, field, name, budget
+    ):
+        comp = get_compressor(name)
+        sources, result = _probe_sources(
+            lambda: FRaZ(comp, max_iterations=budget).search(field, 10.0)
+        )
+        distinct = {config for config, _ in result.evaluations}
+        assert sources.count("run") == len(distinct)
+        # Shared bin edges are answered from the search's own record.
+        assert sources.count("memo") == len(sources) - len(distinct) > 0
+        assert len(sources) == result.iterations == len(result.eval_seconds)
+
+    def test_repeat_is_charged_its_recorded_seconds(self, field):
+        comp = get_compressor("sz")
+        result = FRaZ(comp, max_iterations=6).search(field, 10.0)
+        first_seen = {}
+        for (config, ratio), seconds in zip(
+            result.evaluations, result.eval_seconds
+        ):
+            first_seen.setdefault(config, (ratio, seconds))
+            assert first_seen[config] == (ratio, seconds)
+
+    def test_executor_prefetches_then_memo_answers(self, field):
+        comp = get_compressor("sz")
+        with RuntimeContext(env={}, jobs=2, backend="thread") as ctx:
+            first, cold = _probe_sources(
+                lambda: FRaZ(comp, max_iterations=6, ctx=ctx).search(
+                    field, 10.0
+                )
+            )
+            second, warm = _probe_sources(
+                lambda: FRaZ(comp, max_iterations=6, ctx=ctx).search(
+                    field, 10.0
+                )
+            )
+        assert "prefetch" in first
+        assert "run" not in second
+        assert warm.evaluations == cold.evaluations
 
 
 class TestValidation:

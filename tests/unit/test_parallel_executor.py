@@ -25,6 +25,12 @@ def _index_task(task, arrays, context):  # noqa: ARG001
     return task
 
 
+def _tag_batch(batch, arrays, context):  # noqa: ARG001
+    """Batch worker: each result carries the batch it ran in."""
+    first = batch[0]
+    return [(task * context, first) for task in batch]
+
+
 class TestResolveNJobs:
     def test_none_and_zero_mean_all_cpus(self):
         assert resolve_n_jobs(None) == available_cpus()
@@ -82,6 +88,19 @@ class TestParallelExecutor:
             _scale_task, list(range(10)), shared={"x": x}, context=3.0
         )
         assert out == [float(v) * 3.0 for v in x]
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_map_batched_hands_each_call_one_batch(self, backend):
+        executor = ParallelExecutor(n_jobs=2, backend=backend)
+        tasks = list(range(11))
+        out = executor.map_batched(_tag_batch, tasks, context=10)
+        assert [value for value, _ in out] == [t * 10 for t in tasks]
+        # Batches are contiguous runs of tasks, at most one per worker,
+        # and ``fn`` ran once per batch (every task saw its batch head).
+        heads = [head for _, head in out]
+        assert heads == sorted(heads)
+        assert len(set(heads)) == executor.n_jobs == 2
+        assert executor.map_batched(_tag_batch, []) == []
 
 
 class TestSharedNDArray:

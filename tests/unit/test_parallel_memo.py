@@ -10,7 +10,12 @@ import pytest
 from repro.compressors import get_compressor
 from repro.compressors.base import content_fingerprint
 from repro.errors import CompressionError, InvalidConfiguration
-from repro.parallel import CompressionMemoCache, MemoRecord
+from repro.parallel import (
+    CompressionMemoCache,
+    MemoRecord,
+    ParallelExecutor,
+    measure_ratios,
+)
 
 pytestmark = pytest.mark.parallel
 
@@ -82,15 +87,6 @@ class TestRecords:
         memo.put(key, MemoRecord(ratio=5.0, seconds=0.1))  # ratio-only
         assert memo.peek(key).psnr == 60.0
 
-    def test_merge_bulk_inserts(self, sz):
-        memo = CompressionMemoCache()
-        items = {
-            memo.key("fp", sz, c): MemoRecord(ratio=c * 1e4, seconds=0.0)
-            for c in (1e-4, 1e-3)
-        }
-        memo.merge(items)
-        assert len(memo) == 2
-
     def test_clear(self, sz):
         memo = CompressionMemoCache()
         memo.put(memo.key("fp", sz, 1e-3), MemoRecord(ratio=1.0, seconds=0.0))
@@ -152,9 +148,40 @@ class TestKeying:
 class TestRatioConvenience:
     def test_second_call_is_a_hit_with_identical_numbers(self, sz, smooth_field3d):
         memo = CompressionMemoCache()
-        ratio1, seconds1, hit1 = memo.ratio(sz, smooth_field3d, 1e-3)
-        ratio2, seconds2, hit2 = memo.ratio(sz, smooth_field3d, 1e-3)
+        [(ratio1, seconds1, hit1)] = measure_ratios(
+            sz, smooth_field3d, [1e-3], memo=memo
+        )
+        [(ratio2, seconds2, hit2)] = measure_ratios(
+            sz, smooth_field3d, [1e-3], memo=memo
+        )
         assert (hit1, hit2) == (False, True)
         assert ratio2 == ratio1
         assert seconds2 == seconds1  # hits charge the recorded time
         assert memo.hits == 1
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_results_in_config_order_with_hits_first(
+        self, backend, sz, smooth_field3d
+    ):
+        configs = [1e-2, 1e-4, 1e-3, 3e-3, 3e-4]
+        reference = [sz.compression_ratio(smooth_field3d, c) for c in configs]
+        memo = CompressionMemoCache()
+        measure_ratios(sz, smooth_field3d, configs[1:3], memo=memo)
+        executor = ParallelExecutor(n_jobs=2, backend=backend)
+        measured = measure_ratios(
+            sz, smooth_field3d, configs, memo=memo, executor=executor
+        )
+        assert [ratio for ratio, _, _ in measured] == reference
+        assert [hit for _, _, hit in measured] == [
+            False, True, True, False, False
+        ]
+        assert len(memo) == len(configs)  # every fresh run was recorded
+
+    def test_without_memo_runs_every_config(self, sz, smooth_field3d):
+        stream = sz.compress_stream()
+        measured = measure_ratios(
+            sz, smooth_field3d, [1e-3, 1e-3], stream=stream
+        )
+        assert [hit for _, _, hit in measured] == [False, False]
+        assert measured[0][0] == measured[1][0]
+        assert stream.stats.reuses > 0  # the second run reused the arena
