@@ -34,17 +34,18 @@ robustness:
 parallel:
 	$(PYTEST) -x -q -W error::RuntimeWarning -m parallel
 
-# Observability gate: the obs-marked tests (tracer, registry, ring
-# sampler, SLO burn rates, scrape endpoint, exporters, cost tree,
+# Observability gate: the obs-marked tests (tracer, registry, SLO
+# tracker history and burn rates, scrape endpoint, cost tree,
 # cross-process trace propagation) with RuntimeWarnings promoted to
-# errors, then the live scrape smoke against a real sharded service.
+# errors, then the live scrape smoke against an in-process and a
+# sharded service.
 obs:
 	$(PYTEST) -x -q -W error::RuntimeWarning -m obs
 	PYTHONPATH=src $(PY) examples/scrape_smoke.py
 
-# Scrape smoke alone: sharded service with an ephemeral scrape port
-# must answer /metrics, /healthz, /slo and /spans with the repro_*
-# series and SLOs the dashboards key on.
+# Scrape smoke alone: an in-process and a sharded service, each with
+# an ephemeral scrape port, must answer /metrics, /healthz, /slo and
+# /spans with the repro_* series and SLOs the dashboards key on.
 obs-scrape-smoke:
 	PYTHONPATH=src $(PY) examples/scrape_smoke.py
 

@@ -324,6 +324,15 @@ def test_tracing_overhead_guard(report):
     schedules the extra pure-Python span code against numpy's
     released-GIL sections, which varies by machine and load. One worker
     attributes the whole delta to the instrumentation itself.
+
+    Each side is timed on this process's CPU clock
+    (``time.process_time``), not the wall clock: both services live in
+    this process, never run at the same time, and the caller only
+    blocks on futures while a batch runs, so each timed delta is that
+    side's CPU. Wall-clock req/s on a shared host drifted by more than
+    the 5% budget within one trial (per-trial overheads from -9% to
+    +29% on unchanged code); CPU time does not count the time another
+    tenant holds the core.
     """
     pipeline = get_trained_fxrz("hurricane", "TC", "sz", config=BENCH_CONFIG)
     snapshot = held_out_snapshots("hurricane", "TC")[0]
@@ -349,18 +358,18 @@ def test_tracing_overhead_guard(report):
     obs.uninstall()
 
     def run_plain() -> float:
-        tick = time.perf_counter()
+        tick = time.process_time()
         service_plain.run_batch(batch)
-        return time.perf_counter() - tick
+        return time.process_time() - tick
 
     spans_per_round = 0
 
     def run_traced() -> float:
         nonlocal spans_per_round
         obs.install(tracer, registry)
-        tick = time.perf_counter()
+        tick = time.process_time()
         service_traced.run_batch(batch)
-        elapsed = time.perf_counter() - tick
+        elapsed = time.process_time() - tick
         obs.uninstall()
         spans_per_round = len(tracer)
         tracer.clear()
@@ -401,7 +410,7 @@ def test_tracing_overhead_guard(report):
 
     report(
         render_table(
-            ["variant", "req/s (best trial)", "rounds/trial"],
+            ["variant", "req per CPU-s (best trial)", "rounds/trial"],
             [
                 ["plain", f"{rps_plain:.0f}", str(rounds)],
                 ["traced + metrics", f"{rps_traced:.0f}", str(rounds)],
@@ -425,6 +434,7 @@ def test_tracing_overhead_guard(report):
                 "rounds_per_trial": rounds,
                 "trials": trials,
                 "requests_per_side_per_trial": total_requests,
+                "clock": "process_time",
                 "trial_seconds": [list(pair) for pair in trial_seconds],
                 "overhead_fractions": overheads,
                 "overhead_fraction_best": overhead,

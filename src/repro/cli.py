@@ -564,18 +564,23 @@ def _cmd_obs_top(args: argparse.Namespace, ctx: RuntimeContext) -> int:  # noqa:
             time.sleep(args.interval)
         health = fetch("/healthz")
         slo = fetch("/slo")
-        stats = health.get("stats", {})
-        shards = health.get("shards", [])
-        ready = sum(1 for s in shards if s.get("state") == "ready")
+        if "shards" in health:
+            stats = health.get("stats", {})
+            shards = health["shards"]
+            ready = sum(1 for s in shards if s.get("state") == "ready")
+            lane = (
+                f"shards {ready}/{len(shards)} ready; "
+                f"admitted {stats.get('admitted', 0)}, "
+                f"shed {stats.get('shed', 0)}, "
+                f"expired {stats.get('expired', 0)}, "
+                f"fallbacks {stats.get('fallbacks', 0)}, "
+                f"kills {stats.get('kills', 0)}"
+            )
+        else:
+            lane = "lane in-process"
         print(
             f"[{iteration + 1}/{args.iterations}] "
-            f"healthy={health.get('healthy')} "
-            f"shards {ready}/{len(shards)} ready; "
-            f"admitted {stats.get('admitted', 0)}, "
-            f"shed {stats.get('shed', 0)}, "
-            f"expired {stats.get('expired', 0)}, "
-            f"fallbacks {stats.get('fallbacks', 0)}, "
-            f"kills {stats.get('kills', 0)}"
+            f"healthy={health.get('healthy')} {lane}"
         )
         for status in slo.get("slos", []):
             compliance = status.get("compliance")

@@ -17,19 +17,13 @@ module-level accessors here —
   install/uninstall for tests and library embedding.
 
 See ``docs/OBSERVABILITY.md`` for the span model, the metric naming
-convention and the exporter formats.
+convention and the scrape endpoint.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 
-from repro.obs.export import (
-    chrome_trace_events,
-    export_chrome_trace,
-    export_folded_stacks,
-    folded_stacks,
-)
 from repro.obs.http import ObservabilityServer
 from repro.obs.metrics import (
     Counter,
@@ -54,7 +48,6 @@ from repro.obs.slo import (
     ThresholdSLO,
     default_serving_slos,
 )
-from repro.obs.timeseries import TimeSeriesBuffer
 from repro.obs.trace import (
     NULL_SPAN,
     Span,
@@ -83,18 +76,13 @@ __all__ = [
     "Span",
     "SpanContext",
     "ThresholdSLO",
-    "TimeSeriesBuffer",
     "Tracer",
     "attach",
     "bind_cache_gauges",
-    "chrome_trace_events",
     "cost_tree",
     "current_context",
     "default_serving_slos",
     "detach",
-    "export_chrome_trace",
-    "export_folded_stacks",
-    "folded_stacks",
     "get_registry",
     "get_tracer",
     "install",

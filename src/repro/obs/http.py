@@ -7,8 +7,8 @@ in a daemon thread and serves four read-only routes:
 ``/metrics``  Prometheus text exposition of the bound registry
               (collectors run per scrape, so pull-model gauges and the
               ``repro_slo_*`` exports are fresh).
-``/healthz``  JSON from the bound health callback (shard states,
-              breaker states); 200 when the callback reports
+``/healthz``  JSON from the bound health callback (the service's
+              state and, sharded, its shards); 200 when it reports
               ``"healthy": true``, 503 otherwise.
 ``/slo``      JSON burn report from the bound
               :class:`~repro.obs.slo.SLOTracker`.

@@ -3,7 +3,7 @@
 An :class:`SLO` states an objective over a rolling window — "99.9% of
 requests succeed", "99% of requests finish under 250 ms", "the model's
 calibration-error EWMA stays under 0.25" — and is evaluated against
-the history a :class:`~repro.obs.timeseries.TimeSeriesBuffer` retains.
+the history an :class:`SLOTracker` samples from its registry.
 
 **Burn rate** is the operator-facing number: the ratio of the error
 rate actually observed in the window to the error rate the objective
@@ -14,10 +14,18 @@ rate crosses ``alert_burn_rate`` (default 1.0). Threshold SLOs over
 gauges (calibration error) define burn as ``value / threshold`` — the
 same "1.0 = at budget" semantics.
 
-:class:`SLOTracker` owns a set of SLOs, evaluates them on demand, and
-exports the results as ``repro_slo_compliance{slo=}``,
-``repro_slo_burn_rate{slo=}`` and ``repro_slo_alert{slo=}`` gauges via
-a pull-model collector, so any scrape of the registry re-evaluates.
+:class:`SLOTracker` owns a set of SLOs and the history they read. The
+registry is a *point-in-time* store: counters answer "what is the value
+now", never "what was it 30 seconds ago", and an availability SLO is a
+ratio of counter *deltas* over a rolling window. So the tracker keeps a
+bounded ring of registry snapshots, one frame per
+:meth:`~SLOTracker.sample` (its daemon thread samples once a second
+after :meth:`~SLOTracker.start`; tests sample by hand). It evaluates
+the SLOs against that ring on demand and exports the results as
+``repro_slo_compliance{slo=}``, ``repro_slo_burn_rate{slo=}`` and
+``repro_slo_alert{slo=}`` gauges via a pull-model collector, so any
+scrape of the registry re-evaluates. Sampling runs the registry's
+collectors, exactly like an export, and touches no hot path.
 
 **No data means no alert**: a window with zero events is compliant
 (compliance 1.0, burn 0.0). An idle service is not in violation.
@@ -25,11 +33,16 @@ a pull-model collector, so any scrape of the registry re-evaluates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+import time
+from collections import deque
+from dataclasses import dataclass, field
 
 from repro.errors import InvalidConfiguration
-from repro.obs.metrics import bucket_interpolate
-from repro.obs.timeseries import TimeSeriesBuffer
+from repro.obs.metrics import Histogram, MetricsRegistry, bucket_interpolate
+
+#: Cadence of the tracker's sampler thread, seconds.
+_SAMPLE_INTERVAL = 1.0
 
 
 @dataclass(frozen=True)
@@ -102,12 +115,12 @@ class SLO:
 
     # subclasses return (compliance, events, detail)
     def _measure(
-        self, buffer: TimeSeriesBuffer
+        self, tracker: "SLOTracker"
     ) -> tuple[float, float, str]:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def evaluate(self, buffer: TimeSeriesBuffer) -> SLOStatus:
-        compliance, events, detail = self._measure(buffer)
+    def evaluate(self, tracker: "SLOTracker") -> SLOStatus:
+        compliance, events, detail = self._measure(tracker)
         allowed = 1.0 - self.objective
         error_rate = 1.0 - compliance
         if error_rate <= 0.0:
@@ -161,12 +174,12 @@ class AvailabilitySLO(SLO):
         self.label = label
         self.good_values = tuple(good_values)
 
-    def _measure(self, buffer: TimeSeriesBuffer) -> tuple[float, float, str]:
-        total = buffer.delta(self.counter, self.window)
+    def _measure(self, tracker: "SLOTracker") -> tuple[float, float, str]:
+        total = tracker.delta(self.counter, self.window)
         if total <= 0:
             return 1.0, 0.0, "no traffic in window"
         good = sum(
-            buffer.delta(
+            tracker.delta(
                 self.counter, self.window, labels={self.label: value}
             )
             for value in self.good_values
@@ -210,11 +223,11 @@ class LatencySLO(SLO):
         self.threshold_seconds = float(threshold_seconds)
         self.histogram = histogram
 
-    def _measure(self, buffer: TimeSeriesBuffer) -> tuple[float, float, str]:
-        delta = buffer.histogram_delta(self.histogram, self.window)
+    def _measure(self, tracker: "SLOTracker") -> tuple[float, float, str]:
+        delta = tracker.histogram_delta(self.histogram, self.window)
         if delta is None or delta["count"] <= 0:
             return 1.0, 0.0, "no traffic in window"
-        metric = buffer.registry.get(self.histogram)
+        metric = tracker.registry.get(self.histogram)
         bounds = getattr(metric, "buckets", None)
         if not bounds:
             return 1.0, 0.0, "histogram has no bucket bounds"
@@ -265,11 +278,11 @@ class ThresholdSLO(SLO):
         self.gauge = gauge
         self.labels = dict(labels or {})
 
-    def evaluate(self, buffer: TimeSeriesBuffer) -> SLOStatus:
-        points = buffer.series(self.gauge, labels=self.labels)
-        cutoff = points[-1].unix - self.window if points else 0.0
-        window_points = [p for p in points if p.unix >= cutoff]
-        if not window_points:
+    def evaluate(self, tracker: "SLOTracker") -> SLOStatus:
+        points = tracker.series(self.gauge, labels=self.labels)
+        cutoff = points[-1][0] - self.window if points else 0.0
+        window_values = [value for unix, value in points if unix >= cutoff]
+        if not window_values:
             return SLOStatus(
                 name=self.name,
                 kind=self.kind,
@@ -281,7 +294,7 @@ class ThresholdSLO(SLO):
                 events=0.0,
                 detail="no samples in window",
             )
-        worst = max(p.value for p in window_points)
+        worst = max(window_values)
         burn = worst / self.threshold
         return SLOStatus(
             name=self.name,
@@ -291,39 +304,61 @@ class ThresholdSLO(SLO):
             compliance=1.0 if worst <= self.threshold else 0.0,
             burn_rate=burn,
             alerting=burn >= self.alert_burn_rate,
-            events=float(len(window_points)),
+            events=float(len(window_values)),
             detail=f"worst {worst:g} vs threshold {self.threshold:g}",
         )
 
 
+@dataclass(frozen=True)
+class _Frame:
+    """One full registry snapshot.
+
+    ``scalars`` maps ``(metric_name, label_key)`` to the counter/gauge
+    value; ``histograms`` maps the same key to a
+    ``{"counts": [...], "sum": s, "count": n}`` snapshot. Label keys
+    are the registry's canonical sorted tuples.
+    """
+
+    unix: float
+    scalars: dict = field(default_factory=dict)
+    histograms: dict = field(default_factory=dict)
+
+
+def _label_key(labels: dict) -> tuple:
+    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+
+
 class SLOTracker:
-    """Evaluates a set of SLOs and exports ``repro_slo_*`` gauges.
+    """Samples a registry's history, evaluates a set of SLOs against it
+    and exports ``repro_slo_*`` gauges.
 
     Args:
-        buffer: the sampled history to evaluate against.
-        slos: the SLO set (defaults come from
-            :func:`default_serving_slos`).
-        registry: where to export; defaults to the buffer's registry.
-            The exporter is a pull-model collector, so every
-            ``render_prometheus()`` / ``to_dict()`` re-evaluates until
-            :meth:`close` removes it.
+        registry: the registry to sample and to export to. The exporter
+            is a pull-model collector, so every ``render_prometheus()``
+            re-evaluates until :meth:`close` removes it.
+        slos: the SLO set (:func:`default_serving_slos` gives the stock
+            one).
+
+    The ring keeps one frame per second across the longest SLO window,
+    plus a minute of slack so the window never outruns it (at least
+    120 frames).
     """
 
     def __init__(
-        self,
-        buffer: TimeSeriesBuffer,
-        slos: list[SLO] | None = None,
-        *,
-        registry=None,
+        self, registry: MetricsRegistry, slos: list[SLO] | None = None
     ) -> None:
-        self.buffer = buffer
+        self.registry = registry
         self.slos = list(slos) if slos is not None else []
         names = [slo.name for slo in self.slos]
         if len(set(names)) != len(names):
             raise InvalidConfiguration(
                 f"SLO names must be unique, got {names}"
             )
-        registry = buffer.registry if registry is None else registry
+        window = max((slo.window for slo in self.slos), default=0.0)
+        self._frames: deque[_Frame] = deque(maxlen=max(int(window) + 60, 120))
+        self._lock = threading.Lock()
+        self._stop = threading.Event()
+        self._thread: threading.Thread | None = None
         self._compliance = registry.gauge(
             "repro_slo_compliance", "good-event fraction in the SLO window"
         )
@@ -337,18 +372,152 @@ class SLOTracker:
         self._exporting = False
         self._remove_collector = registry.register_collector(self._export)
 
-    def close(self) -> None:
-        """Stop exporting: remove the collector from the registry."""
+    # -- sampling --------------------------------------------------------------
+
+    def sample(self, unix: float | None = None) -> None:
+        """Snapshot every series into one frame and retain it."""
+        self.registry.collect()
+        frame = _Frame(unix=time.time() if unix is None else float(unix))
+        for metric in self.registry.metrics():
+            if isinstance(metric, Histogram):
+                for key in metric.labels():
+                    frame.histograms[(metric.name, key)] = metric.snapshot(
+                        **dict(key)
+                    )
+            else:
+                for key in metric.labels():
+                    frame.scalars[(metric.name, key)] = metric.value(
+                        **dict(key)
+                    )
+        with self._lock:
+            self._frames.append(frame)
+
+    def start(self) -> None:
+        """Take a baseline frame, so deltas exist after the first tick,
+        and start the daemon sampler thread."""
+        self.sample()
+        self._thread = threading.Thread(
+            target=self._run, daemon=True, name="fxrz-slo-sampler"
+        )
+        self._thread.start()
+
+    def close(self, timeout: float = 5.0) -> None:
+        """Stop the sampler thread and remove the collector (idempotent)."""
+        self._stop.set()
+        if self._thread is not None:
+            self._thread.join(timeout=timeout)
         self._remove_collector()
 
+    def _run(self) -> None:
+        while not self._stop.wait(_SAMPLE_INTERVAL):
+            try:
+                self.sample()
+            except Exception:  # noqa: BLE001 — a sampler must not die
+                continue
+
+    # -- reading the history ---------------------------------------------------
+
+    def _window(self, seconds: float) -> list[_Frame]:
+        """Frames no older than ``seconds`` before the newest frame."""
+        with self._lock:
+            if not self._frames:
+                return []
+            cutoff = self._frames[-1].unix - float(seconds)
+            return [f for f in self._frames if f.unix >= cutoff]
+
+    def series(
+        self, name: str, labels: dict | None = None
+    ) -> list[tuple[float, float]]:
+        """``(unix, value)`` history of one scalar series, oldest first."""
+        key = _label_key(labels or {})
+        with self._lock:
+            frames = list(self._frames)
+        return [
+            (frame.unix, frame.scalars[(name, key)])
+            for frame in frames
+            if (name, key) in frame.scalars
+        ]
+
+    def delta(
+        self, name: str, seconds: float, labels: dict | None = None
+    ) -> float:
+        """Counter increase over the trailing window (0 without history).
+
+        Sums the increase across *all* label sets of ``name`` when
+        ``labels`` is ``None`` — the natural shape for an availability
+        SLO over ``repro_serving_requests_total{outcome=...}``.
+        """
+        frames = self._window(seconds)
+        if len(frames) < 2:
+            return 0.0
+        first, last = frames[0], frames[-1]
+        if labels is None:
+            keys = {
+                key
+                for metric_name, key in last.scalars
+                if metric_name == name
+            }
+        else:
+            keys = {_label_key(labels)}
+        total = 0.0
+        for key in keys:
+            newest = last.scalars.get((name, key), 0.0)
+            oldest = first.scalars.get((name, key), 0.0)
+            # A counter that resets (process restart) shows a drop;
+            # count the post-reset value rather than a negative delta.
+            total += newest - oldest if newest >= oldest else newest
+        return total
+
+    def histogram_delta(self, name: str, seconds: float) -> dict | None:
+        """Bucket-count / sum / count increases over the trailing window.
+
+        Aggregated across label sets; ``None`` when the metric never
+        appeared or fewer than two frames cover the window.
+        """
+        frames = self._window(seconds)
+        if len(frames) < 2:
+            return None
+        first, last = frames[0], frames[-1]
+        keys = {
+            key for metric_name, key in last.histograms if metric_name == name
+        }
+        if not keys:
+            return None
+        counts: list[float] | None = None
+        total_sum = 0.0
+        total_count = 0.0
+        for key in keys:
+            newest = last.histograms.get((name, key))
+            oldest = first.histograms.get(
+                (name, key),
+                {"counts": [0] * len(newest["counts"]), "sum": 0.0, "count": 0},
+            )
+            if newest["count"] < oldest["count"]:  # reset mid-window
+                oldest = {
+                    "counts": [0] * len(newest["counts"]),
+                    "sum": 0.0,
+                    "count": 0,
+                }
+            if counts is None:
+                counts = [0.0] * len(newest["counts"])
+            for index, (new, old) in enumerate(
+                zip(newest["counts"], oldest["counts"])
+            ):
+                counts[index] += new - old
+            total_sum += newest["sum"] - oldest["sum"]
+            total_count += newest["count"] - oldest["count"]
+        return {"counts": counts, "sum": total_sum, "count": total_count}
+
+    # -- evaluation and export -------------------------------------------------
+
     def evaluate(self) -> list[SLOStatus]:
-        """Evaluate every SLO against the buffer, in declaration order."""
-        return [slo.evaluate(self.buffer) for slo in self.slos]
+        """Evaluate every SLO against the history, in declaration order."""
+        return [slo.evaluate(self) for slo in self.slos]
 
     def _export(self) -> None:
-        # Evaluation reads the buffer, whose sample() calls
-        # registry.collect(), which runs this collector: a sample taken
-        # *during* an export must not recurse into another evaluation.
+        # sample() calls registry.collect(), which runs this collector:
+        # a sample taken *during* an export must not recurse into
+        # another evaluation.
         if self._exporting:
             return
         self._exporting = True
@@ -368,10 +537,12 @@ class SLOTracker:
     def report(self) -> dict:
         """JSON-friendly burn report (the ``/slo`` endpoint body)."""
         statuses = self.evaluate()
+        with self._lock:
+            frames = len(self._frames)
         return {
             "slos": [status.to_dict() for status in statuses],
             "alerting": sorted(s.name for s in statuses if s.alerting),
-            "frames_sampled": len(self.buffer),
+            "frames_sampled": frames,
         }
 
 

@@ -79,9 +79,9 @@ class RuntimeConfig:
         canary_margin: fractional median-error improvement a candidate
             must show to be promoted, in [0, 1).
         scrape_port: TCP port of the observability endpoint
-            (``/metrics``, ``/healthz``, ``/slo``, ``/spans``) that an
-            estimation service with a shard lane embeds; 0 picks an
-            ephemeral port, -1 disables the server.
+            (``/metrics``, ``/healthz``, ``/slo``, ``/spans``) that
+            any estimation service embeds; 0 picks an ephemeral port,
+            -1 disables the server.
         trace_sample: fraction of served requests (in-process or
             sharded) that get a distributed trace, in [0, 1] (1 =
             trace everything; only meaningful when a tracer is

@@ -13,15 +13,16 @@ batch reuses it via the :class:`~repro.serving.cache.FeatureCache`.
 :class:`~repro.serving.supervisor.ShardPool` of N supervised worker
 processes takes every admitted request, and whatever no shard can take
 comes back to the same worker pool, whose engine then ends in FRaZ.
-Either way admission, deadline expiry, completion, ``close()`` and the
-root ``serving.request`` span are written once, here, next to the
-request types and the one engine call (:func:`answer`) that the
-workers and the shard processes share.
+Either way admission, deadline expiry, completion, ``close()``, the
+root ``serving.request`` span and the scrape endpoint are written once,
+here, next to the request types and the one engine call (:func:`answer`)
+that the workers and the shard processes share.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import itertools
 import os
 import threading
@@ -212,6 +213,11 @@ class EstimationService:
     Traced requests (a tracer on the context or installed ambiently,
     sampled by :attr:`RuntimeConfig.trace_sample`) get one
     ``serving.request`` span from admission to resolution.
+
+    With :attr:`RuntimeConfig.scrape_port` >= 0 the service serves
+    ``/metrics``, ``/healthz``, ``/slo`` and ``/spans`` from its registry,
+    its tracer and an :class:`~repro.obs.SLOTracker` over the
+    ``slo_*`` objectives, at :attr:`scrape_url` until :meth:`close`.
     """
 
     def __init__(
@@ -259,6 +265,9 @@ class EstimationService:
         self._stopping = False  # workers exit once the queue is empty
         self._pending: OrderedDict[str, deque[Admitted]] = OrderedDict()
         self._cond = threading.Condition()
+        self._obs_server = None
+        if config.scrape_port >= 0:
+            self._open_scrape_endpoint(config)
         self._workers = [
             threading.Thread(
                 target=self._worker, daemon=True, name=f"fxrz-serve-{i}"
@@ -340,6 +349,51 @@ class EstimationService:
     def metrics(self) -> MetricsSnapshot:
         """A frozen snapshot of the service's series in its registry."""
         return self._metrics.snapshot(cache=self.cache)
+
+    @property
+    def scrape_url(self) -> str | None:
+        """Base URL of the scrape endpoint (``None`` when scraping is off)."""
+        return self._obs_server.url if self._obs_server is not None else None
+
+    def _open_scrape_endpoint(self, config: RuntimeConfig) -> None:
+        """Start the SLO tracker's sampler and the scrape endpoint."""
+        tracker = obs.SLOTracker(
+            self._registry,
+            obs.default_serving_slos(
+                availability=float(config.slo_availability),
+                p99_seconds=float(config.slo_p99_ms) / 1000.0,
+                calibration_error=float(config.slo_calibration_error),
+                window=float(config.slo_window),
+            ),
+        )
+        try:
+            self._obs_server = obs.ObservabilityServer(
+                self._registry,
+                tracer=self._trace_sink(),
+                slo_tracker=tracker,
+                health=self._health,
+                port=int(config.scrape_port),
+            )
+        except BaseException:
+            tracker.close()
+            self._unbind_cache()
+            raise
+        tracker.start()
+
+    def _health(self) -> dict:
+        """The ``/healthz`` body; the shard lane adds its shard states
+        and supervision counters, and is healthy while a shard is ready."""
+        closed = self._closed
+        if self.pool is None:
+            return {"healthy": not closed, "closed": closed}
+        states = self.pool.shard_states()
+        return {
+            "healthy": not closed
+            and any(state["state"] == "ready" for state in states),
+            "closed": closed,
+            "shards": states,
+            "stats": dataclasses.asdict(self.pool.stats),
+        }
 
     # -- client API ------------------------------------------------------------
 
@@ -429,6 +483,9 @@ class EstimationService:
             )
         for thread in self._workers:
             thread.join(timeout=timeout)
+        if self._obs_server is not None:
+            self._obs_server.close()
+            self._obs_server.slo_tracker.close()
         self._unbind_cache()
 
     # -- admission -------------------------------------------------------------

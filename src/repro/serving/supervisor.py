@@ -48,7 +48,6 @@ from multiprocessing import connection, resource_tracker
 
 import numpy as np
 
-from repro import obs
 from repro.core.persistence import save_pipeline
 from repro.obs.trace import SpanContext, _new_id
 from repro.errors import (
@@ -244,10 +243,10 @@ class ShardPool:
     (``RuntimeConfig()`` without one) supplies the respawn backoff
     (``retry_attempts``/``retry_base_delay``; ``retry_attempts`` bounds
     *consecutive failed spawns* — a shard that keeps dying before
-    reaching readiness is marked failed), the breaker thresholds
-    (``breaker_failures``/``breaker_reset``) and the embedded scrape
-    endpoint (``scrape_port`` >= 0 starts ``/metrics``, ``/healthz``,
-    ``/slo`` and ``/spans``; 0 = ephemeral, read :attr:`scrape_url`).
+    reaching readiness is marked failed) and the breaker thresholds
+    (``breaker_failures``/``breaker_reset``). The service's scrape
+    endpoint reads :meth:`shard_states` and :attr:`stats` for
+    ``/healthz``.
     """
 
     def __init__(
@@ -336,7 +335,6 @@ class ShardPool:
             )
             for i in range(self.n_shards)
         ]
-        self._ts_buffer = self._obs_server = self._slo_tracker = None
         self._unbind_gauges = self._bind_gauges(service._registry)
         for slot in self.slots:
             self._spawn(slot)
@@ -352,8 +350,6 @@ class ShardPool:
         ]
         for thread in self._threads:
             thread.start()
-        if config.scrape_port >= 0:
-            self._start_telemetry(config, service._registry)
 
     # -- admission ---------------------------------------------------------------
 
@@ -510,54 +506,6 @@ class ShardPool:
 
         return unbind
 
-    # -- telemetry plane -------------------------------------------------------
-
-    def _start_telemetry(self, config: RuntimeConfig, registry) -> None:
-        """Stand up the ring sampler, SLO tracker and scrape endpoint."""
-        window = float(config.slo_window)
-        self._ts_buffer = obs.TimeSeriesBuffer(
-            registry,
-            # one frame per second across the SLO window, plus slack so
-            # the window never outruns the ring
-            capacity=max(int(window) + 60, 120),
-            interval=1.0,
-        )
-        self._slo_tracker = obs.SLOTracker(
-            self._ts_buffer,
-            obs.default_serving_slos(
-                availability=float(config.slo_availability),
-                p99_seconds=float(config.slo_p99_ms) / 1000.0,
-                calibration_error=float(config.slo_calibration_error),
-                window=window,
-            ),
-        )
-        self._ts_buffer.sample()  # a baseline frame so deltas exist early
-        self._ts_buffer.start()
-        self._obs_server = obs.ObservabilityServer(
-            registry,
-            tracer=self._service._trace_sink(),
-            slo_tracker=self._slo_tracker,
-            health=self._health,
-            port=int(config.scrape_port),
-        )
-
-    @property
-    def scrape_url(self) -> str | None:
-        """Base URL of the embedded scrape endpoint (None when off)."""
-        return self._obs_server.url if self._obs_server is not None else None
-
-    def _health(self) -> dict:
-        """The ``/healthz`` body: shard states (with breakers), stats."""
-        states = self.shard_states()
-        closed = self._service._closed
-        return {
-            "healthy": not closed
-            and any(state["state"] == READY for state in states),
-            "closed": closed,
-            "shards": states,
-            "stats": dataclasses.asdict(self.stats),
-        }
-
     # -- tracing ---------------------------------------------------------------
 
     def _trace_event(
@@ -591,12 +539,6 @@ class ShardPool:
             self._cond.notify_all()
         for thread in self._threads:
             thread.join(timeout=5.0)
-        if self._obs_server is not None:
-            self._obs_server.close()
-        if self._ts_buffer is not None:
-            self._ts_buffer.stop()
-        if self._slo_tracker is not None:
-            self._slo_tracker.close()
         for slot in self.slots:
             with self._lock:
                 process, req_conn = slot.process, slot.req_conn

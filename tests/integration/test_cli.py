@@ -323,6 +323,26 @@ class TestObservabilityFlags:
         assert "cli.estimate" in out
         assert "features.extract" in out
 
+    def test_obs_top_on_in_process_service(self, model, capsys):
+        from repro.core.persistence import load_pipeline
+        from repro.runtime import RuntimeContext
+        from repro.serving import EstimationService
+
+        pipeline = load_pipeline(model)
+        with RuntimeContext(
+            env={}, scrape_port=0
+        ) as ctx, EstimationService.for_pipeline(
+            pipeline, ctx=ctx, workers=1
+        ) as service:
+            assert main(
+                ["obs-top", service.scrape_url, "--iterations", "1"]
+            ) == 0
+        out = capsys.readouterr().out
+        assert "[1/1] healthy=True lane in-process" in out
+        assert "shards" not in out
+        for name in ("availability", "latency_p99", "calibration"):
+            assert f"slo {name}" in out
+
     def test_trace_flag_on_search(self, npy_files, tmp_path, capsys):
         from repro import obs
 

@@ -195,11 +195,12 @@ class TestServiceMetrics:
             assert first.metrics.cache_hits == 2
             assert second.metrics.requests_total == 0
 
-    # A scrape endpoint (scrape_port 0) adds the sharded lane's SLO
-    # tracker exporter on top of its supervision gauges.
+    # A scrape endpoint (scrape_port 0) adds the service's SLO tracker
+    # exporter, on either lane; sharded, on top of the supervision
+    # gauges.
     @pytest.mark.parametrize(
-        "shards,scrape_port", [(0, -1), (1, -1), (1, 0)],
-        ids=["0", "1", "1-scraped"],
+        "shards,scrape_port", [(0, -1), (0, 0), (1, -1), (1, 0)],
+        ids=["0", "0-scraped", "1", "1-scraped"],
     )
     def test_closed_services_leave_a_shared_registry(
         self, fitted, shards, scrape_port

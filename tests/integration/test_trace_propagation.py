@@ -7,6 +7,8 @@ span tree under a stable ``trace_id``: admission, per-generation shard
 attempts, redelivery and the in-process rescue all parent back to the
 same request root, and that same id is visible on the returned
 estimate, in the outcome log and at the embedded ``/spans`` endpoint.
+An in-process service's endpoint serves the same routes and the same
+connected tree.
 """
 
 import json
@@ -123,7 +125,7 @@ class TestHappyPathPropagation:
                 ) as service:
                     _wait_ready(service)
                     served = service.estimate(probes[0], 6.0)
-                    scrape = service.pool.scrape_url
+                    scrape = service.scrape_url
                     assert scrape is not None
                     with urllib.request.urlopen(
                         f"{scrape}/spans?trace={served.trace_id}", timeout=5
@@ -160,6 +162,45 @@ class TestHappyPathPropagation:
         [record] = replay.records
         assert record.trace_id == served.trace_id
         assert record.source == "shard"
+
+
+class TestInProcessScrape:
+    def test_in_process_service_serves_all_four_routes(self, fitted):
+        pipeline, probes = fitted
+        with obs.session():
+            with RuntimeContext(
+                env={}, scrape_port=0, trace_sample=1.0
+            ) as ctx, EstimationService.for_pipeline(
+                pipeline, ctx=ctx, shards=0
+            ) as service:
+                served = service.estimate(probes[0], 6.0)
+                base = service.scrape_url
+                assert base is not None
+                routes = {}
+                for route in ("/metrics", "/healthz", "/slo",
+                              f"/spans?trace={served.trace_id}"):
+                    with urllib.request.urlopen(
+                        base + route, timeout=5
+                    ) as response:
+                        routes[route] = response.read().decode()
+
+        assert "repro_serving_requests_total" in routes["/metrics"]
+        assert "repro_slo_burn_rate" in routes["/metrics"]
+        assert json.loads(routes["/healthz"]) == {
+            "healthy": True, "closed": False,
+        }
+        assert [s["name"] for s in json.loads(routes["/slo"])["slos"]] == [
+            "availability", "latency_p99", "calibration",
+        ]
+        spans = [
+            obs.Span.from_dict(json.loads(line))
+            for line in routes[f"/spans?trace={served.trace_id}"].splitlines()
+        ]
+        assert served.trace_id != 0
+        assert all(s.trace_id == served.trace_id for s in spans)
+        root = _assert_connected(spans)
+        assert root.name == "serving.request"
+        assert len(spans) > 1
 
 
 class TestChaosTraceSurvivesShardDeath:

@@ -1,17 +1,18 @@
-"""Telemetry-plane unit tests: ring sampler, SLO burn, scrape server,
-trace exporters.
+"""Telemetry-plane unit tests: SLO tracker history, SLO burn, scrape
+server.
 
-Covers the :class:`TimeSeriesBuffer` frame/delta mechanics (label-set
-aggregation, counter-reset tolerance, histogram deltas, window
-eviction), the declarative SLO set (availability, latency-threshold,
-gauge-threshold) with burn-rate/alerting semantics and the
-``repro_slo_*`` collector export, the embedded scrape endpoint's four
-routes, and the Chrome ``trace_event`` / folded-stacks exporters.
+Covers the :class:`SLOTracker`'s frame ring and delta mechanics
+(label-set aggregation, counter-reset tolerance, histogram deltas,
+window eviction, the sampler thread), the declarative SLO set
+(availability, latency-threshold, gauge-threshold) with
+burn-rate/alerting semantics and the ``repro_slo_*`` collector export,
+and the embedded scrape endpoint's four routes.
 """
 
 from __future__ import annotations
 
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -34,32 +35,37 @@ def _fetch(url: str):
 
 
 class TestTimeSeriesBuffer:
-    def test_validation(self, registry):
-        with pytest.raises(InvalidConfiguration):
-            obs.TimeSeriesBuffer(registry, capacity=1)
-        with pytest.raises(InvalidConfiguration):
-            obs.TimeSeriesBuffer(registry, interval=0.0)
+    """The SLO tracker's own time series: frame ring, windowed deltas
+    and the sampler thread."""
 
     def test_capacity_evicts_oldest(self, registry):
-        registry.gauge("repro_test_level").set(1.0)
-        buf = obs.TimeSeriesBuffer(registry, capacity=5)
-        for i in range(8):
-            buf.sample(unix=float(i))
-        assert len(buf) == 5
-        assert buf.frames()[0].unix == 3.0
-        assert buf.latest().unix == 7.0
+        # The ring holds the longest SLO window in 1 s frames plus a
+        # minute of slack: 160 frames for a 100 s window.
+        counter = registry.counter("repro_test_total")
+        tracker = obs.SLOTracker(
+            registry,
+            [obs.AvailabilitySLO(window=30.0),
+             obs.LatencySLO(window=100.0)],
+        )
+        for i in range(170):
+            counter.inc()
+            tracker.sample(unix=float(i))
+        assert tracker.report()["frames_sampled"] == 160
+        # Frames 10..169 remain: the oldest counter value is 11.
+        assert tracker.delta("repro_test_total", 1e9) == 159.0
+        assert obs.SLOTracker(registry).report()["frames_sampled"] == 0
 
     def test_delta_aggregates_label_sets(self, registry):
         counter = registry.counter("repro_test_requests_total")
-        buf = obs.TimeSeriesBuffer(registry, capacity=10)
+        tracker = obs.SLOTracker(registry)
         counter.inc(3, outcome="ok")
-        buf.sample(unix=100.0)
+        tracker.sample(unix=100.0)
         counter.inc(2, outcome="ok")
         counter.inc(1, outcome="error")
-        buf.sample(unix=101.0)
-        total = buf.delta("repro_test_requests_total", 60.0)
+        tracker.sample(unix=101.0)
+        total = tracker.delta("repro_test_requests_total", 60.0)
         assert total == pytest.approx(3.0)
-        ok = buf.delta(
+        ok = tracker.delta(
             "repro_test_requests_total", 60.0, labels={"outcome": "ok"}
         )
         assert ok == pytest.approx(2.0)
@@ -68,85 +74,86 @@ class TestTimeSeriesBuffer:
         # A gauge stands in for a counter that restarted mid-window:
         # the post-reset value is counted, never a negative delta.
         gauge = registry.gauge("repro_test_restarts_total")
-        buf = obs.TimeSeriesBuffer(registry, capacity=10)
+        tracker = obs.SLOTracker(registry)
         gauge.set(10.0)
-        buf.sample(unix=0.0)
+        tracker.sample(unix=0.0)
         gauge.set(4.0)
-        buf.sample(unix=1.0)
-        assert buf.delta("repro_test_restarts_total", 60.0) == 4.0
+        tracker.sample(unix=1.0)
+        assert tracker.delta("repro_test_restarts_total", 60.0) == 4.0
 
     def test_delta_without_history_is_zero(self, registry):
-        buf = obs.TimeSeriesBuffer(registry, capacity=10)
-        assert buf.delta("repro_test_requests_total", 60.0) == 0.0
-        buf.sample(unix=0.0)
-        assert buf.delta("repro_test_requests_total", 60.0) == 0.0
+        tracker = obs.SLOTracker(registry)
+        assert tracker.delta("repro_test_requests_total", 60.0) == 0.0
+        tracker.sample(unix=0.0)
+        assert tracker.delta("repro_test_requests_total", 60.0) == 0.0
 
     def test_histogram_delta(self, registry):
         hist = registry.histogram(
             "repro_test_seconds", buckets=(0.1, 1.0)
         )
-        buf = obs.TimeSeriesBuffer(registry, capacity=10)
+        tracker = obs.SLOTracker(registry)
         hist.observe(0.05)
-        buf.sample(unix=0.0)
+        tracker.sample(unix=0.0)
         hist.observe(0.5)
         hist.observe(5.0)  # overflow: only in count
-        buf.sample(unix=1.0)
-        delta = buf.histogram_delta("repro_test_seconds", 60.0)
+        tracker.sample(unix=1.0)
+        delta = tracker.histogram_delta("repro_test_seconds", 60.0)
         assert delta["counts"] == [0.0, 1.0]
         assert delta["count"] == 2.0
         assert delta["sum"] == pytest.approx(5.5)
-        assert buf.histogram_delta("repro_test_other", 60.0) is None
+        assert tracker.histogram_delta("repro_test_other", 60.0) is None
 
     def test_window_and_series(self, registry):
         gauge = registry.gauge("repro_test_level")
-        buf = obs.TimeSeriesBuffer(registry, capacity=10)
+        tracker = obs.SLOTracker(registry)
         for i in range(5):
             gauge.set(float(i))
-            buf.sample(unix=float(i * 10))
-        assert len(buf.window(20.0)) == 3  # unix 20, 30, 40
-        points = buf.series("repro_test_level")
-        assert [p.value for p in points] == [0.0, 1.0, 2.0, 3.0, 4.0]
+            tracker.sample(unix=float(i * 10))
+        # The 20 s window holds unix 20, 30, 40.
+        assert tracker.delta("repro_test_level", 20.0) == 2.0
+        points = tracker.series("repro_test_level")
+        assert [value for _, value in points] == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert [unix for unix, _ in points] == [0.0, 10.0, 20.0, 30.0, 40.0]
 
-    def test_sampler_thread_runs_and_stops(self, registry):
+    def test_sampler_thread_runs_and_stops(self, registry, monkeypatch):
+        from repro.obs import slo as slo_module
+
+        monkeypatch.setattr(slo_module, "_SAMPLE_INTERVAL", 0.01)
         registry.gauge("repro_test_level").set(1.0)
-        buf = obs.TimeSeriesBuffer(registry, capacity=10, interval=0.01)
-        buf.start()
+        before = len(registry._collectors)
+        tracker = obs.SLOTracker(registry, obs.default_serving_slos())
+        tracker.start()
         try:
-            deadline = 200
-            while len(buf) < 2 and deadline:
-                deadline -= 1
-                import time
-
+            # start() takes the baseline frame before the first tick.
+            assert tracker.report()["frames_sampled"] >= 1
+            give_up = time.monotonic() + 5.0
+            while (tracker.report()["frames_sampled"] < 3
+                   and time.monotonic() < give_up):
                 time.sleep(0.01)
-            assert len(buf) >= 2
+            assert tracker.report()["frames_sampled"] >= 3
         finally:
-            buf.stop()
-
-    def test_to_dict_is_json_serializable(self, registry):
-        registry.counter("repro_test_total").inc()
-        buf = obs.TimeSeriesBuffer(registry, capacity=10)
-        buf.sample(unix=0.0)
-        buf.sample(unix=1.0)
-        dump = json.dumps(buf.to_dict())
-        assert "repro_test_total" in dump
+            tracker.close()
+        assert not tracker._thread.is_alive()
+        assert len(registry._collectors) == before
+        tracker.close()  # idempotent
 
 
 class TestSLOs:
-    def _traffic(self, registry, ok: int, error: int):
+    def _traffic(self, registry, ok: int, error: int, slos=None):
         counter = registry.counter("repro_serving_requests_total")
-        buf = obs.TimeSeriesBuffer(registry, capacity=10)
-        buf.sample(unix=0.0)
+        tracker = obs.SLOTracker(registry, slos)
+        tracker.sample(unix=0.0)
         if ok:
             counter.inc(ok, outcome="ok")
         if error:
             counter.inc(error, outcome="error")
-        buf.sample(unix=10.0)
-        return buf
+        tracker.sample(unix=10.0)
+        return tracker
 
     def test_availability_burn_and_alert(self, registry):
-        buf = self._traffic(registry, ok=9, error=1)
+        tracker = self._traffic(registry, ok=9, error=1)
         slo = obs.AvailabilitySLO(objective=0.9, window=60.0)
-        status = slo.evaluate(buf)
+        status = slo.evaluate(tracker)
         assert status.compliance == pytest.approx(0.9)
         # error rate 0.1 against a 0.1 budget: burning exactly at rate.
         assert status.burn_rate == pytest.approx(1.0)
@@ -154,17 +161,19 @@ class TestSLOs:
         assert status.events == 10.0
 
     def test_no_traffic_is_compliant(self, registry):
-        buf = obs.TimeSeriesBuffer(registry, capacity=10)
-        buf.sample(unix=0.0)
-        buf.sample(unix=1.0)
-        status = obs.AvailabilitySLO(window=60.0).evaluate(buf)
+        tracker = obs.SLOTracker(registry)
+        tracker.sample(unix=0.0)
+        tracker.sample(unix=1.0)
+        status = obs.AvailabilitySLO(window=60.0).evaluate(tracker)
         assert status.compliance == 1.0
         assert status.burn_rate == 0.0
         assert not status.alerting
 
     def test_perfect_objective_has_infinite_burn(self, registry):
-        buf = self._traffic(registry, ok=9, error=1)
-        status = obs.AvailabilitySLO(objective=1.0, window=60.0).evaluate(buf)
+        tracker = self._traffic(registry, ok=9, error=1)
+        status = obs.AvailabilitySLO(objective=1.0, window=60.0).evaluate(
+            tracker
+        )
         assert status.burn_rate == float("inf")
         assert status.alerting
 
@@ -172,93 +181,98 @@ class TestSLOs:
         hist = registry.histogram(
             "repro_serving_latency_seconds", buckets=(0.1, 0.25, 1.0)
         )
-        buf = obs.TimeSeriesBuffer(registry, capacity=10)
-        buf.sample(unix=0.0)
+        tracker = obs.SLOTracker(registry)
+        tracker.sample(unix=0.0)
         for value in (0.05, 0.2, 0.9):
             hist.observe(value, outcome="ok")
-        buf.sample(unix=10.0)
+        tracker.sample(unix=10.0)
         slo = obs.LatencySLO(
             objective=0.5, threshold_seconds=0.25, window=60.0
         )
-        status = slo.evaluate(buf)
+        status = slo.evaluate(tracker)
         assert status.compliance == pytest.approx(2.0 / 3.0)
         assert status.events == 3.0
 
     def _latency_traffic(self, registry, latencies):
         hist = registry.histogram("repro_serving_latency_seconds")
-        buf = obs.TimeSeriesBuffer(registry, capacity=10)
-        buf.sample(unix=0.0)
+        tracker = obs.SLOTracker(registry)
+        tracker.sample(unix=0.0)
         for value in latencies:
             hist.observe(value, outcome="ok")
-        buf.sample(unix=10.0)
-        return buf
+        tracker.sample(unix=10.0)
+        return tracker
 
     def test_default_p99_counts_requests_under_250ms(self, registry):
         # The default grid has a 0.25 bound, so the stock 250 ms
         # threshold counts a 0.2 s request as good.
-        buf = self._latency_traffic(registry, [0.2] * 100)
+        tracker = self._latency_traffic(registry, [0.2] * 100)
         [_, slo, _] = obs.default_serving_slos()
-        status = slo.evaluate(buf)
+        status = slo.evaluate(tracker)
         assert status.compliance == 1.0
         assert status.burn_rate == 0.0
         assert not status.alerting
 
     def test_default_p99_fails_requests_over_250ms(self, registry):
-        buf = self._latency_traffic(registry, [0.3] * 100)
+        tracker = self._latency_traffic(registry, [0.3] * 100)
         [_, slo, _] = obs.default_serving_slos()
-        status = slo.evaluate(buf)
+        status = slo.evaluate(tracker)
         assert status.compliance == 0.0
         assert status.alerting
 
     def test_off_grid_threshold_interpolates(self, registry):
         # 0.175 s is 50% of the way through the (0.1, 0.25] bucket.
-        buf = self._latency_traffic(registry, [0.2] * 10)
+        tracker = self._latency_traffic(registry, [0.2] * 10)
         slo = obs.LatencySLO(
             objective=0.5, threshold_seconds=0.175, window=60.0
         )
-        status = slo.evaluate(buf)
+        status = slo.evaluate(tracker)
         assert status.compliance == pytest.approx(0.5)
         assert status.burn_rate == pytest.approx(1.0)
 
     def test_threshold_slo_watches_gauge(self, registry):
         gauge = registry.gauge("repro_lifecycle_drift_error_ewma")
-        buf = obs.TimeSeriesBuffer(registry, capacity=10)
+        tracker = obs.SLOTracker(registry)
         gauge.set(0.1)
-        buf.sample(unix=0.0)
+        tracker.sample(unix=0.0)
         slo = obs.ThresholdSLO(threshold=0.25, window=60.0)
-        status = slo.evaluate(buf)
+        status = slo.evaluate(tracker)
         assert status.compliance == 1.0
         assert status.burn_rate == pytest.approx(0.4)
         gauge.set(0.5)
-        buf.sample(unix=1.0)
-        status = slo.evaluate(buf)
+        tracker.sample(unix=1.0)
+        status = slo.evaluate(tracker)
         assert status.compliance == 0.0
         assert status.burn_rate == pytest.approx(2.0)
         assert status.alerting
 
     def test_tracker_exports_slo_gauges(self, registry):
-        buf = self._traffic(registry, ok=9, error=1)
-        obs.SLOTracker(buf, obs.default_serving_slos(availability=0.9))
+        tracker = self._traffic(
+            registry, ok=9, error=1,
+            slos=obs.default_serving_slos(availability=0.9),
+        )
         text = registry.render_prometheus()
         assert 'repro_slo_burn_rate{slo="availability"} 1' in text
         assert 'repro_slo_alert{slo="availability"} 1' in text
         assert 'repro_slo_compliance{slo="latency_p99"} 1' in text
+        tracker.close()
+        assert registry._collectors == []
 
     def test_tracker_report_is_json_serializable(self, registry):
-        buf = self._traffic(registry, ok=5, error=0)
-        tracker = obs.SLOTracker(buf, obs.default_serving_slos())
+        tracker = self._traffic(
+            registry, ok=5, error=0, slos=obs.default_serving_slos()
+        )
         report = tracker.report()
         json.dumps(report)
         assert [s["name"] for s in report["slos"]] == [
             "availability", "latency_p99", "calibration",
         ]
         assert report["alerting"] == []
+        assert report["frames_sampled"] == 2
 
     def test_tracker_rejects_duplicate_names(self, registry):
-        buf = obs.TimeSeriesBuffer(registry, capacity=10)
         with pytest.raises(InvalidConfiguration):
             obs.SLOTracker(
-                buf,
+                registry,
                 [obs.AvailabilitySLO(), obs.AvailabilitySLO()],
             )
 
@@ -336,62 +350,3 @@ class TestObservabilityServer:
         server = obs.ObservabilityServer(registry)
         server.close()
         server.close()
-
-
-class TestExporters:
-    def _spans(self):
-        tracer = obs.Tracer()
-        with tracer.span("serving.request"):
-            with tracer.span("shard.serve"):
-                pass
-        return tracer
-
-    def test_chrome_trace_events_shape(self):
-        tracer = self._spans()
-        events = obs.chrome_trace_events(tracer)
-        assert [e["name"] for e in events] == [
-            "serving.request", "shard.serve",
-        ]
-        for event in events:
-            assert event["ph"] == "X"
-            assert event["dur"] >= 0.0
-            assert event["tid"] == event["args"]["trace_id"]
-        assert events[0]["cat"] == "serving"
-        assert events[1]["args"]["parent_id"] == events[0]["args"]["span_id"]
-
-    def test_chrome_trace_marks_errors(self):
-        tracer = obs.Tracer()
-        with pytest.raises(ValueError):
-            with tracer.span("boom"):
-                raise ValueError("bad")
-        [event] = obs.chrome_trace_events(tracer)
-        assert event["args"]["status"] == "error"
-        assert "bad" in event["args"]["error"]
-
-    def test_export_chrome_trace_file(self, tmp_path):
-        path = tmp_path / "trace.json"
-        count = obs.export_chrome_trace(self._spans(), path)
-        assert count == 2
-        document = json.loads(path.read_text())
-        assert len(document["traceEvents"]) == 2
-
-    def test_folded_stacks_self_time(self):
-        spans = [
-            {"name": "root", "trace_id": 1, "span_id": 1,
-             "parent_id": None, "start_unix": 0.0, "wall_seconds": 1.0},
-            {"name": "child", "trace_id": 1, "span_id": 2,
-             "parent_id": 1, "start_unix": 0.1, "wall_seconds": 0.4},
-        ]
-        weights = obs.folded_stacks(spans)
-        assert weights["root"] == pytest.approx(0.6e6)
-        assert weights["root;child"] == pytest.approx(0.4e6)
-
-    def test_export_folded_stacks_file(self, tmp_path):
-        path = tmp_path / "stacks.folded"
-        lines = obs.export_folded_stacks(self._spans(), path)
-        assert lines == 2
-        text = path.read_text().splitlines()
-        assert any(
-            line.startswith("serving.request;shard.serve ")
-            for line in text
-        )
