@@ -37,10 +37,13 @@ parallel:
 # Observability gate: the obs-marked tests (tracer, registry, SLO
 # tracker history and burn rates, scrape endpoint, cost tree,
 # cross-process trace propagation) with RuntimeWarnings promoted to
-# errors, then the live scrape smoke against an in-process and a
-# sharded service.
+# errors, and ResourceWarnings too: a leaked socket, file or HTTP error
+# reply raises in its finalizer, which pytest reports as an unraisable
+# exception, itself promoted to an error. Then the live scrape smoke
+# against an in-process and a sharded service.
 obs:
-	$(PYTEST) -x -q -W error::RuntimeWarning -m obs
+	$(PYTEST) -x -q -W error::RuntimeWarning -W error::ResourceWarning \
+		-W error::pytest.PytestUnraisableExceptionWarning -m obs
 	PYTHONPATH=src $(PY) examples/scrape_smoke.py
 
 # Scrape smoke alone: an in-process and a sharded service, each with

@@ -62,6 +62,11 @@ def _frozen_array(values: np.ndarray) -> np.ndarray:
     return array
 
 
+def _field(data, report: FieldReport) -> np.ndarray:
+    """The array the rungs work on: the caller's own, or its patched copy."""
+    return np.asarray(data) if report.data is None else report.data
+
+
 @dataclass(frozen=True)
 class DatasetAnalysis:
     """The target-independent half of one inference: what the dataset *is*.
@@ -71,9 +76,10 @@ class DatasetAnalysis:
         nonconstant: the non-constant block fraction R (1.0 when CA is
             disabled).
         seconds: wall time spent computing this analysis.
-        report: the field's validation report, computed on the patched
-            field the rungs use; ``None`` from an engine that does not
-            validate (the guarded engine re-analyzes such a field).
+        report: the field's validation report; ``None`` from an engine
+            that does not validate (the guarded engine re-analyzes such
+            a field). It holds no array of a clean field, so a cached
+            analysis never keeps the caller's field alive.
     """
 
     features: np.ndarray
@@ -162,9 +168,10 @@ class Estimate:
 class Query(NamedTuple):
     """One request as the ladder's rungs see it.
 
-    ``data`` is the field the rungs compress: the validated (patched)
-    field when the engine validates. ``acr`` is 0.0 for quality
-    objectives; ``doubts`` says why ``confidence`` is below 1.
+    ``data`` is the field the rungs compress: the caller's own array,
+    or its patched copy when validation replaced non-finite values.
+    ``acr`` is 0.0 for quality objectives; ``doubts`` says why
+    ``confidence`` is below 1.
     """
 
     data: np.ndarray
@@ -250,7 +257,7 @@ class InferenceEngine:
             start = time.perf_counter()
             report = self._validate(data)
             if report is not None:
-                data = report.data
+                data = _field(data, report)
                 span.set_attribute("issues", len(report.issues))
             features = extract_features(
                 data, stride=self.config.sampling_stride
@@ -321,7 +328,7 @@ class InferenceEngine:
             )
             confidence, doubts = self._confidence(analysis, objective, acr)
             if analysis.report is not None:
-                data = analysis.report.data
+                data = _field(data, analysis.report)
             config, tier, measured, reason = self._walk(
                 self.ratio_ladder if is_ratio else self.quality_ladder,
                 Query(data, objective, analysis, acr, confidence, doubts),
@@ -362,6 +369,10 @@ class InferenceEngine:
                     error = exc
                     continue
                 span.set_attribute("accepted", True)
+                # A kept decline's traceback holds this frame and so the
+                # query's field: drop it rather than leave that cycle to
+                # the garbage collector.
+                error = None
                 return config, tier, measured, "; ".join(reasons)
         raise self._exhausted(reasons, error)
 

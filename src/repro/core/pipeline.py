@@ -265,29 +265,7 @@ class FXRZ:
             )
             if candidate.estimation_error < best.estimation_error:
                 best = candidate
-        outcome_log = (
-            self.ctx.lifecycle
-            if self.ctx is not None and not self.ctx.closed
-            else None
-        )
-        if outcome_log is not None:
-            # The one place estimate and measured truth meet in a
-            # single call — the highest-value record the online
-            # learning loop gets (see repro.lifecycle).
-            try:
-                from repro.serving.cache import dataset_fingerprint
-
-                outcome_log.record_estimate(
-                    best.estimate,
-                    dataset_key=dataset_fingerprint(
-                        data, stride=self.config.sampling_stride
-                    ),
-                    compressor=self.compressor.name,
-                    measured_ratio=best.measured_ratio,
-                    source="compress",
-                )
-            except OSError:
-                pass  # a full disk must not fail the compression
+        self._record_outcome(data, best)
         return best
 
     def compress_to_objective(self, data: np.ndarray, objective) -> FixedRatioResult:
@@ -316,25 +294,33 @@ class FXRZ:
             measured_ratio=blob.compression_ratio,
             measured_psnr=measured_psnr,
         )
-        outcome_log = (
-            self.ctx.lifecycle
-            if self.ctx is not None and not self.ctx.closed
-            else None
-        )
-        if outcome_log is not None:
-            try:
-                from repro.serving.cache import dataset_fingerprint
-
-                outcome_log.record_estimate(
-                    estimate,
-                    dataset_key=dataset_fingerprint(
-                        data, stride=self.config.sampling_stride
-                    ),
-                    compressor=self.compressor.name,
-                    measured_ratio=result.measured_ratio,
-                    measured_psnr=measured_psnr,
-                    source="compress",
-                )
-            except OSError:
-                pass  # a full disk must not fail the compression
+        self._record_outcome(data, result)
         return result
+
+    def _record_outcome(self, data: np.ndarray, result: FixedRatioResult) -> None:
+        """Log ``result`` to the context's outcome log, if one is open.
+
+        The one place estimate and measured truth meet in a single call —
+        the highest-value record the online learning loop gets (see
+        :mod:`repro.lifecycle`).
+        """
+        if self.ctx is None or self.ctx.closed:
+            return
+        outcome_log = self.ctx.lifecycle
+        if outcome_log is None:
+            return
+        try:
+            from repro.serving.cache import dataset_fingerprint
+
+            outcome_log.record_estimate(
+                result.estimate,
+                dataset_key=dataset_fingerprint(
+                    data, stride=self.config.sampling_stride
+                ),
+                compressor=self.compressor.name,
+                measured_ratio=result.measured_ratio,
+                measured_psnr=result.measured_psnr,
+                source="compress",
+            )
+        except OSError:
+            pass  # a full disk must not fail the compression

@@ -350,10 +350,11 @@ class MetricsRegistry:
 
         return remove
 
-    def collect(self) -> None:
-        """Run every registered collector (refresh pull-model gauges)."""
+    def collect(self, skip=None) -> None:
+        """Run every registered collector (refresh pull-model gauges)
+        except ``skip``."""
         with self._lock:
-            collectors = list(self._collectors)
+            collectors = [c for c in self._collectors if c != skip]
         for collect in collectors:
             collect()
 

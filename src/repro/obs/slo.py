@@ -369,14 +369,18 @@ class SLOTracker:
         self._alert = registry.gauge(
             "repro_slo_alert", "1 when the SLO burn rate is over its alert"
         )
-        self._exporting = False
         self._remove_collector = registry.register_collector(self._export)
 
     # -- sampling --------------------------------------------------------------
 
     def sample(self, unix: float | None = None) -> None:
-        """Snapshot every series into one frame and retain it."""
-        self.registry.collect()
+        """Snapshot every series into one frame and retain it.
+
+        Every other collector refreshes its gauges first. The tracker's
+        own is skipped: no SLO reads the ``repro_slo_*`` gauges, and
+        the next export re-evaluates them anyway.
+        """
+        self.registry.collect(skip=self._export)
         frame = _Frame(unix=time.time() if unix is None else float(unix))
         for metric in self.registry.metrics():
             if isinstance(metric, Histogram):
@@ -515,24 +519,13 @@ class SLOTracker:
         return [slo.evaluate(self) for slo in self.slos]
 
     def _export(self) -> None:
-        # sample() calls registry.collect(), which runs this collector:
-        # a sample taken *during* an export must not recurse into
-        # another evaluation.
-        if self._exporting:
-            return
-        self._exporting = True
-        try:
-            for status in self.evaluate():
-                burn = status.burn_rate
-                self._compliance.set(status.compliance, slo=status.name)
-                self._burn.set(
-                    burn if burn != float("inf") else 1e12, slo=status.name
-                )
-                self._alert.set(
-                    1.0 if status.alerting else 0.0, slo=status.name
-                )
-        finally:
-            self._exporting = False
+        for status in self.evaluate():
+            burn = status.burn_rate
+            self._compliance.set(status.compliance, slo=status.name)
+            self._burn.set(
+                burn if burn != float("inf") else 1e12, slo=status.name
+            )
+            self._alert.set(1.0 if status.alerting else 0.0, slo=status.name)
 
     def report(self) -> dict:
         """JSON-friendly burn report (the ``/slo`` endpoint body)."""

@@ -281,8 +281,9 @@ class GuardedInferenceEngine(InferenceEngine):
         return self.compressor.normalize_config(config), "curve", None
 
     def _fraz(self, query: Query):
-        # The search ran the real compressor on the patched field, so
-        # its measured ratio is ground truth worth logging.
+        # The search ran the real compressor on the caller's own field
+        # (or its patched copy), so its measured ratio is the ratio the
+        # caller gets: ground truth worth logging.
         search = FRaZ(
             self.compressor, max_iterations=self.fraz_iterations, ctx=self.ctx
         ).search(query.data, query.objective.tcr)

@@ -233,36 +233,18 @@ class RuntimeConfig:
         return cls(provenance=provenance, **values)
 
 
+#: Each option's type, read from its annotation (a string under
+#: postponed evaluation), so a new field needs no entry here.
+_FIELD_TYPES = {
+    f.name: {"int": int, "float": float, "str": str}[f.type]
+    for f in dataclasses.fields(RuntimeConfig)
+    if f.name != "provenance"
+}
+
+
 def _coerce(name: str, value, source: str):
     """Parse ``value`` into the field's type, blaming ``source``."""
-    target = {
-        "jobs": int,
-        "backend": str,
-        "trace": str,
-        "metrics": str,
-        "seed": int,
-        "fallback": str,
-        "min_confidence": float,
-        "retry_attempts": int,
-        "retry_base_delay": float,
-        "breaker_failures": int,
-        "breaker_reset": float,
-        "deadline": float,
-        "outcome_log": str,
-        "drift_window": int,
-        "drift_ood_threshold": float,
-        "drift_error_threshold": float,
-        "drift_hysteresis": int,
-        "retrain_min_samples": int,
-        "canary_fraction": float,
-        "canary_margin": float,
-        "scrape_port": int,
-        "trace_sample": float,
-        "slo_availability": float,
-        "slo_p99_ms": float,
-        "slo_calibration_error": float,
-        "slo_window": float,
-    }[name]
+    target = _FIELD_TYPES[name]
     try:
         if target is str:
             if not isinstance(value, str):

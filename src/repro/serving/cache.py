@@ -134,11 +134,6 @@ class FeatureCache:
         entry.set_result(value)
         return value, False
 
-    def discard(self, key: str) -> None:
-        """Drop ``key``'s entry if cached (waiters keep their value)."""
-        with self._lock:
-            self._entries.pop(key, None)
-
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()

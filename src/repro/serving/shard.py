@@ -139,7 +139,7 @@ def shard_main(
     _send(res_conn, {"kind": "ready", "generation": generation})
 
     analyses = FeatureCache(max_entries=FEATURE_CACHE_ENTRIES)
-    segments: OrderedDict[str, tuple[SharedNDArray, str]] = OrderedDict()
+    segments: OrderedDict[str, SharedNDArray] = OrderedDict()
     try:
         while os.getppid() == supervisor:
             beat.value = time.monotonic()
@@ -160,26 +160,24 @@ def shard_main(
             finally:
                 busy.value = 0.0
     finally:
-        for handle, _ in segments.values():
+        for handle in segments.values():
             handle.close()
 
 
-def _mapped(segments: OrderedDict, analyses: FeatureCache, descriptor,
-            key: str) -> SharedNDArray:
-    """The shard's mapping of ``descriptor`` (dataset ``key``), in an LRU
-    of :data:`MAX_DATASETS` mappings that unmaps what it evicts.
+def _mapped(segments: OrderedDict, descriptor) -> SharedNDArray:
+    """The shard's mapping of ``descriptor``, in an LRU of
+    :data:`MAX_DATASETS` mappings that unmaps what it evicts.
 
-    An evicted mapping's dataset also leaves the analysis cache: the
-    guarded engine's analysis keeps a view of the array it validated
-    (float64 input is not copied), which must not outlive the mapping.
+    A cached analysis never views a mapping (it holds no array of a
+    clean field, and its own copy of a patched one), so evicting a
+    mapping leaves the analysis cache alone.
     """
-    entry = segments.pop(descriptor.name, None)
-    handle = entry[0] if entry else SharedNDArray.attach(descriptor)
-    segments[descriptor.name] = (handle, key)
+    handle = segments.pop(descriptor.name, None)
+    if handle is None:
+        handle = SharedNDArray.attach(descriptor)
+    segments[descriptor.name] = handle
     while len(segments) > MAX_DATASETS:
-        old, old_key = segments.popitem(last=False)[1]
-        analyses.discard(old_key)
-        old.close()
+        segments.popitem(last=False)[1].close()
     return handle
 
 
@@ -240,10 +238,7 @@ def _answer(message, engine, analyses, segments, faults, rng, shard,
     )
     try:
         with span as sp:
-            handle = _mapped(
-                segments, analyses, message["descriptor"],
-                message["dataset_key"],
-            )
+            handle = _mapped(segments, message["descriptor"])
             objective = message["objective"]
             estimate, hit = answer(
                 engine,

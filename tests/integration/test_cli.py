@@ -1,6 +1,7 @@
 """Integration tests of the command-line interface."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -306,7 +307,7 @@ class TestObservabilityFlags:
         [root_span] = [s for s in spans if s.parent_id is None]
         assert root_span.name == "cli.estimate"
 
-        text = open(metrics).read()
+        text = pathlib.Path(metrics).read_text()
         assert "repro_guarded_tier_total" in text
 
     def test_obs_report_renders_cost_tree(self, npy_files, model, tmp_path, capsys):
@@ -356,7 +357,7 @@ class TestObservabilityFlags:
         capsys.readouterr()
         names = {s.name for s in obs.load_trace(trace)}
         assert "fraz.search" in names and "fraz.probe" in names
-        text = open(metrics).read()
+        text = pathlib.Path(metrics).read_text()
         assert "repro_fraz_searches_total 1" in text
         assert 'repro_fraz_probes_total{source="run"}' in text
 

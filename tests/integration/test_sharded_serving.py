@@ -36,7 +36,6 @@ from repro.parallel.shm import SharedNDArray
 from repro.robustness.faults import FaultSpec
 from repro.runtime import RuntimeContext
 from repro.serving import CircuitBreaker, EstimateRequest, EstimationService
-from repro.serving.cache import FeatureCache
 from repro.serving.service import MAX_DATASETS
 from repro.serving.shard import _mapped
 
@@ -725,25 +724,25 @@ class TestSegmentLifetime:
 
 
 class TestShardMappingLRU:
-    def test_evicted_mapping_drops_its_cached_analysis(self):
-        """A cached analysis may view its mapping, so the two leave the
-        shard together."""
+    def test_mappings_evict_least_recently_used(self):
         owners = [
             SharedNDArray.from_array(np.full(4, float(i)))
             for i in range(MAX_DATASETS + 2)
         ]
-        segments, analyses = OrderedDict(), FeatureCache()
+        segments = OrderedDict()
         try:
-            for i, owner in enumerate(owners):
-                handle = _mapped(segments, analyses, owner.descriptor, f"k{i}")
-                view = handle.asarray()
-                analyses.get_or_compute(f"k{i}", lambda: view)
-            assert len(segments) == len(analyses) == MAX_DATASETS
+            for owner in owners:
+                handle = _mapped(segments, owner.descriptor)
+                assert handle.asarray()[0] == owner.asarray()[0]
+            assert len(segments) == MAX_DATASETS
             assert list(segments)[0] == owners[2].descriptor.name
-            recomputed = analyses.get_or_compute("k0", lambda: "fresh")
-            assert recomputed == ("fresh", False)
+            # A hit moves the mapping to the back of the LRU.
+            assert _mapped(segments, owners[2].descriptor) is segments[
+                owners[2].descriptor.name
+            ]
+            assert list(segments)[-1] == owners[2].descriptor.name
         finally:
-            for handle, _ in segments.values():
+            for handle in segments.values():
                 handle.close()
             for owner in owners:
                 owner.close()

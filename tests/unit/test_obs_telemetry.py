@@ -257,6 +257,25 @@ class TestSLOs:
         tracker.close()
         assert registry._collectors == []
 
+    def test_sampling_does_not_evaluate_the_slos(self, registry, monkeypatch):
+        """The sampler tick snapshots the registry; only an export
+        evaluates the SLOs and writes their gauges."""
+        tracker = obs.SLOTracker(registry, obs.default_serving_slos())
+        evaluate = tracker.evaluate
+        calls = []
+
+        def counting():
+            calls.append(1)
+            return evaluate()
+
+        monkeypatch.setattr(tracker, "evaluate", counting)
+        for second in range(5):
+            tracker.sample(unix=float(second))
+        assert calls == []
+        registry.render_prometheus()
+        assert len(calls) == 1
+        tracker.close()
+
     def test_tracker_report_is_json_serializable(self, registry):
         tracker = self._traffic(
             registry, ok=5, error=0, slos=obs.default_serving_slos()
@@ -308,6 +327,7 @@ class TestObservabilityServer:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _fetch(server.url + "/healthz")
             assert excinfo.value.code == 503
+            excinfo.value.close()
 
     def test_slo_route_empty_without_tracker(self, registry):
         with obs.ObservabilityServer(registry) as server:
@@ -338,6 +358,7 @@ class TestObservabilityServer:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _fetch(server.url + "/spans?trace=nope")
             assert excinfo.value.code == 400
+            excinfo.value.close()
 
     def test_unknown_route_404s_with_directory(self, registry):
         with obs.ObservabilityServer(registry) as server:

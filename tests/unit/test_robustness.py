@@ -1,7 +1,10 @@
 """Unit tests for guarded inference and its supporting pieces."""
 
 import dataclasses
+import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +12,9 @@ import pytest
 import repro
 from repro.compressors import get_compressor
 from repro.core.inference import InferenceEngine
+from repro.core.objective import RatioTarget
+from repro.datasets.hurricane import generate_hurricane_field
+from repro.datasets.registry import HURRICANE_TRAIN_STEPS
 from repro.errors import (
     FallbackExhaustedError,
     InvalidConfiguration,
@@ -21,7 +27,10 @@ from repro.robustness import (
     backoff_schedule,
     validate_field,
 )
+from repro.lifecycle import OutcomeLog, read_outcomes
 from repro.robustness.confidence import ensemble_spread, score_confidence
+from repro.serving.cache import FeatureCache, dataset_fingerprint
+from repro.serving.service import answer
 
 from tests.conftest import small_forest_factory
 
@@ -46,13 +55,24 @@ def fitted():
     return pipeline, train
 
 
+@pytest.fixture(scope="module")
+def tc_fitted():
+    """A small model on the Hurricane TC training series (float32)."""
+    config = repro.FXRZConfig(stationary_points=8, augmented_samples=60)
+    pipeline = repro.FXRZ(get_compressor("sz"), config=config)
+    pipeline.fit(
+        [generate_hurricane_field("TC", t) for t in HURRICANE_TRAIN_STEPS]
+    )
+    return pipeline
+
+
 class TestValidation:
     def test_clean_field_untouched(self):
         data = np.linspace(0, 1, 64).reshape(8, 8)
         report = validate_field(data)
         assert report.clean and not report.constant
         assert report.nonfinite_fraction == 0.0
-        np.testing.assert_array_equal(report.data, data)
+        assert report.data is None
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidConfiguration, match="empty"):
@@ -85,6 +105,113 @@ class TestValidation:
     def test_constant_flagged(self):
         report = validate_field(np.full((4, 4), 3.0))
         assert report.constant and "constant" in report.issues
+
+    def test_float32_field_checked_in_its_own_dtype(self):
+        data = np.linspace(0, 1, 64, dtype=np.float32).reshape(8, 8)
+        assert validate_field(data).data is None
+        data[3, 3] = np.nan
+        data[4, 4] = -np.inf
+        report = validate_field(data)
+        assert report.issues == ("nan", "inf")
+        assert report.data.dtype == np.float32
+        assert np.isfinite(report.data).all()
+        assert np.isnan(data[3, 3])  # the caller's array is untouched
+
+    def test_non_float_field_gets_a_float64_copy(self):
+        report = validate_field(np.arange(16, dtype=np.int32).reshape(4, 4))
+        assert report.clean
+        assert report.data.dtype == np.float64
+        with pytest.raises(InvalidConfiguration, match="not numeric"):
+            validate_field(np.array(["a", "b"]))
+
+
+class TestCallerDtype:
+    """Guarded inference works on the caller's own array."""
+
+    def test_clean_analysis_makes_no_float64_copy(self, tc_fitted):
+        engine = tc_fitted.guarded()
+        field = generate_hurricane_field("TC", 24, shape=(32, 64, 64))
+        engine.analyze(field)  # warm every lazily built table
+        tracemalloc.start()
+        try:
+            analysis = engine.analyze(field)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert analysis.report.clean and analysis.report.data is None
+        assert peak < field.size * np.dtype(np.float64).itemsize
+
+    def test_cached_analyses_hold_no_field(self, tc_fitted):
+        """108 served 16x48x48 float32 fields leave only their features
+        in the feature cache (a float64 copy each would be 31.9 MB)."""
+        engine = tc_fitted.guarded()
+        base = generate_hurricane_field("TC", 40)
+        cache = FeatureCache(max_entries=128)
+        tracemalloc.start()
+        try:
+            for i in range(108):
+                field = base + np.float32(i)
+                key = dataset_fingerprint(field, tc_fitted.config.sampling_stride)
+                answer(engine, cache, key, field, RatioTarget(6.0))
+                del field
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cache) == 108
+        assert retained < 1 << 20
+
+    def test_declined_rung_does_not_keep_the_field_alive(self, tc_fitted):
+        """The ladder keeps a decline for its exhausted error; once a
+        later rung answers, no traceback cycle may hold the field."""
+        engine = tc_fitted.guarded(min_confidence=1.0)
+        field = generate_hurricane_field("TC", 40)
+        alive = weakref.ref(field)
+        gc.disable()
+        try:
+            assert engine.estimate(field, 6.0).tier == "curve"
+            del field
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("min_confidence", [0.5, 1.0])
+    def test_float64_cast_answers_identically(self, tc_fitted, min_confidence):
+        """Model (and, with the gate shut, curve) answers on a float32
+        field equal those on its float64 cast: same features, R,
+        confidence, tier and config."""
+        engine = tc_fitted.guarded(min_confidence=min_confidence)
+        tiers = set()
+        for timestep in (1, 12, 24, 36, 48):
+            field = generate_hurricane_field("TC", timestep)
+            wide = field.astype(np.float64)
+            for target in (3.0, 6.0, 12.0, 24.0):
+                narrow = engine.estimate(field, target)
+                cast = engine.estimate(wide, target)
+                tiers.add(narrow.tier)
+                assert narrow.tier == cast.tier
+                assert narrow.config == cast.config
+                assert narrow.confidence == cast.confidence
+                assert narrow.nonconstant == cast.nonconstant
+                np.testing.assert_array_equal(narrow.features, cast.features)
+        if min_confidence < 1.0:
+            assert "model" in tiers and tiers <= {"model", "curve"}
+        else:
+            assert tiers == {"curve"}
+
+    def test_fraz_rung_logs_the_callers_ratio(self, tc_fitted, tmp_path):
+        """The FRaZ rung searches the float32 field itself, so the ratio
+        it logs is the one compressing that field at its config gives
+        (a float64 copy would read twice as high)."""
+        log_path = tmp_path / "outcomes.jsonl"
+        field = generate_hurricane_field("TC", 40)
+        with OutcomeLog(log_path) as log:
+            engine = tc_fitted.guarded(min_confidence=1.0, outcome_log=log)
+            # Past every training curve's range: model and curve decline.
+            estimate = engine.estimate(field, 200.0)
+        assert estimate.tier == "fraz"
+        [record] = read_outcomes(log_path).records
+        achieved = tc_fitted.compressor.compress(field, estimate.config)
+        assert record.measured_ratio == achieved.compression_ratio
 
 
 class TestFeatureEnvelope:

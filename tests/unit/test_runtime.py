@@ -9,6 +9,7 @@ constructors.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import pytest
@@ -40,6 +41,24 @@ class TestConfigLayering:
         assert config.fallback == "curve"
         assert config.provenance["jobs"] == "env"
         assert config.provenance["seed"] == "default"
+
+    def test_every_field_resolves_from_an_env_string_of_its_default(self):
+        defaults = RuntimeConfig()
+        names = [
+            f.name
+            for f in dataclasses.fields(RuntimeConfig)
+            if f.name != "provenance"
+        ]
+        env = {
+            f"REPRO_{name.upper()}": str(getattr(defaults, name))
+            for name in names
+        }
+        config = RuntimeConfig.resolve(env=env)
+        for name in names:
+            value = getattr(config, name)
+            assert value == getattr(defaults, name), name
+            assert type(value) is type(getattr(defaults, name)), name
+            assert config.provenance[name] == "env", name
 
     def test_profile_layer_beats_env(self, tmp_path):
         profile = tmp_path / "runtime.toml"
