@@ -171,7 +171,9 @@ class Query(NamedTuple):
     ``data`` is the field the rungs compress: the caller's own array,
     or its patched copy when validation replaced non-finite values.
     ``acr`` is 0.0 for quality objectives; ``doubts`` says why
-    ``confidence`` is below 1.
+    ``confidence`` is below 1. ``prediction`` is the model's raw answer
+    at ``acr`` when the confidence step already asked the model for it
+    (the guarded forest's per-tree mean), else ``None``.
     """
 
     data: np.ndarray
@@ -180,6 +182,7 @@ class Query(NamedTuple):
     acr: float
     confidence: float
     doubts: str
+    prediction: float | None = None
 
 
 def model_config(
@@ -187,7 +190,13 @@ def model_config(
 ) -> float:
     """The model's raw (not yet normalized) configuration at ``acr``."""
     row = np.concatenate((features, [acr]))[None, :]
-    raw = float(model.predict(row)[0])
+    return predicted_config(compressor, features, float(model.predict(row)[0]))
+
+
+def predicted_config(
+    compressor: Compressor, features: np.ndarray, raw: float
+) -> float:
+    """The raw configuration a model prediction ``raw`` stands for."""
     if compressor.config_scale == "log":
         # The model predicts the range-normalized bound; rescale by
         # this dataset's own sampled value range.
@@ -326,12 +335,17 @@ class InferenceEngine:
                 if is_ratio
                 else 0.0
             )
-            confidence, doubts = self._confidence(analysis, objective, acr)
+            confidence, doubts, prediction = self._confidence(
+                analysis, objective, acr
+            )
             if analysis.report is not None:
                 data = _field(data, analysis.report)
             config, tier, measured, reason = self._walk(
                 self.ratio_ladder if is_ratio else self.quality_ladder,
-                Query(data, objective, analysis, acr, confidence, doubts),
+                Query(
+                    data, objective, analysis, acr, confidence, doubts,
+                    prediction,
+                ),
             )
             span.set_attributes(
                 tier=tier, confidence=confidence, config=config
@@ -374,7 +388,11 @@ class InferenceEngine:
                 # the garbage collector.
                 error = None
                 return config, tier, measured, "; ".join(reasons)
-        raise self._exhausted(reasons, error)
+        try:
+            raise self._exhausted(reasons, error)
+        finally:
+            # The raised error's traceback holds this frame too.
+            error = None
 
     # -- hooks the guarded ladder overrides ----------------------------------
 
@@ -382,9 +400,16 @@ class InferenceEngine:
         """The field's validation report; the plain engine trusts its input."""
         return None
 
-    def _confidence(self, analysis, objective, acr) -> tuple[float, str]:
-        """``(confidence in the model rung, doubts)``; ungated here."""
-        return 1.0, ""
+    def _confidence(
+        self, analysis, objective, acr
+    ) -> tuple[float, str, float | None]:
+        """``(confidence in the model rung, doubts, prediction)``.
+
+        Ungated here, and the model is not asked: ``prediction`` (the
+        model's raw answer at ``acr``, for :attr:`Query.prediction`) is
+        ``None``.
+        """
+        return 1.0, "", None
 
     def _exhausted(self, reasons: list[str], error: ReproError) -> ReproError:
         """What an exhausted ladder raises: the plain engine's own error."""
@@ -394,10 +419,16 @@ class InferenceEngine:
 
     def _model(self, query: Query):
         """The regression model at the adjusted target (paper Sec. IV-D)."""
+        features = query.analysis.features
         with obs.span("inference.model_query"):
-            raw = model_config(
-                self.model, self.compressor, query.analysis.features, query.acr
-            )
+            if query.prediction is None:
+                raw = model_config(
+                    self.model, self.compressor, features, query.acr
+                )
+            else:
+                raw = predicted_config(
+                    self.compressor, features, query.prediction
+                )
         return self.compressor.normalize_config(raw), "model", None
 
     def _probe(self, query: Query):

@@ -73,6 +73,19 @@ def _pack(trees: list[DecisionTreeRegressor]) -> _PackedForest:
     )
 
 
+def tree_mean(per_tree: np.ndarray) -> np.ndarray:
+    """The forest's answer: the mean over axis 0 of per-tree predictions.
+
+    One sequential accumulate adds the trees in tree order, and the
+    final ``+ 0.0`` makes the total start from ``+0.0``, so the mean is
+    bit-identical to adding each tree's own ``predict`` into a zeroed
+    total (an all ``-0.0`` column included). ``sum`` and ``mean`` add
+    pairwise, in another order.
+    """
+    total = np.cumsum(per_tree, axis=0)[-1] + 0.0
+    return total / per_tree.shape[0]
+
+
 class RandomForestRegressor:
     """Bagged ensemble of :class:`DecisionTreeRegressor`.
 
@@ -199,17 +212,8 @@ class RandomForestRegressor:
         return out
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        """Average of the per-tree predictions.
-
-        The rows of :meth:`tree_predictions` are added in tree order
-        into a zeroed total, so the mean is bit-identical to summing
-        each tree's own ``predict``.
-        """
-        per_tree = self.tree_predictions(features)
-        total = np.zeros(per_tree.shape[1], dtype=np.float64)
-        for prediction in per_tree:
-            total += prediction
-        return total / per_tree.shape[0]
+        """Average of the per-tree predictions (see :func:`tree_mean`)."""
+        return tree_mean(self.tree_predictions(features))
 
     @property
     def estimators_(self) -> list[DecisionTreeRegressor]:

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.core.adjustment import adjusted_ratio
 from repro.errors import InvalidConfiguration, NotFittedError
+from repro.ml.forest import tree_mean
 
 #: Ensemble spread (in model-target units) that halves the spread score.
 _SPREAD_SCALE = 0.5
@@ -44,6 +45,9 @@ class ConfidenceReport:
         envelope_violation: worst per-dimension distance outside the
             training envelope, in units of that dimension's span
             (0 when inside, infinite for a non-finite query).
+        prediction: the model's raw answer for the scored row, the mean
+            of the same per-tree predictions the spread came from
+            (``None`` when the model exposes no ensemble).
     """
 
     score: float
@@ -51,6 +55,7 @@ class ConfidenceReport:
     envelope_score: float
     tree_std: float
     envelope_violation: float
+    prediction: float | None = None
 
 
 class FeatureEnvelope:
@@ -119,21 +124,38 @@ class FeatureEnvelope:
         return self.violation(row) == 0.0
 
 
-def ensemble_spread(model, row: np.ndarray) -> float:
+class TreeSpread(float):
+    """The std of one row's per-tree predictions, usable as a ``float``.
+
+    ``mean`` is the forest's answer for that row (bit-identical to
+    ``model.predict``), read off the same per-tree pass; ``None`` when
+    the model has no ensemble.
+    """
+
+    mean: float | None
+
+    def __new__(cls, std: float, mean: float | None) -> "TreeSpread":
+        spread = super().__new__(cls, std)
+        spread.mean = mean
+        return spread
+
+
+def ensemble_spread(model, row: np.ndarray) -> TreeSpread:
     """Std of the per-tree predictions; NaN when there is no ensemble.
 
     All trees answer in one packed pass through the model's
     ``tree_predictions`` (the random forest); a model without it has no
-    ensemble to spread.
+    ensemble to spread. The result also carries the trees' mean.
     """
     tree_predictions = getattr(model, "tree_predictions", None)
     if tree_predictions is None:
-        return float("nan")
+        return TreeSpread(math.nan, None)
     row = np.atleast_2d(np.asarray(row, dtype=np.float64))[:1]
+    per_tree = tree_predictions(row)
     # A contiguous copy of the row's column: ``std`` then reduces it
     # exactly as it reduces a 1-D array built tree by tree.
-    preds = np.ascontiguousarray(tree_predictions(row)[:, 0])
-    return float(preds.std())
+    preds = np.ascontiguousarray(per_tree[:, 0])
+    return TreeSpread(float(preds.std()), float(tree_mean(per_tree)[0]))
 
 
 def score_confidence(
@@ -143,7 +165,8 @@ def score_confidence(
     spread_scale: float = _SPREAD_SCALE,
 ) -> ConfidenceReport:
     """Combine ensemble spread and envelope distance into one score."""
-    std = ensemble_spread(model, row)
+    spread = ensemble_spread(model, row)
+    std = float(spread)
     if np.isnan(std):
         # No ensemble to interrogate: stay neutral and let the envelope
         # (and the caller's validation) carry the decision.
@@ -158,4 +181,5 @@ def score_confidence(
         envelope_score=envelope_score,
         tree_std=std,
         envelope_violation=violation,
+        prediction=spread.mean,
     )

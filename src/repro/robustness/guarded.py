@@ -137,6 +137,10 @@ class GuardedInferenceEngine(InferenceEngine):
         self.ratio_ladder = _LADDERS[fallback]
         self.quality_ladder = _QUALITY_LADDERS[fallback]
         self._records = list(pipeline._training.records)
+        #: One row per training record, for the curve rung's argmin.
+        self._record_features = np.array(
+            [rec.features for rec in self._records], dtype=np.float64
+        )
 
     def estimate(
         self,
@@ -205,10 +209,12 @@ class GuardedInferenceEngine(InferenceEngine):
         with obs.span("inference.validate"):
             return validate_field(data)
 
-    def _confidence(self, analysis, objective, acr) -> tuple[float, str]:
+    def _confidence(
+        self, analysis, objective, acr
+    ) -> tuple[float, str, float | None]:
         issues = analysis.report.issues
         doubts = ["field issues: " + ",".join(issues)] if issues else []
-        confidence = 1.0
+        confidence, prediction = 1.0, None
         if isinstance(objective, RatioTarget):
             with obs.span("inference.confidence") as span:
                 report = score_confidence(
@@ -217,7 +223,9 @@ class GuardedInferenceEngine(InferenceEngine):
                     np.concatenate((analysis.features, [acr])),
                 )
                 span.set_attribute("score", report.score)
-            confidence = report.score
+            # The scored row is the model rung's row: its per-tree mean
+            # answers that rung without a second forest pass.
+            confidence, prediction = report.score, report.prediction
             if report.envelope_violation > 0.0:
                 doubts.append(
                     f"outside training envelope by "
@@ -229,7 +237,7 @@ class GuardedInferenceEngine(InferenceEngine):
             # A patched or degenerate field is evidence the model never
             # saw data like this, independent of where the features land.
             confidence = min(confidence, 0.25)
-        return confidence, "; ".join(doubts)
+        return confidence, "; ".join(doubts), prediction
 
     def _exhausted(self, reasons, error):
         detail = "; ".join(reasons)
@@ -252,13 +260,7 @@ class GuardedInferenceEngine(InferenceEngine):
     def _curve(self, query: Query):
         """Nearest training curve, inverted at the adjusted target."""
         features, acr = query.analysis.features, query.acr
-        span = self.envelope.span[: features.size]
-        best = min(
-            self._records,
-            key=lambda rec: float(
-                np.sum(((rec.features - features) / span) ** 2)
-            ),
-        )
+        best = self._nearest_record(features)
         lo, hi = sorted(best.curve.ratio_range)
         if not (lo / (1.0 + _CURVE_SLACK) <= acr <= hi * (1.0 + _CURVE_SLACK)):
             raise InvalidConfiguration(
@@ -279,6 +281,18 @@ class GuardedInferenceEngine(InferenceEngine):
             # so the bound transfers unscaled instead.
             config *= query_range / train_range
         return self.compressor.normalize_config(config), "curve", None
+
+    def _nearest_record(self, features: np.ndarray):
+        """The training record nearest ``features`` in envelope-span units.
+
+        One scaled squared distance per record; ``argmin`` keeps the
+        first of equal distances.
+        """
+        span = self.envelope.span[: features.size]
+        distance = np.sum(
+            ((self._record_features - features) / span) ** 2, axis=1
+        )
+        return self._records[int(np.argmin(distance))]
 
     def _fraz(self, query: Query):
         # The search ran the real compressor on the caller's own field

@@ -30,7 +30,7 @@ import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -652,7 +652,10 @@ class EstimationService:
         latency = time.monotonic() - item.submitted
         trace_id = item.trace.trace_id if item.trace is not None else 0
         if trace_id:
-            estimate = replace(estimate, trace_id=trace_id)
+            # The estimate is this request's own (fresh from the engine
+            # or unpickled from a shard's reply), so stamp it in place
+            # rather than rebuild the frozen dataclass.
+            object.__setattr__(estimate, "trace_id", trace_id)
         self._metrics.record_request(
             latency,
             tier=estimate.tier,

@@ -203,6 +203,47 @@ class TestInProcessScrape:
         assert len(spans) > 1
 
 
+class TestTraceIdStamp:
+    """Each traced reply's estimate carries its own request's trace id."""
+
+    @pytest.mark.parametrize("shards", [0, 1])
+    def test_estimate_carries_its_request_trace_id(
+        self, fitted, model_path, shards
+    ):
+        pipeline, probes = fitted
+        targets = (4.0, 6.0)
+        options = dict(model_path=model_path, **_FAST) if shards else {}
+        with obs.session() as (tracer, _registry):
+            with RuntimeContext(
+                env={}, trace_sample=1.0, **_FAST_CTX
+            ) as ctx, EstimationService.for_pipeline(
+                pipeline, guarded=True, ctx=ctx, shards=shards, **options
+            ) as service:
+                if shards:
+                    _wait_ready(service)
+                served = [service.estimate(probes[0], t) for t in targets]
+        ids = [s.trace_id for s in served]
+        assert 0 not in ids and len(set(ids)) == len(targets)
+        reference = pipeline.guarded()
+        for reply, target in zip(served, targets):
+            estimate = reply.estimate
+            assert estimate.trace_id == reply.trace_id
+            root = _assert_connected(_trace_spans(tracer, reply.trace_id))
+            assert root.name == "serving.request"
+            expected = reference.estimate(probes[0], target)
+            assert (estimate.config, estimate.tier, estimate.confidence) == (
+                expected.config, expected.tier, expected.confidence,
+            )
+            with pytest.raises(AttributeError):
+                estimate.trace_id = 1  # still a frozen dataclass
+
+    def test_untraced_estimate_keeps_trace_id_zero(self, fitted):
+        pipeline, probes = fitted
+        with EstimationService.for_pipeline(pipeline, guarded=True) as service:
+            served = service.estimate(probes[0], 6.0)
+        assert served.trace_id == 0 and served.estimate.trace_id == 0
+
+
 class TestChaosTraceSurvivesShardDeath:
     def test_fallback_span_lands_under_original_trace(
         self, fitted, model_path, tmp_path

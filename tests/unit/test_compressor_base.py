@@ -72,6 +72,22 @@ class TestValidation:
         with pytest.raises(CompressionError):
             comp.compress(data, 0.1)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_rejects_non_finite_anywhere(self, dtype, bad, where):
+        data = np.linspace(-1.0, 1.0, 6 * 7 * 5, dtype=dtype).reshape(6, 7, 5)
+        index = {"first": 0, "middle": data.size // 2, "last": -1}[where]
+        data.flat[index] = bad
+        for name in ("sz", "zfp"):
+            with pytest.raises(
+                CompressionError, match="input contains non-finite values"
+            ):
+                get_compressor(name).compress(data, 0.1)
+        # A strided view is checked too, not only a contiguous array.
+        with pytest.raises(CompressionError, match="non-finite"):
+            get_compressor("sz").compress(data[:, ::-1], 0.1)
+
     def test_rejects_rank5(self):
         comp = get_compressor("sz")
         with pytest.raises(CompressionError):

@@ -18,6 +18,7 @@ from repro.datasets.registry import HURRICANE_TRAIN_STEPS
 from repro.errors import (
     FallbackExhaustedError,
     InvalidConfiguration,
+    NotFittedError,
     OutOfDistributionError,
 )
 from repro.robustness import (
@@ -28,6 +29,7 @@ from repro.robustness import (
     validate_field,
 )
 from repro.lifecycle import OutcomeLog, read_outcomes
+from repro.ml.forest import RandomForestRegressor
 from repro.robustness.confidence import ensemble_spread, score_confidence
 from repro.serving.cache import FeatureCache, dataset_fingerprint
 from repro.serving.service import answer
@@ -173,6 +175,43 @@ class TestCallerDtype:
             assert alive() is None
         finally:
             gc.enable()
+
+    @staticmethod
+    def _field_survives_decline(engine, make_field, error) -> bool:
+        """Whether a ``make_field()`` field is still alive once ``engine``
+        raised ``error`` on it and the caller dropped both (collector
+        off throughout)."""
+        field = make_field()
+        alive = weakref.ref(field)
+        gc.disable()
+        try:
+            try:
+                engine.estimate(field, 6.0)
+            except error:
+                pass
+            else:
+                pytest.fail(f"expected {error.__name__}")
+            del field
+            return alive() is not None
+        finally:
+            gc.enable()
+
+    def test_exhausted_ladder_does_not_keep_the_field_alive(self, tc_fitted):
+        """The raised error's traceback holds the walk's frame; the frame
+        must not hold the error back, or the field lives on in a cycle."""
+        rng = np.random.default_rng(5)
+        assert not self._field_survives_decline(
+            tc_fitted.guarded(fallback="none"),
+            lambda: 1e6 * np.cumsum(rng.standard_normal((16,) * 3), axis=0),
+            OutOfDistributionError,
+        )
+
+    def test_plain_engine_error_does_not_keep_the_field_alive(self):
+        """The plain ladder re-raises its one rung's own error."""
+        engine = InferenceEngine(RandomForestRegressor(), get_compressor("sz"))
+        assert not self._field_survives_decline(
+            engine, lambda: generate_hurricane_field("TC", 40), NotFittedError
+        )
 
     @pytest.mark.parametrize("min_confidence", [0.5, 1.0])
     def test_float64_cast_answers_identically(self, tc_fitted, min_confidence):
