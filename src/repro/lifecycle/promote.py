@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.inference import model_config
+from repro.core.inference import predicted_config
 from repro.errors import InvalidConfiguration
 from repro.serving.registry import LATEST
 
@@ -85,27 +85,67 @@ def invert_model_ratio(
     ratio it knows is *maximally* wrong about this record, and the
     clamp charges it accordingly.
     """
-    if config <= 0 or not np.isfinite(config):
+    rows = np.asarray(features, dtype=np.float64)[None, :]
+    return float(
+        invert_model_ratios(model, compressor, rows, [config], acr_hi=acr_hi)[0]
+    )
+
+
+def invert_model_ratios(
+    model,
+    compressor,
+    features: np.ndarray,
+    configs,
+    *,
+    acr_hi: float,
+) -> np.ndarray:
+    """:func:`invert_model_ratio` of every row of ``features`` (n, d) at once.
+
+    All rows bisect together: each step is one ``predict`` over the
+    rows still searching. Each prediction is rescaled to a config on
+    its own (a scalar ``10.0 ** raw``, as a single estimate does), so
+    every answer equals the one-row inversion bit for bit.
+    """
+    configs = np.asarray(configs, dtype=np.float64)
+    if not (np.isfinite(configs) & (configs > 0)).all():
         raise InvalidConfiguration("config must be finite and > 0")
-    lo, hi = 1.0, max(float(acr_hi), 1.0 + 1e-9)
-    if model_config(model, compressor, features, lo) >= config:
-        return lo
-    if model_config(model, compressor, features, hi) <= config:
-        return hi
+    top = max(float(acr_hi), 1.0 + 1e-9)
+
+    def predicted(rows: np.ndarray, acr: np.ndarray) -> np.ndarray:
+        if not rows.size:
+            return np.empty(0)
+        raw = model.predict(np.column_stack((features[rows], acr)))
+        return np.array(
+            [
+                predicted_config(compressor, features[i], value)
+                for i, value in zip(rows.tolist(), raw.tolist())
+            ]
+        )
+
+    every = np.arange(configs.size)
+    lo = np.ones(configs.size)
+    hi = np.full(configs.size, top)
+    at_lo = predicted(every, lo) >= configs
+    rest = every[~at_lo]
+    at_hi = predicted(rest, hi[rest]) <= configs[rest]
+    active = rest[~at_hi]
     for _ in range(_INVERT_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        if model_config(model, compressor, features, mid) < config:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo[active] + hi[active])
+        below = predicted(active, mid) < configs[active]
+        lo[active[below]] = mid[below]
+        hi[active[~below]] = mid[~below]
+    out = 0.5 * (lo + hi)
+    out[at_lo] = 1.0
+    out[rest[at_hi]] = top
+    return out
 
 
 def replay_errors(pipeline, records) -> list[float]:
     """Per-record relative CR error of ``pipeline``'s model on ``records``.
 
     Only trainable records (measured ratio present and usable) are
-    replayed; the list is ordered like the surviving records.
+    replayed, all in one batched inversion; the list is ordered like
+    the surviving records.
     """
     usable = [record for record in records if record.trainable]
     if not usable:
@@ -116,20 +156,17 @@ def replay_errors(pipeline, records) -> list[float]:
             record.measured_ratio * record.nonconstant for record in usable
         ),
     )
-    model = pipeline.model
-    compressor = pipeline.compressor
-    errors: list[float] = []
-    for record in usable:
-        features = np.asarray(record.features, dtype=np.float64)
-        acr = invert_model_ratio(
-            model, compressor, features, record.config, acr_hi=acr_hi
-        )
-        predicted_ratio = acr / record.nonconstant
-        errors.append(
-            abs(predicted_ratio - record.measured_ratio)
-            / record.measured_ratio
-        )
-    return errors
+    acrs = invert_model_ratios(
+        pipeline.model,
+        pipeline.compressor,
+        np.array([record.features for record in usable], dtype=np.float64),
+        [record.config for record in usable],
+        acr_hi=acr_hi,
+    )
+    return [
+        abs(acr / record.nonconstant - record.measured_ratio) / record.measured_ratio
+        for acr, record in zip(acrs.tolist(), usable)
+    ]
 
 
 def quality_errors(records) -> list[float]:

@@ -4,6 +4,15 @@ Bootstrap-aggregated CART trees with per-split feature subsampling.
 The paper selects RFR because "it has the special ability to correct
 overfitting problem by building lots of trees"; Table III shows it
 beats AdaBoost and SVR on estimation error.
+
+Fitting grows the trees in groups: each group's bootstrap samples are
+stacked and all its trees grow together in one level loop (see
+:mod:`repro.ml.tree`), so the loop's per-level cost is shared by the
+group. The group size keeps the stacked sample under
+``_GROUP_CELLS`` cells, which bounds the fit's scratch memory whatever
+``n_estimators``. Every tree equals the one a separate fit on its own
+sample grows, bit for bit. Queries walk all trees at once through one
+packed node table.
 """
 
 from __future__ import annotations
@@ -13,10 +22,14 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.errors import InvalidConfiguration, NotFittedError
-from repro.ml.tree import _NO_CHILD, DecisionTreeRegressor
+from repro.ml.tree import _NO_CHILD, DecisionTreeRegressor, _grow, check_count
 
 #: Rows per packed pass; bounds the ``(n_trees, rows)`` index scratch.
 _CHUNK_ROWS = 4096
+
+#: Stacked sample cells (rows x features) of one group of trees grown
+#: together; bounds the fit's row tables whatever ``n_estimators``.
+_GROUP_CELLS = 1 << 15
 
 
 class _PackedForest(NamedTuple):
@@ -109,8 +122,16 @@ class RandomForestRegressor:
         bootstrap: bool = True,
         random_state: int | None = None,
     ) -> None:
-        if n_estimators < 1:
-            raise InvalidConfiguration("n_estimators must be >= 1")
+        check_count("n_estimators", n_estimators, 1)
+        if not isinstance(max_features, str):
+            check_count("max_features", max_features, 1, optional=True)
+        elif max_features not in ("sqrt", "third"):
+            raise InvalidConfiguration(
+                "max_features must be None, 'sqrt', 'third' or an integer, "
+                f"got {max_features!r}"
+            )
+        # The per-tree settings fail now rather than at the first fit.
+        DecisionTreeRegressor(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
@@ -129,36 +150,44 @@ class RandomForestRegressor:
             return max(1, int(np.ceil(np.sqrt(n_features))))
         if self.max_features == "third":
             return max(1, n_features // 3)
-        if isinstance(self.max_features, int):
-            if self.max_features < 1:
-                raise InvalidConfiguration("max_features must be >= 1")
-            return min(self.max_features, n_features)
-        raise InvalidConfiguration(f"bad max_features {self.max_features!r}")
+        return min(int(self.max_features), n_features)
 
     def fit(self, features: np.ndarray, targets: np.ndarray) -> "RandomForestRegressor":
         """Fit ``n_estimators`` trees on bootstrap resamples.
 
         Each tree's seed and bootstrap rows are drawn from the master
-        generator just before the tree is grown.
+        generator in tree order. The trees grow in groups of
+        ``_GROUP_CELLS // (n_rows * n_features)``, each group's samples
+        stacked and grown together in one level loop.
         """
         features = np.asarray(features, dtype=np.float64)
         targets = np.asarray(targets, dtype=np.float64)
         if features.ndim != 2 or targets.shape != (features.shape[0],):
             raise InvalidConfiguration("bad training data shapes")
-        n = features.shape[0]
-        max_features = self._resolve_max_features(features.shape[1])
+        n, d = features.shape
+        if n == 0:
+            raise InvalidConfiguration("cannot fit on zero samples")
+        max_features = self._resolve_max_features(d)
         rng = np.random.default_rng(self.random_state)
-        trees = []
-        for _ in range(self.n_estimators):
-            seed = int(rng.integers(0, 2**31 - 1))
-            idx = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
-            tree = DecisionTreeRegressor(
+        trees = [
+            DecisionTreeRegressor(
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=max_features,
-                random_state=seed,
             )
-            trees.append(tree.fit(features[idx], targets[idx]))
+            for _ in range(self.n_estimators)
+        ]
+        per_group = max(1, _GROUP_CELLS // max(1, n * d))
+        for lo in range(0, len(trees), per_group):
+            group = trees[lo : lo + per_group]
+            samples = []
+            for tree in group:
+                tree.random_state = int(rng.integers(0, 2**31 - 1))
+                samples.append(
+                    rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
+                )
+            idx = np.concatenate(samples)
+            _grow(group, features[idx], targets[idx], np.ones(idx.size))
         self._trees = trees
         return self
 

@@ -11,6 +11,7 @@ The pinned digests were recorded with the depth-first fit.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -255,6 +256,32 @@ def test_root_only_trees():
         tree = DecisionTreeRegressor().fit(x, y)
         _assert_same_nodes(tree._nodes, reference_fit(tree, x, y))
         assert tree.node_count == 1
+
+
+# -- the parent SSE ----------------------------------------------------------------
+
+
+def test_parent_sse_squares_with_libm_pow():
+    # An array square (x * x, or np.power's SIMD loop) differs from
+    # glibc's pow in the last bit for some of these values; the helper
+    # must give pow's square on every one.
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(20_000) * 10.0 ** rng.integers(-3, 4, 20_000)
+    expected = np.array([-math.pow(v, 2.0) for v in x.tolist()])
+    assert (-(x * x) != expected).any()
+    sse = tree_module._parent_sse(np.ones(x.size), x, np.zeros(x.size))
+    assert sse.tobytes() == expected.tobytes()
+
+
+def test_parent_sse_matches_numpy_scalar_arithmetic():
+    rng = np.random.default_rng(1)
+    sums = rng.standard_normal((3, 500)) * 10.0 ** rng.integers(-150, 160, (3, 500))
+    sums[0] = np.abs(sums[0])
+    sums[0, :20] = 0.0
+    sums[:, 20:40] = rng.choice([np.nan, np.inf, -np.inf, 1e300, -1e300], (3, 20))
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.array([s2 - s1**2 / max(s0, 1e-300) for s0, s1, s2 in sums.T])
+    assert tree_module._parent_sse(*sums).tobytes() == expected.tobytes()
 
 
 # -- feature subsampling ------------------------------------------------------------

@@ -101,6 +101,33 @@ class TestValidation:
         with pytest.raises(InvalidConfiguration):
             RandomForestRegressor(n_estimators=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_estimators": 2.5},
+            {"n_estimators": True},
+            {"n_estimators": "3"},
+            {"max_features": True},
+            {"max_features": 2.0},
+            {"max_features": np.int64(0)},
+            {"max_depth": 2.5},
+            {"max_depth": 0},
+            {"min_samples_leaf": 1.5},
+        ],
+    )
+    def test_non_integer_counts_rejected_at_construction(self, kwargs):
+        with pytest.raises(InvalidConfiguration):
+            RandomForestRegressor(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        forest = RandomForestRegressor(
+            n_estimators=np.int64(3), max_features=np.int32(2), random_state=0
+        )
+        x = np.random.default_rng(0).standard_normal((30, 4))
+        forest.fit(x, x[:, 0])
+        assert len(forest.estimators_) == 3
+        assert forest._resolve_max_features(4) == 2
+
     def test_bad_shapes_rejected(self):
         with pytest.raises(InvalidConfiguration):
             RandomForestRegressor().fit(np.zeros((5, 2)), np.zeros(6))

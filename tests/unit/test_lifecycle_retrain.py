@@ -1,5 +1,6 @@
 """Unit tests for outcome-driven retraining and canary promotion."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -8,6 +9,7 @@ import pytest
 
 import repro
 from repro.compressors import get_compressor
+from repro.core.inference import model_config
 from repro.errors import InvalidConfiguration
 from repro.lifecycle import (
     BackgroundRetrainer,
@@ -213,6 +215,71 @@ class TestEvaluateCanary:
         records = self.records(3) + [make_record(9, measured=None)]
         errors = replay_errors(fake_pipeline(1e-3), records)
         assert len(errors) == 3
+
+
+def _one_by_one_errors(pipeline, records) -> list[float]:
+    """The replay as one bisection per record: the batched replay's oracle."""
+    usable = [record for record in records if record.trainable]
+    acr_hi = 4.0 * max(
+        max(record.adjusted_target for record in usable),
+        max(record.measured_ratio * record.nonconstant for record in usable),
+    )
+    errors = []
+    for record in usable:
+        features = np.asarray(record.features, dtype=np.float64)
+
+        def config_at(acr):
+            return model_config(pipeline.model, pipeline.compressor, features, acr)
+
+        lo, hi = 1.0, max(acr_hi, 1.0 + 1e-9)
+        if config_at(lo) >= record.config:
+            acr = lo
+        elif config_at(hi) <= record.config:
+            acr = hi
+        else:
+            for _ in range(48):
+                mid = 0.5 * (lo + hi)
+                if config_at(mid) < record.config:
+                    lo = mid
+                else:
+                    hi = mid
+            acr = 0.5 * (lo + hi)
+        predicted_ratio = acr / record.nonconstant
+        errors.append(
+            abs(predicted_ratio - record.measured_ratio) / record.measured_ratio
+        )
+    return errors
+
+
+class TestBatchedReplay:
+    def test_matches_one_bisection_per_record(self, fitted_pipeline):
+        pipeline, _ = fitted_pipeline
+        x, _ = pipeline._training.build_training_matrix()
+        rng = np.random.default_rng(11)
+        records = []
+        for i, row in enumerate(x[rng.choice(x.shape[0], 120)]):
+            features = row[:5] * rng.uniform(0.9, 1.1, 5)
+            # Half the configs are the model's own answer at some ACR: a
+            # prediction one bit off flips the bisection on its plateau.
+            if i % 2:
+                acr = rng.uniform(1.0, 60.0)
+                config = model_config(pipeline.model, pipeline.compressor, features, acr)
+            else:
+                config = float(10.0 ** rng.uniform(-7.0, 1.0))
+            records.append(
+                dataclasses.replace(
+                    make_record(i),
+                    features=tuple(features.tolist()),
+                    config=config,
+                    measured_ratio=float(rng.uniform(2.0, 60.0)),
+                    nonconstant=float(rng.uniform(0.3, 1.0)),
+                )
+            )
+        records.append(make_record(999, measured=None))
+        expected = _one_by_one_errors(pipeline, records)
+        errors = replay_errors(pipeline, records)
+        assert np.array(errors).tobytes() == np.array(expected).tobytes()
+        assert len(errors) == 120 and len(set(errors)) > 60
 
 
 class TestCloneWithModel:

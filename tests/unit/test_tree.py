@@ -79,6 +79,16 @@ class TestValidation:
             DecisionTreeRegressor(min_samples_split=1)
         with pytest.raises(InvalidConfiguration):
             DecisionTreeRegressor(min_samples_leaf=0)
+        for kwargs in (
+            {"max_depth": 2.5},
+            {"min_samples_split": True},
+            {"min_samples_leaf": 1.5},
+            {"max_features": 0},
+            {"max_features": 1.0},
+        ):
+            with pytest.raises(InvalidConfiguration):
+                DecisionTreeRegressor(**kwargs)
+        assert DecisionTreeRegressor(max_depth=np.int64(3)).max_depth == 3
 
     def test_negative_weights_rejected(self):
         with pytest.raises(InvalidConfiguration):
