@@ -198,11 +198,6 @@ def _mean_spline_difference(data: np.ndarray) -> float:
     return float(np.mean(np.abs(data[covered] - avg_fit)))
 
 
-def _gradient_stats(data: np.ndarray) -> tuple[float, float, float]:
-    """(mean, min, max) of |first differences| across all axes."""
-    return _difference_pass(data)[1]
-
-
 def extract_features(data: np.ndarray, stride: int = 1) -> FeatureVector:
     """Compute the eight candidate features on a stride-K subsample.
 

@@ -26,7 +26,6 @@ from repro.config import FXRZConfig
 from repro.core.pipeline import FXRZ
 from repro.datasets.base import FieldSnapshot
 from repro.experiments.corpus import held_out_snapshots, training_arrays
-from repro.parallel import CompressionMemoCache
 from repro.runtime import RuntimeContext
 from repro.serving import EstimateRequest, EstimationService, MetricsSnapshot
 
@@ -47,11 +46,6 @@ def get_runtime_context() -> RuntimeContext:
     if _RUNTIME is None or _RUNTIME.closed:
         _RUNTIME = RuntimeContext(env={})
     return _RUNTIME
-
-
-def get_compression_memo() -> CompressionMemoCache:
-    """The suite-wide compression memo (cleared by :func:`clear_caches`)."""
-    return get_runtime_context().memo
 
 
 @dataclass(frozen=True)

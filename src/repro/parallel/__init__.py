@@ -1,7 +1,7 @@
 """Shared parallel execution layer (executor, shm transport, memo cache).
 
 The three pieces compose into one story: :class:`ParallelExecutor`
-fans independent compressor/tile tasks over processes or threads with
+fans independent compressor/tile tasks over processes with
 serial-identical results, :class:`SharedNDArray` ships the large
 fields those tasks read to process workers once instead of per task,
 and :class:`CompressionMemoCache` makes sure no execution path in the

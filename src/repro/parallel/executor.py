@@ -3,9 +3,9 @@
 Every parallel loop in this library — the ~25-point stationary sweeps
 of augmentation, FRaZ's window-edge probes, per-tile compression — is
 a map over independent tasks. :class:`ParallelExecutor`
-gives those loops one seam: a ``map`` that runs serially, on a thread
-pool, or on a process pool, always returning results in task order so
-callers are bit-identical to their serial selves.
+gives those loops one seam: a ``map`` that runs serially or on a
+process pool, always returning results in task order so callers are
+bit-identical to their serial selves.
 
 Backend guidance (the GIL decides):
 
@@ -13,9 +13,6 @@ Backend guidance (the GIL decides):
   Python-level passes). Tasks and results cross process
   boundaries by pickling, so large ndarrays should travel through
   ``shared=`` (see :mod:`repro.parallel.shm`) instead of task tuples.
-* ``"thread"`` — work dominated by numpy kernels that release the GIL,
-  or anything touching in-process state (a warm
-  :class:`~repro.parallel.memo.CompressionMemoCache`).
 * ``"serial"`` — the reference behavior; also what any ``n_jobs=1``
   executor collapses to.
 
@@ -31,7 +28,7 @@ contiguous *list* of tasks and expects one result per task back.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -39,8 +36,7 @@ from repro import obs
 from repro.errors import InvalidConfiguration
 from repro.obs import trace as obs_trace
 from repro.parallel.shm import SharedNDArray
-
-_BACKENDS = ("auto", "serial", "thread", "process")
+from repro.runtime.config import _BACKENDS
 
 
 def available_cpus() -> int:
@@ -121,7 +117,7 @@ def _worker_call(task):
 
 
 class ParallelExecutor:
-    """Map independent tasks over a serial / thread / process backend.
+    """Map independent tasks over a serial or process backend.
 
     Args:
         n_jobs: worker count (``None``/``0`` = all CPUs, negatives count
@@ -131,7 +127,7 @@ class ParallelExecutor:
             leaves more than one worker, ``"serial"`` otherwise — so
             ``n_jobs=4`` on a 1-CPU host runs the serial reference path
             instead of paying pool dispatch for no parallelism. Forcing
-            ``"serial"``/``"thread"``/``"process"`` skips the clamp.
+            ``"serial"``/``"process"`` skips the clamp.
 
     The executor is stateless between ``map`` calls (pools live only for
     the duration of one map), so one instance can be shared freely.
@@ -197,7 +193,7 @@ class ParallelExecutor:
         Results are always returned in task order, whatever the backend
         or scheduling, so callers see serial semantics. ``shared``
         ndarrays are shipped to process workers once (via shared
-        memory), not per task; serial/thread backends pass them through
+        memory), not per task; the serial backend passes them through
         zero-copy.
         """
         if self._closed:
@@ -253,23 +249,6 @@ class ParallelExecutor:
     def _dispatch(self, fn, tasks, arrays, context, span_ctx) -> list:
         if self.backend == "serial" or len(tasks) == 1:
             return [fn(task, arrays, context) for task in tasks]
-        if self.backend == "thread":
-            workers = min(self.n_jobs, len(tasks))
-
-            def call(task):
-                if span_ctx is None:
-                    return fn(task, arrays, context)
-                # contextvars do not flow into pool threads by
-                # themselves; adopt the driver's span context so the
-                # task's spans re-parent under the map span.
-                token = obs_trace.attach(span_ctx)
-                try:
-                    return fn(task, arrays, context)
-                finally:
-                    obs_trace.detach(token)
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(call, tasks))
         return self._process_map(fn, tasks, arrays, context, span_ctx)
 
     def _process_map(self, fn, tasks, arrays, context, span_ctx=None) -> list:

@@ -22,12 +22,13 @@ config)``:
 * configs are normalized before keying, so the float the compressor
   would actually use is the float that is compared.
 
-Thread-safety: all mutation happens under one lock, so thread-pool
-workers can share an instance directly. Process pools cannot share the
-dict itself, so ratio probes go through :func:`measure_ratios`, the
-one place that keys the memo for them: it answers hits in the caller,
-fans only the misses over the executor (one compression stream per
-worker batch), and puts every fresh run back. Recorded seconds
+Thread-safety: all mutation happens under one lock, so threads (the
+serving workers) can share an instance directly. Process pools cannot
+share the dict itself, so ratio probes go through
+:func:`measure_ratios`, the one place that keys the memo for them: it
+answers hits in the caller, fans only the misses over the executor
+(one compression stream per worker batch), and puts every fresh run
+back. Recorded seconds
 travel with each record so memo hits can stay honest about the
 compressor time they represent. PSNR calibration
 (:mod:`repro.core.psnr_control`) keys the memo itself, since it

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 
+from repro.runtime.config import _FALLBACKS
+
 
 def add_runtime_args(parser: argparse.ArgumentParser) -> None:
     """Attach the shared runtime session flags to ``parser``."""
@@ -40,7 +42,7 @@ def add_runtime_args(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--fallback",
-        choices=("none", "curve", "fraz"),
+        choices=_FALLBACKS,
         default=None,
         help="guarded-inference degradation ladder (default fraz)",
     )

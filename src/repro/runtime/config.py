@@ -32,7 +32,7 @@ _ENV_PREFIX = "REPRO_"
 _PROFILE_ENV = "REPRO_PROFILE"
 _PROFILE_TABLE = "runtime"
 
-_BACKENDS = ("auto", "serial", "thread", "process")
+_BACKENDS = ("auto", "serial", "process")
 _FALLBACKS = ("none", "curve", "fraz")
 
 
@@ -43,14 +43,13 @@ class RuntimeConfig:
     Attributes:
         jobs: worker count for the parallel executor (1 = serial,
             0 = all CPUs, negatives count back joblib-style).
-        backend: executor backend (``auto``/``serial``/``thread``/
-            ``process``).
+        backend: executor backend (``auto``/``serial``/``process``).
         trace: JSONL span-log path the context exports on close
             (empty = tracing stays off unless a tracer is injected).
         metrics: Prometheus-text path the context flushes on close
             (empty = metrics stay off unless a registry is injected).
-        seed: master seed of the context's root ``SeedSequence``;
-            worker child contexts derive per-task seeds from it.
+        seed: master seed of the session: ``ctx.derive_seeds`` spawns
+            per-task seeds from it, and worker child contexts carry it.
         fallback: terminal rung of the guarded-inference ladder.
         min_confidence: model-tier acceptance threshold in [0, 1].
         retry_attempts: attempt budget of the context retry policy
@@ -65,19 +64,6 @@ class RuntimeConfig:
         outcome_log: JSONL path the session's serving outcomes append
             to (empty = outcome logging stays off unless a log is
             injected).
-        drift_window: rolling-window length of the drift detector.
-        drift_ood_threshold: window OOD fraction that marks an
-            observation hot, in (0, 1].
-        drift_error_threshold: calibration-error EWMA that marks an
-            observation hot.
-        drift_hysteresis: consecutive hot (cool) observations required
-            to enter (leave) the drifting state.
-        retrain_min_samples: fresh trainable outcomes that trigger a
-            background retrain on volume alone.
-        canary_fraction: most-recent fraction of trainable outcomes
-            held out for the canary replay, in (0, 1).
-        canary_margin: fractional median-error improvement a candidate
-            must show to be promoted, in [0, 1).
         scrape_port: TCP port of the observability endpoint
             (``/metrics``, ``/healthz``, ``/slo``, ``/spans``) that
             any estimation service embeds; 0 picks an ephemeral port,
@@ -109,13 +95,6 @@ class RuntimeConfig:
     breaker_reset: float = 30.0
     deadline: float = 0.0
     outcome_log: str = ""
-    drift_window: int = 256
-    drift_ood_threshold: float = 0.5
-    drift_error_threshold: float = 0.25
-    drift_hysteresis: int = 3
-    retrain_min_samples: int = 64
-    canary_fraction: float = 0.25
-    canary_margin: float = 0.0
     scrape_port: int = -1
     trace_sample: float = 1.0
     slo_availability: float = 0.999
@@ -145,22 +124,6 @@ class RuntimeConfig:
             raise InvalidConfiguration("breaker_reset must be >= 0")
         if self.deadline < 0:
             raise InvalidConfiguration("deadline must be >= 0")
-        if self.drift_window < 1:
-            raise InvalidConfiguration("drift_window must be >= 1")
-        if not 0.0 < self.drift_ood_threshold <= 1.0:
-            raise InvalidConfiguration(
-                "drift_ood_threshold must be in (0, 1]"
-            )
-        if self.drift_error_threshold <= 0:
-            raise InvalidConfiguration("drift_error_threshold must be > 0")
-        if self.drift_hysteresis < 1:
-            raise InvalidConfiguration("drift_hysteresis must be >= 1")
-        if self.retrain_min_samples < 1:
-            raise InvalidConfiguration("retrain_min_samples must be >= 1")
-        if not 0.0 < self.canary_fraction < 1.0:
-            raise InvalidConfiguration("canary_fraction must be in (0, 1)")
-        if not 0.0 <= self.canary_margin < 1.0:
-            raise InvalidConfiguration("canary_margin must be in [0, 1)")
         if not -1 <= self.scrape_port <= 65535:
             raise InvalidConfiguration(
                 "scrape_port must be -1 (off), 0 (ephemeral) or a TCP port"

@@ -17,9 +17,8 @@ derive seeds and read policy exactly as the driver would.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
-
-import numpy as np
 
 from repro import obs
 from repro.errors import InvalidConfiguration
@@ -159,21 +158,6 @@ class RuntimeContext:
                 )
         return self._outcomes
 
-    @property
-    def drift_options(self) -> dict:
-        """Drift-detector knobs as keyword arguments."""
-        return {
-            "window": self.config.drift_window,
-            "ood_threshold": self.config.drift_ood_threshold,
-            "error_threshold": self.config.drift_error_threshold,
-            "hysteresis": self.config.drift_hysteresis,
-        }
-
-    @property
-    def seed_sequence(self) -> np.random.SeedSequence:
-        """A fresh root ``SeedSequence`` over ``config.seed``."""
-        return np.random.SeedSequence(self.config.seed)
-
     def derive_seeds(self, n: int) -> list[int]:
         """``n`` deterministic child seeds of the session master seed."""
         from repro.parallel.executor import derive_seeds
@@ -189,22 +173,6 @@ class RuntimeContext:
             max_attempts=self.config.retry_attempts,
             base_delay=self.config.retry_base_delay,
         )
-
-    @property
-    def guard_options(self) -> dict:
-        """Guarded-inference knobs as keyword arguments."""
-        return {
-            "fallback": self.config.fallback,
-            "min_confidence": self.config.min_confidence,
-        }
-
-    @property
-    def breaker_options(self) -> dict:
-        """Circuit-breaker knobs as keyword arguments."""
-        return {
-            "failure_threshold": self.config.breaker_failures,
-            "reset_seconds": self.config.breaker_reset,
-        }
 
     # ------------------------------------------------------------------
     # shared-memory custody
@@ -342,43 +310,27 @@ class RuntimeContext:
     def spec(self) -> dict:
         """A picklable spec workers rebuild a child context from.
 
+        Every resolved field travels except the child overrides below.
         The child is forced serial (workers never nest pools) and
         carries no export paths — worker spans ship back to the driver
         through the executor instead of writing files. ``outcome_log``
-        is deliberately dropped too: the log is single-writer, so
-        forked shard workers must never append to the parent's file
-        (the supervisor records shard outcomes parent-side instead).
+        is dropped too: the log is single-writer, so forked shard
+        workers must never append to the parent's file (the supervisor
+        records shard outcomes parent-side instead). Children never run
+        a scrape server of their own; the parent's endpoint is the
+        single operator surface.
         """
-        return {
-            "jobs": 1,
-            "backend": "serial",
-            "trace": "",
-            "metrics": "",
-            "seed": self.config.seed,
-            "fallback": self.config.fallback,
-            "min_confidence": self.config.min_confidence,
-            "retry_attempts": self.config.retry_attempts,
-            "retry_base_delay": self.config.retry_base_delay,
-            "breaker_failures": self.config.breaker_failures,
-            "breaker_reset": self.config.breaker_reset,
-            "deadline": self.config.deadline,
-            "outcome_log": "",
-            "drift_window": self.config.drift_window,
-            "drift_ood_threshold": self.config.drift_ood_threshold,
-            "drift_error_threshold": self.config.drift_error_threshold,
-            "drift_hysteresis": self.config.drift_hysteresis,
-            "retrain_min_samples": self.config.retrain_min_samples,
-            "canary_fraction": self.config.canary_fraction,
-            "canary_margin": self.config.canary_margin,
-            # Children never run a scrape server of their own; the
-            # parent's endpoint is the single operator surface.
-            "scrape_port": -1,
-            "trace_sample": self.config.trace_sample,
-            "slo_availability": self.config.slo_availability,
-            "slo_p99_ms": self.config.slo_p99_ms,
-            "slo_calibration_error": self.config.slo_calibration_error,
-            "slo_window": self.config.slo_window,
-        }
+        spec = dataclasses.asdict(self.config)
+        del spec["provenance"]
+        spec.update(
+            jobs=1,
+            backend="serial",
+            trace="",
+            metrics="",
+            outcome_log="",
+            scrape_port=-1,
+        )
+        return spec
 
     @classmethod
     def from_spec(cls, spec: dict) -> "RuntimeContext":

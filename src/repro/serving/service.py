@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.core.inference import Estimate, InferenceEngine
+from repro.core.inference import Estimate, InferenceEngine, resolve_objective
 from repro.core.objective import Objective, RatioTarget, as_objective
 from repro.core.pipeline import FXRZ
 from repro.errors import (
@@ -439,8 +439,8 @@ class EstimationService:
         self, data, target_ratio: float | None = None, *, objective=None
     ) -> ServedEstimate:
         """Synchronous single-request convenience."""
-        ratio = 0.0 if objective is not None else float(target_ratio)
-        request = EstimateRequest(data, ratio, objective=objective)
+        objective = resolve_objective(target_ratio, objective)
+        request = EstimateRequest(data, objective=objective)
         return self.submit(request).result()
 
     def __enter__(self):

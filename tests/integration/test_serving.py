@@ -135,6 +135,15 @@ class TestServiceParity:
         assert metrics.requests_failed == 1
         assert metrics.requests_total == 3
 
+    def test_estimate_without_a_target_fails_typed(self, fitted):
+        pipeline, probes = fitted
+        with EstimationService.for_pipeline(pipeline, workers=1) as service:
+            with pytest.raises(InvalidConfiguration, match="target_ratio"):
+                service.estimate(probes[0])
+            with pytest.raises(InvalidConfiguration, match="not both"):
+                service.estimate(probes[0], 6.0, objective="psnr:50")
+            assert service.metrics.requests_total == 0
+
     def test_closed_service_rejects_submissions(self, fitted):
         pipeline, probes = fitted
         service = EstimationService.for_pipeline(pipeline, workers=1)

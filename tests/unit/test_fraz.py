@@ -126,7 +126,7 @@ class TestProbeSources:
 
     def test_executor_prefetches_then_memo_answers(self, field):
         comp = get_compressor("sz")
-        with RuntimeContext(env={}, jobs=2, backend="thread") as ctx:
+        with RuntimeContext(env={}, jobs=2, backend="process") as ctx:
             first, cold = _probe_sources(
                 lambda: FRaZ(comp, max_iterations=6, ctx=ctx).search(
                     field, 10.0

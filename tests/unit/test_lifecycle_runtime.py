@@ -14,50 +14,40 @@ pytestmark = [pytest.mark.runtime, pytest.mark.lifecycle]
 
 
 class TestLifecycleKnobs:
+    """``outcome_log`` is the one lifecycle knob of the runtime config;
+    the drift, retrain and canary settings are arguments of
+    ``DriftDetector``/``BackgroundRetrainer`` and ``repro retrain``."""
+
+    _REMOVED = (
+        "drift_window",
+        "drift_ood_threshold",
+        "drift_error_threshold",
+        "drift_hysteresis",
+        "retrain_min_samples",
+        "canary_fraction",
+        "canary_margin",
+    )
+
     def test_defaults(self):
         config = RuntimeConfig.resolve(env={})
         assert config.outcome_log == ""
-        assert config.drift_window == 256
-        assert config.drift_ood_threshold == 0.5
-        assert config.drift_error_threshold == 0.25
-        assert config.drift_hysteresis == 3
-        assert config.retrain_min_samples == 64
-        assert config.canary_fraction == 0.25
-        assert config.canary_margin == 0.0
+        assert config.provenance["outcome_log"] == "default"
 
     def test_layering(self, tmp_path):
         profile = tmp_path / "runtime.toml"
-        profile.write_text("[runtime]\ndrift_window = 64\n")
-        config = RuntimeConfig.resolve(
-            profile=profile,
-            env={
-                "REPRO_OUTCOME_LOG": "/tmp/o.jsonl",
-                "REPRO_DRIFT_WINDOW": "128",
-                "REPRO_CANARY_MARGIN": "0.1",
-            },
-            retrain_min_samples=16,
-        )
+        profile.write_text('[runtime]\noutcome_log = "/tmp/p.jsonl"\n')
+        env = {"REPRO_OUTCOME_LOG": "/tmp/o.jsonl"}
+        config = RuntimeConfig.resolve(env=env)
         assert config.outcome_log == "/tmp/o.jsonl"
-        assert config.drift_window == 64  # profile beats env
-        assert config.canary_margin == 0.1
-        assert config.retrain_min_samples == 16
-        assert config.provenance["drift_window"] == "profile"
         assert config.provenance["outcome_log"] == "env"
-        assert config.provenance["retrain_min_samples"] == "override"
+        config = RuntimeConfig.resolve(profile=profile, env=env)
+        assert config.outcome_log == "/tmp/p.jsonl"  # profile beats env
+        assert config.provenance["outcome_log"] == "profile"
 
     def test_validation(self):
-        for bad in (
-            {"drift_window": 0},
-            {"drift_ood_threshold": 0.0},
-            {"drift_ood_threshold": 1.5},
-            {"drift_error_threshold": 0.0},
-            {"drift_hysteresis": 0},
-            {"retrain_min_samples": 0},
-            {"canary_fraction": 1.0},
-            {"canary_margin": 1.0},
-        ):
-            with pytest.raises(InvalidConfiguration):
-                RuntimeConfig(**bad)
+        for name in self._REMOVED:
+            with pytest.raises(InvalidConfiguration, match="unknown runtime"):
+                RuntimeConfig.resolve(env={}, **{name: 1})
 
 
 class TestContextLifecycleWiring:
@@ -93,28 +83,17 @@ class TestContextLifecycleWiring:
         log.record(make_record(0))  # still open: the borrower must not close
         log.close()
 
-    def test_drift_options_mirror_config(self):
-        config = RuntimeConfig.resolve(
-            env={}, drift_window=32, drift_hysteresis=5
-        )
-        with RuntimeContext(config=config) as ctx:
-            options = ctx.drift_options
-        assert options["window"] == 32
-        assert options["hysteresis"] == 5
-        assert options["ood_threshold"] == 0.5
-        assert options["error_threshold"] == 0.25
-
     def test_spec_never_forwards_the_outcome_log(self, tmp_path):
         """Child processes must not write the parent's log (single writer)."""
         config = RuntimeConfig.resolve(
             env={},
             outcome_log=str(tmp_path / "o.jsonl"),
-            drift_window=32,
+            min_confidence=0.9,
         )
         with RuntimeContext(config=config) as ctx:
             spec = ctx.spec()
         assert spec["outcome_log"] == ""
-        assert spec["drift_window"] == 32  # drift knobs do travel
+        assert spec["min_confidence"] == 0.9  # policy knobs do travel
 
     def test_from_args_picks_up_outcome_log(self, tmp_path):
         from repro.cli import build_parser

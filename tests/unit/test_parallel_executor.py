@@ -74,13 +74,13 @@ class TestParallelExecutor:
     def test_empty_tasks(self):
         assert ParallelExecutor(n_jobs=2).map(_index_task, []) == []
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_map_preserves_task_order(self, backend):
         executor = ParallelExecutor(n_jobs=4, backend=backend)
         tasks = list(range(23))
         assert executor.map(_index_task, tasks) == tasks
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_shared_arrays_and_context_reach_workers(self, backend):
         x = np.arange(10, dtype=np.float64)
         executor = ParallelExecutor(n_jobs=2, backend=backend)
@@ -89,7 +89,7 @@ class TestParallelExecutor:
         )
         assert out == [float(v) * 3.0 for v in x]
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_map_batched_hands_each_call_one_batch(self, backend):
         executor = ParallelExecutor(n_jobs=2, backend=backend)
         tasks = list(range(11))

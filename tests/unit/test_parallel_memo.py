@@ -159,7 +159,7 @@ class TestRatioConvenience:
         assert seconds2 == seconds1  # hits charge the recorded time
         assert memo.hits == 1
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_results_in_config_order_with_hits_first(
         self, backend, sz, smooth_field3d
     ):

@@ -97,24 +97,35 @@ class TestConfigLayering:
             RuntimeConfig.resolve(env={}, workers=4)
 
     def test_unknown_profile_key_rejected(self, tmp_path):
+        # A removed field (drift_window) fails loudly, not silently.
         profile = tmp_path / "runtime.toml"
-        profile.write_text("[runtime]\nworkers = 4\n")
-        with pytest.raises(InvalidConfiguration, match="unknown option"):
-            RuntimeConfig.resolve(profile=profile, env={})
+        for line in ("workers = 4", "drift_window = 64"):
+            profile.write_text(f"[runtime]\n{line}\n")
+            with pytest.raises(InvalidConfiguration, match="unknown option"):
+                RuntimeConfig.resolve(profile=profile, env={})
 
     def test_bad_env_value_blames_the_variable(self):
         with pytest.raises(InvalidConfiguration, match="REPRO_JOBS"):
             RuntimeConfig.resolve(env={"REPRO_JOBS": "many"})
 
     def test_validation(self):
-        with pytest.raises(InvalidConfiguration):
-            RuntimeConfig(backend="mpi")
-        with pytest.raises(InvalidConfiguration):
-            RuntimeConfig(fallback="panic")
-        with pytest.raises(InvalidConfiguration):
-            RuntimeConfig(min_confidence=1.5)
-        with pytest.raises(InvalidConfiguration):
-            RuntimeConfig(retry_attempts=0)
+        for bad in (
+            {"backend": "mpi"},
+            {"backend": "thread"},
+            {"fallback": "panic"},
+            {"min_confidence": 1.5},
+            {"retry_attempts": 0},
+            {"retry_base_delay": -0.1},
+            {"scrape_port": -2},
+            {"scrape_port": 65536},
+            {"trace_sample": 1.5},
+            {"slo_availability": 0.0},
+            {"slo_p99_ms": 0.0},
+            {"slo_calibration_error": 0.0},
+            {"slo_window": 0.0},
+        ):
+            with pytest.raises(InvalidConfiguration):
+                RuntimeConfig(**bad)
 
     def test_replace_marks_provenance(self):
         config = RuntimeConfig.resolve(env={}).replace(jobs=4)
@@ -177,7 +188,7 @@ class TestContextLifecycle:
     def test_borrowed_executor_not_shut_down(self):
         from repro.parallel import ParallelExecutor
 
-        executor = ParallelExecutor(n_jobs=2, backend="thread")
+        executor = ParallelExecutor(n_jobs=2, backend="process")
         ctx = RuntimeContext(env={}, executor=executor)
         ctx.close()
         assert not executor.closed
@@ -204,13 +215,6 @@ class TestContextLifecycle:
             policy = ctx.retry_policy
             assert policy.max_attempts == 7
             assert policy.base_delay == 0.1
-
-    def test_guard_options(self):
-        with RuntimeContext(env={}, fallback="curve", min_confidence=0.9) as ctx:
-            assert ctx.guard_options == {
-                "fallback": "curve",
-                "min_confidence": 0.9,
-            }
 
     def test_trace_and_metrics_export_on_close(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
@@ -259,15 +263,6 @@ class TestContextLifecycle:
         finally:
             ctx.close()
 
-    def test_breaker_options_mirror_config(self):
-        with RuntimeContext(
-            env={}, breaker_failures=2, breaker_reset=0.75
-        ) as ctx:
-            assert ctx.breaker_options == {
-                "failure_threshold": 2,
-                "reset_seconds": 0.75,
-            }
-
     def test_adopted_shm_unlinked_at_close(self):
         from repro.parallel.shm import SharedNDArray
 
@@ -313,19 +308,52 @@ class TestContextLifecycle:
             SharedNDArray.attach(descriptor)
 
     def test_spec_roundtrip_forces_serial_child(self, tmp_path):
-        with RuntimeContext(
-            env={}, jobs=4, seed=123, trace=str(tmp_path / "t.jsonl"),
-            breaker_failures=2, breaker_reset=0.5, deadline=4.0,
-        ) as ctx:
+        values = {
+            "jobs": 4,
+            "backend": "process",
+            "trace": str(tmp_path / "t.jsonl"),
+            "metrics": str(tmp_path / "m.prom"),
+            "seed": 123,
+            "fallback": "curve",
+            "min_confidence": 0.9,
+            "retry_attempts": 7,
+            "retry_base_delay": 0.1,
+            "breaker_failures": 2,
+            "breaker_reset": 0.5,
+            "deadline": 4.0,
+            "outcome_log": str(tmp_path / "o.jsonl"),
+            "scrape_port": 9109,
+            "trace_sample": 0.25,
+            "slo_availability": 0.99,
+            "slo_p99_ms": 100.0,
+            "slo_calibration_error": 0.5,
+            "slo_window": 60.0,
+        }
+        defaults = RuntimeConfig()
+        names = {
+            f.name
+            for f in dataclasses.fields(RuntimeConfig)
+            if f.name != "provenance"
+        }
+        assert set(values) == names  # a new field must join this test
+        for name, value in values.items():
+            assert value != getattr(defaults, name), name
+        # The child is serial, exports nothing, never appends to the
+        # single-writer outcome log and runs no scrape server.
+        overrides = {
+            "jobs": 1,
+            "backend": "serial",
+            "trace": "",
+            "metrics": "",
+            "outcome_log": "",
+            "scrape_port": -1,
+        }
+        with RuntimeContext(env={}, **values) as ctx:
             child = RuntimeContext.from_spec(ctx.spec())
-            assert child.config.jobs == 1
-            assert child.config.backend == "serial"
-            assert child.config.trace == "" and child.config.metrics == ""
-            assert child.config.seed == 123
-            # supervision policy rides the spec into shard children
-            assert child.config.breaker_failures == 2
-            assert child.config.breaker_reset == 0.5
-            assert child.config.deadline == 4.0
+            for name, value in values.items():
+                assert getattr(child.config, name) == overrides.get(
+                    name, value
+                ), name
             assert child.executor is None
             child.close()
 
