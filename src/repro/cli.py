@@ -1033,9 +1033,11 @@ def main(argv: list[str] | None = None) -> int:
     if _PARSER is None:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
-    ctx = RuntimeContext.from_args(args)
-    _LAST_CONTEXT = ctx
+    ctx = _LAST_CONTEXT = None
     try:
+        # A runtime config that fails to resolve (env, profile or
+        # flags) is a usage error like any other.
+        ctx = _LAST_CONTEXT = RuntimeContext.from_args(args)
         with ctx:
             with obs.span(f"cli.{args.command}"):
                 return args.func(args, ctx)
@@ -1046,9 +1048,10 @@ def main(argv: list[str] | None = None) -> int:
         # ``with ctx`` already closed it on the happy path; this makes
         # teardown unconditional for exits that never entered the
         # block (argparse quirks) and keeps close() idempotent.
-        ctx.close()
-        for note in ctx.teardown_notes:
-            print(note, file=sys.stderr)
+        if ctx is not None:
+            ctx.close()
+            for note in ctx.teardown_notes:
+                print(note, file=sys.stderr)
 
 
 if __name__ == "__main__":

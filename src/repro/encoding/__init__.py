@@ -13,7 +13,7 @@ from repro.encoding.bitio import (
     unpack_fixed_width,
 )
 from repro.encoding.varint import encode_uvarint, decode_uvarint
-from repro.encoding.huffman import HuffmanCodec, symbol_table
+from repro.encoding.huffman import HuffmanCodec
 from repro.encoding.rle import zero_rle_encode, zero_rle_decode
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "encode_uvarint",
     "decode_uvarint",
     "HuffmanCodec",
-    "symbol_table",
     "zero_rle_encode",
     "zero_rle_decode",
 ]

@@ -1,19 +1,31 @@
 """Bit-level packing primitives.
 
-:func:`pack_bits` / :func:`unpack_bits` and the fixed-width variants are
-vectorized numpy routines used on million-element symbol arrays, where a
-Python per-symbol loop would be prohibitively slow. :func:`pack_bits`
-places each variable-length code by the bit where it ends: one cumsum
-of the lengths gives every code's end word and left shift, one
-``bitwise_or.reduceat`` folds the codes sharing an end word, and the
-few codes that start in the previous word spill their high bits there.
+:class:`BitPacker` writes variable-length codes MSB-first into one
+exact-size buffer of 64-bit words, one block of codes at a time, with
+the bit offset carried from block to block. Each code is placed by the
+bit where it ends: one cumsum of the block's lengths gives every code's
+end word and left shift, one ``bitwise_or.reduceat`` folds the codes
+sharing an end word, and the few codes that start in the previous word
+spill their high bits there. Its scratch is a few block-sized arrays,
+reused, so packing a stream holds the output words plus that scratch
+however long the stream is. :func:`pack_bits` runs it over a whole
+array in blocks of :data:`BLOCK`; the Huffman encoder feeds it the
+codes it looks up block by block. :func:`unpack_bits` and the
+fixed-width variants are plain vectorized numpy routines.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from repro.errors import CorruptStreamError
+
+#: Codes per block of the entropy stage. The Huffman encoder and
+#: :func:`pack_bits` stream their input through scratch of this many
+#: elements, so their working memory does not grow with the stream.
+BLOCK = 1 << 14
 
 #: ``_KEEP_MASK[n]`` keeps the low ``n`` bits of a uint64 (n in 0..64).
 _KEEP_MASK = np.concatenate(
@@ -24,14 +36,94 @@ _KEEP_MASK = np.concatenate(
 )
 
 
+class BitPacker:
+    """MSB-first writer of variable-length codes into an exact-size buffer.
+
+    Built for a known total bit count, fed block by block through
+    :meth:`write`, read once through :meth:`getvalue`. The output is
+    byte-identical to writing each code bit by bit.
+    """
+
+    def __init__(self, total_bits: int) -> None:
+        self.total_bits = total_bits
+        self._bit = 0
+        # Word ``w`` of the stream is ``_words[w + 1]``. The spare word
+        # in front takes zero-length codes before the first bit (their
+        # last bit is bit -1, in word -1), which add nothing.
+        self._words = np.zeros((total_bits + 63) // 64 + 1, dtype=np.uint64)
+        self._end = np.zeros(0, dtype=np.int64)
+        self._shift = np.zeros(0, dtype=np.int64)
+        self._flag = np.zeros(0, dtype=np.bool_)
+
+    def write(self, codes: np.ndarray, lengths: np.ndarray) -> None:
+        """Append one block of codes after the bits written so far.
+
+        Args:
+            codes: uint64 code values, MSB-justified to their own length
+                and with no bits above it. Overwritten: the packer
+                shifts them in place.
+            lengths: int64 code lengths in bits, 0..64, same size.
+        """
+        m = codes.size
+        if m == 0:
+            return
+        if self._end.size < m:
+            self._end = np.empty(m, dtype=np.int64)
+            self._shift = np.empty(m, dtype=np.int64)
+            self._flag = np.empty(m, dtype=np.bool_)
+        end = self._end[:m]
+        shift = self._shift[:m]
+        flag = self._flag[:m]
+        np.cumsum(lengths, out=end)
+        first_bit = self._bit
+        self._bit += int(end[-1])
+        # The last bit ``e`` of a code sits ``63 - (e & 63)`` places
+        # above the least significant bit of word ``e >> 6``.
+        np.add(end, first_bit - 1, out=end)
+        np.invert(end, out=shift)
+        np.bitwise_and(shift, 63, out=shift)
+        np.right_shift(end, 6, out=end)
+        # End words are non-decreasing and, since no code is longer than
+        # a word, leave no word out: each run of equal end words folds
+        # into one word of the slice the block covers.
+        flag[0] = True
+        np.not_equal(end[1:], end[:-1], out=flag[1:])
+        starts = np.flatnonzero(flag)
+        # Only the first code ending in a word can have started in the
+        # previous one: when it is longer than the ``64 - shift`` bits it
+        # has in its end word, its high bits spill into that word.
+        cross = starts[shift[starts] + lengths[starts] > 64]
+        spill = codes[cross] >> (64 - shift[cross]).astype(np.uint64)
+        # Left-shift through a signed view: numpy's int64 shift loop
+        # skips the unsigned fixups and the code bits make the
+        # reinterpret lossless. Bits pushed past the top are the spilled
+        # ones.
+        np.left_shift(codes.view(np.int64), shift, out=codes.view(np.int64))
+        # Only the slice's first word can already hold bits (the
+        # previous block's tail), hence the OR.
+        words = self._words
+        words[end[0] + 1 : end[-1] + 2] |= np.bitwise_or.reduceat(codes, starts)
+        # At most one code crosses each word boundary, so the spill
+        # targets (the word before each end word) are unique.
+        words[end[cross]] |= spill
+
+    def getvalue(self) -> bytes:
+        """The packed bytes, MSB-first, zero-padded to a whole byte."""
+        if self._bit != self.total_bits:
+            raise ValueError(
+                f"packed {self._bit} bits into a {self.total_bits}-bit buffer"
+            )
+        words = self._words[1:]
+        if sys.byteorder == "little":
+            words.byteswap(inplace=True)
+        return words.view(np.uint8)[: (self.total_bits + 7) // 8].tobytes()
+
+
 def pack_bits(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     """Pack per-symbol variable-length codes into a contiguous bit buffer.
 
-    Byte-identical to writing each code MSB-first by hand. Each code is
-    placed by the bit where it ends: shifted left into the 64-bit word
-    holding its last bit, ORed with the other codes ending in that word
-    in one ``bitwise_or.reduceat`` pass, and — for the few codes that
-    start in the previous word — its high bits spilled into that word.
+    Byte-identical to writing each code MSB-first by hand; runs a
+    :class:`BitPacker` over the arrays in blocks of :data:`BLOCK`.
 
     Args:
         codes: uint64 array of code values, one per symbol (MSB-justified
@@ -47,52 +139,20 @@ def pack_bits(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     lengths = np.asarray(lengths, dtype=np.int64)
     if codes.shape != lengths.shape:
         raise ValueError("codes and lengths must have the same shape")
-    if codes.size == 0:
-        return b"", 0
     codes = codes.ravel()
     lengths = lengths.ravel()
-    # The steps below work in three int64 buffers, in place: on long
-    # streams, faulting in a fresh buffer costs more than the
-    # arithmetic on it.
-    word = np.cumsum(lengths)
-    total_bits = int(word[-1])
-    # A code ending at bit ``e`` has its last bit ``63 - ((e - 1) & 63)``
-    # places above the least significant bit of word ``(e - 1) >> 6``.
-    np.subtract(word, 1, out=word)
-    shift = np.bitwise_and(word, 63)
-    np.subtract(63, shift, out=shift)
-    np.right_shift(word, 6, out=word)
-    # Codes may carry stray bits above their declared length (callers
-    # pass raw table lookups); mask them so they cannot reach a
-    # neighbour's bits.
-    home = _KEEP_MASK.take(lengths)
-    np.bitwise_and(home, codes, out=home)
-    # A code longer than the ``64 - shift`` bits it has in its end word
-    # started in the previous word (a few percent of Huffman codes);
-    # its high bits spill into the low bits of that word.
-    np.add(shift, lengths, out=shift)
-    cross = np.flatnonzero(shift > 64)
-    np.subtract(shift, lengths, out=shift)
-    spill = home[cross] >> (64 - shift[cross]).astype(np.uint64)
-    # Left-shift through a signed view: numpy's int64 shift loop skips
-    # the unsigned fixups and the masked codes make the reinterpret
-    # lossless. Bits pushed past the top are the spilled ones.
-    np.left_shift(home.view(np.int64), shift, out=home.view(np.int64))
-    # End words are non-decreasing: fold each run of equal words with
-    # one ``reduceat`` pass.
-    run_start = np.empty(word.size, dtype=np.bool_)
-    run_start[0] = True
-    np.not_equal(word[1:], word[:-1], out=run_start[1:])
-    starts = np.flatnonzero(run_start)
-    # One spare word past the end: zero-length codes before the first
-    # bit (e == 0) land in word -1, which is that spare, and add nothing.
-    words = np.zeros((total_bits + 63) // 64 + 1, dtype=np.uint64)
-    words[word[starts]] = np.bitwise_or.reduceat(home, starts)
-    # At most one code crosses each word boundary, so the spill
-    # targets are unique.
-    words[word[cross] - 1] |= spill
-    packed = words.astype(">u8").view(np.uint8)
-    return packed[: (total_bits + 7) // 8].tobytes(), total_bits
+    total_bits = int(lengths.sum())
+    packer = BitPacker(total_bits)
+    home = np.empty(min(BLOCK, codes.size), dtype=np.uint64)
+    for start in range(0, codes.size, BLOCK):
+        block_len = lengths[start : start + BLOCK]
+        block = home[: block_len.size]
+        # Codes may carry stray bits above their declared length; mask
+        # them so they cannot reach a neighbour's bits.
+        _KEEP_MASK.take(block_len, out=block)
+        np.bitwise_and(block, codes[start : start + BLOCK], out=block)
+        packer.write(block, block_len)
+    return packer.getvalue(), total_bits
 
 
 def unpack_bits(buffer: bytes, total_bits: int) -> np.ndarray:

@@ -7,11 +7,20 @@ compressors use it on theirs.
 
 Design notes:
 
-* **Encoding is vectorized.** Symbols are mapped to (code, length) pairs
-  with a numpy table lookup and packed with
-  :func:`repro.encoding.bitio.pack_bits`, so encoding a million symbols
-  performs ~``max_code_length`` vector operations rather than a million
-  Python iterations.
+* **Encoding streams in fixed blocks.** The symbols are counted (a
+  ``bincount`` per block when the value span fits in one block, one
+  ``bincount`` of the shifted stream up to ``_BINCOUNT_SPAN``, a sort
+  of the stream beyond), the code is built from the counts, and the
+  total bit count (counts times lengths) sizes the output exactly. Then
+  each block of :data:`repro.encoding.bitio.BLOCK` symbols maps to its
+  codes with one gather from a packed ``code << 6 | length`` table
+  (indexed by value, or past ``_BINCOUNT_SPAN`` by the position a
+  binary search finds in the sorted alphabet) and goes straight
+  into a :class:`repro.encoding.bitio.BitPacker`, which carries the bit
+  offset from block to block. The scratch is a few block-sized arrays,
+  reused, so besides the output and the value-span table encoding
+  holds a fixed amount of memory however long the stream. Integer
+  symbols are read in their own dtype, not cast to an int64 copy.
 * **Code tables are built by runs.** Quantization histograms have tens
   of thousands of symbols but only a few hundred distinct counts, so
   the two-queue Huffman merge consumes whole runs of equal-weight
@@ -38,15 +47,11 @@ from operator import add
 
 import numpy as np
 
-from repro.encoding.bitio import (
-    pack_bits,
-    pack_fixed_width,
-    unpack_fixed_width,
-)
+from repro.encoding import bitio
+from repro.encoding.bitio import BitPacker, pack_fixed_width, unpack_fixed_width
 from repro.encoding.varint import (
     decode_section,
     decode_uvarint,
-    encode_section,
     encode_uvarint,
     encode_uvarints,
 )
@@ -58,43 +63,11 @@ from repro.errors import CorruptStreamError, EncodingError
 _MAX_CODE_LEN = 16
 _MAX_CODE_LEN_HARD = 22
 
-#: Value spans up to this wide use the bincount-based symbol table; the
-#: dense histogram (8 MiB of int64 at the cap) is far cheaper than the
-#: O(n log n) sort inside ``np.unique`` on million-symbol streams.
+#: Value spans up to this wide are counted with ``bincount`` and coded
+#: through a dense value -> code table; the dense arrays (8 MiB of
+#: int64 at the cap) are far cheaper than the O(n log n) sort inside
+#: ``np.unique`` on million-symbol streams.
 _BINCOUNT_SPAN = 1 << 22
-
-
-def symbol_table(
-    symbols: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(alphabet, inverse, counts)`` for an int64 symbol stream.
-
-    Identical to ``np.unique(..., return_inverse=True)`` plus a
-    bincount, but when the value span is modest (the common case for
-    quantization codes, which cluster near zero) it is computed from a
-    dense histogram with no sort at all.
-    """
-    symbols = np.asarray(symbols, dtype=np.int64).ravel()
-    if symbols.size == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    smin = int(symbols.min())
-    smax = int(symbols.max())
-    span = smax - smin + 1
-    if 0 < span <= _BINCOUNT_SPAN:
-        shifted = symbols - smin
-        counts_full = np.bincount(shifted, minlength=span)
-        present = np.nonzero(counts_full)[0]
-        lookup = np.zeros(span, dtype=np.int64)
-        lookup[present] = np.arange(present.size)
-        return (
-            present + smin,
-            lookup[shifted],
-            counts_full[present].astype(np.int64),
-        )
-    alphabet, inverse = np.unique(symbols, return_inverse=True)
-    counts = np.bincount(inverse, minlength=alphabet.size).astype(np.int64)
-    return alphabet, inverse, counts
 
 
 def _max_code_len(alphabet_size: int) -> int:
@@ -308,16 +281,59 @@ def _decode_alphabet(
     return alphabet, offset + nbytes
 
 
+def _dense_counts(
+    symbols: np.ndarray, smin: int, span: int, index: np.ndarray
+) -> np.ndarray:
+    """Count of each value ``smin + i`` at ``i``, over the value span.
+
+    A span that fits in one block is counted block by block through the
+    ``index`` scratch; values are shifted in int64, since the span can
+    overflow a narrow dtype. A wider one (quantization streams carry an
+    outlier sentinel far from the codes near zero) takes one
+    ``bincount`` over the shifted stream, since per-block histograms of
+    that span would cost more than the stream-sized shift.
+    """
+    block = index.size
+    if span <= block:
+        histogram = np.zeros(span, dtype=np.int64)
+        for start in range(0, symbols.size, block):
+            values = symbols[start : start + block]
+            shifted = index[: values.size]
+            np.subtract(values, smin, out=shifted, dtype=np.int64)
+            histogram += np.bincount(shifted, minlength=span)
+    else:
+        histogram = np.bincount(
+            np.subtract(symbols, smin, dtype=np.int64), minlength=span
+        )
+    return histogram
+
+
 class HuffmanCodec:
     """Self-contained canonical Huffman codec over int64 symbol arrays."""
 
     def encode(self, symbols: np.ndarray) -> bytes:
         """Encode an integer array into a self-describing byte stream."""
         symbols = np.asarray(symbols).ravel()
+        if symbols.dtype.kind not in "iu" or symbols.dtype == np.uint64:
+            # The stream codes int64 values; a uint64 past 2**63 wraps.
+            symbols = symbols.astype(np.int64)
         n = symbols.size
         if n == 0:
             return encode_uvarint(0)
-        alphabet, inverse, counts = symbol_table(symbols)
+        block = bitio.BLOCK
+        # One index buffer serves the counting and the coding passes.
+        index = np.empty(min(block, n), dtype=np.int64)
+        smin = int(symbols.min())
+        span = int(symbols.max()) - smin + 1
+        dense = span <= _BINCOUNT_SPAN
+        if dense:
+            histogram = _dense_counts(symbols, smin, span, index)
+            present = np.flatnonzero(histogram)
+            counts = histogram[present]
+            alphabet = present + smin
+        else:
+            alphabet, counts = np.unique(symbols, return_counts=True)
+            alphabet = alphabet.astype(np.int64)
         if alphabet.size > (1 << _MAX_CODE_LEN_HARD):
             # Beyond this the balanced fallback could not satisfy the
             # hard length cap; callers should pre-split such streams.
@@ -339,10 +355,42 @@ class HuffmanCodec:
         lengths = _limited_code_lengths(counts)
         codes = _canonical_codes(lengths)
         header.append(pack_fixed_width(lengths.astype(np.uint64), 6))
+        total_bits = int(counts @ lengths)
 
-        payload, total_bits = pack_bits(codes[inverse], lengths[inverse])
-        header.append(encode_uvarint(total_bits))
-        header.append(encode_section(payload))
+        # Code and length share one table entry, so each block maps its
+        # values with a single gather. Codes are at most 22 bits.
+        entries = (codes << np.uint64(6)) | lengths.astype(np.uint64)
+        if dense:
+            # The histogram becomes the value -> entry table: only the
+            # values present are ever looked up, so the rest of it may
+            # keep its counts, and no second span-sized array is made.
+            table = histogram.view(np.uint64)
+            table[present] = entries
+        else:
+            table = entries
+        packer = BitPacker(total_bits)
+        entry = np.empty(index.size, dtype=np.uint64)
+        length = np.empty(index.size, dtype=np.int64)
+        for start in range(0, n, block):
+            values = symbols[start : start + block]
+            m = values.size
+            if dense:
+                np.subtract(values, smin, out=index[:m], dtype=np.int64)
+                at = index[:m]
+            else:
+                at = np.searchsorted(alphabet, values)
+            np.take(table, at, out=entry[:m], mode="wrap")
+            np.bitwise_and(entry[:m], 63, out=length[:m].view(np.uint64))
+            np.right_shift(entry[:m], 6, out=entry[:m])
+            packer.write(entry[:m], length[:m])
+        payload = packer.getvalue()
+        del packer  # frees the packed words before the join copies the payload
+        # ``encode_section`` framing, without copying the payload twice.
+        header += [
+            encode_uvarint(total_bits),
+            encode_uvarint(len(payload)),
+            payload,
+        ]
         return b"".join(header)
 
     def decode(self, data: bytes) -> np.ndarray:

@@ -16,7 +16,6 @@ them as ``--jobs``.
 from repro.parallel.executor import (
     ParallelExecutor,
     available_cpus,
-    derive_seeds,
     resolve_n_jobs,
 )
 from repro.parallel.memo import (
@@ -33,7 +32,6 @@ __all__ = [
     "SharedNDArray",
     "ShmDescriptor",
     "available_cpus",
-    "derive_seeds",
     "measure_ratios",
     "resolve_n_jobs",
 ]

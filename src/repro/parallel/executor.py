@@ -63,19 +63,6 @@ def resolve_n_jobs(n_jobs: int | None) -> int:
     return n_jobs
 
 
-def derive_seeds(master_seed: int | None, n_tasks: int) -> list[int]:
-    """``n_tasks`` independent per-task seeds from one master seed.
-
-    Uses :class:`numpy.random.SeedSequence` spawning, so the derived
-    seeds do not depend on how tasks are later scheduled — the same
-    master seed yields the same per-task streams at any ``n_jobs``.
-    """
-    if n_tasks < 0:
-        raise InvalidConfiguration("n_tasks must be >= 0")
-    children = np.random.SeedSequence(master_seed).spawn(n_tasks)
-    return [int(child.generate_state(1)[0]) for child in children]
-
-
 # -- process-backend worker plumbing -----------------------------------------
 #
 # The pool initializer attaches every shared segment once per worker and

@@ -15,7 +15,7 @@ session object:
   :class:`~repro.parallel.ParallelExecutor`, a
   :class:`~repro.parallel.CompressionMemoCache`, a
   :class:`~repro.obs.Tracer`, a :class:`~repro.obs.MetricsRegistry`
-  and the master seed (``derive_seeds``) + robustness policy)
+  and the master seed + robustness policy)
   with a context-manager lifecycle: on exit the pool shuts down,
   stray shared memory is unlinked, the trace exports and metrics
   flush deterministically.

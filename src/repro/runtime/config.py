@@ -48,8 +48,9 @@ class RuntimeConfig:
             (empty = tracing stays off unless a tracer is injected).
         metrics: Prometheus-text path the context flushes on close
             (empty = metrics stay off unless a registry is injected).
-        seed: master seed of the session: ``ctx.derive_seeds`` spawns
-            per-task seeds from it, and worker child contexts carry it.
+        seed: master seed of the session: it seeds the shard
+            supervisor's backoff jitter, and worker child contexts
+            carry it.
         fallback: terminal rung of the guarded-inference ladder.
         min_confidence: model-tier acceptance threshold in [0, 1].
         retry_attempts: attempt budget of the context retry policy

@@ -158,12 +158,6 @@ class RuntimeContext:
                 )
         return self._outcomes
 
-    def derive_seeds(self, n: int) -> list[int]:
-        """``n`` deterministic child seeds of the session master seed."""
-        from repro.parallel.executor import derive_seeds
-
-        return derive_seeds(self.config.seed, n)
-
     @property
     def retry_policy(self):
         """The robustness retry policy built from the config knobs."""

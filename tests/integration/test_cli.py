@@ -235,6 +235,19 @@ class TestRuntimeTeardown:
         with pytest.raises(InvalidConfiguration, match="closed RuntimeContext"):
             ctx.executor
 
+    def test_unresolvable_runtime_config_is_a_usage_error(
+        self, monkeypatch, capsys
+    ):
+        from repro import cli
+
+        monkeypatch.setenv("REPRO_BACKEND", "mpi")
+        assert main(["datasets"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: backend must be one of")
+        assert "Traceback" not in err
+        # No context was built, so none is left to tear down.
+        assert cli._LAST_CONTEXT is None
+
     def test_successful_parallel_command_tears_down(self, npy_files, capsys):
         import multiprocessing
 

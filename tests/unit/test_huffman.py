@@ -8,9 +8,9 @@ from repro.encoding.huffman import (
     _canonical_codes,
     _huffman_code_lengths,
     _limited_code_lengths,
-    symbol_table,
 )
 from repro.errors import CorruptStreamError, EncodingError
+from tests.huffman_oracle import symbol_table
 
 
 @pytest.fixture()

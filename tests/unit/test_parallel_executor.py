@@ -10,7 +10,6 @@ from repro.parallel import (
     ParallelExecutor,
     SharedNDArray,
     available_cpus,
-    derive_seeds,
     resolve_n_jobs,
 )
 
@@ -43,23 +42,6 @@ class TestResolveNJobs:
         cpus = available_cpus()
         assert resolve_n_jobs(-1) == cpus
         assert resolve_n_jobs(-cpus - 5) == 1  # floors at one worker
-
-
-class TestDeriveSeeds:
-    def test_deterministic_and_distinct(self):
-        a = derive_seeds(42, 8)
-        b = derive_seeds(42, 8)
-        assert a == b
-        assert len(set(a)) == 8
-
-    def test_independent_of_task_count_prefix(self):
-        # SeedSequence spawning: the first k seeds don't change when
-        # more tasks are requested.
-        assert derive_seeds(7, 3) == derive_seeds(7, 6)[:3]
-
-    def test_rejects_negative_count(self):
-        with pytest.raises(InvalidConfiguration):
-            derive_seeds(0, -1)
 
 
 class TestParallelExecutor:

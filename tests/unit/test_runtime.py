@@ -204,12 +204,6 @@ class TestContextLifecycle:
         with pytest.raises(InvalidConfiguration, match="closed RuntimeContext"):
             ctx.memo
 
-    def test_derive_seeds_match_executor_derivation(self):
-        from repro.parallel.executor import derive_seeds
-
-        with RuntimeContext(env={}, seed=42) as ctx:
-            assert ctx.derive_seeds(4) == derive_seeds(42, 4)
-
     def test_retry_policy_from_config(self):
         with RuntimeContext(env={}, retry_attempts=7, retry_base_delay=0.1) as ctx:
             policy = ctx.retry_policy
