@@ -88,9 +88,9 @@ runtime-smoke:
 kernels:
 	$(PYTEST) -x -q -W error::RuntimeWarning -m kernels
 
-# Lifecycle gate: the lifecycle-marked tests (outcome log, drift
-# detector, registry promote/rollback, background retrain, canary
-# promotion) with RuntimeWarnings promoted to errors.
+# Lifecycle gate: the lifecycle-marked tests (outcome log, registry
+# promote/rollback, synchronous retrain, canary promotion, the
+# outcomes-report/retrain CLI) with RuntimeWarnings promoted to errors.
 lifecycle:
 	$(PYTEST) -x -q -W error::RuntimeWarning -m lifecycle
 
@@ -124,10 +124,9 @@ bench-kernels:
 bench-resilience:
 	cd benchmarks && PYTHONPATH=../src $(PY) -m pytest -q bench_serving_resilience.py
 
-# Online-learning bench: outcome-logging overhead (<= 3%), serving p99
-# during a background retrain (<= 1.5x baseline) and the estimation
-# error before vs after a canary promotion; writes
-# BENCH_online_learning.json at the repo root.
+# Online-learning bench: outcome-logging overhead (<= 3%) and the
+# estimation error before vs after a synchronous retrain's canary
+# promotion; writes BENCH_online_learning.json at the repo root.
 bench-lifecycle:
 	cd benchmarks && PYTHONPATH=../src $(PY) -m pytest -q bench_online_learning.py
 

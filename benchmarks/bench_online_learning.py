@@ -1,17 +1,15 @@
-"""Online learning loop — logging overhead, non-blocking retrain, canary gain.
+"""Online learning loop — logging overhead and canary gain.
 
-Three guards on the serve→observe→retrain→promote loop:
+Two guards on the serve→observe→retrain→promote loop:
 
 * **Logging overhead** — serving with an :class:`OutcomeLog` attached
   must cost at most 3% wall time over serving without one (best-of-3
   per arm; the log is one buffered JSON line per request).
-* **Non-blocking retrain** — while the background retrainer fits
-  candidate forests, the serving thread keeps estimating; its p99
-  latency during the retrain must stay within 1.5x the baseline p99.
-* **Canary gain** — after the canary promotes the retrained candidate,
-  the median relative CR error on a drifted workload must be lower
-  than the frozen incumbent's (fresh estimates, measured with real
-  compressor runs — not just the canary's replay).
+* **Canary gain** — after a synchronous retrain on a drifted
+  workload's logged outcomes and the canary's promotion, the median
+  relative CR error on fresh drifted estimates must be lower than the
+  frozen incumbent's (measured with real compressor runs — not just
+  the canary's replay).
 
 Results land in the repo-root ``BENCH_online_learning.json``.
 """
@@ -27,11 +25,10 @@ from repro.experiments.corpus import held_out_snapshots
 from repro.experiments.harness import get_trained_fxrz
 from repro.experiments.tables import render_table
 from repro.lifecycle import (
-    BackgroundRetrainer,
-    DriftDetector,
     OutcomeLog,
     OutcomeRecord,
     read_outcomes,
+    retrain,
 )
 from repro.runtime import RuntimeContext
 from repro.serving import LATEST, ModelRegistry
@@ -39,9 +36,6 @@ from repro.serving import LATEST, ModelRegistry
 _LEARNING_JSON = (
     pathlib.Path(__file__).resolve().parents[1] / "BENCH_online_learning.json"
 )
-
-#: Open-loop inter-arrival gap of the serving load, in seconds.
-_ARRIVAL_GAP = 0.02
 
 
 def _merge_json(update: dict) -> None:
@@ -158,66 +152,33 @@ def test_drift_retrain_canary(report, tmp_path):
     registry = ModelRegistry(tmp_path / "reg")
     incumbent = registry.publish(pipeline)
 
-    # -- observe a drifted workload through the log + detector -------------
-    detector = DriftDetector.for_pipeline(
-        pipeline, window=128, min_samples=8, hysteresis=3
-    )
+    # -- log a drifted workload's measured outcomes ------------------------
     log_path = tmp_path / "outcomes.jsonl"
     with OutcomeLog(log_path) as log:
         for record in _measured_records(
             pipeline, _noisy_fields(8), (5.0, 8.0, 11.0)
         ):
             log.record(record)
-            detector.observe(record)
-    assert detector.drifting, f"drifted workload must trip: {detector.snapshot}"
     replay = read_outcomes(log_path)
 
-    # -- baseline serving latency (no retrain in flight) -------------------
-    # Open-loop arrivals: a request every _ARRIVAL_GAP seconds, as a
-    # real serving process sees, rather than a hot loop that would
-    # monopolize the CPU the retrain workers also need.
-    probes = _noisy_fields(6, seed=97)
-
-    def serve_one(i: int) -> float:
-        tick = time.perf_counter()
-        pipeline.estimate_config(probes[i % len(probes)], 8.0)
-        latency = time.perf_counter() - tick
-        time.sleep(_ARRIVAL_GAP)
-        return latency
-
-    baseline = [serve_one(i) for i in range(100)]
-    p99_baseline = float(np.percentile(baseline, 99))
-
-    # -- retrain in the background while serving continues -----------------
-    # The candidate fits land in executor worker processes, so the
-    # serving thread contends on IPC, not on a GIL-bound forest fit.
+    # -- retrain from the replay; fits land in executor workers ------------
     with RuntimeContext(env={}, jobs=2) as ctx:
-        retrainer = BackgroundRetrainer(
+        result = retrain(
             registry,
             "sz",
-            detector=detector,
-            min_samples=10_000,  # drift, not volume, must be the trigger
+            replay.records,
             canary_fraction=0.25,
             oversample=4,
             n_candidates=2,
             ctx=ctx,
         )
-        assert retrainer.maybe_trigger(replay.records)
-        during = []
-        while retrainer.busy and len(during) < 3000:
-            during.append(serve_one(len(during)))
-        assert retrainer.wait(timeout=600)
-        assert retrainer.last_error is None
-        result = retrainer.last_result
-    p99_during = (
-        float(np.percentile(during, 99)) if len(during) >= 5 else p99_baseline
-    )
 
     # -- before/after estimation error on fresh drifted estimates ----------
     assert result.report.promote, result.report.reason
     assert result.promoted is not None
     frozen = registry.load("sz", incumbent.fingerprint, incumbent.version)
     promoted = registry.load("sz", None, LATEST)
+    probes = _noisy_fields(6, seed=97)
 
     def median_error(serving) -> float:
         errors = []
@@ -238,46 +199,27 @@ def test_drift_retrain_canary(report, tmp_path):
             ["metric", "value"],
             [
                 ["outcome records", str(len(replay.records))],
-                ["drift trips", str(detector.trips)],
-                ["trigger", result.triggered_by],
                 ["retrain wall", f"{result.seconds:.2f} s"],
-                ["served during retrain", str(len(during))],
-                ["p99 baseline", f"{p99_baseline * 1e3:.1f} ms"],
-                ["p99 during retrain", f"{p99_during * 1e3:.1f} ms"],
                 ["canary verdict", result.report.reason],
                 ["median rel CR error before", f"{error_before:.2%}"],
                 ["median rel CR error after", f"{error_after:.2%}"],
             ],
-            title=(
-                "Online retrain - drift-triggered, non-blocking, "
-                "canary-promoted"
-            ),
+            title="Online retrain - synchronous, canary-promoted",
         )
     )
     _merge_json(
         {
             "online_retrain": {
                 "outcome_records": len(replay.records),
-                "trigger": result.triggered_by,
                 "retrain_seconds": result.seconds,
-                "served_during_retrain": len(during),
-                "latency_p99_baseline_seconds": p99_baseline,
-                "latency_p99_during_retrain_seconds": p99_during,
                 "promoted_version": result.promoted.version,
                 "canary_incumbent_error": result.report.incumbent_error,
                 "canary_candidate_error": result.report.candidate_error,
                 "median_error_before": error_before,
                 "median_error_after": error_after,
-                "guard": (
-                    "p99_during <= 1.5 * p99_baseline and "
-                    "median_error_after < median_error_before"
-                ),
+                "guard": "median_error_after < median_error_before",
             }
         }
-    )
-    assert p99_during <= 1.5 * p99_baseline, (
-        f"serving p99 degraded {p99_during / p99_baseline:.2f}x during the "
-        "background retrain (limit 1.5x)"
     )
     assert error_after < error_before, (
         "the promoted model must serve the drifted workload better than "

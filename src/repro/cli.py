@@ -595,10 +595,23 @@ def _cmd_obs_top(args: argparse.Namespace, ctx: RuntimeContext) -> int:  # noqa:
     return 0
 
 
-def _cmd_outcomes_report(args: argparse.Namespace, ctx: RuntimeContext) -> int:
+def _read_outcome_log(path: str):
+    """Replay an outcome log the user named; a missing one is an error.
+
+    :func:`~repro.lifecycle.read_outcomes` treats a missing file as an
+    empty log (a fresh deployment), but a path typed on the command
+    line that matches no file is a mistake, not an empty history.
+    """
     from repro.lifecycle import read_outcomes
 
-    replay = read_outcomes(args.log)
+    replay = read_outcomes(path)
+    if not replay.files:
+        raise ReproError(f"no outcome log at {path}")
+    return replay
+
+
+def _cmd_outcomes_report(args: argparse.Namespace, ctx: RuntimeContext) -> int:
+    replay = _read_outcome_log(args.log)
     records = replay.records
     trainable = replay.trainable
     print(
@@ -666,9 +679,9 @@ def _cmd_outcomes_report(args: argparse.Namespace, ctx: RuntimeContext) -> int:
 
 
 def _cmd_retrain(args: argparse.Namespace, ctx: RuntimeContext) -> int:
-    from repro.lifecycle import BackgroundRetrainer, read_outcomes
+    from repro.lifecycle import retrain
 
-    replay = read_outcomes(args.outcomes)
+    replay = _read_outcome_log(args.outcomes)
     if replay.torn_lines:
         print(
             f"note: skipped {replay.torn_lines} torn line(s) in "
@@ -677,18 +690,17 @@ def _cmd_retrain(args: argparse.Namespace, ctx: RuntimeContext) -> int:
         )
     registry = ModelRegistry(args.registry, ctx=ctx)
     try:
-        retrainer = BackgroundRetrainer(
+        result = retrain(
             registry,
             args.compressor,
-            args.fingerprint or None,
-            min_samples=args.min_samples,
+            replay.records,
+            fingerprint=args.fingerprint or None,
             canary_fraction=args.canary_fraction,
             canary_margin=args.canary_margin,
             oversample=args.oversample,
             auto_promote=not args.no_promote,
             ctx=ctx,
         )
-        result = retrainer.retrain(replay.records)
     finally:
         registry.close()
     print(
@@ -976,7 +988,6 @@ def build_parser() -> argparse.ArgumentParser:
     retrain.add_argument(
         "--outcomes", required=True, help="outcome JSONL from --outcome-log"
     )
-    retrain.add_argument("--min-samples", type=int, default=64)
     retrain.add_argument(
         "--canary-fraction",
         type=float,

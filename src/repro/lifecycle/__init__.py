@@ -1,21 +1,17 @@
 """Model lifecycle: serve -> observe -> retrain -> promote.
 
 The paper trains per-corpus ratio models offline and serves them
-frozen; production serving traffic, however, is free training data —
-every compress call and FRaZ fallback yields a (features, predicted
-config, *measured* CR) outcome. This package closes the loop between
-the serving path and the :class:`~repro.serving.ModelRegistry`:
+frozen; serving traffic, however, is free training data — every
+compress call and FRaZ fallback yields a (features, predicted config,
+*measured* CR) outcome. This package closes the loop between the
+serving path and the :class:`~repro.serving.ModelRegistry`:
 
 * :class:`OutcomeLog` — an append-only, crash-safe JSONL log of
   serving outcomes (estimate-only and measured), with rotation and a
   torn-line-tolerant replay reader;
-* :class:`DriftDetector` — rolling-window comparison of the outcome
-  stream against the model's training-feature envelope (OOD rate) and
-  its calibration error (EWMA), with hysteresis so one bad batch does
-  not flap the state;
-* :class:`BackgroundRetrainer` — fits candidate models from the
-  original training matrix plus measured outcomes, in worker
-  processes, without blocking the serving path;
+* :func:`retrain` — fits candidate models from the original training
+  matrix plus measured outcomes (in worker processes when the session
+  has them) and publishes the best one unpromoted;
 * :func:`evaluate_canary` / :func:`run_canary` — replay a held-out
   slice of the outcome log through incumbent and candidate; the
   registry alias flips only when the candidate's median relative CR
@@ -25,7 +21,6 @@ See ``docs/LIFECYCLE.md`` for the loop diagram and the promotion /
 rollback contract.
 """
 
-from repro.lifecycle.drift import DriftDetector, DriftSnapshot
 from repro.lifecycle.outcomes import (
     OutcomeLog,
     OutcomeRecord,
@@ -39,16 +34,13 @@ from repro.lifecycle.promote import (
     run_canary,
 )
 from repro.lifecycle.retrain import (
-    BackgroundRetrainer,
     RetrainResult,
+    retrain,
     training_rows_from_outcomes,
 )
 
 __all__ = [
-    "BackgroundRetrainer",
     "CanaryReport",
-    "DriftDetector",
-    "DriftSnapshot",
     "OutcomeLog",
     "OutcomeRecord",
     "OutcomeReplay",
@@ -56,6 +48,7 @@ __all__ = [
     "evaluate_canary",
     "quality_errors",
     "read_outcomes",
+    "retrain",
     "run_canary",
     "training_rows_from_outcomes",
 ]

@@ -3,9 +3,8 @@
 One :class:`OutcomeRecord` captures what one estimate *claimed* and —
 when the caller actually compressed — what the compressor *measured*.
 Records with a measured ratio are future training rows; estimate-only
-records still feed drift detection (their features and adjusted ratio
-say where the serving traffic lives relative to the training
-envelope).
+records still say where the serving traffic lives relative to the
+training envelope (features, adjusted ratio, tier, confidence).
 
 The log is a line-per-record JSONL file. Crash safety comes from the
 write discipline, not from a database: every record is serialized to

@@ -45,7 +45,6 @@ from repro.obs.slo import (
     LatencySLO,
     SLOStatus,
     SLOTracker,
-    ThresholdSLO,
     default_serving_slos,
 )
 from repro.obs.trace import (
@@ -75,7 +74,6 @@ __all__ = [
     "SLOTracker",
     "Span",
     "SpanContext",
-    "ThresholdSLO",
     "Tracer",
     "attach",
     "bind_cache_gauges",

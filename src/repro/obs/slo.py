@@ -1,18 +1,16 @@
 """Declarative SLOs with rolling error-budget burn-rate evaluation.
 
 An :class:`SLO` states an objective over a rolling window — "99.9% of
-requests succeed", "99% of requests finish under 250 ms", "the model's
-calibration-error EWMA stays under 0.25" — and is evaluated against
-the history an :class:`SLOTracker` samples from its registry.
+requests succeed", "99% of requests finish under 250 ms" — and is
+evaluated against the history an :class:`SLOTracker` samples from its
+registry.
 
 **Burn rate** is the operator-facing number: the ratio of the error
 rate actually observed in the window to the error rate the objective
 *allows* (``1 - objective``). Burn 1.0 means the error budget is being
 spent exactly as fast as it accrues; burn 10 means a 30-day budget is
 gone in 3 days; burn 0 means no errors. An SLO alerts when its burn
-rate crosses ``alert_burn_rate`` (default 1.0). Threshold SLOs over
-gauges (calibration error) define burn as ``value / threshold`` — the
-same "1.0 = at budget" semantics.
+rate crosses ``alert_burn_rate`` (default 1.0).
 
 :class:`SLOTracker` owns a set of SLOs and the history they read. The
 registry is a *point-in-time* store: counters answer "what is the value
@@ -239,73 +237,6 @@ class LatencySLO(SLO):
             within / total,
             total,
             f"{within:g}/{total:g} under {self.threshold_seconds:g}s",
-        )
-
-
-class ThresholdSLO(SLO):
-    """A gauge that must stay at or below a threshold.
-
-    Burn rate is redefined as ``value / threshold`` (1.0 = exactly at
-    budget); compliance is binary. The default wiring watches the drift
-    detector's calibration-error EWMA.
-    """
-
-    kind = "threshold"
-
-    def __init__(
-        self,
-        name: str = "calibration",
-        *,
-        threshold: float = 0.25,
-        window: float = 300.0,
-        gauge: str = "repro_lifecycle_drift_error_ewma",
-        labels: dict | None = None,
-        alert_burn_rate: float = 1.0,
-    ) -> None:
-        # Objective is nominal here (burn is overridden); 0.5 keeps the
-        # base-class validation meaningful without implying a ratio.
-        super().__init__(
-            name,
-            objective=0.5,
-            window=window,
-            alert_burn_rate=alert_burn_rate,
-        )
-        if threshold <= 0:
-            raise InvalidConfiguration(
-                f"SLO {name}: threshold must be positive"
-            )
-        self.threshold = float(threshold)
-        self.gauge = gauge
-        self.labels = dict(labels or {})
-
-    def evaluate(self, tracker: "SLOTracker") -> SLOStatus:
-        points = tracker.series(self.gauge, labels=self.labels)
-        cutoff = points[-1][0] - self.window if points else 0.0
-        window_values = [value for unix, value in points if unix >= cutoff]
-        if not window_values:
-            return SLOStatus(
-                name=self.name,
-                kind=self.kind,
-                objective=self.objective,
-                window_seconds=self.window,
-                compliance=1.0,
-                burn_rate=0.0,
-                alerting=False,
-                events=0.0,
-                detail="no samples in window",
-            )
-        worst = max(window_values)
-        burn = worst / self.threshold
-        return SLOStatus(
-            name=self.name,
-            kind=self.kind,
-            objective=self.objective,
-            window_seconds=self.window,
-            compliance=1.0 if worst <= self.threshold else 0.0,
-            burn_rate=burn,
-            alerting=burn >= self.alert_burn_rate,
-            events=float(len(window_values)),
-            detail=f"worst {worst:g} vs threshold {self.threshold:g}",
         )
 
 
@@ -543,19 +474,16 @@ def default_serving_slos(
     *,
     availability: float = 0.999,
     p99_seconds: float = 0.25,
-    calibration_error: float = 0.25,
     window: float = 300.0,
 ) -> list[SLO]:
     """The stock serving SLO set, shaped by the ``slo_*`` config knobs.
 
-    Availability and p99 latency read the serving recorder's metrics;
-    the calibration SLO reads the drift detector's error EWMA (silent
-    until a detector binds its gauges to the same registry).
+    Availability and p99 latency both read the serving recorder's
+    metrics.
     """
     return [
         AvailabilitySLO(objective=availability, window=window),
         LatencySLO(
             objective=0.99, threshold_seconds=p99_seconds, window=window
         ),
-        ThresholdSLO(threshold=calibration_error, window=window),
     ]

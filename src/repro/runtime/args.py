@@ -57,8 +57,8 @@ def add_runtime_args(parser: argparse.ArgumentParser) -> None:
         "--outcome-log",
         default=None,
         metavar="PATH",
-        help="append serving outcomes as JSONL to PATH (drives drift "
-        "detection and retraining; see docs/LIFECYCLE.md)",
+        help="append serving outcomes as JSONL to PATH (the training "
+        "data of repro retrain; see docs/LIFECYCLE.md)",
     )
     group.add_argument(
         "--runtime-profile",

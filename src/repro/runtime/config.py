@@ -76,8 +76,6 @@ class RuntimeConfig:
         slo_availability: availability SLO objective (good-request
             fraction) in (0, 1].
         slo_p99_ms: p99 latency SLO threshold, milliseconds.
-        slo_calibration_error: calibration-error EWMA the model SLO
-            tolerates before alerting.
         slo_window: rolling SLO evaluation window, seconds.
         provenance: ``field -> layer`` map ("default"/"env"/"profile"/
             "override"); informational, excluded from equality.
@@ -100,7 +98,6 @@ class RuntimeConfig:
     trace_sample: float = 1.0
     slo_availability: float = 0.999
     slo_p99_ms: float = 250.0
-    slo_calibration_error: float = 0.25
     slo_window: float = 300.0
     provenance: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -135,8 +132,6 @@ class RuntimeConfig:
             raise InvalidConfiguration("slo_availability must be in (0, 1]")
         if self.slo_p99_ms <= 0:
             raise InvalidConfiguration("slo_p99_ms must be > 0")
-        if self.slo_calibration_error <= 0:
-            raise InvalidConfiguration("slo_calibration_error must be > 0")
         if self.slo_window <= 0:
             raise InvalidConfiguration("slo_window must be > 0")
 

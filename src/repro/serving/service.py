@@ -362,7 +362,6 @@ class EstimationService:
             obs.default_serving_slos(
                 availability=float(config.slo_availability),
                 p99_seconds=float(config.slo_p99_ms) / 1000.0,
-                calibration_error=float(config.slo_calibration_error),
                 window=float(config.slo_window),
             ),
         )

@@ -354,7 +354,7 @@ class TestObservabilityFlags:
         out = capsys.readouterr().out
         assert "[1/1] healthy=True lane in-process" in out
         assert "shards" not in out
-        for name in ("availability", "latency_p99", "calibration"):
+        for name in ("availability", "latency_p99"):
             assert f"slo {name}" in out
 
     def test_trace_flag_on_search(self, npy_files, tmp_path, capsys):

@@ -1,12 +1,14 @@
 """End-to-end tests of the online learning loop.
 
-Covers the ISSUE's acceptance scenario: a drifted workload trips the
-drift detector, the background retrainer fits candidates without
-blocking serving, the canary promotes the winner, and the promoted
-model beats the frozen incumbent on the held-out outcome slice. Plus
-the supervision plumbing: parent-side outcome recording under a shard
-crash storm must never tear a JSONL line, and the supervisor's
-breaker/late-reply state must surface as ``repro_serving_*`` gauges.
+Covers the loop on a drifted workload: its measured outcomes are
+logged and replayed, a synchronous retrain fits candidates, the canary
+promotes the winner, and the promoted model beats the frozen incumbent
+on the held-out outcome slice. Plus the supervision plumbing:
+parent-side outcome recording under a shard crash storm must never
+tear a JSONL line, and the supervisor's breaker/late-reply state must
+surface as ``repro_serving_*`` gauges. And the CLI: ``outcomes-report``
+and ``retrain`` on a log, with and without promotion, and a typo'd log
+path.
 """
 
 import json
@@ -20,11 +22,10 @@ from repro.cli import main
 from repro.compressors import get_compressor
 from repro.core.persistence import save_pipeline
 from repro.lifecycle import (
-    BackgroundRetrainer,
-    DriftDetector,
     OutcomeLog,
     OutcomeRecord,
     read_outcomes,
+    retrain,
 )
 from repro.robustness.faults import FaultSpec
 from repro.runtime import RuntimeContext
@@ -84,7 +85,7 @@ def model_path(fitted, tmp_path_factory):
 
 
 def _measured_outcomes(
-    pipeline, fields, targets, *, log=None, detector=None
+    pipeline, fields, targets, *, log=None
 ) -> list[OutcomeRecord]:
     """Serve each (field, target), measure the true ratio, record it."""
     compressor = pipeline.compressor
@@ -103,8 +104,6 @@ def _measured_outcomes(
             records.append(record)
             if log is not None:
                 log.record(record)
-            if detector is not None:
-                detector.observe(record)
     return records
 
 
@@ -114,49 +113,23 @@ class TestCanaryEndToEnd:
         registry = ModelRegistry(tmp_path / "reg")
         incumbent = registry.publish(pipeline)
 
-        detector = DriftDetector.for_pipeline(
-            pipeline, window=64, min_samples=8, hysteresis=3
-        )
         log_path = tmp_path / "outcomes.jsonl"
         with OutcomeLog(log_path) as log:
             _measured_outcomes(
-                pipeline,
-                _noisy_fields(6),
-                (5.0, 8.0, 11.0),
-                log=log,
-                detector=detector,
+                pipeline, _noisy_fields(6), (5.0, 8.0, 11.0), log=log
             )
-        assert detector.drifting, (
-            f"a pure-noise workload must trip the detector: "
-            f"{detector.snapshot}"
-        )
 
         replay = read_outcomes(log_path)
         assert replay.torn_lines == 0
-        retrainer = BackgroundRetrainer(
+        result = retrain(
             registry,
             "sz",
-            detector=detector,
-            min_samples=10_000,  # volume alone must NOT be the trigger
+            replay.records,
             canary_fraction=0.25,
             oversample=4,
             n_candidates=2,
         )
-        assert retrainer.maybe_trigger(replay.records)
 
-        # Serving never blocks: the incumbent keeps answering while the
-        # candidate fits on the background thread.
-        probe = _noisy_fields(1)[0]
-        served = 0
-        while retrainer.busy and served < 50:
-            estimate = pipeline.estimate_config(probe, 8.0)
-            assert estimate.config > 0
-            served += 1
-        assert retrainer.wait(timeout=300)
-        assert retrainer.last_error is None
-
-        result = retrainer.last_result
-        assert result.triggered_by == "drift"
         assert result.candidate.version == incumbent.version + 1
         assert result.report.promote, result.report.reason
         assert result.promoted is not None
@@ -167,9 +140,6 @@ class TestCanaryEndToEnd:
         history = registry.history("sz")
         assert history[-1]["action"] == "promote"
         assert history[-1]["previous"] == incumbent.version
-        # The window described the old model; it must refill from zero.
-        assert detector.state == "stable"
-        assert detector.snapshot.samples == 0
 
     def test_retrained_model_serves_drifted_workload_better(
         self, fitted, tmp_path
@@ -181,10 +151,9 @@ class TestCanaryEndToEnd:
         probes = _noisy_fields(8)
         records = _measured_outcomes(pipeline, probes[:6], (5.0, 8.0, 11.0))
 
-        retrainer = BackgroundRetrainer(
-            registry, "sz", min_samples=4, canary_fraction=0.25, oversample=4
+        result = retrain(
+            registry, "sz", records, canary_fraction=0.25, oversample=4
         )
-        result = retrainer.retrain(records)
         assert result.promoted is not None, result.reason
 
         frozen = registry.load("sz", incumbent.fingerprint, incumbent.version)
@@ -368,8 +337,6 @@ class TestLifecycleCLI:
                     str(registry_root),
                     "--outcomes",
                     str(log_path),
-                    "--min-samples",
-                    "4",
                     "--no-promote",
                 ]
             )
@@ -381,3 +348,36 @@ class TestLifecycleCLI:
         assert registry.resolve("sz", None, LATEST).version == 1
         versions = [e.version for e in registry.entries()]
         assert 2 in versions
+
+    def test_retrain_promotes_and_flips_latest(self, fitted, tmp_path, capsys):
+        pipeline, _ = fitted
+        registry_root = tmp_path / "reg"
+        registry = ModelRegistry(registry_root)
+        incumbent = registry.publish(pipeline)
+        log_path = tmp_path / "outcomes.jsonl"
+        with OutcomeLog(log_path) as log:
+            _measured_outcomes(
+                pipeline, _noisy_fields(6), (5.0, 8.0, 11.0), log=log
+            )
+
+        argv = ["retrain", "--registry", str(registry_root),
+                "--outcomes", str(log_path)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        candidate = incumbent.version + 1
+        assert f"promoted v{candidate} to latest" in out
+        assert registry.resolve("sz", None, LATEST).version == candidate
+        history = registry.history("sz")
+        assert history[-1]["action"] == "promote"
+        assert history[-1]["previous"] == incumbent.version
+
+    @pytest.mark.parametrize("command", ["outcomes-report", "retrain"])
+    def test_missing_outcome_log_is_an_error(self, command, tmp_path, capsys):
+        missing = tmp_path / "typo.jsonl"
+        if command == "retrain":
+            argv = ["retrain", "--registry", str(tmp_path / "reg"),
+                    "--outcomes", str(missing)]
+        else:
+            argv = ["outcomes-report", str(missing)]
+        assert main(argv) == 2
+        assert f"no outcome log at {missing}" in capsys.readouterr().err

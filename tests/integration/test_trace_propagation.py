@@ -190,7 +190,7 @@ class TestInProcessScrape:
             "healthy": True, "closed": False,
         }
         assert [s["name"] for s in json.loads(routes["/slo"])["slos"]] == [
-            "availability", "latency_p99", "calibration",
+            "availability", "latency_p99",
         ]
         spans = [
             obs.Span.from_dict(json.loads(line))

@@ -196,7 +196,6 @@ class TestLifecycleFlags:
         assert args.registry == "reg"
         assert args.compressor == "sz"
         assert args.fingerprint == ""
-        assert args.min_samples == 64
         assert args.canary_fraction == 0.25
         assert args.canary_margin == 0.0
         assert args.oversample == 4
@@ -206,12 +205,11 @@ class TestLifecycleFlags:
         args = parser.parse_args(
             ["retrain", "--registry", "reg", "--outcomes", "o.jsonl",
              "--compressor", "zfp", "--fingerprint", "abc",
-             "--min-samples", "8", "--canary-fraction", "0.5",
+             "--canary-fraction", "0.5",
              "--canary-margin", "0.05", "--oversample", "2", "--no-promote"]
         )
         assert args.compressor == "zfp"
         assert args.fingerprint == "abc"
-        assert args.min_samples == 8
         assert args.canary_fraction == 0.5
         assert args.canary_margin == 0.05
         assert args.oversample == 2

@@ -12,9 +12,9 @@ from repro.compressors import get_compressor
 from repro.core.inference import model_config
 from repro.errors import InvalidConfiguration
 from repro.lifecycle import (
-    BackgroundRetrainer,
     OutcomeRecord,
     evaluate_canary,
+    retrain,
     training_rows_from_outcomes,
 )
 from repro.lifecycle.promote import invert_model_ratio, replay_errors
@@ -297,93 +297,37 @@ class TestCloneWithModel:
         assert estimate.config > 0
 
 
-class _RecordingRetrainer(BackgroundRetrainer):
-    """Trigger-logic probe: records calls instead of fitting anything."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.calls = []
-
-    def retrain(self, records, *, triggered_by="manual"):
-        self.calls.append(triggered_by)
-        trainable = sum(1 for r in records if r.trainable)
-        with self._lock:
-            self._trained_through = trainable
-        return SimpleNamespace(reason="stub", triggered_by=triggered_by)
-
-
-class TestTriggering:
-    def make(self, tmp_path, **kwargs):
-        kwargs.setdefault("min_samples", 4)
-        return _RecordingRetrainer(
-            ModelRegistry(tmp_path / "reg"), "sz", **kwargs
-        )
-
-    def test_volume_trigger_fires_once_per_batch(self, tmp_path):
-        retrainer = self.make(tmp_path)
-        records = [make_record(i) for i in range(4)]
-        assert retrainer.maybe_trigger(records)
-        assert retrainer.wait(timeout=10)
-        assert retrainer.calls == ["samples"]
-        # Same records again: nothing fresh since the last retrain.
-        assert not retrainer.maybe_trigger(records)
-
-    def test_below_volume_does_not_trigger(self, tmp_path):
-        retrainer = self.make(tmp_path)
-        assert not retrainer.maybe_trigger([make_record(0)] * 3)
-        assert retrainer.calls == []
-
-    def test_drift_trigger_needs_two_trainable(self, tmp_path):
-        detector = SimpleNamespace(drifting=True, reset=lambda: None)
-        retrainer = self.make(tmp_path, detector=detector, min_samples=64)
-        assert not retrainer.maybe_trigger([make_record(0)])
-        assert retrainer.maybe_trigger([make_record(0), make_record(1)])
-        assert retrainer.wait(timeout=10)
-        assert retrainer.calls == ["drift"]
-
-    def test_knobs_validated(self, tmp_path):
-        registry = ModelRegistry(tmp_path / "reg")
-        with pytest.raises(InvalidConfiguration):
-            BackgroundRetrainer(registry, "sz", min_samples=0)
-        with pytest.raises(InvalidConfiguration):
-            BackgroundRetrainer(registry, "sz", canary_fraction=1.0)
-        with pytest.raises(InvalidConfiguration):
-            BackgroundRetrainer(registry, "sz", n_candidates=0)
-
-
 class TestRetrainerMetrics:
-    def test_skipped_retrain_counts_result_and_idles_gauge(self, tmp_path):
+    def test_skipped_retrain_counts_result_once(self, tmp_path):
         from repro import obs
 
         metrics = obs.MetricsRegistry()
-        retrainer = BackgroundRetrainer(
-            ModelRegistry(tmp_path / "reg"), "sz", metrics=metrics
+        result = retrain(
+            ModelRegistry(tmp_path / "reg"),
+            "sz",
+            [make_record(0)],
+            metrics=metrics,
         )
-        result = retrainer.retrain([make_record(0)])
         assert result.candidate is None
-        assert retrainer.state == "idle"
         text = metrics.render_prometheus()
         assert 'repro_lifecycle_retrains_total{result="skipped"} 1' in text
-        assert "repro_lifecycle_retrainer_state 0" in text
+        assert "repro_lifecycle_promotions_total 0" in text
 
     def test_failed_retrain_counts_error(self, tmp_path):
         from repro import obs
 
-        class _Exploding(BackgroundRetrainer):
-            def _retrain(self, records, *, triggered_by):
-                self._set_state("fitting")
-                raise InvalidConfiguration("boom")
-
         metrics = obs.MetricsRegistry()
-        retrainer = _Exploding(
-            ModelRegistry(tmp_path / "reg"), "sz", metrics=metrics
-        )
-        with pytest.raises(InvalidConfiguration):
-            retrainer.retrain([make_record(0), make_record(1)])
-        assert retrainer.state == "idle"
+        # An empty registry has no incumbent to resolve: the attempt
+        # fails after it has seen enough trainable records.
+        with pytest.raises(InvalidConfiguration, match="no models"):
+            retrain(
+                ModelRegistry(tmp_path / "reg"),
+                "sz",
+                [make_record(0), make_record(1)],
+                metrics=metrics,
+            )
         text = metrics.render_prometheus()
         assert 'repro_lifecycle_retrains_total{result="error"} 1' in text
-        assert "repro_lifecycle_retrainer_state 0" in text
 
     def test_completed_retrain_labels_promotion_outcome(
         self, fitted_pipeline, tmp_path
@@ -397,21 +341,21 @@ class TestRetrainerMetrics:
             pipeline, train, (6.0, 8.0, 10.0, 12.0)
         )
         metrics = obs.MetricsRegistry()
-        retrainer = BackgroundRetrainer(
+        result = retrain(
             registry,
             "sz",
-            min_samples=4,
+            records,
             canary_fraction=0.25,
             n_candidates=1,
             metrics=metrics,
         )
-        result = retrainer.retrain(records)
         expected = "promoted" if result.promoted is not None else "held"
         text = metrics.render_prometheus()
         assert (
             f'repro_lifecycle_retrains_total{{result="{expected}"}} 1' in text
         )
-        assert retrainer.state == "idle"
+        promotions = 1 if result.promoted is not None else 0
+        assert f"repro_lifecycle_promotions_total {promotions}" in text
 
 
 class TestSynchronousRetrain:
@@ -441,16 +385,10 @@ class TestSynchronousRetrain:
         incumbent = registry.publish(pipeline)
         records = self.outcome_records(pipeline, train, (6.0, 8.0, 10.0, 12.0))
 
-        retrainer = BackgroundRetrainer(
-            registry,
-            "sz",
-            min_samples=4,
-            canary_fraction=0.25,
-            n_candidates=1,
+        result = retrain(
+            registry, "sz", records, canary_fraction=0.25, n_candidates=1
         )
-        result = retrainer.retrain(records)
 
-        assert result.triggered_by == "manual"
         assert result.trainable == len(records)
         assert result.holdout == 2  # ceil(0.25 * 8)
         assert result.train_rows == len(records) - result.holdout
@@ -471,9 +409,16 @@ class TestSynchronousRetrain:
     def test_too_few_outcomes_is_a_clean_no_op(self, fitted_pipeline, tmp_path):
         pipeline, _ = fitted_pipeline
         registry = ModelRegistry(tmp_path / "reg")
-        registry.publish(pipeline)
-        retrainer = BackgroundRetrainer(registry, "sz")
-        result = retrainer.retrain([make_record(0)])
+        incumbent = registry.publish(pipeline)
+        result = retrain(registry, "sz", [make_record(0)])
         assert result.candidate is None and result.promoted is None
         assert "not enough" in result.reason
-        assert retrainer.retrains == 1
+        assert [e.version for e in registry.entries()] == [incumbent.version]
+
+    def test_options_validated(self, tmp_path):
+        registry = ModelRegistry(tmp_path / "reg")
+        records = [make_record(0), make_record(1)]
+        with pytest.raises(InvalidConfiguration):
+            retrain(registry, "sz", records, canary_fraction=1.0)
+        with pytest.raises(InvalidConfiguration):
+            retrain(registry, "sz", records, n_candidates=0)

@@ -15,8 +15,8 @@ pytestmark = [pytest.mark.runtime, pytest.mark.lifecycle]
 
 class TestLifecycleKnobs:
     """``outcome_log`` is the one lifecycle knob of the runtime config;
-    the drift, retrain and canary settings are arguments of
-    ``DriftDetector``/``BackgroundRetrainer`` and ``repro retrain``."""
+    the retrain and canary settings are arguments of ``retrain()`` and
+    flags of ``repro retrain``."""
 
     _REMOVED = (
         "drift_window",

@@ -206,7 +206,7 @@ class TestSLOs:
         # The default grid has a 0.25 bound, so the stock 250 ms
         # threshold counts a 0.2 s request as good.
         tracker = self._latency_traffic(registry, [0.2] * 100)
-        [_, slo, _] = obs.default_serving_slos()
+        [_, slo] = obs.default_serving_slos()
         status = slo.evaluate(tracker)
         assert status.compliance == 1.0
         assert status.burn_rate == 0.0
@@ -214,7 +214,7 @@ class TestSLOs:
 
     def test_default_p99_fails_requests_over_250ms(self, registry):
         tracker = self._latency_traffic(registry, [0.3] * 100)
-        [_, slo, _] = obs.default_serving_slos()
+        [_, slo] = obs.default_serving_slos()
         status = slo.evaluate(tracker)
         assert status.compliance == 0.0
         assert status.alerting
@@ -228,22 +228,6 @@ class TestSLOs:
         status = slo.evaluate(tracker)
         assert status.compliance == pytest.approx(0.5)
         assert status.burn_rate == pytest.approx(1.0)
-
-    def test_threshold_slo_watches_gauge(self, registry):
-        gauge = registry.gauge("repro_lifecycle_drift_error_ewma")
-        tracker = obs.SLOTracker(registry)
-        gauge.set(0.1)
-        tracker.sample(unix=0.0)
-        slo = obs.ThresholdSLO(threshold=0.25, window=60.0)
-        status = slo.evaluate(tracker)
-        assert status.compliance == 1.0
-        assert status.burn_rate == pytest.approx(0.4)
-        gauge.set(0.5)
-        tracker.sample(unix=1.0)
-        status = slo.evaluate(tracker)
-        assert status.compliance == 0.0
-        assert status.burn_rate == pytest.approx(2.0)
-        assert status.alerting
 
     def test_tracker_exports_slo_gauges(self, registry):
         tracker = self._traffic(
@@ -283,7 +267,7 @@ class TestSLOs:
         report = tracker.report()
         json.dumps(report)
         assert [s["name"] for s in report["slos"]] == [
-            "availability", "latency_p99", "calibration",
+            "availability", "latency_p99",
         ]
         assert report["alerting"] == []
         assert report["frames_sampled"] == 2
@@ -302,8 +286,6 @@ class TestSLOs:
             obs.AvailabilitySLO(window=0.0)
         with pytest.raises(InvalidConfiguration):
             obs.LatencySLO(threshold_seconds=0.0)
-        with pytest.raises(InvalidConfiguration):
-            obs.ThresholdSLO(threshold=0.0)
 
 
 class TestObservabilityServer:

@@ -97,9 +97,14 @@ class TestConfigLayering:
             RuntimeConfig.resolve(env={}, workers=4)
 
     def test_unknown_profile_key_rejected(self, tmp_path):
-        # A removed field (drift_window) fails loudly, not silently.
+        # Removed fields (drift_window, slo_calibration_error) fail
+        # loudly, not silently.
         profile = tmp_path / "runtime.toml"
-        for line in ("workers = 4", "drift_window = 64"):
+        for line in (
+            "workers = 4",
+            "drift_window = 64",
+            "slo_calibration_error = 0.25",
+        ):
             profile.write_text(f"[runtime]\n{line}\n")
             with pytest.raises(InvalidConfiguration, match="unknown option"):
                 RuntimeConfig.resolve(profile=profile, env={})
@@ -121,7 +126,6 @@ class TestConfigLayering:
             {"trace_sample": 1.5},
             {"slo_availability": 0.0},
             {"slo_p99_ms": 0.0},
-            {"slo_calibration_error": 0.0},
             {"slo_window": 0.0},
         ):
             with pytest.raises(InvalidConfiguration):
@@ -320,7 +324,6 @@ class TestContextLifecycle:
             "trace_sample": 0.25,
             "slo_availability": 0.99,
             "slo_p99_ms": 100.0,
-            "slo_calibration_error": 0.5,
             "slo_window": 60.0,
         }
         defaults = RuntimeConfig()
