@@ -28,7 +28,6 @@ from repro.core.objective import (
     Objective,
     ParetoFrontier,
     PSNRTarget,
-    QualityModel,
     RatioTarget,
     SSIMTarget,
     as_objective,
@@ -66,7 +65,6 @@ __all__ = [
     "RatioTarget",
     "PSNRTarget",
     "SSIMTarget",
-    "QualityModel",
     "ParetoFrontier",
     "as_objective",
     "parse_objective",

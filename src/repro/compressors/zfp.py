@@ -38,8 +38,10 @@ _K = 30
 
 #: Worst-case inverse-transform error amplification per rank, including
 #: slack for the integer floor operations; used to pick the per-block
-#: shift conservatively so the absolute bound always holds.
-_AMPLIFY = {1: 3, 2: 4, 3: 5, 4: 6}
+#: shift conservatively so the absolute bound always holds. Rank 4 needs
+#: 8: a 3x4x2x5 field of ones with one zero reconstructs with eight
+#: quanta of error.
+_AMPLIFY = {1: 3, 2: 4, 3: 5, 4: 8}
 
 #: Flag exponent for all-zero blocks.
 _ZERO_EXP = -(1 << 14)

@@ -27,7 +27,6 @@ from repro.core.objective import (
     Objective,
     ParetoFrontier,
     PSNRTarget,
-    QualityModel,
     RatioTarget,
     SSIMTarget,
     as_objective,
@@ -56,7 +55,6 @@ __all__ = [
     "RatioTarget",
     "PSNRTarget",
     "SSIMTarget",
-    "QualityModel",
     "FrontierPoint",
     "ParetoFrontier",
     "as_objective",

@@ -5,7 +5,7 @@ extracts the same sampled features as training and answers with an
 error configuration. Ratio objectives (the paper's TCR) go through the
 regression model — compression-free, with the target adjusted by the
 non-constant block fraction (CA); quality objectives (PSNR/SSIM, see
-:mod:`repro.core.objective`) go through the quality model, with the
+:mod:`repro.core.objective`) go through probe refinement, with the
 closed forms of :mod:`repro.core.psnr_control` as the analytic prior.
 The recorded ``analysis_seconds`` is what Table VIII compares against
 FRaZ's iterative search cost.
@@ -42,10 +42,10 @@ from repro.core.features import extract_features
 from repro.core.objective import (
     Objective,
     ParetoFrontier,
-    QualityModel,
     RatioTarget,
     as_objective,
     build_frontier,
+    refine,
 )
 from repro.errors import InvalidConfiguration, ReproError
 
@@ -230,8 +230,8 @@ class InferenceEngine:
     ``ctx`` (a :class:`~repro.runtime.RuntimeContext`) is carried for
     API uniformity — ratio inference itself is compression-free, but
     engines hand the context on to the quality probes, the fallback
-    rungs and serving layers. ``quality`` answers PSNR/SSIM objectives
-    (an uncalibrated analytic prior when not given).
+    rungs and serving layers. PSNR/SSIM objectives are answered by
+    :func:`~repro.core.objective.refine` with ``quality_probes`` runs.
     """
 
     #: Rungs walked for ratio and for quality objectives, in order.
@@ -245,14 +245,12 @@ class InferenceEngine:
         config: FXRZConfig | None = None,
         *,
         ctx=None,
-        quality: QualityModel | None = None,
         quality_probes: int = 2,
     ) -> None:
         self.model = model
         self.compressor = compressor
         self.config = config or FXRZConfig()
         self.ctx = ctx
-        self.quality = quality or QualityModel()
         self.quality_probes = int(quality_probes)
 
     def analyze(self, data: np.ndarray) -> DatasetAnalysis:
@@ -437,7 +435,7 @@ class InferenceEngine:
         with obs.span(
             "inference.quality_query", objective=objective.canonical
         ):
-            result = self.quality.refine(
+            result = refine(
                 self.compressor,
                 query.data,
                 objective,
@@ -461,15 +459,10 @@ class InferenceEngine:
         """The learned config -> (CR, PSNR) trade-off for ``data``.
 
         Sweeps the ratio model over a target grid and predicts the PSNR
-        of each resulting config with the quality model; the returned
+        of each resulting config with the analytic prior; the returned
         :class:`~repro.core.objective.ParetoFrontier` answers "best
         quality at CR >= N" (and the converse) in one call.
         """
         return build_frontier(
-            self,
-            data,
-            analysis,
-            ratios=ratios,
-            points=points,
-            quality=self.quality,
+            self, data, analysis, ratios=ratios, points=points
         )

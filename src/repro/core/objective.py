@@ -9,8 +9,8 @@ small closed algebra rather than a bare float:
 
 * :class:`RatioTarget` — the paper's TCR, answered by the regression
   forest (compression-free);
-* :class:`PSNRTarget` — answered by the calibrated quality model, with
-  :mod:`repro.core.psnr_control`'s closed form as the analytic prior;
+* :class:`PSNRTarget` — answered by the analytic prior
+  (:mod:`repro.core.psnr_control`'s closed form) refined by probes;
 * :class:`SSIMTarget` — same shape, with a global-SSIM prior derived
   from the uniform-quantization noise model.
 
@@ -19,22 +19,19 @@ Every objective has a canonical string form (``"ratio:10"``,
 outcome-log rows, registry keys and CLI output, so the objective a
 request carried is greppable end to end.
 
-:class:`QualityModel` is the quality-side companion of the ratio
-forest: it predicts config -> (CR, PSNR) jointly — PSNR from the
-analytic prior plus a per-corpus calibration offset, CR from the ratio
-model queried over a target grid — which is exactly what
-:func:`build_frontier` sweeps to answer Pareto queries like "best PSNR
-at CR >= 10" in one call.
+The quality side is stateless: :func:`analytic_config` inverts the
+noise model, :func:`refine` corrects it with measured probes of the
+real compressor (the ratio-quality inversion of Jin et al., PAPERS.md),
+and :func:`predict_psnr` is the config -> PSNR axis that
+:func:`build_frontier` pairs with the ratio model's config -> CR sweep
+to answer Pareto queries like "best PSNR at CR >= 10" in one call.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import pathlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -223,222 +220,102 @@ class QualityEstimate:
     probes_spent: int
 
 
-@dataclass
-class QualityModel:
-    """The quality half of the learned config -> (CR, quality) curve.
+def predict_psnr(value_range: float, config: float) -> float:
+    """PSNR the analytic prior expects at ``config`` for ``value_range``."""
+    if config <= 0 or value_range <= 0:
+        raise InvalidConfiguration(
+            "predict_psnr needs a positive config and value range"
+        )
+    return 20.0 * math.log10(value_range * _SQRT3 / config)
 
-    The ratio forest learns config(features, ACR); this model supplies
-    the orthogonal axis: quality(config). The prior is analytic (the
-    uniform-quantization noise model, exact for SZ-style quantizers);
-    :meth:`calibrate` refines it into a per-corpus dB offset measured
-    against the real compressor, which is the artifact the registry
-    publishes beside each ratio model (same fingerprint, see
-    :meth:`~repro.serving.registry.ModelRegistry.publish_quality`).
 
-    Attributes:
-        compressor: compressor name the calibration was measured on
-            (informational; empty for an uncalibrated prior).
-        offset_db: measured PSNR miss of the analytic prior
-            (``achieved - analytic``), folded into every prediction;
-            ``None`` until :meth:`calibrate` runs.
-        probes: default refinement budget of :meth:`refine`.
+def analytic_config(data: np.ndarray, objective: Objective) -> float:
+    """The analytic prior's bound for a PSNR or SSIM ``objective``.
+
+    The prior is the uniform-quantization noise model, exact for the
+    SZ-style quantizer; other compressor families need probes.
     """
-
-    compressor: str = ""
-    offset_db: float | None = None
-    probes: int = 2
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def calibrated(self) -> bool:
-        return self.offset_db is not None
-
-    def trusts(self, compressor) -> bool:
-        """Whether the analytic rung alone is acceptable for ``compressor``.
-
-        The closed form is exact for the SZ-style uniform quantizer;
-        any other family must either carry a measured calibration
-        offset or spend probes.
-        """
-        return self.calibrated or getattr(compressor, "name", "") == "sz"
-
-    # -- prediction ------------------------------------------------------------
-
-    def predict_psnr(self, value_range: float, config: float) -> float:
-        """PSNR the model expects at ``config`` on data of ``value_range``."""
-        if config <= 0 or value_range <= 0:
-            raise InvalidConfiguration(
-                "predict_psnr needs a positive config and value range"
-            )
-        analytic = 20.0 * math.log10(value_range * _SQRT3 / config)
-        return analytic + (self.offset_db or 0.0)
-
-    def analytic_config(self, data: np.ndarray, objective: Objective) -> float:
-        """The prior's bound for ``objective`` (offset-adjusted for PSNR)."""
-        objective = as_objective(objective)
-        if isinstance(objective, PSNRTarget):
-            from repro.core.psnr_control import analytic_bound_for_psnr
-
-            bound = analytic_bound_for_psnr(data, objective.db)
-            if self.offset_db:
-                # The prior over-delivers by offset_db; a positive
-                # offset means the bound may loosen by the same margin.
-                bound *= 10.0 ** (self.offset_db / 20.0)
-            return float(bound)
-        if isinstance(objective, SSIMTarget):
-            return analytic_bound_for_ssim(data, objective.s)
-        raise InvalidConfiguration(
-            f"quality model cannot answer a {objective.kind!r} objective"
-        )
-
-    # -- measurement -----------------------------------------------------------
-
-    def refine(
-        self,
-        compressor,
-        data: np.ndarray,
-        objective: Objective,
-        *,
-        probes: int | None = None,
-        ctx=None,
-    ) -> QualityEstimate:
-        """Analytic prior refined by probing the real compressor.
-
-        ``probes=0`` returns the domain-clipped analytic answer without
-        touching the compressor. PSNR probes share the context's
-        compression memo (a bound another caller already measured is
-        answered from cache); SSIM probes are always live.
-        """
-        objective = as_objective(objective)
-        if compressor.error_mode != "abs":
-            raise InvalidConfiguration(
-                "quality targeting requires an absolute-error compressor"
-            )
-        budget = self.probes if probes is None else int(probes)
-        if budget < 0:
-            raise InvalidConfiguration("probes must be >= 0")
-        if isinstance(objective, PSNRTarget):
-            from repro.core.psnr_control import _calibrated_search
-
-            memo = ctx.memo if ctx is not None else None
-            bound, achieved, spent = _calibrated_search(
-                compressor, data, objective.db, budget, memo
-            )
-            return QualityEstimate(
-                config=float(bound), measured=achieved, probes_spent=spent
-            )
-        if isinstance(objective, SSIMTarget):
-            return self._refine_ssim(compressor, data, objective, budget)
-        raise InvalidConfiguration(
-            f"quality model cannot refine a {objective.kind!r} objective"
-        )
-
-    def _refine_ssim(
-        self, compressor, data: np.ndarray, objective: SSIMTarget, budget: int
-    ) -> QualityEstimate:
-        from repro.analysis.distortion import ssim as measure_ssim
-
-        lo, hi = compressor.config_domain(data)
-        bound = float(
-            np.clip(self.analytic_config(data, objective), lo, hi)
-        )
-        target = objective.s
-        best_bound, best_measured = bound, None
-        best_miss = math.inf
-        spent = 0
-        for _ in range(budget):
-            recon, _blob = compressor.roundtrip(data, bound)
-            spent += 1
-            achieved = float(measure_ssim(data, recon))
-            miss = achieved - target
-            if abs(miss) < abs(best_miss):
-                best_miss, best_bound, best_measured = miss, bound, achieved
-            if abs(miss) < 0.005 or achieved >= 1.0:
-                break
-            # Invert the noise model at both points: the bound scales by
-            # sqrt(((1-t)/t) / ((1-a)/a)).
-            a = min(max(achieved, 1e-9), 1.0 - 1e-9)
-            t = min(max(target, 1e-9), 1.0 - 1e-9)
-            factor = math.sqrt(((1.0 - t) / t) / ((1.0 - a) / a))
-            bound = float(np.clip(bound * factor, lo, hi))
-        return QualityEstimate(
-            config=best_bound, measured=best_measured, probes_spent=spent
-        )
-
-    def calibrate(
-        self,
-        compressor,
-        data: np.ndarray,
-        *,
-        probes: int = 2,
-        targets: tuple[float, ...] = (45.0, 60.0),
-    ) -> "QualityModel":
-        """Measure the analytic prior's dB miss on ``compressor`` in place.
-
-        Runs the compressor at the analytic bound of each target PSNR
-        and stores the mean measured-minus-analytic offset; predictions
-        and analytic answers fold it in from then on. Returns ``self``.
-        """
-        if compressor.error_mode != "abs":
-            raise InvalidConfiguration(
-                "quality calibration requires an absolute-error compressor"
-            )
-        if probes < 1:
-            raise InvalidConfiguration("calibration needs at least one probe")
-        from repro.analysis.distortion import psnr as measure_psnr
+    objective = as_objective(objective)
+    if isinstance(objective, PSNRTarget):
         from repro.core.psnr_control import analytic_bound_for_psnr
 
-        lo, hi = compressor.config_domain(data)
-        misses: list[float] = []
-        for target in targets[: max(probes, 1)]:
-            bound = float(
-                np.clip(analytic_bound_for_psnr(data, target), lo, hi)
-            )
-            recon, _blob = compressor.roundtrip(data, bound)
-            achieved = measure_psnr(data, recon)
-            if math.isfinite(achieved):
-                misses.append(float(achieved) - float(target))
-        if misses:
-            self.offset_db = float(np.mean(misses))
-            self.compressor = getattr(compressor, "name", self.compressor)
-        return self
+        return float(analytic_bound_for_psnr(data, objective.db))
+    if isinstance(objective, SSIMTarget):
+        return analytic_bound_for_ssim(data, objective.s)
+    raise InvalidConfiguration(
+        f"quality model cannot answer a {objective.kind!r} objective"
+    )
 
-    # -- persistence (the registry's quality artifact) -------------------------
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "fxrz-quality-model",
-            "version": 1,
-            "compressor": self.compressor,
-            "offset_db": self.offset_db,
-            "probes": int(self.probes),
-            "metadata": dict(self.metadata),
-        }
+def refine(
+    compressor,
+    data: np.ndarray,
+    objective: Objective,
+    *,
+    probes: int,
+    ctx=None,
+) -> QualityEstimate:
+    """Analytic prior refined by probing the real compressor.
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "QualityModel":
-        if not isinstance(payload, dict):
-            raise InvalidConfiguration("quality-model payload must be a dict")
-        offset = payload.get("offset_db")
-        return cls(
-            compressor=str(payload.get("compressor", "")),
-            offset_db=None if offset is None else float(offset),
-            probes=int(payload.get("probes", 2)),
-            metadata=dict(payload.get("metadata", {})),
+    ``probes=0`` returns the domain-clipped analytic answer without
+    touching the compressor. PSNR probes share the context's
+    compression memo (a bound another caller already measured is
+    answered from cache); SSIM probes are always live.
+    """
+    objective = as_objective(objective)
+    if compressor.error_mode != "abs":
+        raise InvalidConfiguration(
+            "quality targeting requires an absolute-error compressor"
         )
+    budget = int(probes)
+    if budget < 0:
+        raise InvalidConfiguration("probes must be >= 0")
+    if isinstance(objective, PSNRTarget):
+        from repro.core.psnr_control import probe_search
 
-    def save(self, path: str | os.PathLike) -> None:
-        pathlib.Path(path).write_text(json.dumps(self.to_dict(), indent=2))
+        memo = ctx.memo if ctx is not None else None
+        bound, achieved, spent = probe_search(
+            compressor, data, objective.db, budget, memo
+        )
+        return QualityEstimate(
+            config=float(bound), measured=achieved, probes_spent=spent
+        )
+    if isinstance(objective, SSIMTarget):
+        return _refine_ssim(compressor, data, objective, budget)
+    raise InvalidConfiguration(
+        f"quality model cannot refine a {objective.kind!r} objective"
+    )
 
-    @classmethod
-    def load(cls, path: str | os.PathLike) -> "QualityModel":
-        try:
-            payload = json.loads(pathlib.Path(path).read_text())
-        except ValueError as exc:
-            raise InvalidConfiguration(
-                f"quality model {path} is unreadable: {exc}"
-            ) from exc
-        return cls.from_dict(payload)
+
+def _refine_ssim(
+    compressor, data: np.ndarray, objective: SSIMTarget, budget: int
+) -> QualityEstimate:
+    from repro.analysis.distortion import ssim as measure_ssim
+
+    lo, hi = compressor.config_domain(data)
+    bound = float(np.clip(analytic_config(data, objective), lo, hi))
+    target = objective.s
+    best_bound, best_measured = bound, None
+    best_miss = math.inf
+    spent = 0
+    for _ in range(budget):
+        recon, _blob = compressor.roundtrip(data, bound)
+        spent += 1
+        achieved = float(measure_ssim(data, recon))
+        miss = achieved - target
+        if abs(miss) < abs(best_miss):
+            best_miss, best_bound, best_measured = miss, bound, achieved
+        if abs(miss) < 0.005 or achieved >= 1.0:
+            break
+        # Invert the noise model at both points: the bound scales by
+        # sqrt(((1-t)/t) / ((1-a)/a)).
+        a = min(max(achieved, 1e-9), 1.0 - 1e-9)
+        t = min(max(target, 1e-9), 1.0 - 1e-9)
+        factor = math.sqrt(((1.0 - t) / t) / ((1.0 - a) / a))
+        bound = float(np.clip(bound * factor, lo, hi))
+    return QualityEstimate(
+        config=best_bound, measured=best_measured, probes_spent=spent
+    )
 
 
 # -- Pareto frontier -----------------------------------------------------------
@@ -535,12 +412,11 @@ def build_frontier(
     *,
     ratios=None,
     points: int = 12,
-    quality: QualityModel | None = None,
 ) -> ParetoFrontier:
     """Sweep the ratio model over a target grid into a Pareto frontier.
 
     For each target ratio the engine's (compression-free) estimate
-    yields a config; the quality model predicts the PSNR that config
+    yields a config; the analytic prior predicts the PSNR that config
     delivers on this dataset. The joint sweep is the learned
     config -> (CR, PSNR) curve — dominated points (model noise) are
     pruned and the result answers "best quality at CR >= N" in one
@@ -555,8 +431,6 @@ def build_frontier(
         ratios: explicit target-ratio grid; defaults to ``points``
             log-spaced targets in [2, 64].
         points: grid size when ``ratios`` is not given.
-        quality: the quality model predicting PSNR; a fresh analytic
-            prior when not given.
     """
     compressor = getattr(engine, "compressor", None)
     if compressor is None or compressor.error_mode != "abs":
@@ -567,7 +441,6 @@ def build_frontier(
         if points < 2:
             raise InvalidConfiguration("frontier needs at least 2 points")
         ratios = np.geomspace(2.0, 64.0, int(points))
-    quality = quality or QualityModel()
     if analysis is None:
         analysis = engine.analyze(data)
     value_range = float(analysis.features[0])
@@ -584,7 +457,7 @@ def build_frontier(
             FrontierPoint(
                 config=float(estimate.config),
                 ratio=float(ratio),
-                psnr=quality.predict_psnr(value_range, float(estimate.config)),
+                psnr=predict_psnr(value_range, float(estimate.config)),
             )
         )
     if not swept:

@@ -179,7 +179,7 @@ class FXRZ:
         :class:`~repro.core.objective.Objective`, its canonical string
         form (``"psnr:60"``), or a bare number meaning a ratio target.
         Quality objectives may spend probe compressions; see
-        :class:`~repro.core.objective.QualityModel`.
+        :func:`~repro.core.objective.refine`.
         """
         return self._engine.estimate(data, target_ratio, objective=objective)
 
@@ -273,8 +273,8 @@ class FXRZ:
 
         Ratio objectives delegate to :meth:`compress_to_ratio` (the
         paper's compression-free path). Quality objectives estimate via
-        the quality model, compress once, and measure the achieved PSNR
-        by decompressing — the measured value lands in
+        the analytic prior and its probes, compress once, and measure
+        the achieved PSNR by decompressing — the measured value lands in
         ``result.measured_psnr`` and in the outcome log.
         """
         from repro.core.objective import as_objective

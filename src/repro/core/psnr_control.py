@@ -8,16 +8,16 @@ so
     RMSE ~ eb / sqrt(3)  =>  PSNR ~ -20 log10(eb / (range * sqrt(3)))
 
 which inverts in closed form. The analytic estimate is exact only for
-SZ-style quantizers; :func:`calibrated_bound_for_psnr` therefore also
-offers a measured refinement that probes the compressor a couple of
-times (still far cheaper than a full search).
+SZ-style quantizers; :func:`probe_search` therefore also offers a
+measured refinement that probes the compressor a couple of times
+(still far cheaper than a full search).
 
 This module complements FXRZ: ratio-targeted control needs learning
 because ratios depend on data statistics; PSNR-targeted control is
 nearly closed-form — exactly why the paper frames fixed-*ratio* as the
 open problem. Objective-driven callers reach it through
-:class:`repro.core.objective.QualityModel`, which folds the closed
-form in as the analytic prior of the PSNR rung.
+:func:`repro.core.objective.refine`, whose PSNR rung starts from the
+closed form as its analytic prior.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def analytic_bound_for_psnr(data: np.ndarray, target_psnr: float) -> float:
 
     Assumes uniform quantization error in ``[-eb, eb]`` (the SZ-style
     quantizer); other compressor families over- or under-deliver and
-    should use :func:`calibrated_bound_for_psnr`.
+    should use :func:`probe_search`.
     """
     if target_psnr <= 0:
         raise InvalidConfiguration("target PSNR must be > 0 dB")
@@ -54,53 +54,25 @@ def analytic_bound_for_psnr(data: np.ndarray, target_psnr: float) -> float:
     return value_range * _SQRT3 * 10.0 ** (-target_psnr / 20.0)
 
 
-def calibrated_bound_for_psnr(
-    compressor: Compressor,
-    data: np.ndarray,
-    target_psnr: float,
-    probes: int = 2,
-    *,
-    ctx=None,
-) -> float:
-    """Analytic estimate refined by measuring the compressor's PSNR.
-
-    Each probe compresses once, measures the achieved PSNR, and scales
-    the bound by the dB miss (PSNR is ~linear in ``-20 log10(eb)``).
-
-    Args:
-        compressor: an absolute-error-bounded compressor.
-        data: the dataset.
-        target_psnr: desired reconstruction quality in dB.
-        probes: refinement compressions to spend (0 = pure analytic).
-        ctx: a :class:`~repro.runtime.RuntimeContext` whose shared
-            compression memo answers probes an earlier caller already
-            measured and records fresh probes for everyone downstream.
-    """
-    bound, _achieved, _spent = _calibrated_search(
-        compressor,
-        data,
-        target_psnr,
-        probes,
-        ctx.memo if ctx is not None else None,
-    )
-    return bound
-
-
-def _calibrated_search(
+def probe_search(
     compressor: Compressor,
     data: np.ndarray,
     target_psnr: float,
     probes: int,
     memo,
 ) -> tuple[float, float | None, int]:
-    """The probe-refinement loop behind :func:`calibrated_bound_for_psnr`.
+    """Analytic estimate refined by measuring the compressor's PSNR.
 
-    Internal entry point for objective-driven callers (QualityModel,
-    the guarded probe rung) that already resolved their memo and also
-    need the measured PSNR: returns ``(bound, achieved, probes_spent)``
-    where ``achieved`` is the PSNR measured at the returned bound
-    (``None`` when no probe ran, or the probe came from the memo with
-    an infinite/lossless result).
+    Each probe compresses once, measures the achieved PSNR, and scales
+    the bound by the dB miss (PSNR is ~linear in ``-20 log10(eb)``);
+    ``probes=0`` is the domain-clipped closed form. ``memo`` (a
+    :class:`~repro.parallel.memo.CompressionMemoCache` or ``None``)
+    answers probes an earlier caller already measured and records
+    fresh ones. Returns ``(bound, achieved, probes_spent)`` where
+    ``achieved`` is the PSNR measured at the returned bound (``None``
+    when no probe ran, or the probe came from the memo with an
+    infinite/lossless result). :func:`repro.core.objective.refine` is
+    the objective-level entry point.
     """
     if compressor.error_mode != "abs":
         raise InvalidConfiguration(

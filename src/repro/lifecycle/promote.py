@@ -53,8 +53,9 @@ class CanaryReport:
         quality_error: median absolute dB miss over those records
             (``nan`` when there are none). Informational: the ratio
             contract gates promotion — quality answers come from the
-            quality model, which versions independently (see
-            :meth:`~repro.serving.registry.ModelRegistry.publish_quality`).
+            stateless analytic prior and its probes
+            (:func:`~repro.core.objective.refine`), which no retrain
+            changes.
     """
 
     n_records: int

@@ -360,19 +360,6 @@ class SLOTracker:
             cutoff = self._frames[-1].unix - float(seconds)
             return [f for f in self._frames if f.unix >= cutoff]
 
-    def series(
-        self, name: str, labels: dict | None = None
-    ) -> list[tuple[float, float]]:
-        """``(unix, value)`` history of one scalar series, oldest first."""
-        key = _label_key(labels or {})
-        with self._lock:
-            frames = list(self._frames)
-        return [
-            (frame.unix, frame.scalars[(name, key)])
-            for frame in frames
-            if (name, key) in frame.scalars
-        ]
-
     def delta(
         self, name: str, seconds: float, labels: dict | None = None
     ) -> float:

@@ -1,6 +1,6 @@
 """Cross-path compression memo: never run an identical compression twice.
 
-Augmentation sweeps, FRaZ searches, PSNR calibration and the benchmark
+Augmentation sweeps, FRaZ searches, PSNR probes and the benchmark
 suite all run ``compressor.compress(data, config)`` — and
 routinely at the *same* ``(data, compressor, config)`` triple: FRaZ
 re-probes bin edges across targets, benches sweep the same fields the
@@ -30,9 +30,9 @@ answers hits in the caller, fans only the misses over the executor
 (one compression stream per worker batch), and puts every fresh run
 back. Recorded seconds
 travel with each record so memo hits can stay honest about the
-compressor time they represent. PSNR calibration
-(:mod:`repro.core.psnr_control`) keys the memo itself, since it
-measures a roundtrip rather than a ratio.
+compressor time they represent. The PSNR probe search
+(:func:`repro.core.psnr_control.probe_search`) keys the memo itself,
+since it measures a roundtrip rather than a ratio.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ class MemoRecord:
         ratio: measured compression ratio.
         seconds: compressor wall time of the original run (what a memo
             hit "costs" in modeled-compressor-time accounting).
-        psnr: reconstruction PSNR in dB, when a quality-targeting caller
-            (``calibrated_bound_for_psnr``) measured it; ``None`` for
-            ratio-only entries.
+        psnr: reconstruction PSNR in dB, when the PSNR probe search
+            (``probe_search``) measured it; ``None`` for ratio-only
+            entries.
     """
 
     ratio: float

@@ -32,7 +32,7 @@ from repro.baselines.fraz import FRaZ
 from repro.core.adjustment import nonconstant_fraction  # noqa: F401
 from repro.core.features import extract_features  # noqa: F401
 from repro.core.inference import InferenceEngine, Query
-from repro.core.objective import QualityModel, RatioTarget
+from repro.core.objective import RatioTarget, analytic_config
 from repro.errors import (
     FallbackExhaustedError,
     InvalidConfiguration,
@@ -49,10 +49,10 @@ _LADDERS = {
 }
 
 #: Quality objectives use their own two-rung ladder: the analytic prior
-#: (compression-free, trusted only for calibrated models or the
-#: SZ-style quantizer it is exact for), then measured probe refinement
-#: — the quality analogue of the FRaZ rung. ``fallback="none"`` forbids
-#: running the compressor, exactly as it forbids the FRaZ rung.
+#: (compression-free, trusted only for the SZ-style quantizer it is
+#: exact for), then measured probe refinement — the quality analogue
+#: of the FRaZ rung. ``fallback="none"`` forbids running the
+#: compressor, exactly as it forbids the FRaZ rung.
 _QUALITY_LADDERS = {
     "none": ("analytic",),
     "curve": ("analytic", "probe"),
@@ -87,9 +87,6 @@ class GuardedInferenceEngine(InferenceEngine):
             an explicit log is used — never the context's — so layered
             callers (services, shards) that record at their own level
             do not double-log.
-        quality_model: the :class:`~repro.core.objective.QualityModel`
-            answering PSNR/SSIM objectives; an uncalibrated analytic
-            prior when not given.
         quality_probes: compressor-run budget of the quality probe rung
             (at least one: the rung always measures).
     """
@@ -104,7 +101,6 @@ class GuardedInferenceEngine(InferenceEngine):
         *,
         ctx=None,
         outcome_log=None,
-        quality_model: QualityModel | None = None,
         quality_probes: int = 2,
     ) -> None:
         if ctx is None:
@@ -127,7 +123,6 @@ class GuardedInferenceEngine(InferenceEngine):
             pipeline.compressor,
             pipeline.config,
             ctx=ctx,
-            quality=quality_model,
             quality_probes=max(int(quality_probes), 1),
         )
         self.outcome_log = outcome_log
@@ -305,15 +300,17 @@ class GuardedInferenceEngine(InferenceEngine):
 
     def _analytic(self, query: Query):
         # The closed form is only trustworthy without measurement when
-        # the field is clean and the model is calibrated (or the
-        # quantizer it is exact for).
+        # the field is clean and the compressor is the SZ-style
+        # quantizer it is exact for.
         if query.analysis.report.issues:
             raise InvalidConfiguration(query.doubts)
-        if not self.quality.trusts(self.compressor):
+        if getattr(self.compressor, "name", "") != "sz":
+            # The wording lands in Estimate.fallback_reason, which
+            # estimates compare on, so it stays as published.
             raise InvalidConfiguration(
                 f"prior uncalibrated for {self.compressor.name!r}"
             )
         lo, hi = self.compressor.config_domain(query.data)
-        prior = self.quality.analytic_config(query.data, query.objective)
+        prior = analytic_config(query.data, query.objective)
         return float(np.clip(prior, lo, hi)), "analytic", None
 

@@ -36,7 +36,6 @@ from repro.serving.registry import (
     LATEST,
     ModelRegistry,
     ModelVersion,
-    QualityVersion,
 )
 from repro.serving.service import (
     EstimateRequest,
@@ -56,7 +55,6 @@ __all__ = [
     "MetricsSnapshot",
     "ModelRegistry",
     "ModelVersion",
-    "QualityVersion",
     "ServedEstimate",
     "SupervisorStats",
     "dataset_fingerprint",

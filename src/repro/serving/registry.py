@@ -32,7 +32,6 @@ import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.core.objective import QualityModel
 from repro.core.persistence import (
     load_pipeline,
     pipeline_fingerprint,
@@ -43,8 +42,6 @@ from repro.errors import CorruptStreamError, InvalidConfiguration
 
 _MANIFEST = "manifest.json"
 _SUFFIX = ".fxrz"
-_QUALITY_SUFFIX = ".json"
-_QUALITY_PREFIX = "q"
 _LOCK = ".publish.lock"
 
 #: The version alias resolving to an entry's newest published version.
@@ -108,26 +105,6 @@ class ModelVersion:
     @property
     def key(self) -> tuple[str, str, int]:
         return (self.compressor, self.fingerprint, self.version)
-
-
-@dataclass(frozen=True)
-class QualityVersion:
-    """One published quality-model artifact (``q<N>.json``).
-
-    Lives in the *same* entry directory as the ratio models it was
-    calibrated beside — one fingerprint, two artifact families — so a
-    serving process resolving a model can pick up its quality companion
-    without a second coordinate.
-    """
-
-    compressor: str
-    fingerprint: str
-    version: int
-    path: pathlib.Path
-
-    @property
-    def key(self) -> tuple[str, str, str]:
-        return (self.compressor, self.fingerprint, f"q{self.version}")
 
 
 class ModelRegistry:
@@ -362,147 +339,6 @@ class ModelRegistry:
         entry_dir = self.root / coordinate.compressor / coordinate.fingerprint
         history = self._read_manifest(entry_dir).get("history", [])
         return list(history) if isinstance(history, list) else []
-
-    # -- quality artifacts -----------------------------------------------------
-
-    def publish_quality(
-        self,
-        quality: QualityModel,
-        compressor: str,
-        fingerprint: str,
-        *,
-        promote: bool = True,
-    ) -> QualityVersion:
-        """Persist a quality model beside the entry's ratio models.
-
-        The artifact lands in the same ``<compressor>/<fingerprint>``
-        directory as ``q<N>.json``, versioned independently of the
-        ratio models under the manifest's ``quality_latest`` /
-        ``quality_versions`` keys, with the same per-entry lock
-        discipline. Pre-objective manifests simply lack those keys, so
-        old entries keep loading and serving unchanged.
-        """
-        entry_dir = self.root / compressor / fingerprint
-        entry_dir.mkdir(parents=True, exist_ok=True)
-        tmp = entry_dir / (
-            f".publish-q-{os.getpid()}-{threading.get_ident()}.tmp"
-        )
-        try:
-            quality.save(tmp)
-            with _entry_lock(entry_dir):
-                manifest = self._read_manifest(entry_dir)
-                try:
-                    latest = int(manifest.get("quality_latest", 0))
-                except (TypeError, ValueError):
-                    latest = 0
-                on_disk = [
-                    int(p.stem[1:])
-                    for p in entry_dir.glob(
-                        f"{_QUALITY_PREFIX}*{_QUALITY_SUFFIX}"
-                    )
-                    if p.stem[1:].isdigit()
-                ]
-                version = max([latest, *on_disk], default=0) + 1
-                path = entry_dir / (
-                    f"{_QUALITY_PREFIX}{version}{_QUALITY_SUFFIX}"
-                )
-                tmp.replace(path)
-                manifest.setdefault("quality_versions", {})[str(version)] = {
-                    "compressor": quality.compressor or compressor,
-                    "offset_db": quality.offset_db,
-                    "calibrated": quality.calibrated,
-                }
-                if promote:
-                    manifest["quality_latest"] = version
-                manifest.setdefault("history", []).append(
-                    {
-                        "action": "publish_quality",
-                        "version": version,
-                        "promoted": bool(promote),
-                        "previous": latest,
-                        "time": time.time(),
-                    }
-                )
-                self._write_manifest(entry_dir, manifest)
-        finally:
-            with contextlib.suppress(OSError):
-                tmp.unlink()
-        return QualityVersion(
-            compressor=compressor,
-            fingerprint=fingerprint,
-            version=version,
-            path=path,
-        )
-
-    def resolve_quality(
-        self,
-        compressor: str,
-        fingerprint: str | None = None,
-        version: int | str = LATEST,
-    ) -> QualityVersion:
-        """Resolve a quality-artifact coordinate (see :meth:`resolve`).
-
-        Raises :class:`~repro.errors.InvalidConfiguration` when the
-        entry has no published quality model — the caller should fall
-        back to an uncalibrated analytic prior.
-        """
-        if fingerprint is None:
-            fingerprint = self.resolve(compressor, None, LATEST).fingerprint
-        entry_dir = self.root / compressor / fingerprint
-        if not entry_dir.is_dir():
-            raise InvalidConfiguration(
-                f"registry has no entry {compressor}/{fingerprint}"
-            )
-        if version == LATEST:
-            manifest = self._read_manifest(entry_dir, warn=True)
-            try:
-                resolved = int(manifest.get("quality_latest", 0))
-            except (TypeError, ValueError):
-                resolved = 0
-            if resolved < 1:
-                versions = sorted(
-                    int(p.stem[1:])
-                    for p in entry_dir.glob(
-                        f"{_QUALITY_PREFIX}*{_QUALITY_SUFFIX}"
-                    )
-                    if p.stem[1:].isdigit()
-                )
-                if not versions:
-                    raise InvalidConfiguration(
-                        f"entry {compressor}/{fingerprint} has no "
-                        f"published quality model"
-                    )
-                resolved = versions[-1]
-        else:
-            try:
-                resolved = int(version)
-            except (TypeError, ValueError) as exc:
-                raise InvalidConfiguration(
-                    f"quality version must be an integer or {LATEST!r}, "
-                    f"got {version!r}"
-                ) from exc
-        path = entry_dir / f"{_QUALITY_PREFIX}{resolved}{_QUALITY_SUFFIX}"
-        if not path.is_file():
-            raise InvalidConfiguration(
-                f"entry {compressor}/{fingerprint} has no quality "
-                f"version {resolved}"
-            )
-        return QualityVersion(
-            compressor=compressor,
-            fingerprint=fingerprint,
-            version=resolved,
-            path=path,
-        )
-
-    def load_quality(
-        self,
-        compressor: str,
-        fingerprint: str | None = None,
-        version: int | str = LATEST,
-    ) -> QualityModel:
-        """A deserialized quality model (small JSON; no LRU needed)."""
-        coordinate = self.resolve_quality(compressor, fingerprint, version)
-        return QualityModel.load(coordinate.path)
 
     # -- lookup ----------------------------------------------------------------
 

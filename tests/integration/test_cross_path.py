@@ -20,7 +20,7 @@ import repro
 from repro.cli import main
 from repro.compressors import get_compressor
 from repro.core.inference import InferenceEngine
-from repro.core.objective import PSNRTarget, RatioTarget
+from repro.core.objective import PSNRTarget, RatioTarget, SSIMTarget
 from repro.core.persistence import save_pipeline
 from repro.runtime import RuntimeContext
 from repro.serving import EstimateRequest, EstimationService
@@ -33,6 +33,7 @@ OBJECTIVES = (
     RatioTarget(7.123456789),
     RatioTarget(4.987654321),
     PSNRTarget(50.123456789),
+    SSIMTarget(0.987654321),
 )
 
 
@@ -111,7 +112,11 @@ def _single_shot_answers(root, model, probe) -> list[tuple[float, str]]:
     """One ``estimate`` command per objective, read back exactly from the
     ``--outcome-log`` rows (the printed config is rounded)."""
     log = root / "single-shot.jsonl"
-    flags = {"ratio": "--ratio", "psnr": "--target-psnr"}
+    flags = {
+        "ratio": "--ratio",
+        "psnr": "--target-psnr",
+        "ssim": "--target-ssim",
+    }
     for objective in OBJECTIVES:
         code = main(
             [

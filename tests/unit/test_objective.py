@@ -10,12 +10,13 @@ from repro.core.objective import (
     FrontierPoint,
     ParetoFrontier,
     PSNRTarget,
-    QualityModel,
     RatioTarget,
     SSIMTarget,
     analytic_bound_for_ssim,
     as_objective,
     parse_objective,
+    predict_psnr,
+    refine,
 )
 from repro.core.training import TrainingEngine
 from repro.errors import InvalidConfiguration
@@ -116,40 +117,50 @@ class TestAnalyticSSIM:
 
 
 class TestQualityModel:
+    """The stateless quality path: analytic prior plus probe refinement."""
+
     def test_predict_psnr_matches_analytic_prior(self):
-        model = QualityModel()
         value_range = 2.0
         config = 1e-3
         expected = 20 * np.log10(value_range * np.sqrt(3) / config)
-        assert model.predict_psnr(value_range, config) == pytest.approx(expected)
+        assert predict_psnr(value_range, config) == pytest.approx(expected)
 
-    def test_offset_folds_into_predictions(self):
-        plain = QualityModel()
-        shifted = QualityModel(offset_db=4.0)
-        assert shifted.predict_psnr(2.0, 1e-3) == pytest.approx(
-            plain.predict_psnr(2.0, 1e-3) + 4.0
+    def test_trust_contract(self, smooth_field3d):
+        """Only SZ's quantizer answers from the prior alone; any other
+        family declines the analytic rung and spends probes."""
+        from repro.config import FXRZConfig
+        from repro.core.pipeline import FXRZ
+        from tests.conftest import small_forest_factory
+
+        train = [smooth_field3d, smooth_field3d[::-1].copy()]
+        tiers = {}
+        for name in ("sz", "zfp"):
+            pipeline = FXRZ(
+                get_compressor(name),
+                config=FXRZConfig(stationary_points=6, augmented_samples=30),
+                model_factory=small_forest_factory,
+            )
+            pipeline.fit(train)
+            estimate = pipeline.guarded(fallback="curve").estimate(
+                smooth_field3d, objective=PSNRTarget(50.0)
+            )
+            tiers[name] = (estimate.tier, estimate.fallback_reason)
+        assert tiers["sz"] == ("analytic", "")
+        assert tiers["zfp"] == (
+            "probe",
+            "analytic: prior uncalibrated for 'zfp'",
         )
-
-    def test_trust_contract(self):
-        model = QualityModel()
-        assert model.trusts(get_compressor("sz"))
-        assert not model.trusts(get_compressor("zfp"))
-        assert QualityModel(offset_db=1.0).trusts(get_compressor("zfp"))
 
     def test_refine_psnr_hits_target(self, smooth_field3d):
         comp = get_compressor("sz")
-        result = QualityModel().refine(
-            comp, smooth_field3d, PSNRTarget(50.0), probes=2
-        )
+        result = refine(comp, smooth_field3d, PSNRTarget(50.0), probes=2)
         recon, _ = comp.roundtrip(smooth_field3d, result.config)
         assert abs(psnr(smooth_field3d, recon) - 50.0) < 3.0
         assert result.probes_spent >= 1
 
     def test_refine_ssim_hits_target(self, smooth_field3d):
         comp = get_compressor("sz")
-        result = QualityModel().refine(
-            comp, smooth_field3d, SSIMTarget(0.97), probes=3
-        )
+        result = refine(comp, smooth_field3d, SSIMTarget(0.97), probes=3)
         recon, _ = comp.roundtrip(smooth_field3d, result.config)
         assert abs(ssim(smooth_field3d, recon) - 0.97) < 0.03
 
@@ -163,42 +174,17 @@ class TestQualityModel:
             return original(data, config)
 
         monkeypatch.setattr(comp, "roundtrip", spy)
-        result = QualityModel().refine(
-            comp, smooth_field3d, SSIMTarget(0.95), probes=0
-        )
+        result = refine(comp, smooth_field3d, SSIMTarget(0.95), probes=0)
         assert calls == []
         assert result.probes_spent == 0
         assert result.measured is None
 
-    def test_calibrate_measures_offset(self, smooth_field3d):
-        comp = get_compressor("sz")
-        model = QualityModel().calibrate(comp, smooth_field3d, probes=2)
-        assert model.calibrated
-        assert model.compressor == "sz"
-        # SZ's quantizer is close to the uniform-noise prior.
-        assert abs(model.offset_db) < 3.0
-
     def test_precision_compressor_rejected(self, smooth_field3d):
         comp = get_compressor("fpzip")
         with pytest.raises(InvalidConfiguration):
-            QualityModel().refine(comp, smooth_field3d, PSNRTarget(50.0))
+            refine(comp, smooth_field3d, PSNRTarget(50.0), probes=2)
         with pytest.raises(InvalidConfiguration):
-            QualityModel().calibrate(comp, smooth_field3d)
-
-    def test_save_load_round_trip(self, tmp_path):
-        model = QualityModel(
-            compressor="sz", offset_db=1.25, probes=3, metadata={"note": "x"}
-        )
-        path = tmp_path / "q1.json"
-        model.save(path)
-        restored = QualityModel.load(path)
-        assert restored == model
-
-    def test_load_rejects_garbage(self, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text("{not json")
-        with pytest.raises(InvalidConfiguration):
-            QualityModel.load(path)
+            refine(comp, smooth_field3d, SSIMTarget(0.99), probes=2)
 
 
 class TestEngineObjectives:
@@ -279,13 +265,12 @@ class TestMemoShim:
     def test_ctx_path_never_warns(self, smooth_field3d, recwarn):
         import warnings
 
-        from repro.core.psnr_control import calibrated_bound_for_psnr
         from repro.runtime import RuntimeContext
 
         comp = get_compressor("sz")
         with RuntimeContext() as ctx:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", DeprecationWarning)
-                calibrated_bound_for_psnr(
-                    comp, smooth_field3d, 50.0, probes=1, ctx=ctx
+                refine(
+                    comp, smooth_field3d, PSNRTarget(50.0), probes=1, ctx=ctx
                 )

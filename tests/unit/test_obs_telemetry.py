@@ -110,10 +110,8 @@ class TestTimeSeriesBuffer:
             gauge.set(float(i))
             tracker.sample(unix=float(i * 10))
         # The 20 s window holds unix 20, 30, 40.
+        assert [f.unix for f in tracker._window(20.0)] == [20.0, 30.0, 40.0]
         assert tracker.delta("repro_test_level", 20.0) == 2.0
-        points = tracker.series("repro_test_level")
-        assert [value for _, value in points] == [0.0, 1.0, 2.0, 3.0, 4.0]
-        assert [unix for unix, _ in points] == [0.0, 10.0, 20.0, 30.0, 40.0]
 
     def test_sampler_thread_runs_and_stops(self, registry, monkeypatch):
         from repro.obs import slo as slo_module

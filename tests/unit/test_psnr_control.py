@@ -5,11 +5,14 @@ import pytest
 
 from repro.analysis.distortion import psnr
 from repro.compressors import get_compressor
-from repro.core.psnr_control import (
-    analytic_bound_for_psnr,
-    calibrated_bound_for_psnr,
-)
+from repro.core.objective import PSNRTarget, refine
+from repro.core.psnr_control import analytic_bound_for_psnr
 from repro.errors import InvalidConfiguration
+
+
+def probed_bound(compressor, data, target, probes=2):
+    """The bound the PSNR probe search settles on (what ``refine`` runs)."""
+    return refine(compressor, data, PSNRTarget(target), probes=probes).config
 
 
 class TestAnalytic:
@@ -41,34 +44,34 @@ class TestAnalytic:
 
 
 class TestCalibrated:
+    """The analytic prior calibrated against the compressor by probes."""
+
     @pytest.mark.parametrize("name", ["sz", "zfp", "mgard"])
     def test_hits_target_within_3db(self, smooth_field3d, name):
         comp = get_compressor(name)
         target = 50.0
-        bound = calibrated_bound_for_psnr(comp, smooth_field3d, target, probes=2)
+        bound = probed_bound(comp, smooth_field3d, target, probes=2)
         recon, _ = comp.roundtrip(smooth_field3d, bound)
         assert abs(psnr(smooth_field3d, recon) - target) < 3.0
 
     def test_zero_probes_is_analytic(self, smooth_field3d):
         comp = get_compressor("sz")
-        calibrated = calibrated_bound_for_psnr(
-            comp, smooth_field3d, 55.0, probes=0
-        )
+        probed = probed_bound(comp, smooth_field3d, 55.0, probes=0)
         lo, hi = comp.config_domain(smooth_field3d)
         analytic = float(
             np.clip(analytic_bound_for_psnr(smooth_field3d, 55.0), lo, hi)
         )
-        assert calibrated == pytest.approx(analytic)
+        assert probed == pytest.approx(analytic)
 
     def test_precision_compressor_rejected(self, smooth_field3d):
         comp = get_compressor("fpzip")
         with pytest.raises(InvalidConfiguration):
-            calibrated_bound_for_psnr(comp, smooth_field3d, 50.0)
+            probed_bound(comp, smooth_field3d, 50.0)
 
     def test_negative_probes_rejected(self, smooth_field3d):
         comp = get_compressor("sz")
         with pytest.raises(InvalidConfiguration):
-            calibrated_bound_for_psnr(comp, smooth_field3d, 50.0, probes=-1)
+            probed_bound(comp, smooth_field3d, 50.0, probes=-1)
 
 
 @pytest.mark.objective
@@ -93,7 +96,7 @@ class TestEdgeCases:
             return original(data, config)
 
         monkeypatch.setattr(comp, "roundtrip", spy)
-        calibrated_bound_for_psnr(comp, smooth_field3d, 55.0, probes=0)
+        probed_bound(comp, smooth_field3d, 55.0, probes=0)
         assert calls == []
 
     def test_constant_after_sampling_rejected(self):
@@ -105,7 +108,7 @@ class TestEdgeCases:
         with pytest.raises(InvalidConfiguration):
             analytic_bound_for_psnr(constant, 50.0)
         with pytest.raises(InvalidConfiguration):
-            calibrated_bound_for_psnr(comp, constant, 50.0, probes=2)
+            probed_bound(comp, constant, 50.0, probes=2)
 
     def test_target_above_lossless_knee_stops_early(
         self, smooth_field3d, monkeypatch
@@ -121,9 +124,7 @@ class TestEdgeCases:
             return data.copy(), None
 
         monkeypatch.setattr(comp, "roundtrip", lossless)
-        bound = calibrated_bound_for_psnr(
-            comp, smooth_field3d, 300.0, probes=4
-        )
+        bound = probed_bound(comp, smooth_field3d, 300.0, probes=4)
         assert len(calls) == 1
         lo, hi = comp.config_domain(smooth_field3d)
         expected = float(

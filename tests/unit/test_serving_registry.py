@@ -338,64 +338,84 @@ class TestCorruptionFallback:
             registry.load("sz")
 
 
+def _add_legacy_quality_artifacts(entry_dir) -> dict:
+    """Write what releases that published quality models left in an
+    entry: ``q<N>.json`` files, ``quality_*`` manifest keys and a
+    ``publish_quality`` history event. Returns the manifest."""
+    manifest_path = entry_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for version in (1, 2):
+        (entry_dir / f"q{version}.json").write_text(
+            json.dumps({"kind": "fxrz-quality-model", "offset_db": 1.0})
+        )
+    manifest["quality_latest"] = 2
+    manifest["quality_versions"] = {
+        str(version): {"compressor": "sz", "offset_db": 1.0}
+        for version in (1, 2)
+    }
+    manifest["history"].append(
+        {
+            "action": "publish_quality",
+            "version": 2,
+            "promoted": True,
+            "previous": 1,
+            "time": 0.0,
+        }
+    )
+    manifest_path.write_text(json.dumps(manifest))
+    return manifest
+
+
 @pytest.mark.objective
 class TestQualityArtifacts:
+    """Entries written by releases that also published quality models."""
+
     def test_publish_and_load_beside_ratio_models(
         self, fitted_pipeline, tmp_path
     ):
-        from repro.core.objective import QualityModel
-
         pipeline, _ = fitted_pipeline
         registry = ModelRegistry(tmp_path / "reg")
-        published = registry.publish(pipeline)
-        quality = QualityModel(compressor="sz", offset_db=1.5)
-        coordinate = registry.publish_quality(
-            quality, "sz", published.fingerprint
-        )
-        assert coordinate.version == 1
-        assert coordinate.path == published.path.parent / "q1.json"
-        restored = registry.load_quality("sz", published.fingerprint)
-        assert restored == quality
+        first = registry.publish(pipeline)
+        _add_legacy_quality_artifacts(first.path.parent)
+        registry = ModelRegistry(tmp_path / "reg")
+        second = registry.publish(pipeline)
+        assert second.version == 2
+        assert [e.version for e in registry.entries()] == [1, 2]
+        assert registry.load("sz").is_fitted
 
     def test_quality_versions_are_independent(self, fitted_pipeline, tmp_path):
-        from repro.core.objective import QualityModel
-
+        """Ratio promote/rollback ignore the quality keys, and manifest
+        rewrites keep them."""
         pipeline, _ = fitted_pipeline
         registry = ModelRegistry(tmp_path / "reg")
-        published = registry.publish(pipeline)
-        registry.publish(pipeline)  # ratio v2
-        first = registry.publish_quality(
-            QualityModel(offset_db=1.0), "sz", published.fingerprint
-        )
-        second = registry.publish_quality(
-            QualityModel(offset_db=2.0), "sz", published.fingerprint
-        )
-        assert (first.version, second.version) == (1, 2)
-        # Ratio resolution is untouched by quality publishes.
-        assert registry.resolve("sz", published.fingerprint).version == 2
-        latest = registry.load_quality("sz", published.fingerprint)
-        assert latest.offset_db == 2.0
+        first = registry.publish(pipeline)
+        manifest = _add_legacy_quality_artifacts(first.path.parent)
+        registry.publish(pipeline)
+        assert registry.promote("sz", first.fingerprint, 1).version == 1
+        assert registry.rollback("sz").version == 2
+        actions = [e["action"] for e in registry.history("sz")]
+        assert actions == [
+            "publish",
+            "publish_quality",
+            "publish",
+            "promote",
+            "rollback",
+        ]
+        manifest_path = first.path.parent / "manifest.json"
+        rewritten = json.loads(manifest_path.read_text())
+        assert rewritten["quality_latest"] == 2
+        assert rewritten["quality_versions"] == manifest["quality_versions"]
 
     def test_fingerprint_resolves_through_ratio_entry(
         self, fitted_pipeline, tmp_path
     ):
-        from repro.core.objective import QualityModel
-
         pipeline, _ = fitted_pipeline
         registry = ModelRegistry(tmp_path / "reg")
         published = registry.publish(pipeline)
-        registry.publish_quality(
-            QualityModel(offset_db=0.5), "sz", published.fingerprint
-        )
-        coordinate = registry.resolve_quality("sz")
+        _add_legacy_quality_artifacts(published.path.parent)
+        coordinate = ModelRegistry(tmp_path / "reg").resolve("sz")
         assert coordinate.fingerprint == published.fingerprint
-
-    def test_missing_quality_model_raises(self, fitted_pipeline, tmp_path):
-        pipeline, _ = fitted_pipeline
-        registry = ModelRegistry(tmp_path / "reg")
-        published = registry.publish(pipeline)
-        with pytest.raises(InvalidConfiguration):
-            registry.resolve_quality("sz", published.fingerprint)
+        assert coordinate.version == 1
 
     def test_pre_objective_entries_still_serve(
         self, fitted_pipeline, tmp_path
