@@ -13,18 +13,16 @@ from conftest import BENCH_CONFIG
 from repro.compressors import get_compressor
 from repro.core.adjustment import adjusted_ratio, nonconstant_fraction
 from repro.core.augmentation import build_curve
-from repro.core.features import extract_features
+from repro.core.features import extract_features, gradient_features
 from repro.experiments.corpus import held_out_snapshots, training_arrays
 from repro.experiments.harness import target_ratio_grid
 from repro.experiments.tables import render_table
 from repro.ml.forest import RandomForestRegressor
 
 _VARIANTS = {
-    "adopted-5": lambda f: f.selected(),
-    "gradients-3": lambda f: np.array(
-        [f.mean_gradient, f.min_gradient, f.max_gradient]
-    ),
-    "ratio-only": lambda f: np.zeros(0),
+    "adopted-5": lambda d: extract_features(d, stride=4).selected(),
+    "gradients-3": lambda d: np.array(gradient_features(d, stride=4)),
+    "ratio-only": lambda d: np.zeros(0),
 }
 
 _CASES = (("hurricane", "TC", "sz"), ("nyx", "baryon_density", "sz"))
@@ -34,7 +32,7 @@ def _run_variant(comp, train, snapshot, feature_fn):
     """A minimal FXRZ loop with a pluggable feature vector."""
     rows, targets_y = [], []
     for data in train:
-        features = feature_fn(extract_features(data, stride=4))
+        features = feature_fn(data)
         r = nonconstant_fraction(data)
         curve = build_curve(comp, data, n_points=BENCH_CONFIG.stationary_points)
         ratios, configs = curve.sample(BENCH_CONFIG.augmented_samples, seed=1)
@@ -48,7 +46,7 @@ def _run_variant(comp, train, snapshot, feature_fn):
     )
     model.fit(np.vstack(rows), np.array(targets_y))
 
-    test_features = feature_fn(extract_features(snapshot.data, stride=4))
+    test_features = feature_fn(snapshot.data)
     r = nonconstant_fraction(snapshot.data)
     errors = []
     for tcr in target_ratio_grid(comp, snapshot, 5):

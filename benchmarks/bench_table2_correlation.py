@@ -10,7 +10,11 @@ the gradient features correlate worst (hence their exclusion).
 import numpy as np
 
 from repro.compressors import get_compressor
-from repro.core.features import FEATURE_NAMES, extract_features
+from repro.core.features import (
+    FEATURE_NAMES,
+    extract_features,
+    gradient_features,
+)
 from repro.datasets import load_series
 from repro.experiments.tables import render_table
 from repro.ml.metrics import pearson_correlation
@@ -33,8 +37,17 @@ def _collect(comp_name: str):
     for name, field in _SNAPSHOT_SOURCES:
         series = load_series(name, field)
         snapshots.extend(snap.data for snap in list(series)[:3])
+    # Columns in FEATURE_NAMES order: the five adopted, then the trio.
     features = np.array(
-        [extract_features(d, stride=4).all_features() for d in snapshots]
+        [
+            np.concatenate(
+                (
+                    extract_features(d, stride=4).selected(),
+                    gradient_features(d, stride=4),
+                )
+            )
+            for d in snapshots
+        ]
     )
     comp = get_compressor(comp_name)
     correlations = []

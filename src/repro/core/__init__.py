@@ -12,6 +12,7 @@ from repro.core.features import (
     SELECTED_FEATURES,
     FeatureVector,
     extract_features,
+    gradient_features,
     uniform_sample,
 )
 from repro.core.augmentation import CompressionCurve, build_curve
@@ -41,6 +42,7 @@ __all__ = [
     "SELECTED_FEATURES",
     "FeatureVector",
     "extract_features",
+    "gradient_features",
     "uniform_sample",
     "CompressionCurve",
     "build_curve",

@@ -31,17 +31,13 @@ _MEAN_CHUNK = 32768
 
 
 def _block_ranges(data: np.ndarray, block_size: int) -> np.ndarray:
-    """Per-block value range; trailing partial blocks are edge-padded.
+    """Per-block value range; a trailing partial block spans what is left.
 
-    Folds one axis at a time: the ``block_size`` strided views
-    ``a[..., k::block_size, ...]`` are combined elementwise with
-    ``np.maximum``/``np.minimum``, shrinking that axis by
-    ``block_size`` without a transposed copy of the field. The folds run
-    in ``data``'s own dtype; only the final subtraction is float64.
+    Folds one axis at a time with :func:`_fold`, in ``data``'s own
+    dtype and without copying the field; only the final subtraction is
+    float64. A trailing partial block's range is that of the values it
+    holds, which is what edge-padding it to ``block_size`` would give.
     """
-    pad = [(0, (-n) % block_size) for n in data.shape]
-    if any(p[1] for p in pad):
-        data = np.pad(data, pad, mode="edge")
     hi = lo = data
     for axis in range(data.ndim):
         hi = _fold(hi, axis, block_size, np.maximum)
@@ -53,14 +49,34 @@ def _block_ranges(data: np.ndarray, block_size: int) -> np.ndarray:
 
 
 def _fold(a: np.ndarray, axis: int, block_size: int, combine) -> np.ndarray:
-    """``combine`` the ``block_size`` strided views of ``a`` along ``axis``."""
-    views = [
-        a[(slice(None),) * axis + (slice(k, None, block_size),)]
-        for k in range(block_size)
-    ]
-    out = combine(views[0], views[1])
-    for view in views[2:]:
-        combine(out, view, out=out)
+    """``combine`` each run of ``block_size`` planes of ``a`` along ``axis``.
+
+    The whole blocks of the leading axis are reduced by one
+    ``combine.reduce`` over the split view ``(n0 // b, b) + rest``,
+    whose inner loop runs over whole planes; splitting one axis never
+    copies, whatever the layout. On a later axis that loop would run
+    over the short block run, so there the ``block_size`` strided views
+    ``a[..., k::block_size, ...]`` are combined elementwise instead. A
+    short trailing run is reduced on its own and appended.
+    """
+    n = a.shape[axis]
+    full = n - n % block_size
+    pre = (slice(None),) * axis
+    if axis == 0:
+        split = a[:full].reshape((full // block_size, block_size) + a.shape[1:])
+        out = combine.reduce(split, axis=1)
+    else:
+        out = combine(
+            a[pre + (slice(0, full, block_size),)],
+            a[pre + (slice(1, full, block_size),)],
+        )
+        for k in range(2, block_size):
+            combine(out, a[pre + (slice(k, full, block_size),)], out=out)
+    if full < n:
+        tail = a[pre + (slice(full, None),)]
+        out = np.concatenate(
+            (out, combine.reduce(tail, axis=axis, keepdims=True)), axis=axis
+        )
     return out
 
 

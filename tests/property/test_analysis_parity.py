@@ -1,14 +1,18 @@
 """In-dtype vs full-cast analysis parity: the analysis must be bit-identical.
 
-Feature extraction casts only the stride-K sample to float64, the CA
-block scan folds in the field's own floating dtype and sums its
+Feature extraction casts only the stride-K sample to float64 and
+derives its neighbour and fit counts from the shape, the CA block scan
+folds in the field's own floating dtype without padding and sums its
 threshold mean chunk by chunk, and the dataset fingerprint hashes a
 float64 cast of the sample alone; :mod:`tests.analysis_oracle` keeps
-the cast-the-whole-field formulation. Their contract is bit-identity —
-all eight features, the block mask, R, the threshold mean and the
+the cast-the-whole-field formulation and its own copy of the earlier
+kernels. Their contract is bit-identity — the five features, the
+gradient trio, the block mask, R, the threshold mean and the
 fingerprint — across dtypes, memory layouts, ranks and strides, with
 samples on both sides of numpy's 8,192-element reduction buffer and
-fields on both sides of the mean's 32,768-element cast chunk.
+fields on both sides of the mean's 32,768-element cast chunk. A
+hypothesis test adds short axes (the no-neighbour and spline-stencil
+edges) in every layout.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.adjustment import (
     _MEAN_CHUNK,
@@ -25,7 +31,7 @@ from repro.core.adjustment import (
     constant_block_mask,
     nonconstant_fraction,
 )
-from repro.core.features import extract_features
+from repro.core import features
 from repro.serving.cache import dataset_fingerprint
 from tests import analysis_oracle
 
@@ -46,6 +52,12 @@ STRIDES = [1, 2, 3, 4, 5]
 
 def _bits(value: float) -> bytes:
     return struct.pack("<d", value)
+
+
+def _analysis(module, field, stride: int) -> np.ndarray:
+    """The five features, then the gradient trio, as ``module`` computes them."""
+    five = module.extract_features(field, stride=stride).selected()
+    return np.concatenate((five, module.gradient_features(field, stride)))
 
 
 def _field(shape, dtype, layout: str, seed: int, wide=False) -> np.ndarray:
@@ -101,12 +113,37 @@ GRID = [
 def test_features_and_fingerprint_match_full_cast(shape, dtype, layout):
     field = _field(shape, dtype, layout, seed=len(shape), wide=True)
     for stride in STRIDES:
-        got = extract_features(field, stride=stride).all_features()
-        want = analysis_oracle.extract_features(field, stride).all_features()
+        got = _analysis(features, field, stride)
+        want = _analysis(analysis_oracle, field, stride)
         assert got.tobytes() == want.tobytes(), (stride, got, want)
         assert dataset_fingerprint(field, stride) == (
             analysis_oracle.dataset_fingerprint(field, stride)
         ), stride
+
+
+@given(
+    shape=st.lists(st.sampled_from([1, 2, 3, 6, 7, 8]), min_size=1, max_size=4),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    layout=st.sampled_from(LAYOUTS),
+    stride=st.integers(1, 5),
+    block_size=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_short_axes_match_oracle_kernels(
+    shape, dtype, layout, stride, block_size, seed
+):
+    """Axes of 1-3 points (no neighbour, or none sampled past the first)
+    and of 6-8 (either side of the spline stencil's ``n > 6``), in every
+    layout: the kernels match the oracle's copies bit for bit."""
+    field = _field(tuple(shape), dtype, layout, seed=seed, wide=True)
+    got = _analysis(features, field, stride)
+    want = _analysis(analysis_oracle, field, stride)
+    assert got.tobytes() == want.tobytes(), (got, want)
+    np.testing.assert_array_equal(
+        _block_ranges(field, block_size),
+        analysis_oracle.block_ranges(field, block_size),
+    )
 
 
 @pytest.mark.parametrize("shape,dtype,layout", GRID)

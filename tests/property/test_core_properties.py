@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.adjustment import adjusted_ratio, nonconstant_fraction
 from repro.core.augmentation import CompressionCurve
-from repro.core.features import extract_features
+from repro.core.features import extract_features, gradient_features
 
 _fields = st.sampled_from([(20,), (9, 11), (6, 7, 8)]).flatmap(
     lambda shape: hnp.arrays(
@@ -23,14 +23,17 @@ class TestFeatureProperties:
     @settings(max_examples=60, deadline=None)
     def test_features_finite_and_nonnegative(self, data):
         features = extract_features(data)
-        vector = features.all_features()
+        mean_gradient, min_gradient, max_gradient = gradient_features(data)
+        vector = np.concatenate(
+            (features.selected(), [mean_gradient, min_gradient, max_gradient])
+        )
         assert np.all(np.isfinite(vector))
         # All but mean_value (index 1) are magnitudes.
         assert features.value_range >= 0
         assert features.mnd >= 0
         assert features.mld >= 0
         assert features.msd >= 0
-        assert features.min_gradient <= features.max_gradient
+        assert 0.0 <= min_gradient <= max_gradient
 
     @given(_fields, st.floats(-100, 100))
     @settings(max_examples=40, deadline=None)

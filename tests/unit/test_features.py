@@ -1,5 +1,7 @@
 """Unit tests for feature extraction (Sec. IV-C) and sampling (IV-E1)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.core.features import (
     FEATURE_NAMES,
     SELECTED_FEATURES,
     extract_features,
+    gradient_features,
     uniform_sample,
 )
 from repro.errors import InvalidConfiguration
@@ -33,12 +36,13 @@ class TestUniformSampling:
 
 class TestFeatureValues:
     def test_constant_field(self):
-        features = extract_features(np.full((12, 12), 5.0))
+        data = np.full((12, 12), 5.0)
+        features = extract_features(data)
         assert features.value_range == 0.0
         assert features.mean_value == 5.0
         assert features.mnd == 0.0
         assert features.msd == 0.0
-        assert features.mean_gradient == 0.0
+        assert gradient_features(data) == (0.0, 0.0, 0.0)
 
     def test_value_range_and_mean(self, rng):
         data = rng.uniform(2.0, 6.0, (20, 20))
@@ -71,8 +75,8 @@ class TestFeatureValues:
 
     def test_gradient_stats_ordering(self, rng):
         data = rng.standard_normal((30, 30)).cumsum(axis=0)
-        features = extract_features(data)
-        assert features.min_gradient <= features.mean_gradient <= features.max_gradient
+        mean, lo, hi = gradient_features(data)
+        assert 0.0 < lo <= mean <= hi
 
     def test_selected_vector_order(self, rng):
         features = extract_features(rng.standard_normal((10, 10)))
@@ -82,8 +86,13 @@ class TestFeatureValues:
         assert vector[4] == features.msd
 
     def test_all_features_vector(self, rng):
-        features = extract_features(rng.standard_normal((10, 10)))
-        assert features.all_features().shape == (len(FEATURE_NAMES),)
+        """Table II's columns: the five adopted features, then the trio."""
+        data = rng.standard_normal((10, 10))
+        trio = gradient_features(data)
+        assert FEATURE_NAMES[: len(SELECTED_FEATURES)] == SELECTED_FEATURES
+        assert len(extract_features(data).selected()) + len(trio) == len(
+            FEATURE_NAMES
+        )
 
     def test_selected_names_match_paper(self):
         assert SELECTED_FEATURES == ("value_range", "mean_value", "mnd", "mld", "msd")
@@ -91,6 +100,22 @@ class TestFeatureValues:
     def test_empty_rejected(self):
         with pytest.raises(InvalidConfiguration):
             extract_features(np.zeros((0,)))
+        with pytest.raises(InvalidConfiguration):
+            gradient_features(np.zeros((0,)))
+
+    def test_peak_memory_stays_near_the_sample(self):
+        """A 128^3 float32 field at stride 4 casts a 256 KiB float64
+        sample; the whole analysis peaks under six times that."""
+        field = np.random.default_rng(0).standard_normal((128,) * 3)
+        field = field.astype(np.float32)
+        sample_bytes = 32**3 * 8
+        tracemalloc.start()
+        try:
+            extract_features(field, stride=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * sample_bytes, peak / sample_bytes
 
 
 class TestSampledFeatures:
@@ -117,7 +142,7 @@ class TestFeatureEdgeCases:
         data = np.random.default_rng(3).standard_normal((3, 3))
         features = extract_features(data, stride=8)
         full = extract_features(data, stride=1)
-        assert np.isfinite(features.all_features()).all()
+        assert np.isfinite(features.selected()).all()
         assert features.mean_value == pytest.approx(full.mean_value)
 
     def test_single_element_array(self):
@@ -127,13 +152,16 @@ class TestFeatureEdgeCases:
         assert features.value_range == 0.0
         assert features.mnd == 0.0
         assert features.msd == 0.0
-        assert np.isfinite(features.all_features()).all()
+        assert features.mld == 0.0
+        assert gradient_features(np.array([7.5])) == (0.0, 0.0, 0.0)
 
     def test_nan_input_raises_typed_error(self):
         data = np.ones((8, 8))
         data[2, 2] = np.nan
         with pytest.raises(InvalidConfiguration, match="non-finite"):
             extract_features(data)
+        with pytest.raises(InvalidConfiguration, match="non-finite"):
+            gradient_features(data)
 
     def test_inf_input_raises_typed_error(self):
         data = np.ones((8, 8))
@@ -146,4 +174,5 @@ class TestFeatureEdgeCases:
         data = np.ones((8, 8))
         data[1, 1] = np.nan  # off the stride-4 lattice
         features = extract_features(data, stride=4)
-        assert np.isfinite(features.all_features()).all()
+        assert np.isfinite(features.selected()).all()
+        assert np.isfinite(gradient_features(data, stride=4)).all()
