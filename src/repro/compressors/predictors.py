@@ -30,7 +30,18 @@ def lorenzo_residuals(array: np.ndarray) -> np.ndarray:
     """
     residual = np.asarray(array)
     for axis in range(residual.ndim):
-        residual = np.diff(residual, axis=axis, prepend=0)
+        # np.diff(residual, axis=axis, prepend=0) without its Python
+        # wrapper. The default-int zero plane promotes the dtype and sets
+        # np.concatenate's output layout as np.diff's broadcast 0 does,
+        # so every residual keeps its value, dtype and strides.
+        plane = list(residual.shape)
+        plane[axis] = 1
+        padded = np.concatenate(
+            (np.zeros(plane, dtype=int), residual), axis=axis
+        )
+        residual = np.subtract(
+            _planes(padded, axis, 1, None), _planes(padded, axis, None, -1)
+        )
     return residual
 
 

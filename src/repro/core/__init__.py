@@ -12,7 +12,6 @@ from repro.core.features import (
     SELECTED_FEATURES,
     FeatureVector,
     extract_features,
-    gradient_features,
     uniform_sample,
 )
 from repro.core.augmentation import CompressionCurve, build_curve
@@ -42,7 +41,6 @@ __all__ = [
     "SELECTED_FEATURES",
     "FeatureVector",
     "extract_features",
-    "gradient_features",
     "uniform_sample",
     "CompressionCurve",
     "build_curve",

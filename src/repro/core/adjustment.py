@@ -51,27 +51,20 @@ def _block_ranges(data: np.ndarray, block_size: int) -> np.ndarray:
 def _fold(a: np.ndarray, axis: int, block_size: int, combine) -> np.ndarray:
     """``combine`` each run of ``block_size`` planes of ``a`` along ``axis``.
 
-    The whole blocks of the leading axis are reduced by one
-    ``combine.reduce`` over the split view ``(n0 // b, b) + rest``,
-    whose inner loop runs over whole planes; splitting one axis never
-    copies, whatever the layout. On a later axis that loop would run
-    over the short block run, so there the ``block_size`` strided views
-    ``a[..., k::block_size, ...]`` are combined elementwise instead. A
-    short trailing run is reduced on its own and appended.
+    The ``block_size`` strided views ``a[..., k:full:block_size, ...]``
+    over the whole blocks are combined elementwise, which shrinks the
+    axis without a transposed copy of the field. A short trailing run is
+    reduced on its own and appended.
     """
     n = a.shape[axis]
     full = n - n % block_size
     pre = (slice(None),) * axis
-    if axis == 0:
-        split = a[:full].reshape((full // block_size, block_size) + a.shape[1:])
-        out = combine.reduce(split, axis=1)
-    else:
-        out = combine(
-            a[pre + (slice(0, full, block_size),)],
-            a[pre + (slice(1, full, block_size),)],
-        )
-        for k in range(2, block_size):
-            combine(out, a[pre + (slice(k, full, block_size),)], out=out)
+    out = combine(
+        a[pre + (slice(0, full, block_size),)],
+        a[pre + (slice(1, full, block_size),)],
+    )
+    for k in range(2, block_size):
+        combine(out, a[pre + (slice(k, full, block_size),)], out=out)
     if full < n:
         tail = a[pre + (slice(full, None),)]
         out = np.concatenate(

@@ -20,7 +20,6 @@ import hashlib
 
 import numpy as np
 
-from repro.compressors.predictors import lorenzo_residuals
 from repro.core.features import FeatureVector, uniform_sample
 
 
@@ -75,6 +74,14 @@ def difference_pass(
 def mean_neighbor_difference(data: np.ndarray) -> float:
     """Mean |value - mean(face neighbors)| over all points."""
     return difference_pass(data)[0]
+
+
+def lorenzo_residuals(array: np.ndarray) -> np.ndarray:
+    """d-dimensional finite difference with phantom zero neighbours."""
+    residual = np.asarray(array)
+    for axis in range(residual.ndim):
+        residual = np.diff(residual, axis=axis, prepend=0)
+    return residual
 
 
 def mean_lorenzo_difference(data: np.ndarray) -> float:

@@ -143,6 +143,7 @@ class TestFeatureEdgeCases:
         features = extract_features(data, stride=8)
         full = extract_features(data, stride=1)
         assert np.isfinite(features.selected()).all()
+        assert np.isfinite(gradient_features(data, stride=8)).all()
         assert features.mean_value == pytest.approx(full.mean_value)
 
     def test_single_element_array(self):
@@ -168,6 +169,8 @@ class TestFeatureEdgeCases:
         data[0, 0] = np.inf
         with pytest.raises(InvalidConfiguration, match="non-finite"):
             extract_features(data)
+        with pytest.raises(InvalidConfiguration, match="non-finite"):
+            gradient_features(data)
 
     def test_nan_outside_sampled_lattice_is_invisible(self):
         """The guard inspects the sampled view, like extraction itself."""
