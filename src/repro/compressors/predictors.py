@@ -31,9 +31,10 @@ def lorenzo_residuals(array: np.ndarray) -> np.ndarray:
     residual = np.asarray(array)
     for axis in range(residual.ndim):
         # np.diff(residual, axis=axis, prepend=0) without its Python
-        # wrapper. The default-int zero plane promotes the dtype and sets
-        # np.concatenate's output layout as np.diff's broadcast 0 does,
-        # so every residual keeps its value, dtype and strides.
+        # wrapper. The zero plane must stay a C-ordered default-int
+        # array: its dtype promotes the residuals as prepend=0 does, and
+        # its strides vote on np.concatenate's output layout, which sets
+        # the order MLD's mean sums in.
         plane = list(residual.shape)
         plane[axis] = 1
         padded = np.concatenate(

@@ -9,9 +9,10 @@ formulation they must match bit for bit: cast the whole field to
 float64 first, then sample, fold and sum that copy. It also keeps its
 own copy of the feature kernels and the block fold as they were before
 the rewrite that derives the neighbour and fit counts from the shape
-and reduces the leading axis in one pass: the fused difference sweep
-(MND and the gradient trio), the Lorenzo and spline differences, and
-the strided-view fold over an edge-padded copy.
+and folds without padding: the fused difference sweep (MND and the
+gradient trio), the Lorenzo residuals as an ``np.diff`` chain, the
+Lorenzo and spline differences, and the strided-view fold over an
+edge-padded copy.
 """
 
 from __future__ import annotations
