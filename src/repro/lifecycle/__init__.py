@@ -12,10 +12,9 @@ serving path and the :class:`~repro.serving.ModelRegistry`:
 * :func:`retrain` — fits candidate models from the original training
   matrix plus measured outcomes (in worker processes when the session
   has them) and publishes the best one unpromoted;
-* :func:`evaluate_canary` / :func:`run_canary` — replay a held-out
-  slice of the outcome log through incumbent and candidate; the
-  registry alias flips only when the candidate's median relative CR
-  error beats the incumbent's.
+* :func:`evaluate_canary` — replay a held-out slice of the outcome
+  log through incumbent and candidate; the registry alias flips only
+  when the candidate's median relative CR error beats the incumbent's.
 
 See ``docs/LIFECYCLE.md`` for the loop diagram and the promotion /
 rollback contract.
@@ -31,7 +30,6 @@ from repro.lifecycle.promote import (
     CanaryReport,
     evaluate_canary,
     quality_errors,
-    run_canary,
 )
 from repro.lifecycle.retrain import (
     RetrainResult,
@@ -49,6 +47,5 @@ __all__ = [
     "quality_errors",
     "read_outcomes",
     "retrain",
-    "run_canary",
     "training_rows_from_outcomes",
 ]

@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.core.inference import predicted_config
 from repro.errors import InvalidConfiguration
-from repro.serving.registry import LATEST
 
 #: Bisection budget of one model inversion.
 _INVERT_ITERATIONS = 48
@@ -261,42 +260,3 @@ def canary_report_from_medians(
         promote=bool(wins),
         reason=("promoted: " if wins else "held back: ") + verdict,
     )
-
-
-def run_canary(
-    registry,
-    compressor: str,
-    fingerprint: str | None,
-    candidate_version: int,
-    records,
-    *,
-    margin: float = 0.0,
-    note: str = "",
-):
-    """Canary ``candidate_version`` against ``latest`` and maybe promote.
-
-    Returns ``(report, promoted)`` where ``promoted`` is the
-    :class:`~repro.serving.registry.ModelVersion` now serving as
-    ``latest`` (``None`` when the candidate was held back).
-    """
-    coordinate = registry.resolve(compressor, fingerprint, LATEST)
-    if coordinate.version == int(candidate_version):
-        raise InvalidConfiguration(
-            f"candidate v{candidate_version} already is the latest version"
-        )
-    incumbent = registry.load(
-        coordinate.compressor, coordinate.fingerprint, coordinate.version
-    )
-    candidate = registry.load(
-        coordinate.compressor, coordinate.fingerprint, int(candidate_version)
-    )
-    report = evaluate_canary(incumbent, candidate, records, margin=margin)
-    if not report.promote:
-        return report, None
-    promoted = registry.promote(
-        coordinate.compressor,
-        coordinate.fingerprint,
-        int(candidate_version),
-        note=note or report.reason,
-    )
-    return report, promoted

@@ -16,6 +16,12 @@ module-level accessors here —
 - ``with obs.session() as (tracer, registry): ...`` — scoped
   install/uninstall for tests and library embedding.
 
+The telemetry plane sits on top: :class:`SLOTracker` holds the two
+serving objectives (availability and p99 latency) over a rolling
+window of the ``repro_serving_*`` request series and exports their
+burn as ``repro_slo_*`` gauges, and :class:`ObservabilityServer`
+serves ``/metrics``, ``/healthz``, ``/slo`` and ``/spans``.
+
 See ``docs/OBSERVABILITY.md`` for the span model, the metric naming
 convention and the scrape endpoint.
 """
@@ -39,14 +45,7 @@ from repro.obs.report import (
     render_cost_tree,
     tree_shape,
 )
-from repro.obs.slo import (
-    SLO,
-    AvailabilitySLO,
-    LatencySLO,
-    SLOStatus,
-    SLOTracker,
-    default_serving_slos,
-)
+from repro.obs.slo import SLOStatus, SLOTracker
 from repro.obs.trace import (
     NULL_SPAN,
     Span,
@@ -60,16 +59,13 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "AvailabilitySLO",
     "Counter",
     "Gauge",
     "Histogram",
-    "LatencySLO",
     "MetricsRegistry",
     "NULL_SPAN",
     "ObservabilityServer",
     "Profiler",
-    "SLO",
     "SLOStatus",
     "SLOTracker",
     "Span",
@@ -79,7 +75,6 @@ __all__ = [
     "bind_cache_gauges",
     "cost_tree",
     "current_context",
-    "default_serving_slos",
     "detach",
     "get_registry",
     "get_tracer",

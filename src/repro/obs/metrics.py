@@ -350,11 +350,10 @@ class MetricsRegistry:
 
         return remove
 
-    def collect(self, skip=None) -> None:
-        """Run every registered collector (refresh pull-model gauges)
-        except ``skip``."""
+    def collect(self) -> None:
+        """Run every registered collector (refresh pull-model gauges)."""
         with self._lock:
-            collectors = [c for c in self._collectors if c != skip]
+            collectors = list(self._collectors)
         for collect in collectors:
             collect()
 

@@ -41,7 +41,6 @@ from repro.serving.service import (
     EstimateRequest,
     EstimationService,
     ServedEstimate,
-    resolved_objective,
 )
 from repro.serving.supervisor import CircuitBreaker, SupervisorStats
 
@@ -58,5 +57,4 @@ __all__ = [
     "ServedEstimate",
     "SupervisorStats",
     "dataset_fingerprint",
-    "resolved_objective",
 ]

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.inference import Estimate, InferenceEngine, resolve_objective
-from repro.core.objective import Objective, RatioTarget, as_objective
+from repro.core.objective import Objective
 from repro.core.pipeline import FXRZ
 from repro.errors import (
     DeadlineExceededError,
@@ -93,17 +93,6 @@ class EstimateRequest:
     deadline_seconds: float | None = None
     trace: "obs.SpanContext | None" = None
     objective: "Objective | float | str | None" = None
-
-
-def resolved_objective(request: EstimateRequest) -> Objective:
-    """The request's :class:`Objective`, from whichever field carried it."""
-    if request.objective is not None:
-        if request.target_ratio:
-            raise InvalidConfiguration(
-                "request carries both target_ratio and objective"
-            )
-        return as_objective(request.objective)
-    return RatioTarget(float(request.target_ratio))
 
 
 @dataclass(frozen=True)
@@ -359,11 +348,9 @@ class EstimationService:
         """Start the SLO tracker's sampler and the scrape endpoint."""
         tracker = obs.SLOTracker(
             self._registry,
-            obs.default_serving_slos(
-                availability=float(config.slo_availability),
-                p99_seconds=float(config.slo_p99_ms) / 1000.0,
-                window=float(config.slo_window),
-            ),
+            availability=float(config.slo_availability),
+            p99_seconds=float(config.slo_p99_ms) / 1000.0,
+            window=float(config.slo_window),
         )
         try:
             self._obs_server = obs.ObservabilityServer(
@@ -506,7 +493,9 @@ class EstimationService:
         Raises before anything is queued: an invalid objective and a
         non-positive deadline fail the submit call.
         """
-        objective = resolved_objective(request)
+        objective = resolve_objective(
+            request.target_ratio or None, request.objective
+        )
         relative = (
             request.deadline_seconds
             if request.deadline_seconds is not None

@@ -17,7 +17,7 @@ from repro.core.inference import InferenceEngine
 from repro.core.objective import PSNRTarget, RatioTarget, SSIMTarget
 from repro.errors import InvalidConfiguration
 from repro.lifecycle import OutcomeLog, quality_errors, read_outcomes
-from repro.serving import EstimateRequest, EstimationService, resolved_objective
+from repro.serving import EstimateRequest, EstimationService
 
 from tests.conftest import small_forest_factory
 
@@ -49,23 +49,50 @@ def fitted():
 
 
 class TestResolvedObjective:
+    """``submit`` resolves a request's objective from whichever field
+    carried it, and rejects an ambiguous one at admission."""
+
+    def _submit(self, pipeline, request):
+        with EstimationService.for_pipeline(
+            pipeline, guarded=False, workers=1
+        ) as service:
+            return service.submit(request).result()
+
     def test_ratio_request_resolves(self, fitted):
-        _, probes = fitted
-        request = EstimateRequest(data=probes[0], target_ratio=8.0)
-        assert resolved_objective(request) == RatioTarget(8.0)
+        pipeline, probes = fitted
+        served = self._submit(
+            pipeline, EstimateRequest(data=probes[0], target_ratio=8.0)
+        )
+        assert served.estimate.objective == RatioTarget(8.0)
 
     def test_objective_request_resolves(self, fitted):
-        _, probes = fitted
-        request = EstimateRequest(data=probes[0], objective="psnr:55")
-        assert resolved_objective(request) == PSNRTarget(55.0)
+        pipeline, probes = fitted
+        served = self._submit(
+            pipeline, EstimateRequest(data=probes[0], objective="psnr:55")
+        )
+        assert served.estimate.objective == PSNRTarget(55.0)
+
+    def _rejected(self, pipeline, request):
+        with EstimationService.for_pipeline(
+            pipeline, guarded=False, workers=1
+        ) as service:
+            # submit itself raises: the request never reaches the queue.
+            with pytest.raises(InvalidConfiguration):
+                service.submit(request)
+            assert service.metrics.requests_total == 0
 
     def test_both_rejected(self, fitted):
-        _, probes = fitted
-        request = EstimateRequest(
-            data=probes[0], target_ratio=8.0, objective="psnr:55"
+        pipeline, probes = fitted
+        self._rejected(
+            pipeline,
+            EstimateRequest(
+                data=probes[0], target_ratio=8.0, objective="psnr:55"
+            ),
         )
-        with pytest.raises(InvalidConfiguration):
-            resolved_objective(request)
+
+    def test_neither_rejected(self, fitted):
+        pipeline, probes = fitted
+        self._rejected(pipeline, EstimateRequest(data=probes[0]))
 
 
 class TestServiceObjectives:

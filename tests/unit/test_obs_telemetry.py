@@ -1,17 +1,18 @@
 """Telemetry-plane unit tests: SLO tracker history, SLO burn, scrape
 server.
 
-Covers the :class:`SLOTracker`'s frame ring and delta mechanics
-(label-set aggregation, counter-reset tolerance, histogram deltas,
-window eviction, the sampler thread), the declarative SLO set
-(availability, latency-threshold, gauge-threshold) with
-burn-rate/alerting semantics and the ``repro_slo_*`` collector export,
-and the embedded scrape endpoint's four routes.
+Covers the :class:`SLOTracker`'s frame ring (capacity eviction, window
+cut-off, label-set sums, overflow observations, the sampler thread and
+its collector-free sampling), the two serving SLOs (availability and
+p99 latency) with burn-rate/alerting semantics and the ``repro_slo_*``
+collector export, the pinned ``/slo`` body and exposition under
+scripted traffic, and the embedded scrape endpoint's four routes.
 """
 
 from __future__ import annotations
 
 import json
+import pathlib
 import time
 import urllib.error
 import urllib.request
@@ -20,8 +21,14 @@ import pytest
 
 from repro import obs
 from repro.errors import InvalidConfiguration
+from repro.runtime import RuntimeConfig
+from repro.serving.metrics import MetricsRecorder
 
 pytestmark = pytest.mark.obs
+
+_CONTRACT = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "slo_contract.json").read_text()
+)
 
 
 @pytest.fixture()
@@ -34,92 +41,108 @@ def _fetch(url: str):
         return response.status, response.read().decode("utf-8")
 
 
+def _tracker(registry, **overrides):
+    """A tracker shaped like the service's: the ``slo_*`` defaults of
+    :class:`RuntimeConfig`, with ``overrides`` on top."""
+    config = RuntimeConfig()
+    options = {
+        "availability": config.slo_availability,
+        "p99_seconds": config.slo_p99_ms / 1000.0,
+        "window": config.slo_window,
+    }
+    options.update(overrides)
+    return obs.SLOTracker(registry, **options)
+
+
+def _requests(registry):
+    return registry.counter("repro_serving_requests_total")
+
+
+def _latency(registry, **options):
+    return registry.histogram("repro_serving_latency_seconds", **options)
+
+
 class TestTimeSeriesBuffer:
-    """The SLO tracker's own time series: frame ring, windowed deltas
+    """The SLO tracker's own time series: frame ring, windowed increases
     and the sampler thread."""
 
     def test_capacity_evicts_oldest(self, registry):
-        # The ring holds the longest SLO window in 1 s frames plus a
-        # minute of slack: 160 frames for a 100 s window.
-        counter = registry.counter("repro_test_total")
-        tracker = obs.SLOTracker(
-            registry,
-            [obs.AvailabilitySLO(window=30.0),
-             obs.LatencySLO(window=100.0)],
-        )
-        for i in range(170):
-            counter.inc()
-            tracker.sample(unix=float(i))
-        assert tracker.report()["frames_sampled"] == 160
-        # Frames 10..169 remain: the oldest counter value is 11.
-        assert tracker.delta("repro_test_total", 1e9) == 159.0
-        assert obs.SLOTracker(registry).report()["frames_sampled"] == 0
+        # The ring holds the window in 1 s frames plus a minute of
+        # slack: 160 frames for a 100 s window, never fewer than 120.
+        requests = _requests(registry)
+        tracker = _tracker(registry, window=100.0)
+        for _ in range(170):
+            requests.inc(outcome="ok")
+            tracker.sample(unix=0.0)
+        report = tracker.report()
+        assert report["frames_sampled"] == 160
+        # One timestamp puts the whole ring in the window: its oldest
+        # frame, the 11th sample, is the baseline.
+        assert report["slos"][0]["events"] == 159.0
+        small = _tracker(registry, window=30.0)
+        assert small.report()["frames_sampled"] == 0
+        for _ in range(130):
+            small.sample(unix=0.0)
+        assert small.report()["frames_sampled"] == 120
 
     def test_delta_aggregates_label_sets(self, registry):
-        counter = registry.counter("repro_test_requests_total")
-        tracker = obs.SLOTracker(registry)
-        counter.inc(3, outcome="ok")
+        requests = _requests(registry)
+        latency = _latency(registry)
+        tracker = _tracker(registry, window=60.0)
+        requests.inc(3, outcome="ok")
         tracker.sample(unix=100.0)
-        counter.inc(2, outcome="ok")
-        counter.inc(1, outcome="error")
+        requests.inc(2, outcome="ok")
+        requests.inc(1, outcome="error")
+        latency.observe(0.1, outcome="ok")
+        latency.observe(0.5, outcome="error")
         tracker.sample(unix=101.0)
-        total = tracker.delta("repro_test_requests_total", 60.0)
-        assert total == pytest.approx(3.0)
-        ok = tracker.delta(
-            "repro_test_requests_total", 60.0, labels={"outcome": "ok"}
-        )
-        assert ok == pytest.approx(2.0)
-
-    def test_delta_tolerates_counter_reset(self, registry):
-        # A gauge stands in for a counter that restarted mid-window:
-        # the post-reset value is counted, never a negative delta.
-        gauge = registry.gauge("repro_test_restarts_total")
-        tracker = obs.SLOTracker(registry)
-        gauge.set(10.0)
-        tracker.sample(unix=0.0)
-        gauge.set(4.0)
-        tracker.sample(unix=1.0)
-        assert tracker.delta("repro_test_restarts_total", 60.0) == 4.0
+        availability, p99 = tracker.evaluate()
+        assert availability.events == 3.0
+        assert availability.detail == "2/3 good"
+        assert p99.events == 2.0
+        assert p99.detail == "1/2 under 0.25s"
 
     def test_delta_without_history_is_zero(self, registry):
-        tracker = obs.SLOTracker(registry)
-        assert tracker.delta("repro_test_requests_total", 60.0) == 0.0
+        tracker = _tracker(registry)
+        for status in tracker.evaluate():
+            assert (status.events, status.compliance) == (0.0, 1.0)
+        _requests(registry).inc(4, outcome="error")
+        _latency(registry).observe(9.0, outcome="error")
         tracker.sample(unix=0.0)
-        assert tracker.delta("repro_test_requests_total", 60.0) == 0.0
+        # One frame has no baseline: nothing has happened in the window.
+        for status in tracker.evaluate():
+            assert (status.events, status.compliance) == (0.0, 1.0)
+            assert status.detail == "no traffic in window"
 
     def test_histogram_delta(self, registry):
-        hist = registry.histogram(
-            "repro_test_seconds", buckets=(0.1, 1.0)
-        )
-        tracker = obs.SLOTracker(registry)
-        hist.observe(0.05)
+        latency = _latency(registry, buckets=(0.1, 1.0))
+        tracker = _tracker(registry, p99_seconds=1.0)
+        latency.observe(0.05, outcome="ok")
         tracker.sample(unix=0.0)
-        hist.observe(0.5)
-        hist.observe(5.0)  # overflow: only in count
+        latency.observe(0.5, outcome="ok")
+        latency.observe(5.0, outcome="ok")  # overflow: only in count
         tracker.sample(unix=1.0)
-        delta = tracker.histogram_delta("repro_test_seconds", 60.0)
-        assert delta["counts"] == [0.0, 1.0]
-        assert delta["count"] == 2.0
-        assert delta["sum"] == pytest.approx(5.5)
-        assert tracker.histogram_delta("repro_test_other", 60.0) is None
+        p99 = tracker.evaluate()[1]
+        assert p99.events == 2.0
+        assert p99.compliance == 0.5
+        assert p99.detail == "1/2 under 1s"
 
     def test_window_and_series(self, registry):
-        gauge = registry.gauge("repro_test_level")
-        tracker = obs.SLOTracker(registry)
+        requests = _requests(registry)
+        tracker = _tracker(registry, window=20.0)
         for i in range(5):
-            gauge.set(float(i))
+            requests.inc(outcome="ok")
             tracker.sample(unix=float(i * 10))
-        # The 20 s window holds unix 20, 30, 40.
-        assert [f.unix for f in tracker._window(20.0)] == [20.0, 30.0, 40.0]
-        assert tracker.delta("repro_test_level", 20.0) == 2.0
+        # The 20 s window holds unix 20, 30, 40: two requests since 20.
+        assert tracker.evaluate()[0].events == 2.0
 
     def test_sampler_thread_runs_and_stops(self, registry, monkeypatch):
         from repro.obs import slo as slo_module
 
         monkeypatch.setattr(slo_module, "_SAMPLE_INTERVAL", 0.01)
-        registry.gauge("repro_test_level").set(1.0)
+        _requests(registry).inc(outcome="ok")
         before = len(registry._collectors)
-        tracker = obs.SLOTracker(registry, obs.default_serving_slos())
+        tracker = _tracker(registry)
         tracker.start()
         try:
             # start() takes the baseline frame before the first tick.
@@ -135,23 +158,35 @@ class TestTimeSeriesBuffer:
         assert len(registry._collectors) == before
         tracker.close()  # idempotent
 
+    def test_sample_runs_no_collector(self, registry):
+        calls = []
+        registry.register_collector(lambda: calls.append(1))
+        tracker = _tracker(registry)
+        for second in range(3):
+            tracker.sample(unix=float(second))
+        assert calls == []
+        registry.render_prometheus()
+        assert calls == [1]
+        tracker.close()
+
 
 class TestSLOs:
-    def _traffic(self, registry, ok: int, error: int, slos=None):
-        counter = registry.counter("repro_serving_requests_total")
-        tracker = obs.SLOTracker(registry, slos)
+    def _traffic(self, registry, ok: int, error: int, **options):
+        requests = _requests(registry)
+        tracker = _tracker(registry, **options)
         tracker.sample(unix=0.0)
         if ok:
-            counter.inc(ok, outcome="ok")
+            requests.inc(ok, outcome="ok")
         if error:
-            counter.inc(error, outcome="error")
+            requests.inc(error, outcome="error")
         tracker.sample(unix=10.0)
         return tracker
 
     def test_availability_burn_and_alert(self, registry):
-        tracker = self._traffic(registry, ok=9, error=1)
-        slo = obs.AvailabilitySLO(objective=0.9, window=60.0)
-        status = slo.evaluate(tracker)
+        tracker = self._traffic(
+            registry, ok=9, error=1, availability=0.9, window=60.0
+        )
+        status = tracker.evaluate()[0]
         assert status.compliance == pytest.approx(0.9)
         # error rate 0.1 against a 0.1 budget: burning exactly at rate.
         assert status.burn_rate == pytest.approx(1.0)
@@ -159,44 +194,43 @@ class TestSLOs:
         assert status.events == 10.0
 
     def test_no_traffic_is_compliant(self, registry):
-        tracker = obs.SLOTracker(registry)
+        tracker = _tracker(registry, window=60.0)
         tracker.sample(unix=0.0)
         tracker.sample(unix=1.0)
-        status = obs.AvailabilitySLO(window=60.0).evaluate(tracker)
-        assert status.compliance == 1.0
-        assert status.burn_rate == 0.0
-        assert not status.alerting
+        for status in tracker.evaluate():
+            assert status.compliance == 1.0
+            assert status.burn_rate == 0.0
+            assert not status.alerting
 
     def test_perfect_objective_has_infinite_burn(self, registry):
-        tracker = self._traffic(registry, ok=9, error=1)
-        status = obs.AvailabilitySLO(objective=1.0, window=60.0).evaluate(
-            tracker
+        tracker = self._traffic(
+            registry, ok=9, error=1, availability=1.0, window=60.0
         )
+        status = tracker.evaluate()[0]
         assert status.burn_rate == float("inf")
         assert status.alerting
+        # The gauge carries a finite stand-in for the infinite burn.
+        text = registry.render_prometheus()
+        assert 'repro_slo_burn_rate{slo="availability"} 1e+12' in text
 
     def test_latency_threshold_counts_buckets(self, registry):
-        hist = registry.histogram(
-            "repro_serving_latency_seconds", buckets=(0.1, 0.25, 1.0)
-        )
-        tracker = obs.SLOTracker(registry)
+        latency = _latency(registry, buckets=(0.1, 0.25, 1.0))
+        tracker = _tracker(registry, p99_seconds=0.25, window=60.0)
         tracker.sample(unix=0.0)
         for value in (0.05, 0.2, 0.9):
-            hist.observe(value, outcome="ok")
+            latency.observe(value, outcome="ok")
         tracker.sample(unix=10.0)
-        slo = obs.LatencySLO(
-            objective=0.5, threshold_seconds=0.25, window=60.0
-        )
-        status = slo.evaluate(tracker)
+        status = tracker.evaluate()[1]
+        assert status.objective == 0.99
         assert status.compliance == pytest.approx(2.0 / 3.0)
         assert status.events == 3.0
 
-    def _latency_traffic(self, registry, latencies):
-        hist = registry.histogram("repro_serving_latency_seconds")
-        tracker = obs.SLOTracker(registry)
+    def _latency_traffic(self, registry, latencies, **options):
+        latency = _latency(registry)
+        tracker = _tracker(registry, **options)
         tracker.sample(unix=0.0)
         for value in latencies:
-            hist.observe(value, outcome="ok")
+            latency.observe(value, outcome="ok")
         tracker.sample(unix=10.0)
         return tracker
 
@@ -204,34 +238,29 @@ class TestSLOs:
         # The default grid has a 0.25 bound, so the stock 250 ms
         # threshold counts a 0.2 s request as good.
         tracker = self._latency_traffic(registry, [0.2] * 100)
-        [_, slo] = obs.default_serving_slos()
-        status = slo.evaluate(tracker)
+        status = tracker.evaluate()[1]
         assert status.compliance == 1.0
         assert status.burn_rate == 0.0
         assert not status.alerting
 
     def test_default_p99_fails_requests_over_250ms(self, registry):
         tracker = self._latency_traffic(registry, [0.3] * 100)
-        [_, slo] = obs.default_serving_slos()
-        status = slo.evaluate(tracker)
+        status = tracker.evaluate()[1]
         assert status.compliance == 0.0
         assert status.alerting
 
     def test_off_grid_threshold_interpolates(self, registry):
         # 0.175 s is 50% of the way through the (0.1, 0.25] bucket.
-        tracker = self._latency_traffic(registry, [0.2] * 10)
-        slo = obs.LatencySLO(
-            objective=0.5, threshold_seconds=0.175, window=60.0
+        tracker = self._latency_traffic(
+            registry, [0.2] * 10, p99_seconds=0.175, window=60.0
         )
-        status = slo.evaluate(tracker)
+        status = tracker.evaluate()[1]
         assert status.compliance == pytest.approx(0.5)
-        assert status.burn_rate == pytest.approx(1.0)
+        # half the requests late against a 1% budget
+        assert status.burn_rate == pytest.approx(50.0)
 
     def test_tracker_exports_slo_gauges(self, registry):
-        tracker = self._traffic(
-            registry, ok=9, error=1,
-            slos=obs.default_serving_slos(availability=0.9),
-        )
+        tracker = self._traffic(registry, ok=9, error=1, availability=0.9)
         text = registry.render_prometheus()
         assert 'repro_slo_burn_rate{slo="availability"} 1' in text
         assert 'repro_slo_alert{slo="availability"} 1' in text
@@ -240,9 +269,9 @@ class TestSLOs:
         assert registry._collectors == []
 
     def test_sampling_does_not_evaluate_the_slos(self, registry, monkeypatch):
-        """The sampler tick snapshots the registry; only an export
-        evaluates the SLOs and writes their gauges."""
-        tracker = obs.SLOTracker(registry, obs.default_serving_slos())
+        """The sampler tick records a frame; only an export evaluates
+        the SLOs and writes their gauges."""
+        tracker = _tracker(registry)
         evaluate = tracker.evaluate
         calls = []
 
@@ -259,31 +288,96 @@ class TestSLOs:
         tracker.close()
 
     def test_tracker_report_is_json_serializable(self, registry):
-        tracker = self._traffic(
-            registry, ok=5, error=0, slos=obs.default_serving_slos()
-        )
+        tracker = self._traffic(registry, ok=5, error=0)
         report = tracker.report()
         json.dumps(report)
         assert [s["name"] for s in report["slos"]] == [
             "availability", "latency_p99",
         ]
+        assert list(report["slos"][0]) == [
+            "name", "kind", "objective", "window_seconds", "compliance",
+            "burn_rate", "alerting", "events", "detail",
+        ]
         assert report["alerting"] == []
         assert report["frames_sampled"] == 2
 
-    def test_tracker_rejects_duplicate_names(self, registry):
-        with pytest.raises(InvalidConfiguration):
-            obs.SLOTracker(
-                registry,
-                [obs.AvailabilitySLO(), obs.AvailabilitySLO()],
-            )
+    def test_slo_validation(self, registry):
+        for bad in (
+            {"availability": 0.0},
+            {"availability": 1.5},
+            {"window": 0.0},
+            {"p99_seconds": 0.0},
+        ):
+            with pytest.raises(InvalidConfiguration):
+                _tracker(registry, **bad)
 
-    def test_slo_validation(self):
-        with pytest.raises(InvalidConfiguration):
-            obs.AvailabilitySLO(objective=0.0)
-        with pytest.raises(InvalidConfiguration):
-            obs.AvailabilitySLO(window=0.0)
-        with pytest.raises(InvalidConfiguration):
-            obs.LatencySLO(threshold_seconds=0.0)
+
+def _scripted_traffic(*, availability, p99_seconds, window):
+    """400 s of serving traffic through the recorder, sampled once a
+    second: an all-good phase, a mixed one with errors and overflow
+    latencies, an idle one, a failing one and a recovery, plus a
+    series the tracker must ignore. Pins every 40 s."""
+    registry = obs.MetricsRegistry()
+    recorder = MetricsRecorder(registry)
+    unrelated = registry.counter("repro_test_unrelated_total")
+    tracker = obs.SLOTracker(
+        registry,
+        availability=availability,
+        p99_seconds=p99_seconds,
+        window=window,
+    )
+    pins = []
+    for second in range(400):
+        phase = second // 80
+        if phase == 0:
+            for latency in (0.004, 0.2, 0.25):
+                recorder.record_request(latency, tier="model")
+        elif phase == 1:
+            for latency in (0.02, 0.3, 0.2, 0.1):
+                recorder.record_request(latency, tier="model")
+            if second % 3 == 0:
+                recorder.record_request(0.5, failed=True)
+            if second % 7 == 0:
+                recorder.record_request(150.0, tier="fraz")  # overflow
+        elif phase == 3:
+            recorder.record_request(0.6, tier="curve")
+            recorder.record_request(0.2, failed=True)
+            recorder.record_request(120.0, failed=True)  # overflow
+        elif phase == 4:
+            for latency in (0.1, 0.18, 0.12):
+                recorder.record_request(latency, tier="model")
+        unrelated.inc(second % 4, shard=str(second % 3))
+        tracker.sample(unix=1000.0 + second)
+        if second % 40 == 39:
+            exposition = [
+                line for line in registry.render_prometheus().splitlines()
+                if "repro_slo_" in line
+            ]
+            pins.append({
+                "second": second,
+                # byte for byte what the /slo route writes
+                "report": json.dumps(tracker.report(), indent=2) + "\n",
+                "exposition": exposition,
+            })
+    tracker.close()
+    return pins
+
+
+class TestSLOContract:
+    """The ``/slo`` body and the ``repro_slo_*`` exposition under
+    scripted traffic, pinned byte for byte (``data/slo_contract.json``
+    was recorded from the generic SLO-set tracker this one replaced).
+    Windows of 30 s and 75 s keep rings of 120 and 135 frames, which
+    the 400 samples overrun; the second config has a 100% objective
+    (infinite burn) and an off-grid latency threshold."""
+
+    @pytest.mark.parametrize("name", sorted(_CONTRACT))
+    def test_report_and_exposition_are_pinned(self, name):
+        contract = _CONTRACT[name]
+        pins = _scripted_traffic(**contract["config"])
+        for got, want in zip(pins, contract["pins"]):
+            assert got == want, f"{name} at second {want['second']}"
+        assert len(pins) == len(contract["pins"])
 
 
 class TestObservabilityServer:
